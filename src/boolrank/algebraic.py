@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .boolmat import BoolMatrix, max_entries_limit
+from .boolmat import max_entries_limit
 from .cover import Cover, MatrixFamily, Rectangle, verify_kron_hypotheses
 from .crown import colex_subsets, crown_matrix, restrict_family, sigma
 from .errors import DimensionError, MaterializationLimitError, VerificationError
@@ -180,34 +180,24 @@ def algebraic_family(
     fam = build_zp_family(p, q)
     digits = fam.digits()
     b1 = block_subsets[0]
-    l1 = blocks[0]
     in_b1 = np.zeros((p, 2 * d), dtype=bool)
     for z, subset in enumerate(b1):
         for e in subset:
             in_b1[z, e - 1] = True  # block 1 is 1..2d, so e-1 indexes it
 
-    nbytes = (n + 7) // 8
-    members, decomps = [], []
+    decomps = []
     for i in range(1, p):
         coeffs = np.array([pow(i, t, p) for t in range(q)], dtype=np.int64)
         gvals = (digits @ coeffs) % p
-        bits = np.zeros((n, nbytes), dtype=np.uint8)
         rects = []
-        for t_idx, t in enumerate(l1):
+        for t_idx in range(2 * d):
             sel = in_b1[gvals, t_idx]
             rows = np.nonzero(sel)[0]
             cols = np.nonzero(~sel)[0]
             if rows.size and cols.size:
-                col_mask = np.packbits((~sel).astype(np.uint8), bitorder="little")
-                bits[rows] |= col_mask
-                rects.append(
-                    Rectangle(
-                        tuple(int(x) for x in rows), tuple(int(x) for x in cols)
-                    )
-                )
-        members.append(BoolMatrix.from_packed(n, n, bits))
+                rects.append(Rectangle(tuple(rows.tolist()), tuple(cols.tolist())))
         decomps.append(Cover(n, n, tuple(rects)))
-    return params, MatrixFamily(tuple(members), tuple(decomps))
+    return params, MatrixFamily.from_decompositions(decomps)
 
 
 # -- asymptotic pipeline --------------------------------------------------------

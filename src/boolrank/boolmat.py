@@ -25,6 +25,9 @@ DEFAULT_MAX_ENTRIES = 2**31
 
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
+#: Entries unpacked or checked at once when scanning a matrix body.
+_PARSE_BLOCK_ENTRIES = 1 << 22
+
 
 def max_entries_limit(override: int | None = None) -> int:
     """Resolve the materialization limit: explicit arg, else env, else default."""
@@ -260,10 +263,20 @@ def format_matrix(m: BoolMatrix) -> str:
 
 
 def parse_matrix(text: str) -> BoolMatrix:
-    lines = text.split("\n")
-    if not lines or not lines[0].strip():
+    """Inverse of :func:`format_matrix`; lines are split on ``\\n`` only.
+
+    The body is checked and packed as one byte grid, a row block at a time;
+    the first bad line is located from per-line masks, so every error names
+    the same line a line-by-line reader would.
+    """
+    # ASCII with "?" for anything else keeps one byte per character, so byte
+    # offsets are character offsets and no non-ASCII byte can pass as 0/1.
+    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    header = text[: newlines[0]] if newlines.size else text
+    if not header.strip():
         raise FormatError("missing header", line=1)
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
         raise FormatError("header must be 'rows cols'", line=1)
     try:
@@ -272,20 +285,43 @@ def parse_matrix(text: str) -> BoolMatrix:
         raise FormatError("header must hold two decimal integers", line=1) from None
     if rows < 0 or cols < 0:
         raise FormatError("dimensions must be non-negative", line=1)
-    if len(lines) < rows + 1:
-        raise FormatError(f"expected {rows} row lines", line=len(lines))
-    dense = np.zeros((rows, cols), dtype=np.uint8)
-    for i in range(rows):
-        row = lines[1 + i]
-        if len(row) != cols or (row and set(row) - {"0", "1"}):
-            raise FormatError(
-                f"row must be exactly {cols} characters of 0/1", line=2 + i
-            )
-        dense[i] = np.frombuffer(row.encode(), dtype=np.uint8) - ord("0")
-    for extra, content in enumerate(lines[1 + rows:]):
-        if content:
-            raise FormatError("trailing content after matrix", line=2 + rows + extra)
-    return BoolMatrix.from_dense(dense)
+    if newlines.size < rows:
+        raise FormatError(f"expected {rows} row lines", line=newlines.size + 1)
+    # line k (0 = header) spans [starts[k], ends[k])
+    starts = np.concatenate(([0], newlines + 1))
+    ends = np.concatenate((newlines, [buf.size]))
+    lengths = ends[1:] - starts[1:]
+    bad_length = np.flatnonzero(lengths[:rows] != cols)
+    regular = int(bad_length[0]) if bad_length.size else rows
+
+    first_bad = regular
+    packed = []
+    if regular:
+        # rows before the first short or long one sit at a fixed stride
+        grid = np.lib.stride_tricks.as_strided(
+            buf[starts[1]:], shape=(regular, cols), strides=(cols + 1, 1),
+            writeable=False,
+        )
+        block = max(1, _PARSE_BLOCK_ENTRIES // max(1, cols))
+        for row0 in range(0, regular, block):
+            digits = grid[row0:row0 + block] - np.uint8(ord("0"))
+            bad = np.flatnonzero((digits > 1).any(axis=1))
+            if bad.size:
+                first_bad = row0 + int(bad[0])
+                break
+            packed.append(np.packbits(digits, axis=1, bitorder="little"))
+    if first_bad < rows:
+        raise FormatError(
+            f"row must be exactly {cols} characters of 0/1", line=2 + first_bad
+        )
+    trailing = np.flatnonzero(lengths[rows:])
+    if trailing.size:
+        raise FormatError(
+            "trailing content after matrix", line=2 + rows + int(trailing[0])
+        )
+    if not rows:
+        return BoolMatrix.zeros(0, cols)
+    return BoolMatrix(rows, cols, np.concatenate(packed))
 
 
 def write_matrix(path: str, m: BoolMatrix) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from .boolmat import BoolMatrix
 from .cover import Cover, Rectangle, verify_cover
 from .crown import crown_matrix, sigma
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 
 DEFAULT_RECTANGLE_CAP = 200_000
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -222,7 +222,12 @@ def exact_boolean_rank(
         return RankCertificate(None, cov, limit, "search", False)
 
     cov = Cover(a.rows, a.cols, tuple(rects[t] for t in witness))
-    assert verify_cover(a, cov)
+    res = verify_cover(a, cov)
+    if not res:
+        raise VerificationError(
+            f"rank search produced an invalid cover at entry {res.witness}: {res.reason}",
+            witness=res.witness,
+        )
     return RankCertificate(value, cov, value, "search", True)
 
 

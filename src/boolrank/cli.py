@@ -137,7 +137,7 @@ def _cmd_verify_kron(args) -> int:
 def _cmd_verify_qcover(args) -> int:
     a = boolmat.read_matrix(args.matrix)
     fam = cover.read_family(args.family)
-    res = cover.check_q_covering(a, fam, args.q, budget=args.budget, seed=args.seed)
+    res = cover.check_q_covering(a, fam, args.q)
     mode = "yes" if res.exhaustive else "no"
     if res:
         print(f"VERIFIED qcover q={args.q} subsets={res.checked} exhaustive={mode}")
@@ -303,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("family")
     p.add_argument("q", type=int)
-    p.add_argument("--budget", type=int, default=cover.DEFAULT_SUBSET_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify_qcover)
 
     pr = sub.add_parser("rank", help="exact Boolean rank")

@@ -7,6 +7,10 @@ verified *lazily* (without materializing the product) by grouping the
 product's entries by the subset of family members covering them, which is
 what makes crown-matrix instances with ~5e7-square products checkable.
 
+Every-q covering of a family is decided in one pass over its members with
+saturating bit counters, so it is always exhaustive, however many
+q-subsets there are.
+
 Every failed verification reports the first failing entry in row-major
 order (or the lexicographically first failing subset), so tests and CLI
 output are deterministic.
@@ -15,7 +19,7 @@ output are deterministic.
 from __future__ import annotations
 
 import math
-import random
+import operator
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Sequence
@@ -23,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .boolmat import BoolMatrix, boolean_sum, kronecker, max_entries_limit
-from .errors import DimensionError, VerificationError
+from .errors import DimensionError, FormatError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class Rectangle:
         for name, idx in (("row_set", self.row_set), ("col_set", self.col_set)):
             if not idx:
                 raise ValueError(f"rectangle {name} must be nonempty")
-            if any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
+            if not all(map(operator.lt, idx, idx[1:])) or idx[0] < 0:
                 raise ValueError(f"rectangle {name} must be sorted distinct >= 0")
 
     @property
@@ -48,15 +52,17 @@ class Rectangle:
         return rectangle_matrix(self, rows, cols)
 
 
+def _index_mask(idx: Sequence[int], n: int) -> np.ndarray:
+    """Packed bits (little order) of an n-bit row with the bits ``idx`` set."""
+    ind = np.zeros(n, dtype=np.uint8)
+    ind[list(idx)] = 1
+    return np.packbits(ind, bitorder="little")
+
+
 def rectangle_matrix(rect: Rectangle, rows: int, cols: int) -> BoolMatrix:
     if rect.row_set[-1] >= rows or rect.col_set[-1] >= cols:
         raise DimensionError(f"rectangle exceeds {rows}x{cols} target")
-    ind = np.zeros(cols, dtype=np.uint8)
-    ind[list(rect.col_set)] = 1
-    col_mask = np.packbits(ind, bitorder="little")
-    bits = np.zeros((rows, (cols + 7) // 8), dtype=np.uint8)
-    bits[list(rect.row_set)] = col_mask
-    return BoolMatrix.from_packed(rows, cols, bits)
+    return cover_matrix(Cover(rows, cols, (rect,)))
 
 
 @dataclass(frozen=True)
@@ -80,13 +86,22 @@ class Cover:
 
 
 def cover_matrix(c: Cover) -> BoolMatrix:
-    """Boolean sum of the cover's rectangles."""
-    bits = np.zeros((c.rows, (c.cols + 7) // 8), dtype=np.uint8)
-    for rect in c.rects:
-        ind = np.zeros(c.cols, dtype=np.uint8)
-        ind[list(rect.col_set)] = 1
-        col_mask = np.packbits(ind, bitorder="little")
-        bits[list(rect.row_set)] |= col_mask
+    """Boolean sum of the cover's rectangles.
+
+    Rectangles are taken eight at a time.  A row's 8-bit code says which of
+    them contain it, a 256-row table holds the OR of column masks for every
+    code, and one gather writes each row once per group of eight.
+    """
+    nbytes = (c.cols + 7) // 8
+    bits = np.zeros((c.rows, nbytes), dtype=np.uint8)
+    for g in range(0, c.size, 8):
+        group = c.rects[g:g + 8]
+        code = np.zeros(c.rows, dtype=np.uint8)
+        table = np.zeros((1 << len(group), nbytes), dtype=np.uint8)
+        for r, rect in enumerate(group):
+            code[list(rect.row_set)] |= np.uint8(1 << r)
+            table[1 << r:2 << r] = table[:1 << r] | _index_mask(rect.col_set, c.cols)
+        bits |= table[code]
     return BoolMatrix.from_packed(c.rows, c.cols, bits)
 
 
@@ -94,14 +109,34 @@ def cover_matrix(c: Cover) -> BoolMatrix:
 class MatrixFamily:
     """Equally-sized matrices, optionally with rank-1 decompositions.
 
-    When decompositions are present, each member must equal the Boolean sum
-    of its rectangles (validated on construction).
+    When members and decompositions are passed separately, each member must
+    equal the Boolean sum of its rectangles (validated on construction).
+    :meth:`from_decompositions` builds the members from the rectangles
+    instead, so there is nothing to cross-check.
     """
 
     members: tuple[BoolMatrix, ...]
     decompositions: tuple[Cover, ...] | None = None
 
     def __post_init__(self):
+        self._check_dims()
+        if self.decompositions is not None:
+            for m, d in zip(self.members, self.decompositions):
+                if cover_matrix(d) != m:
+                    raise ValueError(
+                        "decomposition does not reproduce its family member"
+                    )
+
+    @classmethod
+    def from_decompositions(cls, decompositions: Sequence[Cover]) -> MatrixFamily:
+        """The family whose members are the Boolean sums of ``decompositions``."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "members", tuple(cover_matrix(d) for d in decompositions))
+        object.__setattr__(fam, "decompositions", tuple(decompositions))
+        fam._check_dims()
+        return fam
+
+    def _check_dims(self) -> None:
         if not self.members:
             raise DimensionError("family must be nonempty")
         r, c = self.members[0].rows, self.members[0].cols
@@ -111,13 +146,9 @@ class MatrixFamily:
         if self.decompositions is not None:
             if len(self.decompositions) != len(self.members):
                 raise DimensionError("one decomposition per member required")
-            for m, d in zip(self.members, self.decompositions):
+            for d in self.decompositions:
                 if (d.rows, d.cols) != (r, c):
                     raise DimensionError("decomposition dimensions mismatch")
-                if cover_matrix(d) != m:
-                    raise ValueError(
-                        "decomposition does not reproduce its family member"
-                    )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -158,9 +189,10 @@ class VerifyResult:
 class SubsetCheckResult:
     """Outcome of a q-out-of-s covering check.
 
-    ``exhaustive`` is False when the subset space exceeded the budget and
-    seeded sampling was used instead; ``witness`` is the first failing
-    subset (member indices) found.
+    The check decides every q-subset, so ``exhaustive`` is always True.
+    ``witness`` is the lexicographically first failing subset (member
+    indices), and ``checked`` counts the subsets up to and including it in
+    lexicographic order, or all C(s, q) of them when none fails.
     """
 
     ok: bool
@@ -207,57 +239,65 @@ def verify_cover(a: BoolMatrix, c: Cover) -> VerifyResult:
 _BLOCK_ENTRIES = 1 << 22
 
 
-def _signature_blocks(
-    a: BoolMatrix, members: Sequence[BoolMatrix]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (row0, ones_mask, signatures) per row block.
+def _signature_dtype(s: int) -> np.dtype:
+    """Narrowest unsigned type with one bit per member (uint64 planes past 64)."""
+    for nbytes in (1, 2, 4):
+        if s <= 8 * nbytes:
+            return np.dtype(f"<u{nbytes}")
+    return np.dtype("<u8")
 
-    ``signatures`` has shape (block_rows, cols, planes); bit t of the
-    flattened planes marks that member t covers the entry.  Up to 64 members
-    fit one plane.
+
+def _signature_blocks(members: Sequence[BoolMatrix]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row0, signatures) per row block of the members' common shape.
+
+    ``signatures`` has shape (block_rows, cols); bit t of an entry's
+    signature marks that member t covers it.  Its dtype is the narrowest
+    holding s bits; past 64 members each signature is a run of uint64
+    planes viewed as one void scalar, so it still compares as one value.
     """
     s = len(members)
-    planes = (s + 63) // 64
-    block = max(1, _BLOCK_ENTRIES // max(1, a.cols))
-    for row0 in range(0, a.rows, block):
-        row1 = min(a.rows, row0 + block)
-        ones = np.unpackbits(
-            a.bits[row0:row1], axis=1, bitorder="little", count=a.cols
-        ).astype(bool)
-        sig = np.zeros((row1 - row0, a.cols, planes), dtype=np.uint64)
+    rows, cols = members[0].rows, members[0].cols
+    dtype = _signature_dtype(s)
+    width = 8 * dtype.itemsize
+    planes = -(-s // width)
+    block = max(1, _BLOCK_ENTRIES // max(1, cols))
+    for row0 in range(0, rows, block):
+        row1 = min(rows, row0 + block)
+        sig = np.zeros((row1 - row0, cols, planes), dtype=dtype)
         for t, m in enumerate(members):
             mb = np.unpackbits(
-                m.bits[row0:row1], axis=1, bitorder="little", count=a.cols
-            ).astype(np.uint64)
-            sig[:, :, t >> 6] |= mb << np.uint64(t & 63)
-        yield row0, ones, sig
+                m.bits[row0:row1], axis=1, bitorder="little", count=cols
+            ).astype(dtype, copy=False)
+            mb *= dtype.type(1 << (t % width))  # 0/1 times 2^k: a shift, but faster
+            sig[:, :, t // width] |= mb
+        if planes > 1:
+            sig = sig.view(np.dtype((np.void, planes * dtype.itemsize)))
+        yield row0, sig[:, :, 0]
 
 
-def _present_signatures(a: BoolMatrix, members: Sequence[BoolMatrix]) -> set[tuple[int, ...]]:
-    """Distinct member-coverage signatures over the 1-entries of ``a``."""
+def _signature_int(key: np.generic) -> int:
+    """A signature as a Python int: bit t set iff member t covers the entry."""
+    return int.from_bytes(key.tobytes(), "little")
+
+
+def _present_signatures(members: Sequence[BoolMatrix]) -> set[int]:
+    """Distinct nonzero member-coverage signatures over all entries.
+
+    When the members' union is a matrix ``a``, these are exactly the
+    signatures of the 1-entries of ``a``: its 0-entries all have signature 0.
+    """
     s = len(members)
-    seen: set[tuple[int, ...]] = set()
     if s <= 16:
         # histogram over the (at most 2^16) possible signatures: no sorting
         counts = np.zeros(1 << s, dtype=np.int64)
-        for _, ones, sig in _signature_blocks(a, members):
-            if ones.any():
-                counts += np.bincount(
-                    sig[:, :, 0][ones].astype(np.int64), minlength=1 << s
-                )
-        for value in np.nonzero(counts)[0]:
-            seen.add((int(value),))
-        return seen
-    for _, ones, sig in _signature_blocks(a, members):
-        if not ones.any():
-            continue
-        sel = sig[ones]
-        if sig.shape[2] == 1:
-            for value in np.unique(sel[:, 0]):
-                seen.add((int(value),))
-        else:
-            for row in np.unique(sel, axis=0):
-                seen.add(tuple(int(x) for x in row))
+        for _, sig in _signature_blocks(members):
+            counts += np.bincount(sig.ravel(), minlength=1 << s)
+        seen = set(np.flatnonzero(counts).tolist())
+    else:
+        seen = set()
+        for _, sig in _signature_blocks(members):
+            seen.update(_signature_int(key) for key in np.unique(sig))
+    seen.discard(0)
     return seen
 
 
@@ -289,31 +329,29 @@ def verify_kron_hypotheses(
         return VerifyResult(False, (i, j), "m-family does not cover the first factor")
 
     s = len(m_fam)
-    seen = _present_signatures(a, m_fam.members)
-
-    failing: set[tuple[int, ...]] = set()
-    for sig_key in sorted(seen):
-        selected = [
-            t for t in range(s) if (sig_key[t >> 6] >> (t & 63)) & 1
-        ]
-        # signature 0 cannot occur: m_fam covers a exactly.
-        if boolean_sum([n_fam.members[t] for t in selected]) != b:
-            failing.add(sig_key)
-
+    # m_fam sums to a, so the nonzero signatures are those of a's 1-entries
+    failing = sorted(
+        sig
+        for sig in _present_signatures(m_fam.members)
+        if boolean_sum([n_fam.members[t] for t in range(s) if sig >> t & 1]) != b
+    )
     if not failing:
         return VerifyResult(True)
 
-    for row0, ones, sig in _signature_blocks(a, m_fam.members):
-        flat_sig = sig.reshape(-1, sig.shape[2])
-        flat_ones = ones.reshape(-1)
-        for pos in np.nonzero(flat_ones)[0]:
-            if tuple(int(x) for x in flat_sig[pos]) in failing:
-                i, j = divmod(int(pos), a.cols)
-                return VerifyResult(
-                    False,
-                    (row0 + i, j),
-                    "selected n-members do not cover the second factor",
-                )
+    for row0, sig in _signature_blocks(m_fam.members):
+        nbytes = sig.dtype.itemsize
+        keys = np.frombuffer(
+            b"".join(f.to_bytes(nbytes, "little") for f in failing), dtype=sig.dtype
+        )
+        # the 0-entries of a carry signature 0, which is never failing
+        hits = np.flatnonzero(np.isin(sig, keys))
+        if hits.size:
+            i, j = divmod(int(hits[0]), a.cols)
+            return VerifyResult(
+                False,
+                (row0 + i, j),
+                "selected n-members do not cover the second factor",
+            )
     raise AssertionError("failing signature disappeared on rescan")
 
 
@@ -379,82 +417,97 @@ def best_triple_pairing(
 
 # -- q-out-of-s covering ------------------------------------------------------
 
-DEFAULT_SUBSET_BUDGET = 10**6
+#: Packed bytes of the target scanned at once by the q-covering check.
+_QCOVER_BLOCK_BYTES = 1 << 16
 
 
-def check_q_covering(
-    a: BoolMatrix,
-    fam: MatrixFamily,
-    q: int,
-    budget: int | None = DEFAULT_SUBSET_BUDGET,
-    seed: int = 0,
-) -> SubsetCheckResult:
+def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckResult:
     """Check that every q-subset of the family sums to ``a``.
 
-    Runs exhaustively in lexicographic subset order when C(s, q) fits the
-    budget, otherwise checks ``budget`` seeded-random subsets and reports
-    the result as non-exhaustive.
+    That holds exactly when every member is dominated by ``a`` and no
+    1-entry of ``a`` is missed by q or more members.  Both are decided in
+    one pass over the members, a block of packed bytes at a time: q
+    saturating bit counters record, per entry, whether more than k members
+    have missed it so far.  The answer is therefore always exhaustive.
+
+    On failure the witness is the lexicographically first failing q-subset,
+    the least of two kinds of candidates: for each entry missed by q or more
+    members, the q smallest members missing it; for each member that covers
+    a 0 of ``a``, the first q-subset containing it.
     """
     s = len(fam)
     if not 1 <= q <= s:
         raise DimensionError(f"q={q} outside 1..{s}")
     if fam.dims != (a.rows, a.cols):
         raise DimensionError("family dimensions do not match the target")
-    total = math.comb(s, q)
-    bits = [m.bits for m in fam.members]
-    target = a.bits
+    target = a.bits.ravel()
+    members = [m.bits.ravel() for m in fam.members]
+    first_over = s  # smallest member covering a 0 of a
+    witness: tuple[int, ...] | None = None
+    for lo in range(0, target.size, _QCOVER_BLOCK_BYTES):
+        hi = lo + _QCOVER_BLOCK_BYTES
+        ones = target[lo:hi]
+        zeros = ~ones
+        # missed[k]: entries of a missed by more than k members so far
+        missed = [np.zeros_like(ones) for _ in range(q)]
+        for t, bits in enumerate(members):
+            block = bits[lo:hi]
+            if t < first_over and (block & zeros).any():
+                first_over = t
+            miss = ones & ~block
+            for k in range(q - 1, 0, -1):
+                missed[k] |= missed[k - 1] & miss
+            missed[0] |= miss
+        if missed[-1].any():
+            found = _first_missing_subset(missed[-1], [m[lo:hi] for m in members], q)
+            witness = found if witness is None else min(witness, found)
+    if first_over < s:
+        found = tuple(range(q - 1)) + (max(first_over, q - 1),)
+        witness = found if witness is None else min(witness, found)
+    if witness is None:
+        return SubsetCheckResult(True, True, math.comb(s, q))
+    return SubsetCheckResult(False, True, _lex_rank(witness, s) + 1, witness)
 
-    if budget is None or total <= budget:
-        checked = 0
-        chosen: list[int] = []
 
-        def rec(start: int, acc: np.ndarray) -> tuple[int, ...] | None:
-            nonlocal checked
+def _first_missing_subset(
+    missed: np.ndarray, members: Sequence[np.ndarray], q: int
+) -> tuple[int, ...]:
+    """Lex-first q members that all miss one of the packed entries ``missed``.
+
+    Greedy in member order: take the next member missing any entry still
+    in play, and keep only the entries it misses.  Every entry of
+    ``missed`` is missed by at least q members, so q are always found.
+    """
+    chosen: list[int] = []
+    for t, bits in enumerate(members):
+        hit = missed & ~bits
+        if hit.any():
+            chosen.append(t)
+            missed = hit
             if len(chosen) == q:
-                checked += 1
-                if np.array_equal(acc, target):
-                    return None
-                return tuple(chosen)
-            if np.array_equal(acc, target):
-                # every completion already covers; count and skip them
-                checked += math.comb(s - start, q - len(chosen))
-                return None
-            for t in range(start, s - (q - len(chosen)) + 1):
-                chosen.append(t)
-                witness = rec(t + 1, acc | bits[t])
-                chosen.pop()
-                if witness is not None:
-                    return witness
-            return None
+                break
+    return tuple(chosen)
 
-        witness = rec(0, np.zeros_like(target))
-        return SubsetCheckResult(witness is None, True, checked, witness)
 
-    rng = random.Random(seed)
-    for trial in range(budget):
-        subset = tuple(sorted(rng.sample(range(s), q)))
-        acc = bits[subset[0]].copy()
-        for t in subset[1:]:
-            acc |= bits[t]
-        if not np.array_equal(acc, target):
-            return SubsetCheckResult(False, False, trial + 1, subset)
-    return SubsetCheckResult(True, False, budget, None)
+def _lex_rank(subset: tuple[int, ...], s: int) -> int:
+    """Position of a sorted subset among the same-size subsets of range(s)."""
+    q = len(subset)
+    rank, prev = 0, -1
+    for i, c in enumerate(subset):
+        rank += sum(math.comb(s - 1 - j, q - 1 - i) for j in range(prev + 1, c))
+        prev = c
+    return rank
 
 
 def check_half_covering(a: BoolMatrix, fam: MatrixFamily) -> SubsetCheckResult:
-    """Check that every ceil(s/2)-subset of the family covers ``a`` (exhaustive)."""
-    q = (len(fam) + 1) // 2
-    return check_q_covering(a, fam, q, budget=None)
+    """Check that every ceil(s/2)-subset of the family covers ``a``."""
+    return check_q_covering(a, fam, (len(fam) + 1) // 2)
 
 
 # -- family extraction --------------------------------------------------------
 
 def _all_ones_on(m: BoolMatrix, rows: Sequence[int], cols: Sequence[int]) -> bool:
-    ind = np.zeros(m.cols, dtype=np.uint8)
-    ind[list(cols)] = 1
-    col_mask = np.packbits(ind, bitorder="little")
-    sub = m.bits[list(rows)]
-    return not (col_mask & ~sub).any()
+    return not (_index_mask(cols, m.cols) & ~m.bits[list(rows)]).any()
 
 
 def extract_families(
@@ -533,20 +586,24 @@ def format_cover(c: Cover) -> str:
 
 
 def _parse_index_set(token: str, lineno: int) -> tuple[int, ...]:
-    from .errors import FormatError
-
-    try:
-        idx = tuple(int(x) for x in token.split(","))
-    except ValueError:
-        raise FormatError(f"bad index list {token!r}", line=lineno) from None
-    if any(b <= a for a, b in zip(idx, idx[1:])) or (idx and idx[0] < 0):
+    """Comma-separated decimal indices, sorted, distinct and non-negative."""
+    raw = np.frombuffer(token.encode("ascii", "replace"), dtype=np.uint8)
+    commas = np.flatnonzero(raw == ord(","))
+    widths = np.diff(np.concatenate(([-1], commas, [raw.size]))) - 1
+    # at most 18 digits, so every index fits an int64
+    if (
+        ((raw - np.uint8(ord("0")) > 9) & (raw != ord(","))).any()
+        or widths.min() < 1
+        or widths.max() > 18
+    ):
+        raise FormatError(f"bad index list {token!r}", line=lineno)
+    idx = np.fromstring(token, dtype=np.int64, sep=",")
+    if (np.diff(idx) <= 0).any():
         raise FormatError("indices must be sorted, distinct, 0-based", line=lineno)
-    return idx
+    return tuple(idx.tolist())
 
 
 def _parse_cover_lines(lines: list[str], start: int) -> tuple[Cover, int]:
-    from .errors import FormatError
-
     head = lines[start].split()
     if len(head) != 4 or head[0] != "COVER":
         raise FormatError("expected 'COVER rows cols s'", line=start + 1)
@@ -572,8 +629,6 @@ def _parse_cover_lines(lines: list[str], start: int) -> tuple[Cover, int]:
 
 
 def parse_cover(text: str) -> Cover:
-    from .errors import FormatError
-
     lines = [ln for ln in text.split("\n")]
     while lines and not lines[-1].strip():
         lines.pop()
@@ -596,8 +651,6 @@ def format_family(fam: MatrixFamily) -> str:
 
 
 def parse_family(text: str) -> MatrixFamily:
-    from .errors import FormatError
-
     lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
@@ -621,8 +674,7 @@ def parse_family(text: str) -> MatrixFamily:
         covers.append(cov)
     if pos != len(lines):
         raise FormatError("trailing content after family", line=pos + 1)
-    members = tuple(cover_matrix(c) for c in covers)
-    return MatrixFamily(members, tuple(covers))
+    return MatrixFamily.from_decompositions(covers)
 
 
 def write_cover(path: str, c: Cover) -> None:

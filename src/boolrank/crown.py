@@ -31,7 +31,6 @@ from .cover import (
     Rectangle,
     best_triple_pairing,
     compose_kron_cover,
-    cover_matrix,
 )
 from .errors import DimensionError, FormatError, VerificationError
 
@@ -339,15 +338,14 @@ def triple_cover(
         )
     f_prime = SubsetFamily(k, ell, tuple(h.apply(s) for s in fam.sets))
 
-    def summed(source: SubsetFamily, ts: range) -> tuple[BoolMatrix, Cover]:
-        rects = tuple(intersection_rectangle(source, t) for t in ts)
-        cov = Cover(n, n, rects)
-        return cover_matrix(cov), cov
+    def summed(source: SubsetFamily, ts: range) -> Cover:
+        return Cover(n, n, tuple(intersection_rectangle(source, t) for t in ts))
 
-    a1, d1 = summed(fam, range(1, r + 1))
-    a2, d2 = summed(fam, range(r + 1, k + 1))
-    a3, d3 = summed(f_prime, range(r + 1, k + 1))
-    return MatrixFamily((a1, a2, a3), (d1, d2, d3))
+    return MatrixFamily.from_decompositions((
+        summed(fam, range(1, r + 1)),
+        summed(fam, range(r + 1, k + 1)),
+        summed(f_prime, range(r + 1, k + 1)),
+    ))
 
 
 def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
@@ -394,13 +392,10 @@ def c5_triple() -> MatrixFamily:
         ),
     )
     groups = ((1, 2), (3, 4), (5, 6, 7))
-    members, decomps = [], []
-    for ts in groups:
-        rects = tuple(intersection_rectangle(fam, t) for t in ts)
-        cov = Cover(5, 5, rects)
-        members.append(cover_matrix(cov))
-        decomps.append(cov)
-    return MatrixFamily(tuple(members), tuple(decomps))
+    return MatrixFamily.from_decompositions([
+        Cover(5, 5, tuple(intersection_rectangle(fam, t) for t in ts))
+        for ts in groups
+    ])
 
 
 def c4_triple() -> MatrixFamily:
@@ -415,13 +410,9 @@ def c4_triple() -> MatrixFamily:
         ((0, 3), (1, 2)),
         ((0, 2), (1, 3)),
     )
-    members, decomps = [], []
-    for x, y in splits:
-        rects = (Rectangle(x, y), Rectangle(y, x))
-        cov = Cover(4, 4, rects)
-        members.append(cover_matrix(cov))
-        decomps.append(cov)
-    return MatrixFamily(tuple(members), tuple(decomps))
+    return MatrixFamily.from_decompositions([
+        Cover(4, 4, (Rectangle(x, y), Rectangle(y, x))) for x, y in splits
+    ])
 
 
 def coverable_triple(n: int) -> MatrixFamily:

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from boolrank import boolmat
 from boolrank.boolmat import (
     BoolMatrix,
     EntryIndex4,
@@ -14,6 +15,7 @@ from boolrank.boolmat import (
     kronecker,
     parse_matrix,
     project_factors,
+    read_matrix,
 )
 from boolrank.crown import crown_matrix
 from boolrank.errors import DimensionError, FormatError, MaterializationLimitError
@@ -246,3 +248,51 @@ class TestMatrixFormat:
             parse_matrix("2 2\n01\n2x\n")
         with pytest.raises(FormatError, match="line 2"):
             parse_matrix("2 2\n011\n10\n")
+
+    # (text, line, message) as reported by the line-by-line reader
+    MALFORMED = {
+        "short row": ("2 3\n010\n01\n", 3, "row must be exactly 3"),
+        "long row": ("2 3\n0101\n010\n", 2, "row must be exactly 3"),
+        "digit 2": ("2 3\n010\n012\n", 3, "row must be exactly 3"),
+        "space": ("2 3\n0 1\n010\n", 2, "row must be exactly 3"),
+        "non-ascii": ("2 3\n010\n0\u00e91\n", 3, "row must be exactly 3"),
+        "missing rows": ("3 2\n01\n10", 3, "expected 3 row lines"),
+        "missing last row": ("3 2\n01\n10\n", 4, "row must be exactly 2"),
+        "trailing content": ("2 2\n01\n10\n11\n", 4, "trailing content"),
+        "trailing after blank": ("2 2\n01\n10\n\n \n", 5, "trailing content"),
+        "crlf string": ("2 2\r\n01\r\n10\r\n", 2, "row must be exactly 2"),
+        "empty": ("", 1, "missing header"),
+        "bad header": ("2 x\n", 1, "two decimal integers"),
+        "negative": ("-1 2\n", 1, "non-negative"),
+        "three fields": ("1 2 3\n01\n", 1, "'rows cols'"),
+        "huge header": ("2 99999999999999999999\n0\n", 2, "row must be exactly"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_line_numbers(self, case):
+        text, line, message = self.MALFORMED[case]
+        with pytest.raises(FormatError, match=f"line {line}: .*{message}") as info:
+            parse_matrix(text)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 1), (4, 8), (5, 13), (9, 17)])
+    def test_round_trip_shapes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        m = BoolMatrix.from_dense(rng.integers(0, 2, size=shape, dtype=np.uint8))
+        assert parse_matrix(format_matrix(m)) == m
+
+    def test_row_blocks(self, monkeypatch):
+        # one row per block: packing and the first bad row span blocks
+        monkeypatch.setattr(boolmat, "_PARSE_BLOCK_ENTRIES", 1)
+        m = rand_matrix(random.Random(3), 6, 11)
+        text = format_matrix(m)
+        assert parse_matrix(text) == m
+        lines = text.split("\n")
+        lines[5] = lines[5][:-1] + "x"
+        with pytest.raises(FormatError, match="line 6"):
+            parse_matrix("\n".join(lines))
+
+    def test_crlf_file_parses(self, tmp_path):
+        path = tmp_path / "c3.mat"
+        path.write_bytes(format_matrix(crown_matrix(3)).replace("\n", "\r\n").encode())
+        assert read_matrix(str(path)) == crown_matrix(3)

@@ -15,7 +15,9 @@ from boolrank.bounds import (
 )
 from boolrank.cover import verify_cover
 from boolrank.crown import crown_matrix, gap_cover, sigma
-from boolrank.errors import BudgetExceededError
+from boolrank import bounds
+from boolrank.cover import VerifyResult
+from boolrank.errors import BudgetExceededError, VerificationError
 
 
 def rand_matrix(rng, rows, cols, density=0.5):
@@ -109,6 +111,14 @@ class TestExactRank:
     def test_limit_above_value_still_exact(self):
         cert = exact_boolean_rank(crown_matrix(5), limit=10)
         assert cert.exact and cert.value == 4
+
+    def test_invalid_final_cover_raises(self, monkeypatch):
+        # an explicit check, not an assert, so it also holds under python -O
+        monkeypatch.setattr(
+            bounds, "verify_cover", lambda a, c: VerifyResult(False, (0, 1), "forced")
+        )
+        with pytest.raises(VerificationError, match="forced"):
+            exact_boolean_rank(crown_matrix(4))
 
     def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceededError):

@@ -130,6 +130,16 @@ class TestVerifyKronAndQcover:
         code, out, _ = run(capsys, "verify", "qcover", mat, fam, "1")
         assert code == 1 and out.startswith("FAILED subset=")
 
+    def test_verify_qcover_non_dominated_member(self, capsys, tmp_path):
+        # members 0 and 1 already sum to the matrix; member 2 covers a 0 of it
+        mat = str(tmp_path / "c2.mat")
+        fam = tmp_path / "aax.fam"
+        write_matrix(mat, crown_matrix(2))
+        anti = "COVER 2 2 2\nR 0 C 1\nR 1 C 0\n"
+        fam.write_text("FAMILY 2 2 3\n" + anti + anti + "COVER 2 2 2\nR 0 C 0,1\nR 1 C 0\n")
+        code, out, _ = run(capsys, "verify", "qcover", mat, str(fam), "2")
+        assert code == 1 and out == "FAILED subset=(0,2) exhaustive=yes\n"
+
 
 class TestRankAndBounds:
     def test_rank_exact(self, capsys, tmp_path):

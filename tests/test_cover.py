@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from boolrank.boolmat import BoolMatrix, boolean_sum, kronecker
+from boolrank.boolmat import BoolMatrix, boolean_sum, dominated_by, kronecker
+from boolrank import cover as cover_mod
 from boolrank.cover import (
     Cover,
     MatrixFamily,
@@ -45,6 +47,22 @@ def with_row_decompositions(members) -> MatrixFamily:
 def rand_matrix(rng, rows, cols, density=0.5):
     dense = [[1 if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
     return BoolMatrix.from_dense(dense)
+
+
+def rand_below(rng, a: BoolMatrix, density: float) -> BoolMatrix:
+    """A random matrix dominated by ``a``: each 1 kept with ``density``."""
+    keep = [[rng.random() < density for _ in range(a.cols)] for _ in range(a.rows)]
+    return BoolMatrix.from_dense(a.to_dense() & np.array(keep, dtype=np.uint8))
+
+
+def brute_q_covering(a, fam, q):
+    """Oracle: every q-subset in lex order, full OR, compare; stop at the first failure."""
+    checked = 0
+    for sub in itertools.combinations(range(len(fam)), q):
+        checked += 1
+        if boolean_sum([fam.members[t] for t in sub]) != a:
+            return False, sub, checked
+    return True, None, checked
 
 
 class TestRectangleAndCover:
@@ -273,12 +291,38 @@ class TestSubsetChecks:
         res = check_q_covering(crown_matrix(4), params_fam, 2)
         assert res.checked == math.comb(3, 2)
 
-    def test_sampling_mode_deterministic(self):
-        c4 = crown_matrix(4)
-        fam = c4_triple()
-        r1 = check_q_covering(c4, fam, 2, budget=2, seed=42)
-        r2 = check_q_covering(c4, fam, 2, budget=2, seed=42)
-        assert not r1.exhaustive and r1 == r2
+    def test_large_subset_space_is_exhaustive(self):
+        # C(23, 11) = 1352078 subsets, more than the 10**6 at which subsets
+        # used to be sampled; the planted failure is found exhaustively.
+        a = crown_matrix(3)
+        dense = a.to_dense()
+        dense[0, 1] = 0
+        weak = BoolMatrix.from_dense(dense)
+        missers = (0, 1, 2, 3, 4, 6, 9, 11, 14, 18, 21)
+        fam = MatrixFamily(tuple(weak if t in missers else a for t in range(23)))
+        res = check_q_covering(a, fam, 11)
+        assert res.exhaustive and res.witness == missers
+        assert (res.ok, res.witness, res.checked) == brute_q_covering(a, fam, 11)
+        ten = MatrixFamily(tuple(weak if t in missers[:10] else a for t in range(23)))
+        ok = check_q_covering(a, ten, 11)
+        assert ok and ok.exhaustive and ok.checked == math.comb(23, 11)
+
+    def test_non_dominated_member_fails_regardless_of_order(self):
+        # A prefix that already sums to a must not hide a later member
+        # covering a 0 of a.
+        a = BoolMatrix.from_dense([[0, 1], [1, 0]])
+        x = BoolMatrix.from_dense([[1, 1], [1, 0]])
+        res = check_q_covering(a, MatrixFamily((a, a, x)), 2)
+        assert (res.ok, res.exhaustive, res.witness, res.checked) == (False, True, (0, 2), 2)
+        res = check_q_covering(a, MatrixFamily((x, a, a)), 2)
+        assert (res.ok, res.witness, res.checked) == (False, (0, 1), 1)
+
+    def test_zero_target_rejects_nonzero_members(self):
+        z = BoolMatrix.zeros(2, 2)
+        one = BoolMatrix.from_dense([[0, 0], [0, 1]])
+        assert check_q_covering(z, MatrixFamily((z, z)), 1)
+        res = check_q_covering(z, MatrixFamily((z, z, one)), 2)
+        assert (res.ok, res.witness, res.checked) == (False, (0, 2), 2)
 
     def test_drop_matrix_from_tight_family_reports_witness(self):
         from boolrank.algebraic import algebraic_family
@@ -294,6 +338,76 @@ class TestSubsetChecks:
     def test_q_out_of_range(self):
         with pytest.raises(DimensionError):
             check_q_covering(crown_matrix(4), c4_triple(), 4)
+
+
+class TestQCoveringOracle:
+    """The one-pass check against every q-subset, OR-ed and compared."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 16])
+    def test_matches_brute_force(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(cover_mod, "_QCOVER_BLOCK_BYTES", block_bytes)
+        rng = random.Random(2024)
+        outcomes = {True: 0, False: 0}
+        over = 0
+        for _ in range(150):
+            a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 19), 0.7)
+            s = rng.randint(1, 7)
+            members = [rand_below(rng, a, rng.choice((0.5, 0.8, 0.95))) for _ in range(s)]
+            if rng.random() < 0.25:
+                members[rng.randrange(s)] = rand_matrix(rng, a.rows, a.cols)
+            fam = MatrixFamily(tuple(members))
+            over += any(not dominated_by(m, a) for m in members)
+            for q in range(1, s + 1):
+                res = check_q_covering(a, fam, q)
+                assert res.exhaustive
+                assert (res.ok, res.witness, res.checked) == brute_q_covering(a, fam, q)
+                outcomes[res.ok] += 1
+        assert min(outcomes.values()) > 50 and over > 10
+
+
+class TestSignatureOracle:
+    """Lazy hypothesis check against the eager product and a brute-force scan."""
+
+    @staticmethod
+    def first_failing_entry(a, m_fam, b, n_fam):
+        m_dense = [m.to_dense() for m in m_fam.members]
+        for i, j in zip(*np.nonzero(a.to_dense())):
+            chosen = [n for m, n in zip(m_dense, n_fam.members) if m[i, j]]
+            if boolean_sum(chosen) != b:
+                return int(i), int(j)
+        return None
+
+    @staticmethod
+    def covering_family(rng, a, s):
+        """s members below ``a`` whose union is exactly ``a``, about two per entry."""
+        dense = [rand_below(rng, a, min(0.4, 2 / s)).to_dense() for _ in range(s)]
+        for i, j in zip(*np.nonzero(a.to_dense())):
+            dense[rng.randrange(s)][i, j] = 1
+        return MatrixFamily(tuple(BoolMatrix.from_dense(d) for d in dense))
+
+    # 3, 9, 17 and 70 members: uint8, uint16, uint32 and uint64-plane signatures
+    @pytest.mark.parametrize("s", [3, 9, 17, 70])
+    @pytest.mark.parametrize("block_entries", [4, 1 << 22])
+    def test_matches_eager_and_brute_force(self, monkeypatch, s, block_entries):
+        monkeypatch.setattr(cover_mod, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(s)
+        outcomes = {True: 0, False: 0}
+        for _ in range(12):
+            a = rand_matrix(rng, rng.randint(2, 5), rng.randint(2, 10), 0.7)
+            b = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), 0.8)
+            if a.is_zero() or b.is_zero():
+                continue
+            m_fam = self.covering_family(rng, a, s)
+            density = rng.choice((0.6, 0.9, 1.0))
+            n_fam = MatrixFamily(tuple(rand_below(rng, b, density) for _ in range(s)))
+            lazy = verify_kron_hypotheses(a, m_fam, b, n_fam)
+            eager = boolean_sum(
+                [kronecker(m, n) for m, n in zip(m_fam.members, n_fam.members)]
+            ) == kronecker(a, b)
+            assert bool(lazy) == eager
+            assert lazy.witness == self.first_failing_entry(a, m_fam, b, n_fam)
+            outcomes[bool(lazy)] += 1
+        assert min(outcomes.values()) >= 2
 
 
 class TestExtractFamilies:
@@ -432,6 +546,47 @@ class TestFormats:
         back = parse_family(format_family(fam))
         assert back.members == fam.members
         assert back.decompositions == fam.decompositions
+
+    def test_family_round_trip_random(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 20)
+            fam = with_row_decompositions(
+                [rand_matrix(rng, rows, cols, 0.6) for _ in range(rng.randint(1, 4))]
+            )
+            if any(m.is_zero() for m in fam.members):
+                continue
+            assert parse_family(format_family(fam)) == fam
+
+    def test_from_decompositions_matches_constructor(self):
+        fam = c4_triple()
+        built = MatrixFamily.from_decompositions(fam.decompositions)
+        assert built == MatrixFamily(fam.members, fam.decompositions)
+        with pytest.raises(DimensionError):
+            MatrixFamily.from_decompositions(())
+
+    def test_constructor_still_cross_checks(self):
+        fam = c4_triple()
+        with pytest.raises(ValueError, match="does not reproduce"):
+            MatrixFamily(fam.members[::-1], fam.decompositions)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("1,x", "bad index list"),
+            ("1,,2", "bad index list"),
+            ("1,", "bad index list"),
+            ("+1", "bad index list"),
+            ("1\u00e9", "bad index list"),
+            ("1" * 19, "bad index list"),
+            ("-1,2", "bad index list"),
+            ("2,1", "sorted, distinct"),
+            ("1,1", "sorted, distinct"),
+        ],
+    )
+    def test_index_list_errors(self, token, message):
+        with pytest.raises(FormatError, match=f"line 2: .*{message}"):
+            parse_cover(f"COVER 2 2 1\nR {token} C 0\n")
 
     def test_cover_exact_text(self):
         cov = Cover(2, 3, (Rectangle((0,), (1, 2)),))

@@ -70,7 +70,6 @@ from .algebraic import (
     algebraic_family,
     asymptotic_cover,
     asymptotic_params,
-    build_zp_family,
     largest_prime_leq,
 )
 from .spanoid import (
@@ -79,8 +78,6 @@ from .spanoid import (
     RuleSpanoid,
     Spanoid,
     check_product_bound,
-    product_spanoid,
-    span,
     spanoid_rank,
 )
 

@@ -17,14 +17,20 @@ sub-multiplicativity gap at scales where the product cannot be materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 from typing import Iterator
 
 import numpy as np
 
 from .boolmat import max_entries_limit
-from .cover import Cover, MatrixFamily, Rectangle, verify_kron_hypotheses
+from .cover import (
+    Cover,
+    MatrixFamily,
+    Rectangle,
+    _product_rectangles,
+    verify_kron_hypotheses,
+)
 from .crown import colex_subsets, crown_matrix, restrict_family, sigma
 from .errors import DimensionError, MaterializationLimitError, VerificationError
 
@@ -62,6 +68,8 @@ class ZpFunctionFamily:
     q: int
 
     def __post_init__(self):
+        if self.q < 1:
+            raise DimensionError("need q >= 1")
         if not _is_prime(self.p):
             raise DimensionError(f"p={self.p} is not prime")
         if self.p <= self.q:
@@ -112,20 +120,11 @@ class ZpFunctionFamily:
         n = self.tuple_count()
         values = np.stack([self.evaluate_all(i) for i in range(1, self.p)], axis=0)
         powers = self.p ** np.arange(self.q, dtype=np.int64)
-        from itertools import combinations
-
         for subset in combinations(range(self.p - 1), self.q):
             combined = values[list(subset)].T @ powers
             if np.bincount(combined, minlength=n).max() > 1:
                 return False
         return True
-
-
-def build_zp_family(p: int, q: int) -> ZpFunctionFamily:
-    """Construct the family; primality and p > q are validated."""
-    if q < 1:
-        raise DimensionError("need q >= 1")
-    return ZpFunctionFamily(p, q)
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,7 @@ def algebraic_family(
     )
     params = AlgebraicCoverParams(d, q, p, n, k, blocks, block_subsets)
 
-    fam = build_zp_family(p, q)
-    digits = fam.digits()
+    zp = ZpFunctionFamily(p, q)
     b1 = block_subsets[0]
     in_b1 = np.zeros((p, 2 * d), dtype=bool)
     for z, subset in enumerate(b1):
@@ -187,8 +185,7 @@ def algebraic_family(
 
     decomps = []
     for i in range(1, p):
-        coeffs = np.array([pow(i, t, p) for t in range(q)], dtype=np.int64)
-        gvals = (digits @ coeffs) % p
+        gvals = zp.evaluate_all(i)
         rects = []
         for t_idx in range(2 * d):
             sel = in_b1[gvals, t_idx]
@@ -317,16 +314,7 @@ class KronCoverDescription:
         return self.rows_a * self.rows_b, self.cols_a * self.cols_b
 
     def iter_rectangles(self) -> Iterator[Rectangle]:
-        for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions):
-            for rm in dm.rects:
-                row_a = np.array(rm.row_set) * self.rows_b
-                col_a = np.array(rm.col_set) * self.cols_b
-                for rn in dn.rects:
-                    rows = (row_a[:, None] + np.array(rn.row_set)).ravel()
-                    cols = (col_a[:, None] + np.array(rn.col_set)).ravel()
-                    yield Rectangle(
-                        tuple(int(x) for x in rows), tuple(int(x) for x in cols)
-                    )
+        return _product_rectangles(self.m_family, self.n_family)
 
     def to_cover(self) -> Cover:
         rows, cols = self.target_dims
@@ -389,10 +377,9 @@ def asymptotic_cover(
                 f"materialization limit; report only",
             )
 
-    _, fam = algebraic_family(params.d, params.q, max_entries)
-    selected = MatrixFamily(
-        fam.members[: params.s], fam.decompositions[: params.s]
-    )
+    # keep only the decompositions, so the unselected members can be freed
+    decomps = algebraic_family(params.d, params.q, max_entries)[1].decompositions
+    selected = MatrixFamily.from_decompositions(decomps[: params.s])
     cap = params.p**params.q
     if n < cap:
         selected = restrict_family(selected, n)

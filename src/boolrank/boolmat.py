@@ -8,6 +8,10 @@ are immutable after construction and safe to share across threads.
 The Kronecker product refuses to materialize results above a configurable
 entry limit; callers working at that scale verify covers lazily instead
 (see :mod:`boolrank.cover`).
+
+This module also holds the text layer that every file format shares: one
+file reader, the block header/body/trailing-line helpers and the
+index-list parser and formatter.
 """
 
 from __future__ import annotations
@@ -34,7 +38,13 @@ def max_entries_limit(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(_ENV_MAX_ENTRIES)
-    return int(env) if env else DEFAULT_MAX_ENTRIES
+    if not env:
+        return DEFAULT_MAX_ENTRIES
+    if not _is_decimal(env):
+        raise ValueError(
+            f"{_ENV_MAX_ENTRIES} must be a non-negative decimal integer, got {env!r}"
+        )
+    return int(env)
 
 
 class BoolMatrix:
@@ -88,11 +98,6 @@ class BoolMatrix:
     def identity(cls, n: int) -> BoolMatrix:
         return cls.from_dense(np.eye(n, dtype=np.uint8))
 
-    @classmethod
-    def from_packed(cls, rows: int, cols: int, bits: np.ndarray) -> BoolMatrix:
-        """Adopt an already-packed buffer; padding bits must be zero."""
-        return cls(rows, cols, bits)
-
     # -- accessors ---------------------------------------------------------
 
     def get(self, i: int, j: int) -> int:
@@ -110,17 +115,6 @@ class BoolMatrix:
 
     def is_zero(self) -> bool:
         return not self.bits.any()
-
-    def row_mask(self, i: int) -> np.ndarray:
-        """Packed bits of row ``i`` (read-only view)."""
-        return self.bits[i]
-
-    def submatrix(self, rows: int, cols: int) -> BoolMatrix:
-        """Leading ``rows`` x ``cols`` corner."""
-        if rows > self.rows or cols > self.cols:
-            raise DimensionError("submatrix larger than source")
-        dense = self.to_dense()[:rows, :cols]
-        return BoolMatrix.from_dense(dense)
 
     # -- dunder ------------------------------------------------------------
 
@@ -178,7 +172,7 @@ def boolean_sum(ms: Iterable[BoolMatrix]) -> BoolMatrix:
     for m in ms[1:]:
         _require_same_dims(first, m)
         np.bitwise_or(acc, m.bits, out=acc)
-    return BoolMatrix.from_packed(first.rows, first.cols, acc)
+    return BoolMatrix(first.rows, first.cols, acc)
 
 
 def boolean_product(u: BoolMatrix, v: BoolMatrix) -> BoolMatrix:
@@ -251,7 +245,127 @@ def project_factors(
     return BoolMatrix.from_dense(m_a), BoolMatrix.from_dense(m_b)
 
 
-# -- text format ------------------------------------------------------------
+def _row_ints(m: BoolMatrix) -> list[int]:
+    """Each row as a Python int with bit j set iff entry j is 1.
+
+    ``bits`` is packed little-endian, so a row's bytes are already that int.
+    """
+    return [int.from_bytes(row.tobytes(), "little") for row in m.bits]
+
+
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _ones(m: BoolMatrix) -> list[tuple[int, int]]:
+    """The 1-entries (i, j) of ``m`` in row-major order."""
+    return list(map(tuple, np.argwhere(m.to_dense()).tolist()))
+
+
+# -- text formats -------------------------------------------------------------
+#
+# Apart from the matrix format, every format is made of blocks: a
+# "TAG n1 n2 ..." header of non-negative decimal fields, whose last field
+# counts the body lines that follow.  Only blank lines may follow the last
+# block.  Lines end at "\n"; files are read with universal newlines.
+
+def _read_file(path: str) -> bytes:
+    """The file's bytes, with CRLF and lone CR turned into LF."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _write_file(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _is_decimal(field: str) -> bool:
+    return field.isascii() and field.isdigit()
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``; a final "\\n" ends the last line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _header(lines: list[str], pos: int, tag: str, fields: str) -> list[int]:
+    """The fields of the ``tag`` header on line ``pos`` (0-based)."""
+    head = lines[pos].split() if pos < len(lines) else []
+    if len(head) != 1 + len(fields.split()) or head[0] != tag:
+        raise FormatError(f"expected '{tag} {fields}'", line=pos + 1)
+    if not all(map(_is_decimal, head[1:])):
+        raise FormatError(
+            f"{tag} header fields must be non-negative decimal integers", line=pos + 1
+        )
+    return [int(f) for f in head[1:]]
+
+
+def _block(
+    lines: list[str], pos: int, tag: str, fields: str
+) -> tuple[list[int], list[str]]:
+    """Header fields and body lines of the ``tag`` block starting at line ``pos``."""
+    head = _header(lines, pos, tag, fields)
+    end = pos + 1 + head[-1]
+    if end > len(lines):
+        raise FormatError(
+            f"expected {head[-1]} lines after the {tag} header", line=len(lines) + 1
+        )
+    return head, lines[pos + 1:end]
+
+
+def _end(lines: list[str], pos: int, tag: str) -> None:
+    """Allow only blank lines from line ``pos`` (0-based) on."""
+    for lineno in range(pos, len(lines)):
+        if lines[lineno].strip():
+            raise FormatError(f"trailing content after the {tag} block", line=lineno + 1)
+
+
+def _parse_block(text: str, tag: str, fields: str) -> tuple[list[int], list[str]]:
+    """Header fields and body lines of a text holding one ``tag`` block."""
+    lines = _split_lines(text)
+    head, body = _block(lines, 0, tag, fields)
+    _end(lines, 1 + len(body), tag)
+    return head, body
+
+
+def _format_block(tag: str, fields: Sequence[int], body: Iterable[str]) -> str:
+    """A ``tag`` header and its body lines, each line ending in a newline."""
+    return "\n".join([" ".join(map(str, (tag, *fields))), *body]) + "\n"
+
+
+def _parse_index_list(token: str, lineno: int) -> np.ndarray:
+    """Comma-separated decimal indices, in any order; "" is the empty list."""
+    if not token:
+        return np.zeros(0, dtype=np.int64)
+    raw = np.frombuffer(token.encode("ascii", "replace"), dtype=np.uint8)
+    commas = np.flatnonzero(raw == ord(","))
+    widths = np.diff(np.concatenate(([-1], commas, [raw.size]))) - 1
+    # at most 18 digits, so every index fits an int64
+    if (
+        ((raw - np.uint8(ord("0")) > 9) & (raw != ord(","))).any()
+        or widths.min() < 1
+        or widths.max() > 18
+    ):
+        raise FormatError(f"bad index list {token!r}", line=lineno)
+    return np.fromstring(token, dtype=np.int64, sep=",")
+
+
+def _format_index_list(idx: Iterable[int]) -> str:
+    return ",".join(map(str, idx))
+
 
 def format_matrix(m: BoolMatrix) -> str:
     """Matrix text format: ``rows cols`` then one 0/1 line per row."""
@@ -262,16 +376,19 @@ def format_matrix(m: BoolMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> BoolMatrix:
+def parse_matrix(text: str | bytes) -> BoolMatrix:
     """Inverse of :func:`format_matrix`; lines are split on ``\\n`` only.
 
+    ``text`` may also be the file's bytes, as :func:`read_matrix` passes it.
     The body is checked and packed as one byte grid, a row block at a time;
     the first bad line is located from per-line masks, so every error names
     the same line a line-by-line reader would.
     """
-    # ASCII with "?" for anything else keeps one byte per character, so byte
-    # offsets are character offsets and no non-ASCII byte can pass as 0/1.
-    buf = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    # A str becomes ASCII with "?" for anything else: one byte per character,
+    # so byte offsets are character offsets.  No non-ASCII byte passes as 0/1.
+    if isinstance(text, str):
+        text = text.encode("ascii", "replace")
+    buf = np.frombuffer(text, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
     header = text[: newlines[0]] if newlines.size else text
     if not header.strip():
@@ -325,10 +442,8 @@ def parse_matrix(text: str) -> BoolMatrix:
 
 
 def write_matrix(path: str, m: BoolMatrix) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_matrix(m))
+    _write_file(path, format_matrix(m))
 
 
 def read_matrix(path: str) -> BoolMatrix:
-    with open(path) as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(_read_file(path))

@@ -17,35 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .boolmat import BoolMatrix
-from .cover import Cover, Rectangle, verify_cover
+from .boolmat import BoolMatrix, _bit_indices, _ones, _row_ints
+from .cover import Cover, Rectangle, format_cover, verify_cover
 from .crown import crown_matrix, sigma
 from .errors import BudgetExceededError, VerificationError
 
 DEFAULT_RECTANGLE_CAP = 200_000
 DEFAULT_NODE_BUDGET = 20_000_000
-
-
-def _row_masks(a: BoolMatrix) -> list[int]:
-    dense = a.to_dense()
-    out = []
-    for i in range(a.rows):
-        m = 0
-        for j in np.nonzero(dense[i])[0]:
-            m |= 1 << int(j)
-        out.append(m)
-    return out
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def maximal_rectangles(
@@ -57,7 +35,7 @@ def maximal_rectangles(
     maximal rectangle's column set is an intersection of row supports) and
     maps each closed column set to the full set of rows containing it.
     """
-    row_masks = _row_masks(a)
+    row_masks = _row_ints(a)
     base = sorted({m for m in row_masks if m})
     closed = set(base)
     frontier = list(base)
@@ -77,7 +55,7 @@ def maximal_rectangles(
     rects = []
     for y in sorted(closed):
         rows = tuple(i for i, rm in enumerate(row_masks) if rm & y == y)
-        rects.append(Rectangle(rows, _mask_to_tuple(y)))
+        rects.append(Rectangle(rows, _bit_indices(y)))
     return rects
 
 
@@ -98,15 +76,6 @@ class RankCertificate:
     lower: int
     lower_kind: str
     exact: bool
-
-
-def _entry_bits(a: BoolMatrix) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]]]:
-    entries = []
-    dense = a.to_dense()
-    for i in range(a.rows):
-        for j in np.nonzero(dense[i])[0]:
-            entries.append((i, int(j)))
-    return {e: b for b, e in enumerate(entries)}, entries
 
 
 def exact_boolean_rank(
@@ -133,7 +102,8 @@ def exact_boolean_rank(
     )
     rects = [rects[t] for t in ordering]
 
-    bit_of, entries = _entry_bits(a)
+    entries = _ones(a)
+    bit_of = {e: b for b, e in enumerate(entries)}
     universe = (1 << len(entries)) - 1
     masks = []
     for r in rects:
@@ -144,11 +114,8 @@ def exact_boolean_rank(
         masks.append(m)
     by_bit: list[list[int]] = [[] for _ in entries]
     for t, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            by_bit[low.bit_length() - 1].append(t)
-            mm ^= low
+        for b in _bit_indices(m):
+            by_bit[b].append(t)
 
     # greedy upper bound (ties to the earliest rectangle in the ordering)
     covered = 0
@@ -254,7 +221,7 @@ def isolation_number(
     """Maximum set of 1-entries, pairwise in distinct rows and columns, no
     two inside an all-ones 2x2 submatrix (maximum-clique search)."""
     dense = a.to_dense()
-    verts = [(i, int(j)) for i in range(a.rows) for j in np.nonzero(dense[i])[0]]
+    verts = _ones(a)
     nv = len(verts)
     if nv == 0:
         return IsolationResult(0, (), True)
@@ -385,6 +352,4 @@ def kron_lower_bound(a: BoolMatrix, b: BoolMatrix) -> KronLowerBound:
 
 
 def format_rank_certificate(cert: RankCertificate) -> str:
-    from .cover import format_cover
-
     return format_cover(cert.upper) + f"LOWER kind={cert.lower_kind} value={cert.lower}\n"

@@ -4,7 +4,7 @@ Exit codes: 0 success/verified, 1 verification failed (witness printed on
 stdout), 2 invalid input or parameters, 3 budget or materialization limit
 exceeded.  Certificates go to stdout, diagnostics to stderr.  The
 materialization limit can be overridden with the BOOLRANK_MAX_ENTRIES
-environment variable; --threads is accepted for interface stability (the
+environment variable (a non-negative decimal integer); --threads is accepted for interface stability (the
 implementation is single-threaded and its output never depends on it).
 """
 
@@ -14,6 +14,8 @@ import argparse
 import sys
 
 from . import algebraic, boolmat, bounds, cover, crown, spanoid
+from .boolmat import _format_index_list, _write_file
+from .cover import _format_rectangle
 from .errors import (
     BudgetExceededError,
     DimensionError,
@@ -32,15 +34,14 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_file(out, text)
 
 
 def _entry_str(witness) -> str:
     if witness is None:
         return "none"
     if isinstance(witness, tuple):
-        return "(" + ",".join(str(x) for x in witness) + ")"
+        return f"({_format_index_list(witness)})"
     return str(witness)
 
 
@@ -169,7 +170,7 @@ def _cmd_bound_lower(args) -> int:
 def _cmd_isolation(args) -> int:
     a = boolmat.read_matrix(args.matrix)
     res = bounds.isolation_number(a)
-    witness = ",".join(f"({i},{j})" for i, j in res.witness)
+    witness = ",".join(map(_entry_str, res.witness))
     kind = "value" if res.exact else "lower-bound"
     print(f"ISOLATION {kind}={res.value} witness={witness}")
     return EXIT_OK
@@ -178,31 +179,25 @@ def _cmd_isolation(args) -> int:
 def _cmd_mu(args) -> int:
     a = boolmat.read_matrix(args.matrix)
     res = bounds.mu(a)
-    rect = (
-        "R "
-        + ",".join(str(x) for x in res.witness.row_set)
-        + " C "
-        + ",".join(str(x) for x in res.witness.col_set)
-    )
+    rect = _format_rectangle(res.witness)
     print(f"MU value={res.value} ones={res.ones} maxrect={res.max_rectangle_area} {rect}")
     return EXIT_OK
 
 
-def _cmd_spanoid_rank(args) -> int:
-    sp = spanoid.read_spanoid(args.file)
+def _print_spanoid_rank(sp: spanoid.Spanoid) -> int:
     res = spanoid.spanoid_rank(sp)
-    witness = ",".join(str(x) for x in res.witness)
-    print(f"RANK value={res.value} witness={witness}")
+    print(f"RANK value={res.value} witness={_format_index_list(res.witness)}")
     return EXIT_OK
+
+
+def _cmd_spanoid_rank(args) -> int:
+    return _print_spanoid_rank(spanoid.read_spanoid(args.file))
 
 
 def _cmd_spanoid_product_rank(args) -> int:
     s1 = spanoid.read_spanoid(args.f1)
     s2 = spanoid.read_spanoid(args.f2)
-    res = spanoid.spanoid_rank(spanoid.product_spanoid(s1, s2))
-    witness = ",".join(str(x) for x in res.witness)
-    print(f"RANK value={res.value} witness={witness}")
-    return EXIT_OK
+    return _print_spanoid_rank(spanoid.ProductSpanoid(s1, s2))
 
 
 def _cmd_spanoid_bound(args) -> int:

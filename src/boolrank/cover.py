@@ -26,7 +26,22 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix, boolean_sum, kronecker, max_entries_limit
+from .boolmat import (
+    BoolMatrix,
+    _block,
+    _end,
+    _format_block,
+    _format_index_list,
+    _header,
+    _parse_block,
+    _parse_index_list,
+    _read_file,
+    _split_lines,
+    _write_file,
+    boolean_sum,
+    kronecker,
+    max_entries_limit,
+)
 from .errors import DimensionError, FormatError, VerificationError
 
 
@@ -102,7 +117,7 @@ def cover_matrix(c: Cover) -> BoolMatrix:
             code[list(rect.row_set)] |= np.uint8(1 << r)
             table[1 << r:2 << r] = table[:1 << r] | _index_mask(rect.col_set, c.cols)
         bits |= table[code]
-    return BoolMatrix.from_packed(c.rows, c.cols, bits)
+    return BoolMatrix(c.rows, c.cols, bits)
 
 
 @dataclass(frozen=True)
@@ -162,10 +177,6 @@ class MatrixFamily:
         if self.decompositions is None:
             raise ValueError("family carries no decompositions")
         return tuple(d.size for d in self.decompositions)
-
-
-def family_sum(fam: MatrixFamily) -> BoolMatrix:
-    return boolean_sum(fam.members)
 
 
 # -- results ----------------------------------------------------------------
@@ -322,7 +333,7 @@ def verify_kron_hypotheses(
     if n_fam.dims != (b.rows, b.cols):
         raise DimensionError("n-family dimensions do not match the second factor")
 
-    union = family_sum(m_fam)
+    union = boolean_sum(m_fam.members)
     if union != a:
         bad = union.bits ^ a.bits
         i, j = _first_set_bit(bad, a.cols)
@@ -364,16 +375,25 @@ def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
     """
     if m_fam.decompositions is None or n_fam.decompositions is None:
         raise ValueError("both families must carry rank-1 decompositions")
-    a = family_sum(m_fam)
-    b = family_sum(n_fam)
+    a = boolean_sum(m_fam.members)
+    b = boolean_sum(n_fam.members)
     res = verify_kron_hypotheses(a, m_fam, b, n_fam)
     if not res:
         raise VerificationError(
             f"composition hypotheses fail at entry {res.witness}: {res.reason}",
             witness=res.witness,
         )
-    rb, cb = b.rows, b.cols
-    rects = []
+    rects = tuple(_product_rectangles(m_fam, n_fam))
+    return Cover(a.rows * b.rows, a.cols * b.cols, rects)
+
+
+def _product_rectangles(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Iterator[Rectangle]:
+    """All products of the t-th decompositions' rectangles, t-major.
+
+    The product of rm and rn has rows ``i * rows_b + i'`` for i in rm and
+    i' in rn, and likewise columns, where rows_b x cols_b are n_fam's dims.
+    """
+    rb, cb = n_fam.dims
     for dm, dn in zip(m_fam.decompositions, n_fam.decompositions):
         for rm in dm.rects:
             row_a = np.array(rm.row_set) * rb
@@ -381,10 +401,7 @@ def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
             for rn in dn.rects:
                 rows = (row_a[:, None] + np.array(rn.row_set)).ravel()
                 cols = (col_a[:, None] + np.array(rn.col_set)).ravel()
-                rects.append(
-                    Rectangle(tuple(int(x) for x in rows), tuple(int(x) for x in cols))
-                )
-    return Cover(a.rows * rb, a.cols * cb, tuple(rects))
+                yield Rectangle(tuple(rows.tolist()), tuple(cols.tolist()))
 
 
 def best_triple_pairing(
@@ -406,11 +423,8 @@ def best_triple_pairing(
         key=lambda p: (sum(a_sizes[t] * b_sizes[p[t]] for t in range(3)), p),
     )
     bound = sum(a_sizes[t] * b_sizes[best_perm[t]] for t in range(3))
-    reordered = MatrixFamily(
-        tuple(n_fam.members[p] for p in best_perm),
-        tuple(n_fam.decompositions[p] for p in best_perm)
-        if n_fam.decompositions is not None
-        else None,
+    reordered = MatrixFamily.from_decompositions(
+        [n_fam.decompositions[p] for p in best_perm]
     )
     return reordered, bound
 
@@ -543,7 +557,7 @@ def extract_families(
                 witness=res.witness,
             )
 
-    members_a, decomps_a, members_b, decomps_b = [], [], [], []
+    decomps_a, decomps_b = [], []
     for rect in c.rects:
         rows_a = tuple(sorted({r // rb for r in rect.row_set}))
         cols_a = tuple(sorted({x // cb for x in rect.col_set}))
@@ -554,15 +568,11 @@ def extract_families(
                 "input cover invalid: a rectangle covers a zero entry",
                 witness=rect,
             )
-        ra_rect = Rectangle(rows_a, cols_a)
-        rb_rect = Rectangle(rows_b, cols_b)
-        members_a.append(rectangle_matrix(ra_rect, a.rows, a.cols))
-        decomps_a.append(Cover(a.rows, a.cols, (ra_rect,)))
-        members_b.append(rectangle_matrix(rb_rect, b.rows, b.cols))
-        decomps_b.append(Cover(b.rows, b.cols, (rb_rect,)))
+        decomps_a.append(Cover(a.rows, a.cols, (Rectangle(rows_a, cols_a),)))
+        decomps_b.append(Cover(b.rows, b.cols, (Rectangle(rows_b, cols_b),)))
 
-    m_fam = MatrixFamily(tuple(members_a), tuple(decomps_a))
-    n_fam = MatrixFamily(tuple(members_b), tuple(decomps_b))
+    m_fam = MatrixFamily.from_decompositions(decomps_a)
+    n_fam = MatrixFamily.from_decompositions(decomps_b)
     res = verify_kron_hypotheses(a, m_fam, b, n_fam)
     if not res:
         raise VerificationError(
@@ -574,124 +584,79 @@ def extract_families(
 
 # -- text formats -------------------------------------------------------------
 
-def _format_index_set(idx: tuple[int, ...]) -> str:
-    return ",".join(str(i) for i in idx)
+def _format_rectangle(r: Rectangle) -> str:
+    return f"R {_format_index_list(r.row_set)} C {_format_index_list(r.col_set)}"
 
 
 def format_cover(c: Cover) -> str:
-    lines = [f"COVER {c.rows} {c.cols} {c.size}"]
-    for r in c.rects:
-        lines.append(f"R {_format_index_set(r.row_set)} C {_format_index_set(r.col_set)}")
-    return "\n".join(lines) + "\n"
+    return _format_block(
+        "COVER", (c.rows, c.cols, c.size), map(_format_rectangle, c.rects)
+    )
 
 
-def _parse_index_set(token: str, lineno: int) -> tuple[int, ...]:
-    """Comma-separated decimal indices, sorted, distinct and non-negative."""
-    raw = np.frombuffer(token.encode("ascii", "replace"), dtype=np.uint8)
-    commas = np.flatnonzero(raw == ord(","))
-    widths = np.diff(np.concatenate(([-1], commas, [raw.size]))) - 1
-    # at most 18 digits, so every index fits an int64
-    if (
-        ((raw - np.uint8(ord("0")) > 9) & (raw != ord(","))).any()
-        or widths.min() < 1
-        or widths.max() > 18
-    ):
-        raise FormatError(f"bad index list {token!r}", line=lineno)
-    idx = np.fromstring(token, dtype=np.int64, sep=",")
+def _index_set(token: str, lineno: int) -> tuple[int, ...]:
+    """A rectangle side: an index list, sorted, distinct and non-negative."""
+    idx = _parse_index_list(token, lineno)
     if (np.diff(idx) <= 0).any():
         raise FormatError("indices must be sorted, distinct, 0-based", line=lineno)
     return tuple(idx.tolist())
 
 
-def _parse_cover_lines(lines: list[str], start: int) -> tuple[Cover, int]:
-    head = lines[start].split()
-    if len(head) != 4 or head[0] != "COVER":
-        raise FormatError("expected 'COVER rows cols s'", line=start + 1)
-    try:
-        rows, cols, s = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise FormatError("COVER header fields must be integers", line=start + 1) from None
+def _cover(head: list[int], body: list[str], first_line: int) -> Cover:
+    """The cover of a COVER block whose body starts at line ``first_line``."""
     rects = []
-    for t in range(s):
-        lineno = start + 1 + t
-        if lineno >= len(lines):
-            raise FormatError("unexpected end of cover block", line=lineno + 1)
-        parts = lines[lineno].split()
+    for lineno, line in enumerate(body, first_line):
+        parts = line.split()
         if len(parts) != 4 or parts[0] != "R" or parts[2] != "C":
-            raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno + 1)
+            raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
         rects.append(
-            Rectangle(
-                _parse_index_set(parts[1], lineno + 1),
-                _parse_index_set(parts[3], lineno + 1),
-            )
+            Rectangle(_index_set(parts[1], lineno), _index_set(parts[3], lineno))
         )
-    return Cover(rows, cols, tuple(rects)), start + 1 + s
+    rows, cols, _ = head
+    return Cover(rows, cols, tuple(rects))
 
 
 def parse_cover(text: str) -> Cover:
-    lines = [ln for ln in text.split("\n")]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError("empty cover file", line=1)
-    cover, end = _parse_cover_lines(lines, 0)
-    if end != len(lines):
-        raise FormatError("trailing content after cover", line=end + 1)
-    return cover
+    head, body = _parse_block(text, "COVER", "rows cols s")
+    return _cover(head, body, 2)
 
 
 def format_family(fam: MatrixFamily) -> str:
     if fam.decompositions is None:
         raise ValueError("family format requires rank-1 decompositions")
-    r, c = fam.dims
-    chunks = [f"FAMILY {r} {c} {len(fam)}\n"]
-    for d in fam.decompositions:
-        chunks.append(format_cover(d))
-    return "".join(chunks)
+    header = _format_block("FAMILY", (*fam.dims, len(fam)), ())
+    return header + "".join(map(format_cover, fam.decompositions))
 
 
 def parse_family(text: str) -> MatrixFamily:
-    lines = text.split("\n")
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError("empty family file", line=1)
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "FAMILY":
-        raise FormatError("expected 'FAMILY rows cols s'", line=1)
-    try:
-        rows, cols, s = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise FormatError("FAMILY header fields must be integers", line=1) from None
+    """A FAMILY header, then one COVER block per member."""
+    lines = _split_lines(text)
+    rows, cols, s = _header(lines, 0, "FAMILY", "rows cols s")
     covers = []
     pos = 1
     for _ in range(s):
-        if pos >= len(lines):
-            raise FormatError("unexpected end of family file", line=pos + 1)
-        cov, pos = _parse_cover_lines(lines, pos)
-        if (cov.rows, cov.cols) != (rows, cols):
-            raise FormatError("member cover dimensions mismatch family header", line=pos)
-        covers.append(cov)
-    if pos != len(lines):
-        raise FormatError("trailing content after family", line=pos + 1)
+        head, body = _block(lines, pos, "COVER", "rows cols s")
+        if head[:2] != [rows, cols]:
+            raise FormatError(
+                "member cover dimensions mismatch family header", line=pos + 1
+            )
+        covers.append(_cover(head, body, pos + 2))
+        pos += 1 + len(body)
+    _end(lines, pos, "FAMILY")
     return MatrixFamily.from_decompositions(covers)
 
 
 def write_cover(path: str, c: Cover) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_cover(c))
+    _write_file(path, format_cover(c))
 
 
 def read_cover(path: str) -> Cover:
-    with open(path) as fh:
-        return parse_cover(fh.read())
+    return parse_cover(_read_file(path).decode())
 
 
 def write_family(path: str, fam: MatrixFamily) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_family(fam))
+    _write_file(path, format_family(fam))
 
 
 def read_family(path: str) -> MatrixFamily:
-    with open(path) as fh:
-        return parse_family(fh.read())
+    return parse_family(_read_file(path).decode())

@@ -17,6 +17,8 @@ partial families are prefixes and all constructions are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
@@ -24,7 +26,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix
+from .boolmat import (
+    BoolMatrix,
+    _format_block,
+    _format_index_list,
+    _parse_block,
+    _parse_index_list,
+)
 from .cover import (
     Cover,
     MatrixFamily,
@@ -44,7 +52,7 @@ def crown_matrix(n: int) -> BoolMatrix:
     bits = np.tile(row, (n, 1))
     idx = np.arange(n)
     bits[idx, idx >> 3] &= ~(np.uint8(1) << (idx & 7).astype(np.uint8))
-    return BoolMatrix.from_packed(n, n, bits)
+    return BoolMatrix(n, n, bits)
 
 
 def sigma(n: int) -> int:
@@ -94,13 +102,18 @@ class SubsetFamily:
 
     def masks(self) -> np.ndarray:
         """Bitmask array of the sets (element e -> bit e-1)."""
-        out = np.zeros(len(self.sets), dtype=np.int64)
-        for i, s in enumerate(self.sets):
-            m = 0
-            for e in s:
-                m |= 1 << (e - 1)
-            out[i] = m
-        return out
+        return _set_masks(self.sets)
+
+
+def _set_masks(sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """Bitmask array of 1-based sets (element e -> bit e-1)."""
+    out = np.zeros(len(sets), dtype=np.int64)
+    for i, s in enumerate(sets):
+        m = 0
+        for e in s:
+            m |= 1 << (e - 1)
+        out[i] = m
+    return out
 
 
 def canonical_family(k: int, n: int) -> SubsetFamily:
@@ -128,7 +141,7 @@ def family_matrix(f: SubsetFamily) -> BoolMatrix:
         r1 = min(n, r0 + block)
         inter = (masks[r0:r1, None] & comp[None, :]) != 0
         bits[r0:r1] = np.packbits(inter.astype(np.uint8), axis=1, bitorder="little")
-    return BoolMatrix.from_packed(n, n, bits)
+    return BoolMatrix(n, n, bits)
 
 
 def intersection_rectangle(f: SubsetFamily, t: int) -> Rectangle:
@@ -145,13 +158,11 @@ def intersection_rectangle(f: SubsetFamily, t: int) -> Rectangle:
 def family_cover(f: SubsetFamily) -> Cover:
     """Cover of B_F by the element rectangles P_F(1..k), skipping empty ones."""
     n = len(f)
-    rects = []
-    for t in range(1, f.k + 1):
-        rows = tuple(i for i, s in enumerate(f.sets) if t in s)
-        cols = tuple(j for j, s in enumerate(f.sets) if t not in s)
-        if rows and cols:
-            rects.append(Rectangle(rows, cols))
-    return Cover(n, n, tuple(rects))
+    held = Counter(e for s in f.sets for e in s)
+    rects = tuple(
+        intersection_rectangle(f, t) for t in range(1, f.k + 1) if 0 < held[t] < n
+    )
+    return Cover(n, n, rects)
 
 
 # -- bijections ---------------------------------------------------------------
@@ -280,18 +291,10 @@ def is_L_intersection_shifting(h: FamilyBijection, L: Sequence[int]) -> bool:
     Whenever D meets the complement of E only inside L (and does meet it),
     the image pair must intersect outside L.
     """
-    k = h.domain.k
-    full = (1 << k) - 1
-    l_mask = 0
-    for e in L:
-        l_mask |= 1 << (e - 1)
+    full = (1 << h.domain.k) - 1
+    l_mask = _set_masks([L])[0]
     d_masks = h.domain.masks()
-    h_masks = np.zeros(len(h.images), dtype=np.int64)
-    for idx, s in enumerate(h.images):
-        m = 0
-        for e in s:
-            m |= 1 << (e - 1)
-        h_masks[idx] = m
+    h_masks = _set_masks(h.images)
     comp = full & ~d_masks
     comp_h = full & ~h_masks
     n = len(d_masks)
@@ -351,26 +354,25 @@ def triple_cover(
 def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
     """Restrict a family over a crown to its leading n x n corner.
 
-    Rectangles are intersected with the index prefix and dropped when they
-    vanish; pairwise-covering properties survive restriction.
+    Rectangles of the decompositions are intersected with the index prefix
+    and dropped when they vanish, and the members are rebuilt from them;
+    pairwise-covering properties survive restriction.
     """
     rows, cols = fam.dims
     if n > rows or n > cols:
         raise DimensionError(f"cannot restrict {rows}x{cols} family to {n}")
-    members = tuple(m.submatrix(n, n) for m in fam.members)
-    decomps = None
-    if fam.decompositions is not None:
-        new_covers = []
-        for d in fam.decompositions:
-            rects = []
-            for rect in d.rects:
-                rs = tuple(x for x in rect.row_set if x < n)
-                cs = tuple(x for x in rect.col_set if x < n)
-                if rs and cs:
-                    rects.append(Rectangle(rs, cs))
-            new_covers.append(Cover(n, n, tuple(rects)))
-        decomps = tuple(new_covers)
-    return MatrixFamily(members, decomps)
+    if fam.decompositions is None:
+        raise ValueError("family carries no decompositions")
+    covers = []
+    for d in fam.decompositions:
+        rects = []
+        for rect in d.rects:
+            rs = rect.row_set[:bisect_left(rect.row_set, n)]
+            cs = rect.col_set[:bisect_left(rect.col_set, n)]
+            if rs and cs:
+                rects.append(Rectangle(rs, cs))
+        covers.append(Cover(n, n, tuple(rects)))
+    return MatrixFamily.from_decompositions(covers)
 
 
 def c5_triple() -> MatrixFamily:
@@ -457,46 +459,18 @@ def gap_cover(n: int, m: int) -> Cover:
 # -- text format ----------------------------------------------------------------
 
 def format_subset_family(f: SubsetFamily) -> str:
-    lines = [f"FAMILY-SETS {f.k} {f.ell} {len(f)}"]
-    for s in f.sets:
-        lines.append(",".join(str(e) for e in s))
-    return "\n".join(lines) + "\n"
+    return _format_block(
+        "FAMILY-SETS", (f.k, f.ell, len(f)), map(_format_index_list, f.sets)
+    )
 
 
 def parse_subset_family(text: str) -> SubsetFamily:
-    lines = text.split("\n")
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError("empty subset-family file", line=1)
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "FAMILY-SETS":
-        raise FormatError("expected 'FAMILY-SETS k ell n'", line=1)
+    (k, ell, _), body = _parse_block(text, "FAMILY-SETS", "k ell n")
+    sets = tuple(
+        tuple(_parse_index_list(line.strip(), lineno).tolist())
+        for lineno, line in enumerate(body, 2)
+    )
     try:
-        k, ell, n = int(head[1]), int(head[2]), int(head[3])
-    except ValueError:
-        raise FormatError("header fields must be integers", line=1) from None
-    if len(lines) != n + 1:
-        raise FormatError(f"expected {n} set lines", line=len(lines))
-    sets = []
-    for idx in range(n):
-        token = lines[1 + idx]
-        try:
-            s = tuple(int(x) for x in token.split(","))
-        except ValueError:
-            raise FormatError(f"bad set {token!r}", line=2 + idx) from None
-        sets.append(s)
-    try:
-        return SubsetFamily(k, ell, tuple(sets))
+        return SubsetFamily(k, ell, sets)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-
-
-def write_subset_family(path: str, f: SubsetFamily) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_subset_family(f))
-
-
-def read_subset_family(path: str) -> SubsetFamily:
-    with open(path) as fh:
-        return parse_subset_family(fh.read())

@@ -15,13 +15,24 @@ at tiny scale.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix
+from .boolmat import (
+    BoolMatrix,
+    _bit_indices,
+    _format_block,
+    _format_index_list,
+    _parse_block,
+    _parse_index_list,
+    _read_file,
+    _row_ints,
+    read_matrix,
+)
 from .errors import BudgetExceededError, DimensionError, FormatError
 
 MATRIX_UNIVERSE_CAP = 10_000
@@ -96,22 +107,14 @@ class MatrixSpanoid(Spanoid):
     def __init__(self, matrix: BoolMatrix, cap: int = MATRIX_UNIVERSE_CAP):
         self.matrix = matrix
         r, c = matrix.rows, matrix.cols
-        dense = matrix.to_dense()
-        row_bits = []
-        for i in range(r):
-            m = 0
-            for j in np.nonzero(dense[i])[0]:
-                m |= 1 << int(j)
-            row_bits.append(m)
+        row_bits = _row_ints(matrix)
         elems: list[tuple[int, int]] = []
         masks: list[int] = []
         for rowmask in range(1, 1 << r):
+            rows = _bit_indices(rowmask)
             allowed = (1 << c) - 1
-            rm = rowmask
-            while rm and allowed:
-                low = rm & -rm
-                allowed &= row_bits[low.bit_length() - 1]
-                rm ^= low
+            for i in rows:
+                allowed &= row_bits[i]
             if not allowed:
                 continue
             # nonempty submasks of `allowed` in increasing (= colex) order
@@ -122,48 +125,37 @@ class MatrixSpanoid(Spanoid):
                     raise BudgetExceededError(
                         f"matrix spanoid universe exceeds cap {cap}"
                     )
-                entry = 0
-                rm = rowmask
-                while rm:
-                    low = rm & -rm
-                    entry |= colmask << ((low.bit_length() - 1) * c)
-                    rm ^= low
                 elems.append((rowmask, colmask))
-                masks.append(entry)
+                masks.append(sum(colmask << (i * c) for i in rows))
         self.universe = tuple(elems)
         self.entry_masks = tuple(masks)
-        self.support_mask = 0
-        for i in range(r):
-            self.support_mask |= row_bits[i] << (i * c)
+        self.support_mask = sum(bits << (i * c) for i, bits in enumerate(row_bits))
+
+    def _union(self, t: Iterable[int]) -> int:
+        """Entries (bit i*cols + j) covered by the elements ``t``."""
+        acc = 0
+        for i in t:
+            acc |= self.entry_masks[i]
+        return acc
 
     def infers(self, subset: frozenset[int], i: int) -> bool:
-        acc = 0
-        for t in subset:
-            acc |= self.entry_masks[t]
-        return self.entry_masks[i] & ~acc == 0
+        return self.entry_masks[i] & ~self._union(subset) == 0
 
     def span(self, t: Iterable[int]) -> frozenset[int]:
         # adding a dominated element never grows the Boolean sum, so the
         # closure is a single domination filter
-        acc = 0
-        for i in t:
-            acc |= self.entry_masks[i]
+        acc = self._union(t)
         return frozenset(
             i for i, m in enumerate(self.entry_masks) if m & ~acc == 0
         )
 
     def spans_all(self, t: Iterable[int]) -> bool:
-        acc = 0
-        for i in t:
-            acc |= self.entry_masks[i]
-        return acc == self.support_mask
+        return self._union(t) == self.support_mask
 
     def element_matrix(self, i: int) -> BoolMatrix:
         rowmask, colmask = self.universe[i]
         dense = np.zeros((self.matrix.rows, self.matrix.cols), dtype=np.uint8)
-        rows = [b for b in range(self.matrix.rows) if rowmask >> b & 1]
-        cols = [b for b in range(self.matrix.cols) if colmask >> b & 1]
-        dense[np.ix_(rows, cols)] = 1
+        dense[np.ix_(_bit_indices(rowmask), _bit_indices(colmask))] = 1
         return BoolMatrix.from_dense(dense)
 
 
@@ -192,14 +184,6 @@ class ProductSpanoid(Spanoid):
 
     def pair_index(self, i: int, j: int) -> int:
         return i * self.n2 + j
-
-
-def product_spanoid(s1: Spanoid, s2: Spanoid) -> ProductSpanoid:
-    return ProductSpanoid(s1, s2)
-
-
-def span(s: Spanoid, t: Iterable[int]) -> frozenset[int]:
-    return s.span(t)
 
 
 @dataclass(frozen=True)
@@ -299,54 +283,28 @@ def check_product_bound(
 # -- text formats ---------------------------------------------------------------
 
 def format_rule_spanoid(s: RuleSpanoid) -> str:
-    lines = [f"SPANOID {len(s.universe)} {len(s.rules)}"]
-    for req, tgt in s.rules:
-        prem = ",".join(str(x) for x in sorted(req))
-        lines.append(f"S: {prem} -> {tgt}")
-    return "\n".join(lines) + "\n"
+    rules = (f"S: {_format_index_list(sorted(req))} -> {tgt}" for req, tgt in s.rules)
+    return _format_block("SPANOID", (len(s.universe), len(s.rules)), rules)
 
 
 def parse_spanoid(text: str) -> RuleSpanoid:
-    lines = text.split("\n")
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError("empty spanoid file", line=1)
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "SPANOID":
-        raise FormatError("expected 'SPANOID u r'", line=1)
-    try:
-        u, r = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError("header fields must be integers", line=1) from None
-    if len(lines) != r + 1:
-        raise FormatError(f"expected {r} rule lines", line=len(lines))
+    (u, _), body = _parse_block(text, "SPANOID", "u r")
     rules = []
-    for idx in range(r):
-        line = lines[1 + idx]
-        lineno = 2 + idx
-        if not line.startswith("S:") or "->" not in line:
+    for lineno, line in enumerate(body, 2):
+        left, arrow, right = line.partition("->")
+        if not left.startswith("S:") or not arrow:
             raise FormatError("expected 'S: i1,...,ik -> j'", line=lineno)
-        left, _, right = line[2:].partition("->")
-        try:
-            prem = frozenset(
-                int(x) for x in left.strip().split(",") if x.strip() != ""
-            )
-            tgt = int(right.strip())
-        except ValueError:
-            raise FormatError("rule indices must be integers", line=lineno) from None
-        rules.append((prem, tgt))
+        target = _parse_index_list(right.strip(), lineno)
+        if target.size != 1:
+            raise FormatError("a rule infers exactly one index", line=lineno)
+        premise = _parse_index_list(left[2:].strip(), lineno)
+        rules.append((frozenset(premise.tolist()), int(target[0])))
     return RuleSpanoid(u, rules)
 
 
 def read_spanoid(path: str) -> Spanoid:
     """Read a SPANOID rule file or a MATSPANOID matrix reference."""
-    import os
-
-    from .boolmat import read_matrix
-
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_file(path).decode()
     stripped = text.strip()
     if stripped.startswith("MATSPANOID"):
         parts = stripped.split(None, 1)
@@ -361,32 +319,12 @@ def read_spanoid(path: str) -> Spanoid:
 def parse_index_sets(text: str) -> list[frozenset[int]]:
     """SETS format: 'SETS s' then s lines of comma-separated indices
     (an empty line is the empty set)."""
-    lines = text.split("\n")
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise FormatError("empty sets file", line=1)
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "SETS":
-        raise FormatError("expected 'SETS s'", line=1)
-    try:
-        s = int(head[1])
-    except ValueError:
-        raise FormatError("header count must be an integer", line=1) from None
-    if len(lines) != s + 1:
-        raise FormatError(f"expected {s} set lines", line=len(lines))
-    out = []
-    for idx in range(s):
-        token = lines[1 + idx].strip()
-        try:
-            out.append(
-                frozenset(int(x) for x in token.split(",") if x.strip() != "")
-            )
-        except ValueError:
-            raise FormatError(f"bad set {token!r}", line=2 + idx) from None
-    return out
+    _, body = _parse_block(text, "SETS", "s")
+    return [
+        frozenset(_parse_index_list(line.strip(), lineno).tolist())
+        for lineno, line in enumerate(body, 2)
+    ]
 
 
 def read_index_sets(path: str) -> list[frozenset[int]]:
-    with open(path) as fh:
-        return parse_index_sets(fh.read())
+    return parse_index_sets(_read_file(path).decode())

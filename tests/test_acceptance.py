@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from boolrank.algebraic import asymptotic_params, build_zp_family
+from boolrank.algebraic import ZpFunctionFamily, asymptotic_params
 from boolrank.boolmat import BoolMatrix, boolean_sum, kronecker
 from boolrank.bounds import exact_boolean_rank, isolation_number, kron_lower_bound
 from boolrank.cover import (
@@ -143,7 +143,7 @@ def test_criterion_07_zp_family_properties():
         for q in range(2, p):
             if p**q > 10**6:
                 continue
-            fam = build_zp_family(p, q)
+            fam = ZpFunctionFamily(p, q)
             ok = ok and fam.check_bijection_property()
             ok = ok and fam.check_no_common_collision()
     _report(7, "both function-family properties hold exhaustively up to p^q <= 1e6", ok, t0)

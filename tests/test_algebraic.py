@@ -6,8 +6,8 @@ import pytest
 from boolrank.algebraic import (
     algebraic_family,
     asymptotic_cover,
+    ZpFunctionFamily,
     asymptotic_params,
-    build_zp_family,
     format_params_line,
     generalized_params,
     largest_prime_leq,
@@ -30,22 +30,22 @@ class TestPrimes:
 
 class TestZpFamily:
     def test_printed_evaluation(self):
-        fam = build_zp_family(5, 2)
+        fam = ZpFunctionFamily(5, 2)
         assert fam.evaluate(2, (3, 4)) == (3 + 2 * 4) % 5 == 1
 
     def test_unit_index_is_plain_sum(self):
-        fam = build_zp_family(7, 3)
+        fam = ZpFunctionFamily(7, 3)
         for x in [(0, 1, 2), (6, 6, 6), (3, 0, 5)]:
             assert fam.evaluate(1, x) == sum(x) % 7
 
     def test_properties_small(self):
-        fam = build_zp_family(5, 2)
+        fam = ZpFunctionFamily(5, 2)
         assert fam.check_bijection_property()
         assert fam.check_no_common_collision()
 
     def test_collision_property_matches_bruteforce(self):
         # independent oracle: scan all index pairs and all tuple pairs
-        fam = build_zp_family(5, 2)
+        fam = ZpFunctionFamily(5, 2)
         from itertools import combinations, product
 
         for i1, i2 in combinations(range(1, 5), 2):
@@ -57,10 +57,10 @@ class TestZpFamily:
 
     def test_validation(self):
         with pytest.raises(DimensionError):
-            build_zp_family(6, 2)
+            ZpFunctionFamily(6, 2)
         with pytest.raises(DimensionError):
-            build_zp_family(5, 5)
-        fam = build_zp_family(5, 2)
+            ZpFunctionFamily(5, 5)
+        fam = ZpFunctionFamily(5, 2)
         with pytest.raises(DimensionError):
             fam.evaluate(0, (1, 2))
         with pytest.raises(DimensionError):
@@ -107,7 +107,7 @@ class TestAlgebraicFamily:
 
     def test_h_i_permutes_the_family(self):
         params, _ = algebraic_family(2, 2)
-        zp = build_zp_family(params.p, params.q)
+        zp = ZpFunctionFamily(params.p, params.q)
         n = params.n
         for i in range(1, params.p):
             g = zp.evaluate_all(i)

@@ -296,3 +296,14 @@ class TestMatrixFormat:
         path = tmp_path / "c3.mat"
         path.write_bytes(format_matrix(crown_matrix(3)).replace("\n", "\r\n").encode())
         assert read_matrix(str(path)) == crown_matrix(3)
+
+    def test_file_read_as_bytes(self, tmp_path):
+        path = tmp_path / "c3.mat"
+        # universal newlines: a lone CR ends a line as CRLF and LF do
+        path.write_bytes(b"3 3\r011\r\n101\n110\r")
+        assert read_matrix(str(path)) == crown_matrix(3)
+        assert parse_matrix(b"3 3\n011\n101\n110\n") == crown_matrix(3)
+        # a byte that is not UTF-8 is a bad row, not a decoding error
+        path.write_bytes(b"2 2\n01\n1\xff\n")
+        with pytest.raises(FormatError, match="line 3: row must be exactly 2"):
+            read_matrix(str(path))

@@ -1,3 +1,5 @@
+import pytest
+
 from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
 from boolrank.cli import main
 from boolrank.cover import parse_cover, parse_family, read_cover
@@ -218,6 +220,15 @@ class TestExitCodes:
         write_matrix(mat, crown_matrix(4))
         code, _, err = run(capsys, "kron", mat, mat)
         assert code == 3 and "budget exceeded" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1e9", "+7", " 7"])
+    def test_bad_max_entries_exit_2(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", value)
+        mat = str(tmp_path / "c4.mat")
+        write_matrix(mat, crown_matrix(4))
+        code, out, err = run(capsys, "kron", mat, mat)
+        assert code == 2 and out == ""
+        assert "invalid input: BOOLRANK_MAX_ENTRIES must be a non-negative" in err
 
     def test_bad_format_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.mat"

@@ -21,6 +21,7 @@ from boolrank.cover import (
     format_family,
     parse_cover,
     parse_family,
+    read_family,
     rectangle_matrix,
     verify_cover,
     verify_kron_hypotheses,
@@ -604,3 +605,36 @@ class TestFormats:
         fam = MatrixFamily((crown_matrix(3),))
         with pytest.raises(ValueError):
             format_family(fam)
+
+    @pytest.mark.parametrize(
+        "fields", ["-1 2 0", "2 -1 0", "2 2 -1", "+2 2 0", "2 2 1_0", "2 2 \u0661", "2 2 1.0"]
+    )
+    def test_cover_header_fields_are_non_negative_decimals(self, fields):
+        with pytest.raises(FormatError, match="line 1: .*non-negative decimal"):
+            parse_cover(f"COVER {fields}\n")
+
+    def test_family_header_fields_are_non_negative_decimals(self):
+        with pytest.raises(FormatError, match="line 1: .*non-negative decimal"):
+            parse_family("FAMILY 2 2 -1\n")
+        # a negative member count must not stall the member loop on one line
+        with pytest.raises(FormatError, match="line 2: .*non-negative decimal"):
+            parse_family("FAMILY 2 2 2000000\nCOVER 2 2 -1\n")
+        with pytest.raises(FormatError, match="line 3: expected 'COVER rows cols s'"):
+            parse_family("FAMILY 2 2 2000000\nCOVER 2 2 0\n")
+
+    def test_counted_body_and_trailing_lines(self):
+        cov = "COVER 2 2 1\nR 0 C 1\n"
+        assert parse_cover(cov + "\n \n") == parse_cover(cov)
+        with pytest.raises(FormatError, match="line 3: expected 2 lines"):
+            parse_cover("COVER 2 2 2\nR 0 C 1\n")
+        with pytest.raises(FormatError, match="line 3: trailing content"):
+            parse_cover(cov + "R 1 C 0\n")
+        with pytest.raises(FormatError, match="line 4: trailing content"):
+            parse_family("FAMILY 2 2 1\n" + cov + "x\n")
+
+    def test_crlf_and_lone_cr_files(self, tmp_path):
+        fam = c4_triple()
+        path = tmp_path / "c4.fam"
+        for newline in ("\r\n", "\r"):
+            path.write_bytes(format_family(fam).replace("\n", newline).encode())
+            assert read_family(str(path)) == fam

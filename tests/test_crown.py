@@ -306,3 +306,16 @@ class TestSubsetFamilyFormat:
             parse_subset_family("FAMILY-SETS 3 2 2\n1,2\n")
         with pytest.raises(FormatError):
             parse_subset_family("FAMILY-SETS 3 2 1\n2,1\n")
+
+    @pytest.mark.parametrize(
+        "header",
+        ["FAMILY-SETS -3 2 1", "FAMILY-SETS 3 -2 1", "FAMILY-SETS 3 2 -1", "FAMILY-SETS 3 2 +1"],
+    )
+    def test_header_fields_are_non_negative_decimals(self, header):
+        with pytest.raises(FormatError, match="line 1: .*non-negative decimal"):
+            parse_subset_family(header + "\n1,2\n")
+
+    @pytest.mark.parametrize("line", ["+1,2", "1,2_0", "1, 2", "1,\u0662", " ,1"])
+    def test_index_grammar(self, line):
+        with pytest.raises(FormatError, match="line 2: bad index list"):
+            parse_subset_family(f"FAMILY-SETS 3 2 1\n{line}\n")

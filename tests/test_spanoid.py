@@ -8,13 +8,12 @@ from boolrank.crown import crown_matrix
 from boolrank.errors import BudgetExceededError, DimensionError, FormatError
 from boolrank.spanoid import (
     MatrixSpanoid,
+    ProductSpanoid,
     RuleSpanoid,
     check_product_bound,
     format_rule_spanoid,
     parse_index_sets,
     parse_spanoid,
-    product_spanoid,
-    span,
     spanoid_rank,
 )
 
@@ -38,19 +37,19 @@ def rand_rule_spanoid(rng, size, n_rules):
 class TestSpan:
     def test_empty_span_of_matrix_spanoid(self):
         s = MatrixSpanoid(crown_matrix(3))
-        assert span(s, []) == frozenset()
+        assert s.span([]) == frozenset()
 
     def test_span_contains_input(self):
         rng = random.Random(30)
         for _ in range(20):
             s = rand_rule_spanoid(rng, 6, 5)
             t = set(rng.sample(range(6), rng.randint(0, 4)))
-            assert t <= span(s, t)
+            assert t <= s.span(t)
 
     def test_c2_span_single_element(self):
         s = MatrixSpanoid(crown_matrix(2))
         assert len(s) == 2
-        assert span(s, [0]) == frozenset({0})
+        assert s.span([0]) == frozenset({0})
 
     def test_monotone_and_idempotent(self):
         rng = random.Random(31)
@@ -58,9 +57,9 @@ class TestSpan:
             s = rand_rule_spanoid(rng, 7, 6)
             t1 = set(rng.sample(range(7), rng.randint(0, 3)))
             t2 = t1 | set(rng.sample(range(7), rng.randint(0, 3)))
-            sp1, sp2 = span(s, t1), span(s, t2)
+            sp1, sp2 = s.span(t1), s.span(t2)
             assert sp1 <= sp2
-            assert span(s, sp1) == sp1
+            assert s.span(sp1) == sp1
 
     def test_matrix_override_matches_generic_fixpoint(self):
         rng = random.Random(32)
@@ -79,7 +78,7 @@ class TestSpan:
     def test_derivation_needs_multiple_steps(self):
         # (0 -> 1), (1 -> 2): reaching 2 from {0} takes two rule firings
         s = RuleSpanoid(3, [(frozenset({0}), 1), (frozenset({1}), 2)])
-        assert span(s, [0]) == frozenset({0, 1, 2})
+        assert s.span([0]) == frozenset({0, 1, 2})
 
 
 class TestMatrixSpanoidUniverse:
@@ -132,7 +131,7 @@ class TestRank:
 class TestProduct:
     def test_c2_product_rank_is_4(self):
         s = MatrixSpanoid(crown_matrix(2))
-        prod = product_spanoid(s, s)
+        prod = ProductSpanoid(s, s)
         assert spanoid_rank(prod).value == 4
         c2 = crown_matrix(2)
         assert exact_boolean_rank(kronecker(c2, c2)).value == 4
@@ -140,12 +139,12 @@ class TestProduct:
     def test_single_element_side(self):
         one = MatrixSpanoid(BoolMatrix.ones(1, 1))
         s = MatrixSpanoid(crown_matrix(2))
-        assert spanoid_rank(product_spanoid(one, s)).value == spanoid_rank(s).value
+        assert spanoid_rank(ProductSpanoid(one, s)).value == spanoid_rank(s).value
 
     def test_row_times_column_all_ones(self):
         row = MatrixSpanoid(BoolMatrix.ones(1, 2))
         col = MatrixSpanoid(BoolMatrix.ones(2, 1))
-        assert spanoid_rank(product_spanoid(row, col)).value == 1
+        assert spanoid_rank(ProductSpanoid(row, col)).value == 1
 
     @pytest.mark.parametrize(
         "a,b",
@@ -170,14 +169,14 @@ class TestProduct:
         }
         ma, mb = shapes[a], shapes[b]
         rank_spanoid = spanoid_rank(
-            product_spanoid(MatrixSpanoid(ma), MatrixSpanoid(mb))
+            ProductSpanoid(MatrixSpanoid(ma), MatrixSpanoid(mb))
         ).value
         rank_bool = exact_boolean_rank(kronecker(ma, mb)).value
         assert rank_spanoid == rank_bool
 
     def test_universe_cap(self):
         s = MatrixSpanoid(BoolMatrix.ones(2, 3))
-        big = product_spanoid(s, s)
+        big = ProductSpanoid(s, s)
         with pytest.raises(BudgetExceededError):
             spanoid_rank(big)
 
@@ -204,7 +203,7 @@ class TestProductBound:
     def test_sandwich_with_product_rank(self):
         s = MatrixSpanoid(crown_matrix(2))
         res = check_product_bound(s, s, [{0}, {1}], [{0, 1}, {0, 1}])
-        assert spanoid_rank(product_spanoid(s, s)).value <= res.bound
+        assert spanoid_rank(ProductSpanoid(s, s)).value <= res.bound
 
     def test_length_mismatch(self):
         s = MatrixSpanoid(crown_matrix(2))
@@ -258,6 +257,10 @@ class TestFormats:
     def test_sets_format(self):
         sets = parse_index_sets("SETS 3\n0,1\n\n2\n")
         assert sets == [frozenset({0, 1}), frozenset(), frozenset({2})]
+        # the counted body may end with an empty set; the count is still enforced
+        assert parse_index_sets("SETS 2\n0\n\n") == [frozenset({0}), frozenset()]
+        with pytest.raises(FormatError, match="line 3: expected 2 lines"):
+            parse_index_sets("SETS 2\n0\n")
 
     def test_format_errors(self):
         with pytest.raises(FormatError):
@@ -266,3 +269,32 @@ class TestFormats:
             parse_spanoid("SPANOID 3 1\nnot a rule\n")
         with pytest.raises(FormatError):
             parse_index_sets("WRONG 1\n0\n")
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_spanoid, "SPANOID -1 0\n"),
+            (parse_spanoid, "SPANOID 3 -1\n"),
+            (parse_spanoid, "SPANOID 3 x\n"),
+            (parse_index_sets, "SETS -1\n"),
+            (parse_index_sets, "SETS +1\n0\n"),
+        ],
+    )
+    def test_header_fields_are_non_negative_decimals(self, parse, text):
+        with pytest.raises(FormatError, match="line 1: .*non-negative decimal"):
+            parse(text)
+
+    @pytest.mark.parametrize("token", ["+1", "1_0", "0, 1", "\u0661", "0,,1"])
+    def test_index_grammar(self, token):
+        with pytest.raises(FormatError, match="line 2: bad index list"):
+            parse_index_sets(f"SETS 1\n{token}\n")
+        with pytest.raises(FormatError, match="line 2: bad index list"):
+            parse_spanoid(f"SPANOID 3 1\nS: {token} -> 2\n")
+        with pytest.raises(FormatError, match="line 2: bad index list"):
+            parse_spanoid(f"SPANOID 3 1\nS: 0 -> {token}\n")
+
+    def test_rule_infers_one_index(self):
+        with pytest.raises(FormatError, match="line 2: .*exactly one index"):
+            parse_spanoid("SPANOID 3 1\nS: 0 -> 1,2\n")
+        with pytest.raises(FormatError, match="line 2: .*exactly one index"):
+            parse_spanoid("SPANOID 3 1\nS: 0 -> \n")

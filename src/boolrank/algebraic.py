@@ -19,16 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
 from .boolmat import max_entries_limit
 from .cover import (
     Cover,
+    KronCoverDescription,
     MatrixFamily,
     Rectangle,
-    _product_rectangles,
     verify_kron_hypotheses,
 )
 from .crown import colex_subsets, crown_matrix, restrict_family, sigma
@@ -151,8 +150,9 @@ def algebraic_family(
 
     p is the largest prime <= C(2d, d) and the crown order is n = p^q.  Member
     i sums the element rectangles of block 1 after rewriting each family
-    set's block-1 part through g_i; its decomposition lists those (at most
-    2d) rectangles.
+    set's block-1 part through g_i.  The family holds each member's
+    decomposition, those (at most 2d) rectangles; members are built only
+    when read.
     """
     if d < 1:
         raise DimensionError("need d >= 1")
@@ -194,7 +194,7 @@ def algebraic_family(
             if rows.size and cols.size:
                 rects.append(Rectangle(tuple(rows.tolist()), tuple(cols.tolist())))
         decomps.append(Cover(n, n, tuple(rects)))
-    return params, MatrixFamily.from_decompositions(decomps)
+    return params, MatrixFamily(tuple(decomps))
 
 
 # -- asymptotic pipeline --------------------------------------------------------
@@ -291,37 +291,6 @@ def format_params_line(params: AsymptoticParams) -> str:
 
 
 @dataclass(frozen=True)
-class KronCoverDescription:
-    """A composed cover of a Kronecker product, held in factored form.
-
-    The certificate is the pair of families plus the verified composition
-    hypotheses; the product rectangles (size = sum over t of the product of
-    decomposition sizes) are generated on demand rather than materialized,
-    since at gap-witness scale a single rectangle can have ~10^7 rows.
-    """
-
-    rows_a: int
-    cols_a: int
-    rows_b: int
-    cols_b: int
-    m_family: MatrixFamily
-    n_family: MatrixFamily
-    size: int
-    verified: bool
-
-    @property
-    def target_dims(self) -> tuple[int, int]:
-        return self.rows_a * self.rows_b, self.cols_a * self.cols_b
-
-    def iter_rectangles(self) -> Iterator[Rectangle]:
-        return _product_rectangles(self.m_family, self.n_family)
-
-    def to_cover(self) -> Cover:
-        rows, cols = self.target_dims
-        return Cover(rows, cols, tuple(self.iter_rectangles()))
-
-
-@dataclass(frozen=True)
 class AsymptoticCoverResult:
     """Outcome of the asymptotic pipeline: parameters plus, when feasible,
     the lazily-verified cover description of crown(n) (x) crown(n)."""
@@ -377,9 +346,8 @@ def asymptotic_cover(
                 f"materialization limit; report only",
             )
 
-    # keep only the decompositions, so the unselected members can be freed
-    decomps = algebraic_family(params.d, params.q, max_entries)[1].decompositions
-    selected = MatrixFamily.from_decompositions(decomps[: params.s])
+    _, fam = algebraic_family(params.d, params.q, max_entries)
+    selected = MatrixFamily(fam.decompositions[: params.s])
     cap = params.p**params.q
     if n < cap:
         selected = restrict_family(selected, n)
@@ -392,10 +360,7 @@ def asymptotic_cover(
             f"composition hypotheses fail at {res.witness}: {res.reason}",
             witness=res.witness,
         )
-    size = sum(d.size * d.size for d in selected.decompositions)
-    description = KronCoverDescription(
-        n, n, n, n, selected, selected, size, True
-    )
+    description = KronCoverDescription(selected, selected)
     return AsymptoticCoverResult(
-        params, description, f"verified composed cover of size {size}"
+        params, description, f"verified composed cover of size {description.size}"
     )

@@ -4,8 +4,7 @@ Exit codes: 0 success/verified, 1 verification failed (witness printed on
 stdout), 2 invalid input or parameters, 3 budget or materialization limit
 exceeded.  Certificates go to stdout, diagnostics to stderr.  The
 materialization limit can be overridden with the BOOLRANK_MAX_ENTRIES
-environment variable (a non-negative decimal integer); --threads is accepted for interface stability (the
-implementation is single-threaded and its output never depends on it).
+environment variable (a non-negative decimal integer).
 """
 
 from __future__ import annotations
@@ -125,10 +124,7 @@ def _cmd_verify_kron(args) -> int:
     n_fam = cover.read_family(args.fam_n)
     res = cover.verify_kron_hypotheses(a, m_fam, b, n_fam)
     if res:
-        size = sum(
-            dm.size * dn.size
-            for dm, dn in zip(m_fam.decompositions, n_fam.decompositions)
-        )
+        size = cover.KronCoverDescription(m_fam, n_fam).size
         print(f"VERIFIED kron-hypotheses size={size}")
         return EXIT_OK
     print(f"FAILED entry={_entry_str(res.witness)} reason={res.reason}")
@@ -218,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="boolrank",
         description="Constructs and verifies rectangle covers of Boolean "
         "matrices and their Kronecker products.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="internal parallelism bound"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -344,9 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
     try:
         return args.func(args)
     except VerificationError as exc:

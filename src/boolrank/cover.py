@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Iterator, Sequence
 
@@ -64,7 +65,7 @@ class Rectangle:
         return len(self.row_set) * len(self.col_set)
 
     def to_matrix(self, rows: int, cols: int) -> BoolMatrix:
-        return rectangle_matrix(self, rows, cols)
+        return cover_matrix(Cover(rows, cols, (self,)))
 
 
 def _index_mask(idx: Sequence[int], n: int) -> np.ndarray:
@@ -72,12 +73,6 @@ def _index_mask(idx: Sequence[int], n: int) -> np.ndarray:
     ind = np.zeros(n, dtype=np.uint8)
     ind[list(idx)] = 1
     return np.packbits(ind, bitorder="little")
-
-
-def rectangle_matrix(rect: Rectangle, rows: int, cols: int) -> BoolMatrix:
-    if rect.row_set[-1] >= rows or rect.col_set[-1] >= cols:
-        raise DimensionError(f"rectangle exceeds {rows}x{cols} target")
-    return cover_matrix(Cover(rows, cols, (rect,)))
 
 
 @dataclass(frozen=True)
@@ -122,61 +117,102 @@ def cover_matrix(c: Cover) -> BoolMatrix:
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """Equally-sized matrices, optionally with rank-1 decompositions.
+    """Equally sized matrices, given as the matrices or as their rank-1
+    decompositions, never both.
 
-    When members and decompositions are passed separately, each member must
-    equal the Boolean sum of its rectangles (validated on construction).
-    :meth:`from_decompositions` builds the members from the rectangles
-    instead, so there is nothing to cross-check.
+    A member of a family of decompositions is derived: it is the Boolean
+    sum of its decomposition's rectangles, built on first use of
+    :attr:`members` and then kept.  Length and dimensions are read from the
+    stored items, so they build no member.
     """
 
-    members: tuple[BoolMatrix, ...]
-    decompositions: tuple[Cover, ...] | None = None
+    items: tuple[BoolMatrix, ...] | tuple[Cover, ...]
 
     def __post_init__(self):
-        self._check_dims()
-        if self.decompositions is not None:
-            for m, d in zip(self.members, self.decompositions):
-                if cover_matrix(d) != m:
-                    raise ValueError(
-                        "decomposition does not reproduce its family member"
-                    )
-
-    @classmethod
-    def from_decompositions(cls, decompositions: Sequence[Cover]) -> MatrixFamily:
-        """The family whose members are the Boolean sums of ``decompositions``."""
-        fam = object.__new__(cls)
-        object.__setattr__(fam, "members", tuple(cover_matrix(d) for d in decompositions))
-        object.__setattr__(fam, "decompositions", tuple(decompositions))
-        fam._check_dims()
-        return fam
-
-    def _check_dims(self) -> None:
-        if not self.members:
+        if not self.items:
             raise DimensionError("family must be nonempty")
-        r, c = self.members[0].rows, self.members[0].cols
-        for m in self.members:
-            if (m.rows, m.cols) != (r, c):
-                raise DimensionError("family members must share dimensions")
-        if self.decompositions is not None:
-            if len(self.decompositions) != len(self.members):
-                raise DimensionError("one decomposition per member required")
-            for d in self.decompositions:
-                if (d.rows, d.cols) != (r, c):
-                    raise DimensionError("decomposition dimensions mismatch")
+        kind = type(self.items[0])
+        if kind not in (BoolMatrix, Cover) or any(type(x) is not kind for x in self.items):
+            raise TypeError("family items must be all matrices or all covers")
+        if any((x.rows, x.cols) != self.dims for x in self.items):
+            raise DimensionError("family members must share dimensions")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.items)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.members[0].rows, self.members[0].cols
+        return self.items[0].rows, self.items[0].cols
+
+    @property
+    def decompositions(self) -> tuple[Cover, ...] | None:
+        """The members' rank-1 decompositions; None for a family of matrices."""
+        return self.items if isinstance(self.items[0], Cover) else None
+
+    @cached_property
+    def members(self) -> tuple[BoolMatrix, ...]:
+        if self.decompositions is None:
+            return self.items
+        return tuple(map(cover_matrix, self.decompositions))
 
     def ranks(self) -> tuple[int, ...]:
         """Decomposition sizes (upper bounds on the members' Boolean ranks)."""
         if self.decompositions is None:
             raise ValueError("family carries no decompositions")
         return tuple(d.size for d in self.decompositions)
+
+
+@dataclass(frozen=True)
+class KronCoverDescription:
+    """A composed cover of a Kronecker product, held in factored form.
+
+    The cover's rectangles are the products of the t-th decompositions of
+    the two families, t-major.  They are generated on demand rather than
+    stored, since at gap-witness scale a single rectangle can have ~10^7
+    rows.  A description certifies a cover only once the composition
+    hypotheses hold for its families (:func:`verify_kron_hypotheses`).
+    """
+
+    m_family: MatrixFamily
+    n_family: MatrixFamily
+
+    def __post_init__(self):
+        if self.m_family.decompositions is None or self.n_family.decompositions is None:
+            raise ValueError("both families must carry rank-1 decompositions")
+        if len(self.m_family) != len(self.n_family):
+            raise DimensionError("families must have equal length")
+
+    @property
+    def size(self) -> int:
+        return sum(
+            dm.size * dn.size
+            for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions)
+        )
+
+    @property
+    def target_dims(self) -> tuple[int, int]:
+        (ra, ca), (rb, cb) = self.m_family.dims, self.n_family.dims
+        return ra * rb, ca * cb
+
+    def iter_rectangles(self) -> Iterator[Rectangle]:
+        """All products of the t-th decompositions' rectangles, t-major.
+
+        The product of rm and rn has rows ``i * rows_b + i'`` for i in rm and
+        i' in rn, and likewise columns, where rows_b x cols_b are n_family's
+        dims.
+        """
+        rb, cb = self.n_family.dims
+        for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions):
+            for rm in dm.rects:
+                row_a = np.array(rm.row_set) * rb
+                col_a = np.array(rm.col_set) * cb
+                for rn in dn.rects:
+                    rows = (row_a[:, None] + np.array(rn.row_set)).ravel()
+                    cols = (col_a[:, None] + np.array(rn.col_set)).ravel()
+                    yield Rectangle(tuple(rows.tolist()), tuple(cols.tolist()))
+
+    def to_cover(self) -> Cover:
+        return Cover(*self.target_dims, tuple(self.iter_rectangles()))
 
 
 # -- results ----------------------------------------------------------------
@@ -373,8 +409,7 @@ def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
     they cover (the Boolean sums of the families); rectangles are emitted
     as all products of the t-th decompositions, t-major.
     """
-    if m_fam.decompositions is None or n_fam.decompositions is None:
-        raise ValueError("both families must carry rank-1 decompositions")
+    description = KronCoverDescription(m_fam, n_fam)
     a = boolean_sum(m_fam.members)
     b = boolean_sum(n_fam.members)
     res = verify_kron_hypotheses(a, m_fam, b, n_fam)
@@ -383,25 +418,7 @@ def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
             f"composition hypotheses fail at entry {res.witness}: {res.reason}",
             witness=res.witness,
         )
-    rects = tuple(_product_rectangles(m_fam, n_fam))
-    return Cover(a.rows * b.rows, a.cols * b.cols, rects)
-
-
-def _product_rectangles(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Iterator[Rectangle]:
-    """All products of the t-th decompositions' rectangles, t-major.
-
-    The product of rm and rn has rows ``i * rows_b + i'`` for i in rm and
-    i' in rn, and likewise columns, where rows_b x cols_b are n_fam's dims.
-    """
-    rb, cb = n_fam.dims
-    for dm, dn in zip(m_fam.decompositions, n_fam.decompositions):
-        for rm in dm.rects:
-            row_a = np.array(rm.row_set) * rb
-            col_a = np.array(rm.col_set) * cb
-            for rn in dn.rects:
-                rows = (row_a[:, None] + np.array(rn.row_set)).ravel()
-                cols = (col_a[:, None] + np.array(rn.col_set)).ravel()
-                yield Rectangle(tuple(rows.tolist()), tuple(cols.tolist()))
+    return description.to_cover()
 
 
 def best_triple_pairing(
@@ -423,9 +440,7 @@ def best_triple_pairing(
         key=lambda p: (sum(a_sizes[t] * b_sizes[p[t]] for t in range(3)), p),
     )
     bound = sum(a_sizes[t] * b_sizes[best_perm[t]] for t in range(3))
-    reordered = MatrixFamily.from_decompositions(
-        [n_fam.decompositions[p] for p in best_perm]
-    )
+    reordered = MatrixFamily(tuple(n_fam.decompositions[p] for p in best_perm))
     return reordered, bound
 
 
@@ -534,9 +549,10 @@ def extract_families(
 
     Each rectangle P_t splits by index arithmetic into factors (M_t, N_t)
     with P_t <= M_t (x) N_t (the same split the four-index projection
-    produces).  The returned families always satisfy the composition
-    hypotheses when the input is a valid cover; this is re-verified and a
-    :class:`VerificationError` raised otherwise.
+    produces).  Each family holds those one-rectangle decompositions, and
+    its members are derived from them.  The returned families always
+    satisfy the composition hypotheses when the input is a valid cover;
+    this is re-verified and a :class:`VerificationError` raised otherwise.
 
     The input cover is verified eagerly when the product is materializable.
     Above the limit only the per-rectangle all-ones checks plus the
@@ -571,8 +587,8 @@ def extract_families(
         decomps_a.append(Cover(a.rows, a.cols, (Rectangle(rows_a, cols_a),)))
         decomps_b.append(Cover(b.rows, b.cols, (Rectangle(rows_b, cols_b),)))
 
-    m_fam = MatrixFamily.from_decompositions(decomps_a)
-    n_fam = MatrixFamily.from_decompositions(decomps_b)
+    m_fam = MatrixFamily(tuple(decomps_a))
+    n_fam = MatrixFamily(tuple(decomps_b))
     res = verify_kron_hypotheses(a, m_fam, b, n_fam)
     if not res:
         raise VerificationError(
@@ -643,7 +659,7 @@ def parse_family(text: str) -> MatrixFamily:
         covers.append(_cover(head, body, pos + 2))
         pos += 1 + len(body)
     _end(lines, pos, "FAMILY")
-    return MatrixFamily.from_decompositions(covers)
+    return MatrixFamily(tuple(covers))
 
 
 def write_cover(path: str, c: Cover) -> None:

@@ -344,7 +344,7 @@ def triple_cover(
     def summed(source: SubsetFamily, ts: range) -> Cover:
         return Cover(n, n, tuple(intersection_rectangle(source, t) for t in ts))
 
-    return MatrixFamily.from_decompositions((
+    return MatrixFamily((
         summed(fam, range(1, r + 1)),
         summed(fam, range(r + 1, k + 1)),
         summed(f_prime, range(r + 1, k + 1)),
@@ -355,8 +355,9 @@ def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
     """Restrict a family over a crown to its leading n x n corner.
 
     Rectangles of the decompositions are intersected with the index prefix
-    and dropped when they vanish, and the members are rebuilt from them;
-    pairwise-covering properties survive restriction.
+    and dropped when they vanish; the restricted members are derived from
+    the restricted decompositions.  Pairwise-covering properties survive
+    restriction.
     """
     rows, cols = fam.dims
     if n > rows or n > cols:
@@ -372,7 +373,7 @@ def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
             if rs and cs:
                 rects.append(Rectangle(rs, cs))
         covers.append(Cover(n, n, tuple(rects)))
-    return MatrixFamily.from_decompositions(covers)
+    return MatrixFamily(tuple(covers))
 
 
 def c5_triple() -> MatrixFamily:
@@ -394,10 +395,10 @@ def c5_triple() -> MatrixFamily:
         ),
     )
     groups = ((1, 2), (3, 4), (5, 6, 7))
-    return MatrixFamily.from_decompositions([
+    return MatrixFamily(tuple(
         Cover(5, 5, tuple(intersection_rectangle(fam, t) for t in ts))
         for ts in groups
-    ])
+    ))
 
 
 def c4_triple() -> MatrixFamily:
@@ -412,9 +413,9 @@ def c4_triple() -> MatrixFamily:
         ((0, 3), (1, 2)),
         ((0, 2), (1, 3)),
     )
-    return MatrixFamily.from_decompositions([
+    return MatrixFamily(tuple(
         Cover(4, 4, (Rectangle(x, y), Rectangle(y, x))) for x, y in splits
-    ])
+    ))
 
 
 def coverable_triple(n: int) -> MatrixFamily:

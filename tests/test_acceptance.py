@@ -174,7 +174,7 @@ def test_criterion_08_algebraic_families(family_3_3, crown_6859):
 def test_criterion_09_asymptotic_gap_witness(family_3_3, crown_6859):
     t0 = time.time()
     _, fam = family_3_3
-    selected = MatrixFamily(fam.members[:6], fam.decompositions[:6])
+    selected = MatrixFamily(fam.decompositions[:6])
     half = check_half_covering(crown_6859, selected)
     hyp = verify_kron_hypotheses(crown_6859, selected, crown_6859, selected)
     size = sum(d.size * d.size for d in selected.decompositions)
@@ -211,11 +211,7 @@ def _row_rect_family(m: BoolMatrix, parts: list[list[int]]) -> MatrixFamily:
             if cols:
                 rects.append(Rectangle((i,), cols))
         covers.append(Cover(m.rows, m.cols, tuple(rects)))
-    from boolrank.cover import cover_matrix
-
-    return MatrixFamily(
-        tuple(cover_matrix(c) for c in covers), tuple(covers)
-    )
+    return MatrixFamily(tuple(covers))
 
 
 def test_criterion_11_composition_soundness():

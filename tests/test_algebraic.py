@@ -191,6 +191,38 @@ class TestAsymptoticCover:
             generalized_params(25, 2, 2)
 
 
+class TestMembersBuiltOnUse:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts the members built from decompositions."""
+        from boolrank import cover
+
+        calls = []
+        real = cover.cover_matrix
+
+        def counting(c):
+            calls.append(c)
+            return real(c)
+
+        monkeypatch.setattr(cover, "cover_matrix", counting)
+        return calls
+
+    def test_algebraic_family_builds_no_member(self, built):
+        algebraic_family(2, 2)
+        assert len(built) == 0
+
+    def test_writing_the_family_builds_no_member(self, built, tmp_path):
+        from boolrank.cli import main
+
+        assert main(["cover", "algebraic", "2", "2", "-o", str(tmp_path / "a.fam")]) == 0
+        assert len(built) == 0
+
+    def test_asymptotic_cover_builds_only_selected_members(self, built):
+        res = asymptotic_cover(25, q=2, s=3)
+        assert res.feasible
+        assert len(built) == 3
+
+
 class TestCentralBinomialFact:
     def test_exact_inequality_even_r(self):
         # C(r, r/2) >= 2^r / sqrt(2r), squared to stay in integers

@@ -142,6 +142,26 @@ class TestVerifyKronAndQcover:
         code, out, _ = run(capsys, "verify", "qcover", mat, str(fam), "2")
         assert code == 1 and out == "FAILED subset=(0,2) exhaustive=yes\n"
 
+    def test_family_header_checked_before_members_are_built(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a family whose header differs from the target is rejected before
+        # any member is built, so its header cannot force an allocation
+        def no_member(c):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr("boolrank.cover.cover_matrix", no_member)
+        mat = str(tmp_path / "c2.mat")
+        fam = tmp_path / "c3.fam"
+        write_matrix(mat, crown_matrix(2))
+        fam.write_text("FAMILY 3 3 1\nCOVER 3 3 0\n")
+        code, out, err = run(capsys, "verify", "qcover", mat, str(fam), "1")
+        assert code == 2 and out == ""
+        assert "family dimensions do not match" in err
+        code, out, err = run(capsys, "verify", "kron", mat, str(fam), mat, str(fam))
+        assert code == 2 and out == ""
+        assert "m-family dimensions do not match" in err
+
 
 class TestRankAndBounds:
     def test_rank_exact(self, capsys, tmp_path):
@@ -235,9 +255,3 @@ class TestExitCodes:
         bad.write_text("not a matrix\n")
         code, _, err = run(capsys, "mu", str(bad))
         assert code == 2 and "invalid input" in err
-
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run(capsys, "--threads", "4", "sigma", "4")
-        assert code == 0 and out == "4\n"
-        code, _, err = run(capsys, "--threads", "0", "sigma", "4")
-        assert code == 2

@@ -22,7 +22,6 @@ from boolrank.cover import (
     parse_cover,
     parse_family,
     read_family,
-    rectangle_matrix,
     verify_cover,
     verify_kron_hypotheses,
 )
@@ -42,7 +41,7 @@ def row_decomposition(m: BoolMatrix) -> Cover:
 
 
 def with_row_decompositions(members) -> MatrixFamily:
-    return MatrixFamily(tuple(members), tuple(row_decomposition(m) for m in members))
+    return MatrixFamily(tuple(row_decomposition(m) for m in members))
 
 
 def rand_matrix(rng, rows, cols, density=0.5):
@@ -76,7 +75,7 @@ class TestRectangleAndCover:
         assert r.area == 2
         from boolrank.boolmat import is_rank_one
 
-        assert is_rank_one(rectangle_matrix(r, 3, 2))
+        assert is_rank_one(r.to_matrix(3, 2))
 
     def test_cover_range_check(self):
         with pytest.raises(DimensionError):
@@ -134,8 +133,7 @@ class TestKronHypotheses:
         fam = c4_triple()
         # damage one member of the n-side: remove a rectangle from member 0
         broken_first = Cover(4, 4, fam.decompositions[0].rects[:1])
-        n_members = (cover_matrix(broken_first),) + fam.members[1:]
-        n_fam = MatrixFamily(n_members, (broken_first,) + fam.decompositions[1:])
+        n_fam = MatrixFamily((broken_first,) + fam.decompositions[1:])
         res = verify_kron_hypotheses(c4, fam, c4, n_fam)
         assert not res
         assert res.witness is not None
@@ -143,7 +141,7 @@ class TestKronHypotheses:
     def test_m_family_not_covering(self):
         c4 = crown_matrix(4)
         fam = c4_triple()
-        one = MatrixFamily(fam.members[:1], fam.decompositions[:1])
+        one = MatrixFamily(fam.decompositions[:1])
         res = verify_kron_hypotheses(c4, one, c4, one)
         assert not res and "does not cover the first factor" in res.reason
 
@@ -152,7 +150,7 @@ class TestKronHypotheses:
         # only one of them select a single n-member, which does not cover
         c4 = crown_matrix(4)
         fam = c4_triple()
-        pair = MatrixFamily(fam.members[:2], fam.decompositions[:2])
+        pair = MatrixFamily(fam.decompositions[:2])
         res = verify_kron_hypotheses(c4, pair, c4, pair)
         assert not res and "do not cover the second factor" in res.reason
 
@@ -161,15 +159,15 @@ class TestKronHypotheses:
         fam = c4_triple()
         with pytest.raises(DimensionError):
             verify_kron_hypotheses(
-                c4, fam, c4, MatrixFamily(fam.members[:2], fam.decompositions[:2])
+                c4, fam, c4, MatrixFamily(fam.decompositions[:2])
             )
+        with pytest.raises(DimensionError):
+            compose_kron_cover(fam, MatrixFamily(fam.decompositions[:2]))
 
     def test_wide_family_signatures(self):
         # more than 64 members exercises the multi-plane signature path
         a = BoolMatrix.ones(3, 3)
-        members = tuple([a] * 70)
-        decomps = tuple([row_decomposition(a)] * 70)
-        fam = MatrixFamily(members, decomps)
+        fam = MatrixFamily(tuple([row_decomposition(a)] * 70))
         assert verify_kron_hypotheses(a, fam, a, fam)
 
 
@@ -244,7 +242,7 @@ class TestCompose:
 
     def test_hypothesis_violation_raises(self):
         fam = c4_triple()
-        pair = MatrixFamily(fam.members[:2], fam.decompositions[:2])
+        pair = MatrixFamily(fam.decompositions[:2])
         with pytest.raises(VerificationError) as err:
             compose_kron_cover(pair, pair)
         assert err.value.witness is not None
@@ -331,7 +329,7 @@ class TestSubsetChecks:
         _, fam = algebraic_family(2, 2)
         c25 = crown_matrix(25)
         assert check_q_covering(c25, fam, 2)
-        smaller = MatrixFamily(fam.members[:2], fam.decompositions[:2])
+        smaller = MatrixFamily(fam.decompositions[:2])
         res = check_q_covering(c25, smaller, 1)
         assert not res
         assert res.witness is not None and len(res.witness) == 1
@@ -472,7 +470,7 @@ class TestBestPairing:
     def test_requires_length_three(self):
         fam = c4_triple()
         with pytest.raises(DimensionError):
-            best_triple_pairing(fam, MatrixFamily(fam.members[:2], fam.decompositions[:2]))
+            best_triple_pairing(fam, MatrixFamily(fam.decompositions[:2]))
 
 
 class TestHalfCoveringComposition:
@@ -561,15 +559,12 @@ class TestFormats:
 
     def test_from_decompositions_matches_constructor(self):
         fam = c4_triple()
-        built = MatrixFamily.from_decompositions(fam.decompositions)
-        assert built == MatrixFamily(fam.members, fam.decompositions)
+        assert fam.members == tuple(map(cover_matrix, fam.decompositions))
+        assert MatrixFamily(fam.members).members == fam.members
         with pytest.raises(DimensionError):
-            MatrixFamily.from_decompositions(())
-
-    def test_constructor_still_cross_checks(self):
-        fam = c4_triple()
-        with pytest.raises(ValueError, match="does not reproduce"):
-            MatrixFamily(fam.members[::-1], fam.decompositions)
+            MatrixFamily(())
+        with pytest.raises(TypeError):
+            MatrixFamily((fam.members[0], fam.decompositions[1]))
 
     @pytest.mark.parametrize(
         "token, message",
@@ -605,6 +600,8 @@ class TestFormats:
         fam = MatrixFamily((crown_matrix(3),))
         with pytest.raises(ValueError):
             format_family(fam)
+        with pytest.raises(ValueError):
+            compose_kron_cover(fam, fam)
 
     @pytest.mark.parametrize(
         "fields", ["-1 2 0", "2 -1 0", "2 2 -1", "+2 2 0", "2 2 1_0", "2 2 \u0661", "2 2 1.0"]

@@ -29,8 +29,8 @@ DEFAULT_MAX_ENTRIES = 2**31
 
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
-#: Entries unpacked or checked at once when scanning a matrix body.
-_PARSE_BLOCK_ENTRIES = 1 << 22
+#: Entries packed or unpacked at once when parsing or formatting a matrix body.
+_BLOCK_ENTRIES = 1 << 22
 
 
 def max_entries_limit(override: int | None = None) -> int:
@@ -66,6 +66,7 @@ class BoolMatrix:
             )
         self.rows = rows
         self.cols = cols
+        # a caller's buffer is copied; library builders pass theirs read-only
         if bits.flags.writeable:
             bits = bits.copy()
             bits.flags.writeable = False
@@ -84,11 +85,14 @@ class BoolMatrix:
         packed = np.packbits(arr, axis=1, bitorder="little")
         if packed.shape[1] != (cols + 7) // 8:  # degenerate 0-column case
             packed = np.zeros((rows, (cols + 7) // 8), dtype=np.uint8)
+        packed.flags.writeable = False
         return cls(rows, cols, packed)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> BoolMatrix:
-        return cls(rows, cols, np.zeros((rows, (cols + 7) // 8), dtype=np.uint8))
+        bits = np.zeros((rows, (cols + 7) // 8), dtype=np.uint8)
+        bits.flags.writeable = False
+        return cls(rows, cols, bits)
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> BoolMatrix:
@@ -172,6 +176,7 @@ def boolean_sum(ms: Iterable[BoolMatrix]) -> BoolMatrix:
     for m in ms[1:]:
         _require_same_dims(first, m)
         np.bitwise_or(acc, m.bits, out=acc)
+    acc.flags.writeable = False
     return BoolMatrix(first.rows, first.cols, acc)
 
 
@@ -368,13 +373,33 @@ def _format_index_list(idx: Iterable[int]) -> str:
     return ",".join([str(i) for i in idx])
 
 
+def _block_rows(cols: int) -> int:
+    """Rows of a ``cols``-wide matrix body handled at once."""
+    return max(1, _BLOCK_ENTRIES // max(1, cols))
+
+
 def format_matrix(m: BoolMatrix) -> str:
-    """Matrix text format: ``rows cols`` then one 0/1 line per row."""
-    lines = [f"{m.rows} {m.cols}"]
-    dense = m.to_dense()
-    for i in range(m.rows):
-        lines.append("".join("1" if x else "0" for x in dense[i]))
-    return "\n".join(lines) + "\n"
+    """Matrix text format: ``rows cols`` then one 0/1 line per row.
+
+    The text is built as one byte buffer: the header, then a
+    ``(rows, cols + 1)`` grid of each row's digits and its newline, filled
+    from the packed bits a row block at a time.  It is decoded once,
+    straight from the buffer, so the buffer and the returned string are
+    the only full-size copies.
+    """
+    rows, cols = m.rows, m.cols
+    header = f"{rows} {cols}\n".encode()
+    text = np.empty(len(header) + rows * (cols + 1), dtype=np.uint8)
+    text[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    grid = text[len(header):].reshape(rows, cols + 1)
+    grid[:, cols] = ord("\n")
+    block = _block_rows(cols)
+    for row0 in range(0, rows, block):
+        digits = np.unpackbits(
+            m.bits[row0:row0 + block], axis=1, bitorder="little", count=cols
+        )
+        np.add(digits, ord("0"), out=grid[row0:row0 + block, :cols])
+    return str(text, "ascii")
 
 
 def parse_matrix(text: str | bytes) -> BoolMatrix:
@@ -420,7 +445,7 @@ def parse_matrix(text: str | bytes) -> BoolMatrix:
             buf[starts[1]:], shape=(regular, cols), strides=(cols + 1, 1),
             writeable=False,
         )
-        block = max(1, _PARSE_BLOCK_ENTRIES // max(1, cols))
+        block = _block_rows(cols)
         for row0 in range(0, regular, block):
             digits = grid[row0:row0 + block] - np.uint8(ord("0"))
             bad = np.flatnonzero((digits > 1).any(axis=1))
@@ -439,7 +464,9 @@ def parse_matrix(text: str | bytes) -> BoolMatrix:
         )
     if not rows:
         return BoolMatrix.zeros(0, cols)
-    return BoolMatrix(rows, cols, np.concatenate(packed))
+    bits = np.concatenate(packed)
+    bits.flags.writeable = False
+    return BoolMatrix(rows, cols, bits)
 
 
 def write_matrix(path: str, m: BoolMatrix) -> None:

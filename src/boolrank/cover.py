@@ -43,7 +43,12 @@ from .boolmat import (
     kronecker,
     max_entries_limit,
 )
-from .errors import DimensionError, FormatError, VerificationError
+from .errors import (
+    DimensionError,
+    FormatError,
+    MaterializationLimitError,
+    VerificationError,
+)
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,7 @@ def cover_matrix(c: Cover) -> BoolMatrix:
             code[list(rect.row_set)] |= np.uint8(1 << r)
             table[1 << r:2 << r] = table[:1 << r] | _index_mask(rect.col_set, c.cols)
         bits |= table[code]
+    bits.flags.writeable = False
     return BoolMatrix(c.rows, c.cols, bits)
 
 
@@ -556,16 +562,19 @@ def extract_families(
 
     The input cover is verified eagerly when the product is materializable.
     Above the limit only the per-rectangle all-ones checks plus the
-    extracted-family hypotheses are run; at that scale an input whose
-    rectangles are valid but whose union falls short of the product's
-    support is not detectable entry-by-entry.
+    extracted-family hypotheses are run.  They prove the cover only when
+    every rectangle is the exact product of its factors' index sets, since
+    the rectangles' union then equals the sum of the M_t (x) N_t; otherwise
+    a union falling short of the product's support would go unseen, and a
+    :class:`MaterializationLimitError` is raised instead of returning.
     """
     rb, cb = b.rows, b.cols
     if c.rows != a.rows * rb or c.cols != a.cols * cb:
         raise DimensionError("cover dimensions do not match the product")
 
     entries = c.rows * c.cols
-    if entries <= max_entries_limit(max_entries):
+    limit = max_entries_limit(max_entries)
+    if entries <= limit:
         res = verify_cover(kronecker(a, b, max_entries), c)
         if not res:
             raise VerificationError(
@@ -574,6 +583,7 @@ def extract_families(
             )
 
     decomps_a, decomps_b = [], []
+    exact = True  # every rectangle equals rows_a x rows_b by cols_a x cols_b
     for rect in c.rects:
         rows_a = tuple(sorted({r // rb for r in rect.row_set}))
         cols_a = tuple(sorted({x // cb for x in rect.col_set}))
@@ -584,6 +594,10 @@ def extract_families(
                 "input cover invalid: a rectangle covers a zero entry",
                 witness=rect,
             )
+        exact = exact and (
+            len(rect.row_set) == len(rows_a) * len(rows_b)
+            and len(rect.col_set) == len(cols_a) * len(cols_b)
+        )
         decomps_a.append(Cover(a.rows, a.cols, (Rectangle(rows_a, cols_a),)))
         decomps_b.append(Cover(b.rows, b.cols, (Rectangle(rows_b, cols_b),)))
 
@@ -594,6 +608,11 @@ def extract_families(
         raise VerificationError(
             f"input cover invalid (hypotheses fail at {res.witness}): {res.reason}",
             witness=res.witness,
+        )
+    if entries > limit and not exact:
+        raise MaterializationLimitError(
+            f"cover of {entries} entries is above the limit {limit} and not made "
+            "of product rectangles, so its union cannot be checked"
         )
     return m_fam, n_fam
 

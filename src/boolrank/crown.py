@@ -52,6 +52,7 @@ def crown_matrix(n: int) -> BoolMatrix:
     bits = np.tile(row, (n, 1))
     idx = np.arange(n)
     bits[idx, idx >> 3] &= ~(np.uint8(1) << (idx & 7).astype(np.uint8))
+    bits.flags.writeable = False
     return BoolMatrix(n, n, bits)
 
 
@@ -141,6 +142,7 @@ def family_matrix(f: SubsetFamily) -> BoolMatrix:
         r1 = min(n, r0 + block)
         inter = (masks[r0:r1, None] & comp[None, :]) != 0
         bits[r0:r1] = np.packbits(inter.astype(np.uint8), axis=1, bitorder="little")
+    bits.flags.writeable = False
     return BoolMatrix(n, n, bits)
 
 

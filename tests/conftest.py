@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from boolrank.algebraic import algebraic_family
 from boolrank.crown import crown_matrix
@@ -13,3 +14,10 @@ def family_3_3():
 @pytest.fixture(scope="session")
 def crown_6859():
     return crown_matrix(6859)
+
+
+# property tests draw the same examples on every run
+settings.register_profile(
+    "boolrank", derandomize=True, max_examples=200, deadline=None, database=None
+)
+settings.load_profile("boolrank")

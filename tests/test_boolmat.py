@@ -1,7 +1,12 @@
+import hashlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from boolrank import boolmat
 from boolrank.boolmat import (
@@ -17,7 +22,9 @@ from boolrank.boolmat import (
     project_factors,
     read_matrix,
 )
-from boolrank.crown import crown_matrix
+from boolrank.cli import main
+from boolrank.cover import Cover, Rectangle, cover_matrix
+from boolrank.crown import canonical_family, crown_matrix, family_matrix
 from boolrank.errors import DimensionError, FormatError, MaterializationLimitError
 
 # the two rank-2 matrices whose sum is the order-4 crown
@@ -28,6 +35,15 @@ SUMMAND_2 = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
 def rand_matrix(rng, rows, cols, density=0.5):
     dense = [[1 if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
     return BoolMatrix.from_dense(dense)
+
+
+def reference_format_matrix(m):
+    """The per-entry formatter that ``format_matrix`` must match byte for byte."""
+    lines = [f"{m.rows} {m.cols}"]
+    dense = m.to_dense()
+    for i in range(m.rows):
+        lines.append("".join("1" if x else "0" for x in dense[i]))
+    return "\n".join(lines) + "\n"
 
 
 class TestBooleanSum:
@@ -230,6 +246,42 @@ class TestImmutability:
         kronecker(a, a)
         assert np.array_equal(a.to_dense(), before)
 
+    BUILDERS = {
+        "from_dense": lambda: BoolMatrix.from_dense([[0, 1, 1], [1, 0, 1]]),
+        "zeros": lambda: BoolMatrix.zeros(3, 9),
+        "boolean_sum": lambda: boolean_sum([crown_matrix(5), BoolMatrix.identity(5)]),
+        "parse_matrix": lambda: parse_matrix("2 3\n011\n101\n"),
+        "cover_matrix": lambda: cover_matrix(
+            Cover(4, 5, (Rectangle((0, 2), (1, 4)), Rectangle((3,), (0, 1))))
+        ),
+        "crown_matrix": lambda: crown_matrix(11),
+        "family_matrix": lambda: family_matrix(canonical_family(5, 10)),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_fresh_buffer_is_kept(self, builder, monkeypatch):
+        passed = []
+        init = BoolMatrix.__init__
+
+        def spy(self, rows, cols, bits):
+            passed.append(bits)
+            init(self, rows, cols, bits)
+
+        monkeypatch.setattr(BoolMatrix, "__init__", spy)
+        m = self.BUILDERS[builder]()
+        assert np.shares_memory(m.bits, passed[-1])
+        assert not m.bits.flags.writeable
+
+    def test_caller_buffer_is_copied(self):
+        bits = np.array([[0b110], [0b011]], dtype=np.uint8)
+        m = BoolMatrix(2, 3, bits)
+        bits[:] = 0
+        assert m.to_dense().tolist() == [[0, 1, 1], [1, 1, 0]]
+        dense = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        m = BoolMatrix.from_dense(dense)
+        dense[:] = 1
+        assert m == crown_matrix(2)
+
 
 class TestMatrixFormat:
     def test_round_trip(self):
@@ -283,7 +335,7 @@ class TestMatrixFormat:
 
     def test_row_blocks(self, monkeypatch):
         # one row per block: packing and the first bad row span blocks
-        monkeypatch.setattr(boolmat, "_PARSE_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 1)
         m = rand_matrix(random.Random(3), 6, 11)
         text = format_matrix(m)
         assert parse_matrix(text) == m
@@ -291,6 +343,47 @@ class TestMatrixFormat:
         lines[5] = lines[5][:-1] + "x"
         with pytest.raises(FormatError, match="line 6"):
             parse_matrix("\n".join(lines))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 1), (2, 9), (5, 17)])
+    def test_matches_reference_shapes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        m = BoolMatrix.from_dense(rng.integers(0, 2, size=shape, dtype=np.uint8))
+        assert format_matrix(m) == reference_format_matrix(m)
+
+    @pytest.mark.parametrize("block_entries", [1, 7])
+    def test_matches_reference_in_row_blocks(self, block_entries, monkeypatch):
+        # rows span several blocks, and the last block of a body is partial
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(block_entries)
+        for _ in range(30):
+            m = rand_matrix(rng, rng.randint(1, 12), rng.randint(1, 20))
+            assert format_matrix(m) == reference_format_matrix(m)
+
+    def test_crown_file_matches_numpy_text(self, tmp_path):
+        n = 2100
+        assert boolmat._block_rows(n) < n  # the body takes two row blocks
+        path = tmp_path / "c2100.mat"
+        assert main(["crown", str(n), "-o", str(path)]) == 0
+        grid = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+        grid[:, :n] = ord("1")
+        grid[np.arange(n), np.arange(n)] = ord("0")
+        expected = f"{n} {n}\n".encode() + grid.tobytes()
+        assert (
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            == hashlib.sha256(expected).hexdigest()
+        )
+
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(0, 12), st.integers(0, 40)),
+               elements=st.integers(0, 1)),
+        st.sampled_from([1, 7, 64, boolmat._BLOCK_ENTRIES]),
+    )
+    def test_round_trip_property(self, dense, block_entries):
+        m = BoolMatrix.from_dense(dense)
+        with mock.patch.object(boolmat, "_BLOCK_ENTRIES", block_entries):
+            text = format_matrix(m)
+            assert text == reference_format_matrix(m)
+            assert parse_matrix(text) == m
 
     def test_crlf_file_parses(self, tmp_path):
         path = tmp_path / "c3.mat"

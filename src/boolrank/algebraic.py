@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +61,8 @@ class ZpFunctionFamily:
     """The p-1 functions g_i(x) = sum_t i^(t-1) x_t mod p on Z_p^q.
 
     Tuples are encoded as flat indices with x_1 least significant:
-    z = sum_t x_t * p^(t-1).
+    z = sum_t x_t * p^(t-1).  Both properties are decided from the
+    coefficient rows, since every g_i is linear.
     """
 
     p: int
@@ -74,56 +76,55 @@ class ZpFunctionFamily:
         if self.p <= self.q:
             raise DimensionError(f"need p > q, got p={self.p}, q={self.q}")
 
-    @property
-    def size(self) -> int:
-        return self.p - 1
-
-    def evaluate(self, i: int, x: tuple[int, ...]) -> int:
+    def coefficients(self, i: int) -> tuple[int, ...]:
+        """The coefficient row (i^0, ..., i^(q-1)) mod p of g_i."""
         if not 1 <= i <= self.p - 1:
             raise DimensionError(f"function index {i} outside [1..{self.p - 1}]")
-        if len(x) != self.q or any(not 0 <= v < self.p for v in x):
-            raise DimensionError(f"argument {x} is not a tuple over Z_{self.p}^{self.q}")
-        return sum(pow(i, t, self.p) * x[t] for t in range(self.q)) % self.p
-
-    def tuple_count(self) -> int:
-        return self.p**self.q
-
-    def digits(self) -> np.ndarray:
-        """All p^q tuples as a (p^q, q) digit array, x_1 in column 0."""
-        n = self.tuple_count()
-        z = np.arange(n, dtype=np.int64)
-        cols = [(z // self.p**t) % self.p for t in range(self.q)]
-        return np.stack(cols, axis=1)
+        return tuple(pow(i, t, self.p) for t in range(self.q))
 
     def evaluate_all(self, i: int) -> np.ndarray:
         """g_i over all p^q tuples, indexed by the flat encoding."""
-        coeffs = np.array([pow(i, t, self.p) for t in range(self.q)], dtype=np.int64)
-        return (self.digits() @ coeffs) % self.p
+        z = np.arange(self.p**self.q, dtype=np.int64)
+        digits = np.stack([(z // self.p**t) % self.p for t in range(self.q)], axis=1)
+        return (digits @ np.array(self.coefficients(i), dtype=np.int64)) % self.p
 
     def check_bijection_property(self) -> bool:
-        """Exhaustive: for each i and fixed tail, x_1 -> g_i(x) is a bijection."""
-        expect = np.arange(self.p, dtype=np.int64)
-        for i in range(1, self.p):
-            table = self.evaluate_all(i).reshape(-1, self.p)
-            if not np.array_equal(np.sort(table, axis=1), np.tile(expect, (table.shape[0], 1))):
-                return False
-        return True
+        """For each i and fixed tail, x_1 -> g_i(x) is a bijection of Z_p.
+
+        g_i(x) is its x_1 coefficient times x_1 plus a term free of x_1, so
+        it is a bijection in x_1 exactly when that coefficient is nonzero.
+        """
+        return all(self.coefficients(i)[0] != 0 for i in range(1, self.p))
 
     def check_no_common_collision(self) -> bool:
-        """Exhaustive: no q distinct functions agree on two distinct tuples.
+        """No q distinct functions agree on two distinct tuples.
 
-        Equivalent to the joint map x -> (g_i1(x), ..., g_iq(x)) being
-        injective for every q-subset of indices, which is what is verified
-        (a shared collision is exactly a violation of injectivity).
+        Their joint map x -> (g_i1(x), ..., g_iq(x)) is linear, so it has a
+        collision exactly when its q coefficient rows have rank < q mod p;
+        every q-subset of the p-1 rows is checked.
         """
-        n = self.tuple_count()
-        values = np.stack([self.evaluate_all(i) for i in range(1, self.p)], axis=0)
-        powers = self.p ** np.arange(self.q, dtype=np.int64)
-        for subset in combinations(range(self.p - 1), self.q):
-            combined = values[list(subset)].T @ powers
-            if np.bincount(combined, minlength=n).max() > 1:
-                return False
-        return True
+        rows = [self.coefficients(i) for i in range(1, self.p)]
+        return all(
+            _rank_mod_p(subset, self.p) == self.q
+            for subset in combinations(rows, self.q)
+        )
+
+
+def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over Z_p (p prime) of the matrix with these rows, by elimination."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % p
+            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)

@@ -242,14 +242,13 @@ class VerifyResult:
 class SubsetCheckResult:
     """Outcome of a q-out-of-s covering check.
 
-    The check decides every q-subset, so ``exhaustive`` is always True.
-    ``witness`` is the lexicographically first failing subset (member
-    indices), and ``checked`` counts the subsets up to and including it in
-    lexicographic order, or all C(s, q) of them when none fails.
+    The check decides every q-subset.  ``witness`` is the lexicographically
+    first failing subset (member indices), and ``checked`` counts the
+    subsets up to and including it in lexicographic order, or all C(s, q)
+    of them when none fails.
     """
 
     ok: bool
-    exhaustive: bool
     checked: int
     witness: tuple[int, ...] | None = None
 
@@ -500,8 +499,8 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
         found = tuple(range(q - 1)) + (max(first_over, q - 1),)
         witness = found if witness is None else min(witness, found)
     if witness is None:
-        return SubsetCheckResult(True, True, math.comb(s, q))
-    return SubsetCheckResult(False, True, _lex_rank(witness, s) + 1, witness)
+        return SubsetCheckResult(True, math.comb(s, q))
+    return SubsetCheckResult(False, _lex_rank(witness, s) + 1, witness)
 
 
 def _first_missing_subset(

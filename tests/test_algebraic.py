@@ -1,12 +1,16 @@
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boolrank.algebraic import (
     algebraic_family,
     asymptotic_cover,
     ZpFunctionFamily,
+    _rank_mod_p,
     asymptotic_params,
     format_params_line,
     generalized_params,
@@ -28,43 +32,119 @@ class TestPrimes:
             largest_prime_leq(1)
 
 
+def _injective(rows, p):
+    """Whether x -> Mx is injective on Z_p^q, by enumerating every x."""
+    q = len(rows[0])
+    images = {
+        tuple(sum(a * v for a, v in zip(row, x)) % p for row in rows)
+        for x in product(range(p), repeat=q)
+    }
+    return len(images) == p**q
+
+
+def oracle_bijection(fam):
+    """Every row of g_i's value table, with x_1 varying, is a permutation."""
+    expect = np.arange(fam.p, dtype=np.int64)
+    for i in range(1, fam.p):
+        table = fam.evaluate_all(i).reshape(-1, fam.p)
+        if not np.array_equal(np.sort(table, axis=1), np.tile(expect, (table.shape[0], 1))):
+            return False
+    return True
+
+
+def oracle_no_common_collision(fam):
+    """Every q functions' joint values, read as one base-p number per tuple,
+    are distinct over all p^q tuples."""
+    n = fam.p**fam.q
+    values = np.stack([fam.evaluate_all(i) for i in range(1, fam.p)], axis=0)
+    powers = fam.p ** np.arange(fam.q, dtype=np.int64)
+    for subset in combinations(range(fam.p - 1), fam.q):
+        combined = values[list(subset)].T @ powers
+        if np.bincount(combined, minlength=n).max() > 1:
+            return False
+    return True
+
+
+ORACLE_CASES = [
+    (p, q) for p in (2, 3, 5, 7, 11, 13) for q in range(1, p) if p**q <= 10**4
+]
+
+
+class _Degenerate(ZpFunctionFamily):
+    """g_1 ignores x_1 and g_2 repeats g_3, breaking both properties."""
+
+    def coefficients(self, i):
+        if i == 1:
+            return (0,) + super().coefficients(1)[1:]
+        return super().coefficients(3 if i == 2 else i)
+
+
 class TestZpFamily:
     def test_printed_evaluation(self):
         fam = ZpFunctionFamily(5, 2)
-        assert fam.evaluate(2, (3, 4)) == (3 + 2 * 4) % 5 == 1
+        z = 3 + 4 * 5  # x = (3, 4)
+        assert fam.evaluate_all(2)[z] == (3 + 2 * 4) % 5 == 1
 
     def test_unit_index_is_plain_sum(self):
         fam = ZpFunctionFamily(7, 3)
+        g1 = fam.evaluate_all(1)
         for x in [(0, 1, 2), (6, 6, 6), (3, 0, 5)]:
-            assert fam.evaluate(1, x) == sum(x) % 7
+            z = x[0] + 7 * x[1] + 49 * x[2]
+            assert g1[z] == sum(x) % 7
+
+    def test_coefficients(self):
+        assert ZpFunctionFamily(5, 2).coefficients(2) == (1, 2)
+        assert ZpFunctionFamily(7, 3).coefficients(3) == (1, 3, 2)
+        for i in (0, 5):
+            with pytest.raises(DimensionError):
+                ZpFunctionFamily(5, 2).coefficients(i)
 
     def test_properties_small(self):
         fam = ZpFunctionFamily(5, 2)
         assert fam.check_bijection_property()
         assert fam.check_no_common_collision()
 
-    def test_collision_property_matches_bruteforce(self):
-        # independent oracle: scan all index pairs and all tuple pairs
-        fam = ZpFunctionFamily(5, 2)
-        from itertools import combinations, product
+    @pytest.mark.parametrize("p,q", ORACLE_CASES)
+    def test_checks_match_enumeration(self, p, q):
+        fam = ZpFunctionFamily(p, q)
+        assert fam.check_bijection_property() == oracle_bijection(fam)
+        assert fam.check_no_common_collision() == oracle_no_common_collision(fam)
 
-        for i1, i2 in combinations(range(1, 5), 2):
-            seen = {}
-            for x in product(range(5), repeat=2):
-                key = (fam.evaluate(i1, x), fam.evaluate(i2, x))
-                assert key not in seen, (i1, i2, x, seen[key])
-                seen[key] = x
+    @pytest.mark.parametrize("p,q", [(5, 1), (5, 2), (7, 2), (7, 3)])
+    def test_checks_fail_with_enumeration(self, p, q):
+        fam = _Degenerate(p, q)
+        assert not fam.check_bijection_property() and not oracle_bijection(fam)
+        assert not fam.check_no_common_collision()
+        assert not oracle_no_common_collision(fam)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
             ZpFunctionFamily(6, 2)
         with pytest.raises(DimensionError):
             ZpFunctionFamily(5, 5)
-        fam = ZpFunctionFamily(5, 2)
-        with pytest.raises(DimensionError):
-            fam.evaluate(0, (1, 2))
-        with pytest.raises(DimensionError):
-            fam.evaluate(1, (1, 7))
+
+
+class TestRankModP:
+    @given(st.data())
+    def test_full_rank_iff_injective(self, data):
+        p = data.draw(st.sampled_from((2, 3, 5, 7)))
+        q = data.draw(st.integers(1, 3))
+        row = st.lists(st.integers(0, p - 1), min_size=q, max_size=q)
+        rows = data.draw(st.lists(row, min_size=q, max_size=q))
+        assert (_rank_mod_p(rows, p) == q) == _injective(rows, p)
+
+    @pytest.mark.parametrize(
+        "rows,p,rank",
+        [
+            ([[1, 2, 3], [1, 2, 3], [0, 0, 1]], 5, 2),  # repeated row
+            ([[1, 2], [0, 0]], 3, 1),  # zero row
+            ([[1, 2, 3], [3, 6, 2], [0, 1, 0]], 7, 2),  # row 2 is 3 * row 1
+            ([[1, 1], [1, 3]], 2, 1),  # singular mod 2 only
+        ],
+    )
+    def test_singular(self, rows, p, rank):
+        assert _rank_mod_p(rows, p) == rank
+        assert not _injective(rows, p)
 
 
 class TestAlgebraicFamily:
@@ -85,7 +165,7 @@ class TestAlgebraicFamily:
     def test_d2_q2_every_pair_covers(self):
         params, fam = algebraic_family(2, 2)
         res = check_q_covering(crown_matrix(25), fam, 2)
-        assert res and res.exhaustive and res.checked == 6
+        assert res and res.checked == 6
 
     def test_d3_q2_every_pair_covers(self):
         params, fam = algebraic_family(3, 2)

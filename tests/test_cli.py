@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import boolrank
 from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
 from boolrank.cli import main
 from boolrank.cover import parse_cover, parse_family, read_cover
@@ -255,3 +261,41 @@ class TestExitCodes:
         bad.write_text("not a matrix\n")
         code, _, err = run(capsys, "mu", str(bad))
         assert code == 2 and "invalid input" in err
+
+
+class TestOptimizedInterpreter:
+    """Verifiers still fail under ``python -O``, which strips asserts."""
+
+    INPUTS = {
+        "c2.mat": "2 2\n01\n10\n",
+        "half.cov": "COVER 2 2 1\nR 0 C 1\n",
+        # entry (0,1) of c2 lies only in member 0, so n-member 0 alone must cover c2
+        "xy.fam": "FAMILY 2 2 2\nCOVER 2 2 1\nR 0 C 1\nCOVER 2 2 1\nR 1 C 0\n",
+        "yx.fam": "FAMILY 2 2 2\nCOVER 2 2 1\nR 1 C 0\nCOVER 2 2 1\nR 0 C 1\n",
+        # the family (A, A, X): A sums to c2 and X covers a 0 of it
+        "aax.fam": "FAMILY 2 2 3\n" + "COVER 2 2 2\nR 0 C 1\nR 1 C 0\n" * 2
+        + "COVER 2 2 2\nR 0 C 0,1\nR 1 C 0\n",
+    }
+
+    @pytest.mark.parametrize(
+        "argv,line",
+        [
+            (["cover", "c2.mat", "half.cov"], "FAILED entry=(1,0) reason=uncovered one entry"),
+            (
+                ["kron", "c2.mat", "xy.fam", "c2.mat", "yx.fam"],
+                "FAILED entry=(0,1) reason=selected n-members do not cover the second factor",
+            ),
+            (["qcover", "c2.mat", "aax.fam", "2"], "FAILED subset=(0,2) exhaustive=yes"),
+        ],
+    )
+    def test_negative_controls_fail(self, tmp_path, argv, line):
+        for name, text in self.INPUTS.items():
+            (tmp_path / name).write_text(text)
+        src = str(Path(boolrank.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "boolrank", "verify", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, line + "\n")

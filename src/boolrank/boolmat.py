@@ -29,7 +29,8 @@ DEFAULT_MAX_ENTRIES = 2**31
 
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
-#: Entries packed or unpacked at once when parsing or formatting a matrix body.
+#: Entries handled at once by every row-block loop: parsing and formatting a
+#: matrix body, coverage signatures, and the crown's pairwise set tests.
 _BLOCK_ENTRIES = 1 << 22
 
 
@@ -374,7 +375,7 @@ def _format_index_list(idx: Iterable[int]) -> str:
 
 
 def _block_rows(cols: int) -> int:
-    """Rows of a ``cols``-wide matrix body handled at once."""
+    """Rows of a ``cols``-wide block handled at once."""
     return max(1, _BLOCK_ENTRIES // max(1, cols))
 
 

@@ -17,8 +17,6 @@ from .boolmat import _format_index_list, _write_file
 from .cover import _format_rectangle
 from .errors import (
     BudgetExceededError,
-    DimensionError,
-    FormatError,
     MaterializationLimitError,
     VerificationError,
 )
@@ -50,6 +48,11 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_crown(args) -> int:
+    entries, limit = args.n * args.n, boolmat.max_entries_limit()
+    if args.n > 0 and entries > limit:
+        raise MaterializationLimitError(
+            f"crown matrix has {entries} entries, limit is {limit}"
+        )
     _write_or_print(boolmat.format_matrix(crown.crown_matrix(args.n)), args.output)
     return EXIT_OK
 
@@ -344,10 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except (MaterializationLimitError, BudgetExceededError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, DimensionError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError, DimensionError too
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -30,6 +30,7 @@ import numpy as np
 from .boolmat import (
     BoolMatrix,
     _block,
+    _block_rows,
     _end,
     _format_block,
     _format_index_list,
@@ -123,48 +124,37 @@ def cover_matrix(c: Cover) -> BoolMatrix:
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """Equally sized matrices, given as the matrices or as their rank-1
-    decompositions, never both.
+    """Equally sized matrices, held as their rank-1 decompositions only.
 
-    A member of a family of decompositions is derived: it is the Boolean
-    sum of its decomposition's rectangles, built on first use of
-    :attr:`members` and then kept.  Length and dimensions are read from the
-    stored items, so they build no member.
+    A member is derived: it is the Boolean sum of its decomposition's
+    rectangles, built on first use of :attr:`members` and then kept.
+    Length, dimensions and ranks are read from the decompositions, so they
+    build no member.
     """
 
-    items: tuple[BoolMatrix, ...] | tuple[Cover, ...]
+    decompositions: tuple[Cover, ...]
 
     def __post_init__(self):
-        if not self.items:
+        if not self.decompositions:
             raise DimensionError("family must be nonempty")
-        kind = type(self.items[0])
-        if kind not in (BoolMatrix, Cover) or any(type(x) is not kind for x in self.items):
-            raise TypeError("family items must be all matrices or all covers")
-        if any((x.rows, x.cols) != self.dims for x in self.items):
+        if not all(isinstance(d, Cover) for d in self.decompositions):
+            raise TypeError("family members must be given as covers")
+        if any((d.rows, d.cols) != self.dims for d in self.decompositions):
             raise DimensionError("family members must share dimensions")
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.decompositions)
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.items[0].rows, self.items[0].cols
-
-    @property
-    def decompositions(self) -> tuple[Cover, ...] | None:
-        """The members' rank-1 decompositions; None for a family of matrices."""
-        return self.items if isinstance(self.items[0], Cover) else None
+        return self.decompositions[0].rows, self.decompositions[0].cols
 
     @cached_property
     def members(self) -> tuple[BoolMatrix, ...]:
-        if self.decompositions is None:
-            return self.items
         return tuple(map(cover_matrix, self.decompositions))
 
     def ranks(self) -> tuple[int, ...]:
         """Decomposition sizes (upper bounds on the members' Boolean ranks)."""
-        if self.decompositions is None:
-            raise ValueError("family carries no decompositions")
         return tuple(d.size for d in self.decompositions)
 
 
@@ -183,8 +173,6 @@ class KronCoverDescription:
     n_family: MatrixFamily
 
     def __post_init__(self):
-        if self.m_family.decompositions is None or self.n_family.decompositions is None:
-            raise ValueError("both families must carry rank-1 decompositions")
         if len(self.m_family) != len(self.n_family):
             raise DimensionError("families must have equal length")
 
@@ -288,9 +276,6 @@ def verify_cover(a: BoolMatrix, c: Cover) -> VerifyResult:
 
 # -- lazy hypothesis verification --------------------------------------------
 
-_BLOCK_ENTRIES = 1 << 22
-
-
 def _signature_dtype(s: int) -> np.dtype:
     """Narrowest unsigned type with one bit per member (uint64 planes past 64)."""
     for nbytes in (1, 2, 4):
@@ -312,7 +297,7 @@ def _signature_blocks(members: Sequence[BoolMatrix]) -> Iterator[tuple[int, np.n
     dtype = _signature_dtype(s)
     width = 8 * dtype.itemsize
     planes = -(-s // width)
-    block = max(1, _BLOCK_ENTRIES // max(1, cols))
+    block = _block_rows(cols)
     for row0 in range(0, rows, block):
         row1 = min(rows, row0 + block)
         sig = np.zeros((row1 - row0, cols, planes), dtype=dtype)
@@ -656,8 +641,6 @@ def parse_cover(text: str) -> Cover:
 
 
 def format_family(fam: MatrixFamily) -> str:
-    if fam.decompositions is None:
-        raise ValueError("family format requires rank-1 decompositions")
     header = _format_block("FAMILY", (*fam.dims, len(fam)), ())
     return header + "".join(map(format_cover, fam.decompositions))
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .boolmat import (
     BoolMatrix,
+    _block_rows,
     _format_block,
     _format_index_list,
     _parse_block,
@@ -137,7 +138,7 @@ def family_matrix(f: SubsetFamily) -> BoolMatrix:
     comp = full & ~masks
     nbytes = (n + 7) // 8
     bits = np.zeros((n, nbytes), dtype=np.uint8)
-    block = max(1, (1 << 22) // max(1, n))
+    block = _block_rows(n)
     for r0 in range(0, n, block):
         r1 = min(n, r0 + block)
         inter = (masks[r0:r1, None] & comp[None, :]) != 0
@@ -300,7 +301,7 @@ def is_L_intersection_shifting(h: FamilyBijection, L: Sequence[int]) -> bool:
     comp = full & ~d_masks
     comp_h = full & ~h_masks
     n = len(d_masks)
-    block = max(1, (1 << 22) // max(1, n))
+    block = _block_rows(n)
     for r0 in range(0, n, block):
         r1 = min(n, r0 + block)
         inter = d_masks[r0:r1, None] & comp[None, :]
@@ -341,7 +342,7 @@ def triple_cover(
         raise VerificationError(
             f"bijection is not [{r}]-preserving and [{r}]-intersection shifting"
         )
-    f_prime = SubsetFamily(k, ell, tuple(h.apply(s) for s in fam.sets))
+    f_prime = SubsetFamily(k, ell, h.images)
 
     def summed(source: SubsetFamily, ts: range) -> Cover:
         return Cover(n, n, tuple(intersection_rectangle(source, t) for t in ts))
@@ -364,8 +365,6 @@ def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
     rows, cols = fam.dims
     if n > rows or n > cols:
         raise DimensionError(f"cannot restrict {rows}x{cols} family to {n}")
-    if fam.decompositions is None:
-        raise ValueError("family carries no decompositions")
     covers = []
     for d in fam.decompositions:
         rects = []

@@ -49,7 +49,7 @@ class Spanoid:
     independent of the order elements are added in.
     """
 
-    universe: tuple
+    universe: Sequence
 
     def __len__(self) -> int:
         return len(self.universe)
@@ -81,7 +81,7 @@ class RuleSpanoid(Spanoid):
     def __init__(self, size: int, rules: Sequence[tuple[frozenset[int], int]]):
         if size < 0:
             raise DimensionError("universe size must be non-negative")
-        self.universe = tuple(range(size))
+        self.universe = range(size)
         self.rules = tuple((frozenset(s), i) for s, i in rules)
         for s, i in self.rules:
             if not 0 <= i < size or any(not 0 <= x < size for x in s):

@@ -247,6 +247,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "kron", mat, mat)
         assert code == 3 and "budget exceeded" in err
 
+    def test_crown_above_limit_exit_3(self, capsys, tmp_path, monkeypatch):
+        # the limit is checked before the crown is allocated or written
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "15")
+        path = tmp_path / "c4.mat"
+        code, out, err = run(capsys, "crown", "4", "-o", str(path))
+        assert code == 3 and out == "" and "budget exceeded" in err
+        assert not path.exists()
+        code, out, _ = run(capsys, "crown", "3")
+        assert code == 0 and parse_matrix(out) == crown_matrix(3)
+
     @pytest.mark.parametrize("value", ["abc", "-5", "1e9", "+7", " 7"])
     def test_bad_max_entries_exit_2(self, capsys, tmp_path, monkeypatch, value):
         monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", value)

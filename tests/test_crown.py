@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from boolrank import boolmat
 from boolrank.boolmat import BoolMatrix, dominated_by, kronecker
 from boolrank.cover import (
     check_half_covering,
@@ -136,6 +137,17 @@ class TestBijections:
         assert set(g.images) == set(g.domain.sets)
         for s, img in zip(g.domain.sets, g.images):
             assert not set(s) & set(img)
+
+    def test_row_blocks_do_not_change_results(self, monkeypatch):
+        # family_matrix and the shifting check walk boolmat's row blocks:
+        # 2 rows each here, so 35 rows end on a partial block
+        fam = canonical_family(7, 35)
+        h = build_h(7, 1)
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 70)
+        assert boolmat._block_rows(35) == 2
+        assert family_matrix(fam) == crown_matrix(35)
+        assert is_L_intersection_shifting(h, [1])
+        assert not is_L_intersection_shifting(FamilyBijection(fam, fam.sets), [1])
 
     def test_h_hand_example(self):
         h = build_h(5, 1)

@@ -241,6 +241,21 @@ class TestFormats:
         back = parse_spanoid(format_rule_spanoid(s))
         assert back.rules == s.rules and len(back.universe) == 4
 
+    def test_header_universe_allocates_nothing(self, tmp_path):
+        import tracemalloc
+
+        from boolrank.spanoid import read_spanoid
+
+        (tmp_path / "big.txt").write_text("SPANOID 1000000000 0\n")
+        tracemalloc.start()
+        try:
+            s = read_spanoid(str(tmp_path / "big.txt"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 10**9 and s.rules == ()
+        assert peak < 1 << 20
+
     def test_exact_text(self):
         s = RuleSpanoid(3, [(frozenset({0, 2}), 1)])
         assert format_rule_spanoid(s) == "SPANOID 3 1\nS: 0,2 -> 1\n"

@@ -5,33 +5,48 @@ stdout), 2 invalid input or parameters, 3 budget or materialization limit
 exceeded.  Certificates go to stdout, diagnostics to stderr.  The
 materialization limit can be overridden with the BOOLRANK_MAX_ENTRIES
 environment variable (a non-negative decimal integer).
+
+Each command registers once, beside its handler, through :func:`command`.
+A handler takes the parsed arguments and returns the text it certifies; it
+fails by raising.  A verifier that rejects its input raises
+``VerificationError`` with the witness text.  :func:`main` alone writes the
+text, to ``-o`` or to stdout, and alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from . import algebraic, boolmat, bounds, cover, crown, spanoid
 from .boolmat import _format_index_list, _write_file
 from .cover import _format_rectangle
-from .errors import (
-    BudgetExceededError,
-    MaterializationLimitError,
-    VerificationError,
-)
+from .errors import BudgetExceededError, MaterializationLimitError, VerificationError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
+GROUP_HELP = {"cover": "constructions", "verify": "verifications",
+              "rank": "exact Boolean rank", "bound": "lower bounds",
+              "spanoid": "spanoid rank operations"}
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(out, text)
+Handler = Callable[[argparse.Namespace], str]
+
+# command words -> (help, argument specs, handler), in registration order.
+# A spec is "name" (a file), "name:int", "--name:int", or "-o" (write the
+# text to a file instead of stdout).
+COMMANDS: dict[str, tuple[str, tuple[str, ...], Handler]] = {}
+
+
+def command(words: str, help: str, *spec: str) -> Callable[[Handler], Handler]:
+    """Register the decorated handler as ``boolrank <words>``."""
+    def register(handler: Handler) -> Handler:
+        COMMANDS[words] = (help, spec, handler)
+        return handler
+    return register
 
 
 def _entry_str(witness) -> str:
@@ -42,173 +57,165 @@ def _entry_str(witness) -> str:
     return str(witness)
 
 
-def _cmd_sigma(args) -> int:
-    print(crown.sigma(args.n))
-    return EXIT_OK
+@command("sigma", "Boolean rank of the order-n crown", "n:int")
+def _cmd_sigma(args) -> str:
+    return f"{crown.sigma(args.n)}\n"
 
 
-def _cmd_crown(args) -> int:
-    entries, limit = args.n * args.n, boolmat.max_entries_limit()
-    if args.n > 0 and entries > limit:
-        raise MaterializationLimitError(
-            f"crown matrix has {entries} entries, limit is {limit}"
-        )
-    _write_or_print(boolmat.format_matrix(crown.crown_matrix(args.n)), args.output)
-    return EXIT_OK
+@command("crown", "write the order-n crown matrix", "n:int", "-o")
+def _cmd_crown(args) -> str:
+    size, limit = args.n * args.n, boolmat.max_entries_limit()
+    if args.n > 0 and size > limit:
+        raise MaterializationLimitError(f"crown matrix has {size} entries, limit is {limit}")
+    return boolmat.format_matrix(crown.crown_matrix(args.n))
 
 
-def _cmd_kron(args) -> int:
+@command("kron", "materialize a Kronecker product", "a", "b", "-o")
+def _cmd_kron(args) -> str:
     a = boolmat.read_matrix(args.a)
     b = boolmat.read_matrix(args.b)
-    _write_or_print(boolmat.format_matrix(boolmat.kronecker(a, b)), args.output)
-    return EXIT_OK
+    return boolmat.format_matrix(boolmat.kronecker(a, b))
 
 
-def _cmd_cover_canonical(args) -> int:
+@command("cover canonical", "sigma(n)-rectangle cover of the crown", "n:int", "-o")
+def _cmd_cover_canonical(args) -> str:
     fam = crown.canonical_family(crown.sigma(args.n), args.n)
-    _write_or_print(cover.format_cover(crown.family_cover(fam)), args.output)
-    return EXIT_OK
+    return cover.format_cover(crown.family_cover(fam))
 
 
-def _cmd_cover_triple(args) -> int:
-    fam = crown.triple_cover(args.k, args.r)
-    _write_or_print(cover.format_family(fam), args.output)
-    return EXIT_OK
+@command("cover triple", "(r, k-r, k-r) coverable triple", "k:int", "r:int", "-o")
+def _cmd_cover_triple(args) -> str:
+    return cover.format_family(crown.triple_cover(args.k, args.r))
 
 
-def _cmd_cover_c4(args) -> int:
-    _write_or_print(cover.format_family(crown.c4_triple()), args.output)
-    return EXIT_OK
+@command("cover c4", "the explicit (2,2,2) triple for the order-4 crown", "-o")
+def _cmd_cover_c4(args) -> str:
+    return cover.format_family(crown.c4_triple())
 
 
-def _cmd_cover_c5(args) -> int:
-    _write_or_print(cover.format_family(crown.c5_triple()), args.output)
-    return EXIT_OK
+@command("cover c5", "the explicit (2,2,3) triple for the order-5 crown", "-o")
+def _cmd_cover_c5(args) -> str:
+    return cover.format_family(crown.c5_triple())
 
 
-def _cmd_cover_gap(args) -> int:
+@command("cover gap", "cover of crown(n) (x) crown(m) beating the product",
+         "n:int", "m:int", "-o")
+def _cmd_cover_gap(args) -> str:
     c = crown.gap_cover(args.n, args.m)
-    _write_or_print(cover.format_cover(c), args.output)
     print(f"SIZE {c.size}", file=sys.stderr)
-    return EXIT_OK
+    return cover.format_cover(c)
 
 
-def _cmd_cover_algebraic(args) -> int:
+@command("cover algebraic", "every-q-cover matrix family", "d:int", "q:int", "-o")
+def _cmd_cover_algebraic(args) -> str:
     _, fam = algebraic.algebraic_family(args.d, args.q)
-    _write_or_print(cover.format_family(fam), args.output)
-    return EXIT_OK
+    return cover.format_family(fam)
 
 
-def _cmd_cover_asymptotic(args) -> int:
+@command("cover asymptotic", "asymptotic pipeline parameter report",
+         "n:int", "--q:int", "--s:int")
+def _cmd_cover_asymptotic(args) -> str:
     result = algebraic.asymptotic_cover(args.n, args.q, args.s)
-    print(algebraic.format_params_line(result.params))
+    params = algebraic.format_params_line(result.params) + "\n"
     if result.feasible:
-        print(f"SIZE {result.description.size} VERIFIED")
-    else:
-        print(result.message, file=sys.stderr)
-    return EXIT_OK
+        return params + f"SIZE {result.description.size} VERIFIED\n"
+    print(result.message, file=sys.stderr)
+    return params
 
 
-def _cmd_verify_cover(args) -> int:
+@command("verify cover", "check a cover file against a matrix", "matrix", "cover")
+def _cmd_verify_cover(args) -> str:
     a = boolmat.read_matrix(args.matrix)
     c = cover.read_cover(args.cover)
     res = cover.verify_cover(a, c)
-    if res:
-        print(f"VERIFIED cover size={c.size}")
-        return EXIT_OK
-    print(f"FAILED entry={_entry_str(res.witness)} reason={res.reason}")
-    return EXIT_FAILED
+    if not res:
+        raise VerificationError(f"entry={_entry_str(res.witness)} reason={res.reason}")
+    return f"VERIFIED cover size={c.size}\n"
 
 
-def _cmd_verify_kron(args) -> int:
+@command("verify kron", "lazy composition-hypothesis check", "a", "fam_m", "b", "fam_n")
+def _cmd_verify_kron(args) -> str:
     a = boolmat.read_matrix(args.a)
     m_fam = cover.read_family(args.fam_m)
     b = boolmat.read_matrix(args.b)
     n_fam = cover.read_family(args.fam_n)
     res = cover.verify_kron_hypotheses(a, m_fam, b, n_fam)
-    if res:
-        size = cover.KronCoverDescription(m_fam, n_fam).size
-        print(f"VERIFIED kron-hypotheses size={size}")
-        return EXIT_OK
-    print(f"FAILED entry={_entry_str(res.witness)} reason={res.reason}")
-    return EXIT_FAILED
+    if not res:
+        raise VerificationError(f"entry={_entry_str(res.witness)} reason={res.reason}")
+    size = cover.KronCoverDescription(m_fam, n_fam).size
+    return f"VERIFIED kron-hypotheses size={size}\n"
 
 
-def _cmd_verify_qcover(args) -> int:
+@command("verify qcover", "every q members cover the matrix", "matrix", "family", "q:int")
+def _cmd_verify_qcover(args) -> str:
     a = boolmat.read_matrix(args.matrix)
     fam = cover.read_family(args.family)
     res = cover.check_q_covering(a, fam, args.q)
-    if res:
-        print(f"VERIFIED qcover q={args.q} subsets={res.checked} exhaustive=yes")
-        return EXIT_OK
-    print(f"FAILED subset={_entry_str(res.witness)} exhaustive=yes")
-    return EXIT_FAILED
+    if not res:
+        raise VerificationError(f"subset={_entry_str(res.witness)} exhaustive=yes")
+    return f"VERIFIED qcover q={args.q} subsets={res.checked} exhaustive=yes\n"
 
 
-def _cmd_rank_exact(args) -> int:
+@command("rank exact", "certified exact Boolean rank", "matrix", "--limit:int")
+def _cmd_rank_exact(args) -> str:
     a = boolmat.read_matrix(args.matrix)
     cert = bounds.exact_boolean_rank(a, limit=args.limit)
-    sys.stdout.write(bounds.format_rank_certificate(cert))
-    if cert.exact:
-        print(f"RANK {cert.value}")
-    else:
-        print(f"RANK >= {cert.lower}")
-    return EXIT_OK
+    rank = cert.value if cert.exact else f">= {cert.lower}"
+    return bounds.format_rank_certificate(cert) + f"RANK {rank}\n"
 
 
-def _cmd_bound_lower(args) -> int:
+@command("bound lower", "lower bounds for the rank of a Kronecker product", "a", "b")
+def _cmd_bound_lower(args) -> str:
     a = boolmat.read_matrix(args.a)
     b = boolmat.read_matrix(args.b)
     res = bounds.kron_lower_bound(a, b)
-    print(f"LOWER kind=mu value={res.value}")
-    print(f"LOWER kind=isolation value={res.isolation_bound}")
-    return EXIT_OK
+    return (f"LOWER kind=mu value={res.value}\n"
+            f"LOWER kind=isolation value={res.isolation_bound}\n")
 
 
-def _cmd_isolation(args) -> int:
-    a = boolmat.read_matrix(args.matrix)
-    res = bounds.isolation_number(a)
+@command("isolation", "isolation (fooling-set) number", "matrix")
+def _cmd_isolation(args) -> str:
+    res = bounds.isolation_number(boolmat.read_matrix(args.matrix))
     witness = ",".join(map(_entry_str, res.witness))
     kind = "value" if res.exact else "lower-bound"
-    print(f"ISOLATION {kind}={res.value} witness={witness}")
-    return EXIT_OK
+    return f"ISOLATION {kind}={res.value} witness={witness}\n"
 
 
-def _cmd_mu(args) -> int:
-    a = boolmat.read_matrix(args.matrix)
-    res = bounds.mu(a)
+@command("mu", "density lower-bound ratio", "matrix")
+def _cmd_mu(args) -> str:
+    res = bounds.mu(boolmat.read_matrix(args.matrix))
     rect = _format_rectangle(res.witness)
-    print(f"MU value={res.value} ones={res.ones} maxrect={res.max_rectangle_area} {rect}")
-    return EXIT_OK
+    return f"MU value={res.value} ones={res.ones} maxrect={res.max_rectangle_area} {rect}\n"
 
 
-def _print_spanoid_rank(sp: spanoid.Spanoid) -> int:
+def _rank_text(sp: spanoid.Spanoid) -> str:
     res = spanoid.spanoid_rank(sp)
-    print(f"RANK value={res.value} witness={_format_index_list(res.witness)}")
-    return EXIT_OK
+    return f"RANK value={res.value} witness={_format_index_list(res.witness)}\n"
 
 
-def _cmd_spanoid_rank(args) -> int:
-    return _print_spanoid_rank(spanoid.read_spanoid(args.file))
+@command("spanoid rank", "rank of a spanoid", "file")
+def _cmd_spanoid_rank(args) -> str:
+    return _rank_text(spanoid.read_spanoid(args.file))
 
 
-def _cmd_spanoid_product_rank(args) -> int:
+@command("spanoid product-rank", "rank of the product of two spanoids", "f1", "f2")
+def _cmd_spanoid_product_rank(args) -> str:
     s1 = spanoid.read_spanoid(args.f1)
     s2 = spanoid.read_spanoid(args.f2)
-    return _print_spanoid_rank(spanoid.ProductSpanoid(s1, s2))
+    return _rank_text(spanoid.ProductSpanoid(s1, s2))
 
 
-def _cmd_spanoid_bound(args) -> int:
+@command("spanoid bound", "check an upper bound on the product rank",
+         "f1", "f2", "msets", "nsets")
+def _cmd_spanoid_bound(args) -> str:
     s1 = spanoid.read_spanoid(args.f1)
     s2 = spanoid.read_spanoid(args.f2)
     m_sets = spanoid.read_index_sets(args.msets)
     n_sets = spanoid.read_index_sets(args.nsets)
     res = spanoid.check_product_bound(s1, s2, m_sets, n_sets)
-    if res:
-        print(f"BOUND value={res.bound}")
-        return EXIT_OK
-    print(f"FAILED witness={_entry_str(res.witness)}")
-    return EXIT_FAILED
+    if not res:
+        raise VerificationError(f"witness={_entry_str(res.witness)}")
+    return f"BOUND value={res.bound}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,130 +224,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Constructs and verifies rectangle covers of Boolean "
         "matrices and their Kronecker products.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sigma", help="Boolean rank of the order-n crown")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_sigma)
-
-    p = sub.add_parser("crown", help="write the order-n crown matrix")
-    p.add_argument("n", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_crown)
-
-    p = sub.add_parser("kron", help="materialize a Kronecker product")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_kron)
-
-    pc = sub.add_parser("cover", help="constructions")
-    csub = pc.add_subparsers(dest="construction", required=True)
-
-    p = csub.add_parser("canonical", help="sigma(n)-rectangle cover of the crown")
-    p.add_argument("n", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cover_canonical)
-
-    p = csub.add_parser("triple", help="(r, k-r, k-r) coverable triple")
-    p.add_argument("k", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cover_triple)
-
-    p = csub.add_parser("c4", help="the explicit (2,2,2) triple for the order-4 crown")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cover_c4)
-
-    p = csub.add_parser("c5", help="the explicit (2,2,3) triple for the order-5 crown")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cover_c5)
-
-    p = csub.add_parser("gap", help="cover of crown(n) (x) crown(m) beating the product")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cover_gap)
-
-    p = csub.add_parser("algebraic", help="every-q-cover matrix family")
-    p.add_argument("d", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_cover_algebraic)
-
-    p = csub.add_parser("asymptotic", help="asymptotic pipeline parameter report")
-    p.add_argument("n", type=int)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.set_defaults(func=_cmd_cover_asymptotic)
-
-    pv = sub.add_parser("verify", help="verifications")
-    vsub = pv.add_subparsers(dest="verification", required=True)
-
-    p = vsub.add_parser("cover", help="check a cover file against a matrix")
-    p.add_argument("matrix")
-    p.add_argument("cover")
-    p.set_defaults(func=_cmd_verify_cover)
-
-    p = vsub.add_parser("kron", help="lazy composition-hypothesis check")
-    p.add_argument("a")
-    p.add_argument("fam_m")
-    p.add_argument("b")
-    p.add_argument("fam_n")
-    p.set_defaults(func=_cmd_verify_kron)
-
-    p = vsub.add_parser("qcover", help="every q members cover the matrix")
-    p.add_argument("matrix")
-    p.add_argument("family")
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_verify_qcover)
-
-    pr = sub.add_parser("rank", help="exact Boolean rank")
-    rsub = pr.add_subparsers(dest="mode", required=True)
-    p = rsub.add_parser("exact")
-    p.add_argument("matrix")
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=_cmd_rank_exact)
-
-    pb = sub.add_parser("bound", help="lower bounds")
-    bsub = pb.add_subparsers(dest="mode", required=True)
-    p = bsub.add_parser("lower")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=_cmd_bound_lower)
-
-    p = sub.add_parser("isolation", help="isolation (fooling-set) number")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_isolation)
-
-    p = sub.add_parser("mu", help="density lower-bound ratio")
-    p.add_argument("matrix")
-    p.set_defaults(func=_cmd_mu)
-
-    ps = sub.add_parser("spanoid", help="spanoid rank operations")
-    ssub = ps.add_subparsers(dest="mode", required=True)
-    p = ssub.add_parser("rank")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_spanoid_rank)
-    p = ssub.add_parser("product-rank")
-    p.add_argument("f1")
-    p.add_argument("f2")
-    p.set_defaults(func=_cmd_spanoid_product_rank)
-    p = ssub.add_parser("bound")
-    p.add_argument("f1")
-    p.add_argument("f2")
-    p.add_argument("msets")
-    p.add_argument("nsets")
-    p.set_defaults(func=_cmd_spanoid_bound)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for words, (help_text, spec, handler) in COMMANDS.items():
+        group, _, name = words.rpartition(" ")
+        if group not in groups:
+            p = groups[""].add_parser(group, help=GROUP_HELP[group])
+            groups[group] = p.add_subparsers(dest="command", required=True)
+        p = groups[group].add_parser(name, help=help_text)
+        for arg in spec:
+            arg_name, _, kind = arg.partition(":")
+            names = ("-o", "--output") if arg == "-o" else (arg_name,)
+            p.add_argument(*names, type=int if kind == "int" else None)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if getattr(args, "output", None) is None:
+            sys.stdout.write(text)
+        else:
+            _write_file(args.output, text)
     except VerificationError as exc:
         print(f"FAILED {exc}", file=sys.stdout)
         return EXIT_FAILED
@@ -350,6 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # FormatError, DimensionError too
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    return EXIT_OK
 
 
 if __name__ == "__main__":

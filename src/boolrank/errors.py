@@ -2,8 +2,8 @@
 
 The CLI maps these onto its exit codes: format and parameter problems are
 "invalid input" (exit 2), materialization and search budgets are "budget
-exceeded" (exit 3).  A failed verification is not an exception; it is a
-falsy result object carrying a witness.
+exceeded" (exit 3).  A library verifier returns a falsy result carrying a
+witness; the CLI turns it into a ``VerificationError`` (exit 1).
 """
 
 

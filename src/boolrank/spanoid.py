@@ -168,9 +168,8 @@ class ProductSpanoid(Spanoid):
         self.s1 = s1
         self.s2 = s2
         self.n2 = len(s2.universe)
-        self.universe = tuple(
-            (i, j) for i in range(len(s1.universe)) for j in range(len(s2.universe))
-        )
+        # element (i, j) is index i * n2 + j, so nothing is allocated per element
+        self.universe = range(len(s1.universe) * self.n2)
 
     def infers(self, subset: frozenset[int], idx: int) -> bool:
         if idx in subset:
@@ -182,8 +181,37 @@ class ProductSpanoid(Spanoid):
         proj2 = frozenset(s % self.n2 for s in subset if s // self.n2 == i)
         return self.s2.infers(proj2, j)
 
+    def span(self, t: Iterable[int]) -> frozenset[int]:
+        # Each product rule acts within one column (s1) or one row (s2), so
+        # closing every line in turn until nothing is added reaches the same
+        # fixpoint.  Empty lines too: a rule with an empty premise fires there.
+        n1, n2 = len(self.s1.universe), self.n2
+        current = set(t)
+        cols: list[list[int]] = [[] for _ in range(n2)]
+        for idx in current:
+            if not 0 <= idx < len(self.universe):
+                raise DimensionError(f"element {idx} outside universe")
+            cols[idx % n2].append(idx // n2)
+        size = len(current)
+        while True:
+            rows = [self.s2.span(r) for r in _transpose(map(self.s1.span, cols), n1)]
+            cols = _transpose(rows, n2)
+            grown = sum(map(len, rows))
+            if grown == size:
+                return frozenset(i * n2 + j for i, row in enumerate(rows) for j in row)
+            size = grown
+
     def pair_index(self, i: int, j: int) -> int:
         return i * self.n2 + j
+
+
+def _transpose(lines: Iterable[Iterable[int]], n: int) -> list[list[int]]:
+    """Line b of the result lists every a whose line a holds b."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for a, line in enumerate(lines):
+        for b in line:
+            out[b].append(a)
+    return out
 
 
 @dataclass(frozen=True)

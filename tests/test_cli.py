@@ -7,7 +7,7 @@ import pytest
 
 import boolrank
 from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
-from boolrank.cli import main
+from boolrank.cli import COMMANDS, GROUP_HELP, main
 from boolrank.cover import parse_cover, parse_family, read_cover
 from boolrank.crown import crown_matrix
 
@@ -309,3 +309,62 @@ class TestOptimizedInterpreter:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (1, line + "\n")
+
+
+def positionals(spec):
+    """(name, is_int) of each positional argument in a command's spec."""
+    return [(s.partition(":")[0], s.endswith(":int")) for s in spec if not s.startswith("-")]
+
+
+def commands_where(keep):
+    return [words for words, (_, spec, _) in COMMANDS.items() if keep(spec)]
+
+
+class TestExitCodeContract:
+    """Exit codes of every registered command: a new command joins each test
+    whose condition its argument spec meets."""
+
+    # valid values of the int positionals of the writers
+    SAMPLE = {"n": "7", "m": "7", "k": "5", "r": "1", "d": "2", "q": "2"}
+
+    @pytest.mark.parametrize(
+        "words", commands_where(lambda spec: any(not i for _, i in positionals(spec)))
+    )
+    def test_missing_file_exit_2(self, capsys, tmp_path, words):
+        spec = COMMANDS[words][1]
+        missing = str(tmp_path / "missing")
+        argv = [*words.split(), *("1" if i else missing for _, i in positionals(spec))]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("invalid input:")
+
+    @pytest.mark.parametrize(
+        "words",
+        commands_where(lambda spec: positionals(spec) and all(i for _, i in positionals(spec))),
+    )
+    def test_zero_int_exit_2(self, capsys, words):
+        argv = [*words.split(), *("0" for _ in positionals(COMMANDS[words][1]))]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("invalid input:")
+
+    @pytest.mark.parametrize("words", commands_where(lambda spec: "-o" in spec))
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, words):
+        mat = str(tmp_path / "c2.mat")
+        write_matrix(mat, crown_matrix(2))
+        target = str(tmp_path / "no-such-dir" / "x")
+        args = (self.SAMPLE[name] if i else mat for name, i in positionals(COMMANDS[words][1]))
+        code, out, err = run(capsys, *words.split(), *args, "-o", target)
+        assert (code, out) == (2, "") and "invalid input:" in err and target in err
+
+    # no command, an unknown one, a group without its command, and every
+    # command given one positional too many
+    USAGE_ERRORS = [[], ["no-such-command"], *([group] for group in GROUP_HELP)] + [
+        [*words.split(), *("1" for _ in positionals(spec)), "extra"]
+        for words, (_, spec, _) in COMMANDS.items()
+    ]
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "none")
+    def test_usage_error_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

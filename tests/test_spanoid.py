@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boolrank.boolmat import BoolMatrix, kronecker
 from boolrank.bounds import exact_boolean_rank
@@ -10,6 +12,7 @@ from boolrank.spanoid import (
     MatrixSpanoid,
     ProductSpanoid,
     RuleSpanoid,
+    Spanoid,
     check_product_bound,
     format_rule_spanoid,
     parse_index_sets,
@@ -24,6 +27,21 @@ def all_matrices(max_dim=3):
             for bits in range(1 << (r * c)):
                 dense = [[(bits >> (i * c + j)) & 1 for j in range(c)] for i in range(r)]
                 yield BoolMatrix.from_dense(dense)
+
+
+@st.composite
+def small_spanoids(draw):
+    """A rule spanoid on at most 4 elements (empty premises allowed), or the
+    spanoid of a matrix of at most 2 x 2."""
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        bits = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+        return MatrixSpanoid(BoolMatrix.from_dense([bits[i * cols:(i + 1) * cols] for i in range(rows)]))
+    u = draw(st.integers(0, 4))
+    if u == 0:
+        return RuleSpanoid(0, [])
+    element = st.integers(0, u - 1)
+    return RuleSpanoid(u, draw(st.lists(st.tuples(st.frozensets(element), element), max_size=5)))
 
 
 def rand_rule_spanoid(rng, size, n_rules):
@@ -179,6 +197,33 @@ class TestProduct:
         big = ProductSpanoid(s, s)
         with pytest.raises(BudgetExceededError):
             spanoid_rank(big)
+
+    def test_universe_allocates_nothing(self):
+        import tracemalloc
+
+        s = MatrixSpanoid(BoolMatrix.ones(6, 6))
+        tracemalloc.start()
+        try:
+            big = ProductSpanoid(s, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(big) == 63**4 and peak < 1 << 20
+        with pytest.raises(BudgetExceededError):
+            spanoid_rank(big)
+
+    # a rule with an empty premise fires on every line, empty ones included
+    @example(RuleSpanoid(2, [(frozenset(), 1)]), RuleSpanoid(2, []), frozenset())
+    @given(small_spanoids(), small_spanoids(), st.frozensets(st.integers(0, 80)))
+    def test_span_matches_generic_fixpoint(self, s1, s2, raw):
+        prod = ProductSpanoid(s1, s2)
+        t = {x % len(prod) for x in raw} if len(prod) else set()
+        assert prod.span(t) == Spanoid.span(prod, t)
+
+    def test_span_rejects_outside_element(self):
+        s = MatrixSpanoid(crown_matrix(2))
+        with pytest.raises(DimensionError):
+            ProductSpanoid(s, s).span([len(s) ** 2])
 
 
 class TestProductBound:

@@ -7,20 +7,23 @@ materialization limit can be overridden with the BOOLRANK_MAX_ENTRIES
 environment variable (a non-negative decimal integer).
 
 Each command registers once, beside its handler, through :func:`command`.
-A handler takes the parsed arguments and returns the text it certifies; it
-fails by raising.  A verifier that rejects its input raises
-``VerificationError`` with the witness text.  :func:`main` alone writes the
-text, to ``-o`` or to stdout, and alone maps exceptions to exit codes.
+A handler takes the parsed arguments and returns the text it certifies,
+as one string or as an iterable of its lines (each ending in a newline);
+it fails by raising, before it returns.  A verifier that rejects its input
+raises ``VerificationError`` with the witness text.  :func:`main` alone
+writes the text, to ``-o`` or to stdout, with one ``writelines`` call, and
+alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from contextlib import nullcontext
+from typing import Callable, Iterable, Iterator
 
 from . import algebraic, boolmat, bounds, cover, crown, spanoid
-from .boolmat import _format_index_list, _write_file
+from .boolmat import _format_index_list
 from .cover import _format_rectangle
 from .errors import BudgetExceededError, MaterializationLimitError, VerificationError
 
@@ -33,7 +36,7 @@ GROUP_HELP = {"cover": "constructions", "verify": "verifications",
               "rank": "exact Boolean rank", "bound": "lower bounds",
               "spanoid": "spanoid rank operations"}
 
-Handler = Callable[[argparse.Namespace], str]
+Handler = Callable[[argparse.Namespace], str | Iterable[str]]
 
 # command words -> (help, argument specs, handler), in registration order.
 # A spec is "name" (a file), "name:int", "--name:int", or "-o" (write the
@@ -100,10 +103,11 @@ def _cmd_cover_c5(args) -> str:
 
 @command("cover gap", "cover of crown(n) (x) crown(m) beating the product",
          "n:int", "m:int", "-o")
-def _cmd_cover_gap(args) -> str:
-    c = crown.gap_cover(args.n, args.m)
-    print(f"SIZE {c.size}", file=sys.stderr)
-    return cover.format_cover(c)
+def _cmd_cover_gap(args) -> Iterator[str]:
+    m_fam, n_fam = crown.gap_families(args.n, args.m)
+    description = cover.compose_kron_description(m_fam, n_fam)
+    print(f"SIZE {description.size}", file=sys.stderr)
+    return cover.kron_cover_lines(description)
 
 
 @command("cover algebraic", "every-q-cover matrix family", "d:int", "q:int", "-o")
@@ -242,11 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = args.func(args)
-        if getattr(args, "output", None) is None:
-            sys.stdout.write(text)
-        else:
-            _write_file(args.output, text)
+        result = args.func(args)
+        lines = [result] if isinstance(result, str) else result
+        output = getattr(args, "output", None)
+        with nullcontext(sys.stdout) if output is None else open(output, "w") as out:
+            out.writelines(lines)
     except VerificationError as exc:
         print(f"FAILED {exc}", file=sys.stdout)
         return EXIT_FAILED

@@ -399,6 +399,18 @@ def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
     they cover (the Boolean sums of the families); rectangles are emitted
     as all products of the t-th decompositions, t-major.
     """
+    return compose_kron_description(m_fam, n_fam).to_cover()
+
+
+def compose_kron_description(
+    m_fam: MatrixFamily, n_fam: MatrixFamily
+) -> KronCoverDescription:
+    """The product cover of :func:`compose_kron_cover`, in factored form.
+
+    The composition hypotheses are checked for the matrices the families
+    cover (their Boolean sums); a :class:`VerificationError` is raised
+    when they fail.
+    """
     description = KronCoverDescription(m_fam, n_fam)
     a = boolean_sum(m_fam.members)
     b = boolean_sum(n_fam.members)
@@ -408,7 +420,7 @@ def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
             f"composition hypotheses fail at entry {res.witness}: {res.reason}",
             witness=res.witness,
         )
-    return description.to_cover()
+    return description
 
 
 def best_triple_pairing(
@@ -603,14 +615,66 @@ def extract_families(
 
 # -- text formats -------------------------------------------------------------
 
+def _rect_line(rows: str, cols: str) -> str:
+    """A cover body line from the text of its two index lists."""
+    return f"R {rows} C {cols}"
+
+
 def _format_rectangle(r: Rectangle) -> str:
-    return f"R {_format_index_list(r.row_set)} C {_format_index_list(r.col_set)}"
+    return _rect_line(_format_index_list(r.row_set), _format_index_list(r.col_set))
 
 
 def format_cover(c: Cover) -> str:
     return _format_block(
         "COVER", (c.rows, c.cols, c.size), map(_format_rectangle, c.rects)
     )
+
+
+def _runs(
+    digits: list[str],
+    width: int,
+    outer: Sequence[tuple[int, ...]],
+    inner: Sequence[tuple[int, ...]],
+) -> list[dict[int, str]]:
+    """Per inner side, the text of ``i * width + j`` over its j, keyed by i.
+
+    Every i of an outer side is a key.
+    """
+    runs: list[dict[int, str]] = [{} for _ in inner]
+    for i in set().union(*outer):
+        block = digits[i * width:(i + 1) * width]
+        for run, side in zip(runs, inner):
+            run[i] = ",".join([block[j] for j in side])
+    return runs
+
+
+def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
+    """The lines of ``format_cover(d.to_cover())``, built from the factors.
+
+    A product rectangle's row list is, for each row i of its m-side
+    rectangle in turn, the run ``i * rows_b + j`` over the rows j of its
+    n-side rectangle.  A run's text does not depend on the m-side
+    rectangle, so it is built once per n-side rectangle and row i, from one
+    table of the decimal strings below max(rows, cols) of the product, and
+    each line only joins runs.  Columns likewise.  No product rectangle and
+    no int per product index is made.
+    """
+    rows, cols = d.target_dims
+    rb, cb = d.n_family.dims
+    digits = [str(i) for i in range(max(rows, cols))]
+    yield _format_block("COVER", (rows, cols, d.size), ())
+    for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
+        row_runs = _runs(
+            digits, rb, [r.row_set for r in dm.rects], [r.row_set for r in dn.rects]
+        )
+        col_runs = _runs(
+            digits, cb, [r.col_set for r in dm.rects], [r.col_set for r in dn.rects]
+        )
+        for rm in dm.rects:
+            for row_run, col_run in zip(row_runs, col_runs):
+                row_text = ",".join([row_run[i] for i in rm.row_set])
+                col_text = ",".join([col_run[j] for j in rm.col_set])
+                yield _rect_line(row_text, col_text) + "\n"
 
 
 def _index_set(token: str, lineno: int) -> tuple[int, ...]:

@@ -228,13 +228,23 @@ def spanoid_rank(
     """Smallest spanning set by subset search in lexicographic order.
 
     Searches sizes 0, 1, ... up to ``max_size`` and raises when the caps or
-    the subset budget are exhausted before an answer is proven.
+    the subset budget are exhausted before an answer is proven.  A rule
+    spanoid element that no rule infers from other elements is in every
+    spanning set, so when there are more such elements than ``max_size``
+    the search is refused before it starts.
     """
     n = len(s.universe)
     if isinstance(s, ProductSpanoid) and n > PRODUCT_UNIVERSE_CAP:
         raise BudgetExceededError(
             f"product universe {n} exceeds cap {PRODUCT_UNIVERSE_CAP}"
         )
+    if isinstance(s, RuleSpanoid):
+        forced = n - len({i for req, i in s.rules if i not in req})
+        if forced > max_size:
+            raise BudgetExceededError(
+                f"{forced} elements are inferred by no rule, so no spanning set "
+                f"has size <= {max_size}"
+            )
     examined = 0
     for size in range(0, min(n, max_size) + 1):
         for cand in combinations(range(n), size):

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import boolrank
+from boolrank import spanoid
 from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
 from boolrank.cli import COMMANDS, GROUP_HELP, main
 from boolrank.cover import parse_cover, parse_family, read_cover
@@ -81,9 +83,25 @@ class TestCoverCommands:
         assert code == 0 and "SIZE 24" in err
         assert read_cover(gap).size == 24
 
-    def test_gap_unsupported_pair_exit_2(self, capsys):
+    def test_gap_unsupported_pair_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "cover", "gap", "5", "5")
         assert code == 2 and "invalid input" in err
+        path = tmp_path / "g.cov"
+        code, out, err = run(capsys, "cover", "gap", "5", "5", "-o", str(path))
+        assert code == 2 and out == "" and "invalid input" in err
+        assert not path.exists()
+
+    def test_gap_peak_memory_below_file_size(self, capsys, tmp_path):
+        # the cover is written a line at a time, never held whole
+        path = tmp_path / "g.cov"
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "cover", "gap", "252", "252", "-o", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == "SIZE 99\n"
+        assert peak < path.stat().st_size
 
     def test_c4_c5_commands(self, capsys):
         code, out, _ = run(capsys, "cover", "c4")
@@ -208,6 +226,18 @@ class TestSpanoidCommands:
         f.write_text("SPANOID 3 2\nS: 0 -> 1\nS: 1 -> 2\n")
         code, out, _ = run(capsys, "spanoid", "rank", str(f))
         assert code == 0 and out == "RANK value=1 witness=0\n"
+
+    def test_spanoid_rank_refuses_unreachable_elements_at_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 30 elements no rule infers: no spanning set has at most 6 of them
+        def refuse(self, t):
+            raise AssertionError("the search enumerated a subset")
+        monkeypatch.setattr(spanoid.RuleSpanoid, "spans_all", refuse)
+        f = tmp_path / "sp.txt"
+        f.write_text("SPANOID 30 0\n")
+        code, out, err = run(capsys, "spanoid", "rank", str(f))
+        assert code == 3 and out == "" and "budget exceeded" in err
 
     def test_spanoid_product_rank(self, capsys, tmp_path):
         write_matrix(str(tmp_path / "c2.mat"), crown_matrix(2))

@@ -4,12 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boolrank import boolmat
 from boolrank.boolmat import BoolMatrix, boolean_sum, dominated_by, kronecker
 from boolrank import cover as cover_mod
 from boolrank.cover import (
     Cover,
+    KronCoverDescription,
     MatrixFamily,
     Rectangle,
     best_triple_pairing,
@@ -20,6 +23,7 @@ from boolrank.cover import (
     extract_families,
     format_cover,
     format_family,
+    kron_cover_lines,
     parse_cover,
     parse_family,
     read_family,
@@ -59,6 +63,30 @@ def rand_below(rng, a: BoolMatrix, density: float) -> BoolMatrix:
     """A random matrix dominated by ``a``: each 1 kept with ``density``."""
     keep = [[rng.random() < density for _ in range(a.cols)] for _ in range(a.rows)]
     return BoolMatrix.from_dense(a.to_dense() & np.array(keep, dtype=np.uint8))
+
+
+@st.composite
+def kron_descriptions(draw):
+    """Two equal-length families of random decompositions, up to 12 x 12.
+
+    Sides and dimensions of length 1 are frequent, and a decomposition may
+    be empty; the families need not satisfy the composition hypotheses.
+    """
+    s = draw(st.integers(1, 3))
+
+    def side(n):
+        return tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+
+    def family():
+        rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        return MatrixFamily(tuple(
+            Cover(rows, cols, tuple(
+                Rectangle(side(rows), side(cols)) for _ in range(draw(st.integers(0, 3)))
+            ))
+            for _ in range(s)
+        ))
+
+    return KronCoverDescription(family(), family())
 
 
 def brute_q_covering(a, fam, q):
@@ -579,6 +607,15 @@ class TestFormats:
     def test_cover_round_trip(self):
         cov = compose_kron_cover(c4_triple(), c4_triple())
         assert parse_cover(format_cover(cov)) == cov
+
+    @given(kron_descriptions())
+    # one-index sides whose product index has two digits (row 1 * 11 + 10 = 21)
+    @example(KronCoverDescription(
+        MatrixFamily((Cover(2, 1, (Rectangle((1,), (0,)),)),)),
+        MatrixFamily((Cover(11, 11, (Rectangle((10,), (3,)),)),)),
+    ))
+    def test_kron_cover_lines_match_format_cover(self, d):
+        assert "".join(kron_cover_lines(d)) == format_cover(d.to_cover())
 
     def test_family_round_trip(self):
         fam = c4_triple()

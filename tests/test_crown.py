@@ -7,6 +7,9 @@ from boolrank import boolmat
 from boolrank.boolmat import BoolMatrix, dominated_by, kronecker
 from boolrank.cover import (
     check_half_covering,
+    compose_kron_description,
+    format_cover,
+    kron_cover_lines,
     verify_cover,
     verify_kron_hypotheses,
 )
@@ -281,6 +284,13 @@ class TestGapCovers:
         assert verify_kron_hypotheses(
             crown_matrix(20), m_fam, crown_matrix(35), n_fam
         )
+
+    @pytest.mark.parametrize(
+        "n,m", [(4, 4), (4, 5), (5, 4), (4, 10), (7, 7), (7, 12), (12, 7), (20, 35)]
+    )
+    def test_streamed_text_matches_format_cover(self, n, m):
+        description = compose_kron_description(*gap_families(n, m))
+        assert "".join(kron_cover_lines(description)) == format_cover(gap_cover(n, m))
 
     def test_small_crown_combinations(self):
         assert gap_cover(4, 4).size == 12

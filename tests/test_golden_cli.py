@@ -17,6 +17,7 @@ from io import StringIO
 import pytest
 
 from boolrank.cli import main
+from boolrank.cover import KronCoverDescription
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -149,6 +150,10 @@ WRITTEN = {
         ["cover", "gap", "7", "7"],
         "e108d952c4cef30f0d6cfb98e9814c3a9d0f71801d9ea3d48b14dec68e19a844",
     ),
+    "cover-gap-12-7": (
+        ["cover", "gap", "12", "7"],
+        "53a399c59ee4404d7322458ddb4f677c2574e20e2bf3222f67197acab7abacbe",
+    ),
     "cover-c4": (
         ["cover", "c4"],
         "fa84bf202e4f7a1b8e7479ae886288fd69df7ec4339eb975cb08b53199d9a202",
@@ -193,3 +198,11 @@ def test_written(label, inputs, tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert run(argv + ["-o", str(out)], inputs, capsys, monkeypatch) == (0, EMPTY)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_gap_builds_no_product_rectangle(inputs, tmp_path, capsys, monkeypatch):
+    """``cover gap`` writes its golden bytes from the factors alone."""
+    def refuse(self):
+        raise AssertionError("a product rectangle was built")
+    monkeypatch.setattr(KronCoverDescription, "iter_rectangles", refuse)
+    test_written("cover-gap", inputs, tmp_path, capsys, monkeypatch)

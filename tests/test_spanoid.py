@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
@@ -11,6 +12,7 @@ from boolrank.errors import BudgetExceededError, DimensionError, FormatError
 from boolrank.spanoid import (
     MatrixSpanoid,
     ProductSpanoid,
+    RankResult,
     RuleSpanoid,
     Spanoid,
     check_product_bound,
@@ -144,6 +146,22 @@ class TestRank:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             spanoid_rank(MatrixSpanoid(crown_matrix(3)), subset_budget=1)
+
+    @given(small_spanoids(), st.integers(0, 4))
+    def test_answers_match_plain_search(self, s, max_size):
+        """Refusing by the elements no rule infers keeps every answer."""
+        n = len(s)
+        sizes = range(min(n, max_size) + 1)
+        expected = next(
+            (RankResult(size, cand) for size in sizes
+             for cand in combinations(range(n), size) if s.spans_all(cand)),
+            None,
+        )
+        if expected is None:
+            with pytest.raises(BudgetExceededError):
+                spanoid_rank(s, max_size)
+        else:
+            assert spanoid_rank(s, max_size) == expected
 
 
 class TestProduct:

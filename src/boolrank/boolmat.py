@@ -31,6 +31,8 @@ _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
 #: Entries handled at once by every row-block loop: parsing and formatting a
 #: matrix body, coverage signatures, and the crown's pairwise set tests.
+#: Splitting coverage classes takes ``_block_rows(64 * packed bytes per row)``
+#: rows, a 64th of this in packed bytes (64 KiB), so its masks stay in cache.
 _BLOCK_ENTRIES = 1 << 22
 
 

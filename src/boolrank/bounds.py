@@ -20,7 +20,7 @@ from fractions import Fraction
 from .boolmat import BoolMatrix, _bit_indices, _ones, _row_ints
 from .cover import Cover, Rectangle, format_cover, verify_cover
 from .crown import crown_matrix, sigma
-from .errors import BudgetExceededError, VerificationError
+from .errors import BudgetExceededError, DimensionError, VerificationError
 
 DEFAULT_RECTANGLE_CAP = 200_000
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -91,6 +91,8 @@ def exact_boolean_rank(
     certificate).  Exceeding the node budget raises; a wrong exact value is
     never returned.
     """
+    if limit is not None and limit < 0:
+        raise DimensionError(f"limit must be non-negative, got {limit}")
     if a.is_zero():
         empty = Cover(a.rows, a.cols, ())
         return RankCertificate(0, empty, 0, "search", True)

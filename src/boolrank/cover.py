@@ -3,9 +3,16 @@
 A :class:`Cover` lists all-ones rectangles whose union must equal the
 support of a target matrix.  Covers of two factors compose into a cover
 of their Kronecker product; the composition hypotheses can be
-verified *lazily* (without materializing the product) by grouping the
-product's entries by the subset of family members covering them, which is
-what makes crown-matrix instances with ~5e7-square products checkable.
+verified *lazily* (without materializing the product), which is what
+makes crown-matrix instances with ~5e7-square products checkable.  Each
+factor's entries are grouped into classes, the sets of matrices (the
+factor and its family's members) with a 1 there, and the hypotheses are
+decided from the two sets of classes alone: a class of the first factor's
+1-entries selects n-members, and those sum to the second factor exactly
+when they agree with the factor bit of every class of its entries.  The
+classes come straight from the packed bits, by splitting block masks
+matrix by matrix for small families and from bit-transposed signatures
+for larger ones, so no dense Boolean sum is built on the success path.
 
 Every-q covering of a family is decided in one pass over its members with
 saturating bit counters, so it is always exhaustive, however many
@@ -277,65 +284,141 @@ def verify_cover(a: BoolMatrix, c: Cover) -> VerifyResult:
 # -- lazy hypothesis verification --------------------------------------------
 
 def _signature_dtype(s: int) -> np.dtype:
-    """Narrowest unsigned type with one bit per member (uint64 planes past 64)."""
-    for nbytes in (1, 2, 4):
+    """Narrowest unsigned type with one bit per matrix (bytes as void past 64)."""
+    for nbytes in (1, 2, 4, 8):
         if s <= 8 * nbytes:
             return np.dtype(f"<u{nbytes}")
-    return np.dtype("<u8")
+    return np.dtype((np.void, -(-s // 8)))
 
 
-def _signature_blocks(members: Sequence[BoolMatrix]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (row0, signatures) per row block of the members' common shape.
+#: Delta swaps, as (shift, mask), that transpose the 8x8 bit matrix held in
+#: a little-endian uint64 whose byte t is row t.
+_TRANSPOSE_8X8 = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC),
+                        (28, 0x00000000F0F0F0F0))
+)
 
-    ``signatures`` has shape (block_rows, cols); bit t of an entry's
-    signature marks that member t covers it.  Its dtype is the narrowest
-    holding s bits; past 64 members each signature is a run of uint64
-    planes viewed as one void scalar, so it still compares as one value.
+
+def _signature_blocks(matrices: Sequence[BoolMatrix]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row0, signatures) per row block of the matrices' common shape.
+
+    ``signatures`` has shape (block_rows, 8 * packed bytes per row): bit t
+    of an entry's signature marks that matrix t has a 1 there, and the
+    padding entries past the last column have signature 0.  Signatures are
+    transposed straight from the packed bits, eight matrices at a time: the
+    t-th bytes of eight matrices form an 8x8 bit matrix, and its transpose
+    holds one signature byte per entry.  The dtype is the narrowest holding
+    s bits; past 64 matrices a signature is its bytes viewed as one void
+    scalar, so it still compares as one value.
     """
-    s = len(members)
-    rows, cols = members[0].rows, members[0].cols
+    s = len(matrices)
+    rows, nbytes = matrices[0].bits.shape
     dtype = _signature_dtype(s)
-    width = 8 * dtype.itemsize
-    planes = -(-s // width)
-    block = _block_rows(cols)
+    block = _block_rows(8 * nbytes)
     for row0 in range(0, rows, block):
-        row1 = min(rows, row0 + block)
-        sig = np.zeros((row1 - row0, cols, planes), dtype=dtype)
-        for t, m in enumerate(members):
-            mb = np.unpackbits(
-                m.bits[row0:row1], axis=1, bitorder="little", count=cols
-            ).astype(dtype, copy=False)
-            mb *= dtype.type(1 << (t % width))  # 0/1 times 2^k: a shift, but faster
-            sig[:, :, t // width] |= mb
-        if planes > 1:
-            sig = sig.view(np.dtype((np.void, planes * dtype.itemsize)))
-        yield row0, sig[:, :, 0]
+        stop = min(rows, row0 + block)
+        packed = [m.bits[row0:stop].ravel() for m in matrices]
+        sig = np.zeros((packed[0].size * 8, dtype.itemsize), dtype=np.uint8)
+        for k in range(0, s, 8):
+            words = np.zeros((packed[0].size, 8), dtype=np.uint8)
+            for t, bits in enumerate(packed[k:k + 8]):
+                words[:, t] = bits
+            w = words.view("<u8")
+            for shift, mask in _TRANSPOSE_8X8:
+                swap = (w ^ (w >> shift)) & mask
+                w ^= swap ^ (swap << shift)
+            sig[:, k // 8] = words.ravel()
+        yield row0, sig.view(dtype).reshape(stop - row0, 8 * nbytes)
 
 
 def _signature_int(key: np.generic) -> int:
-    """A signature as a Python int: bit t set iff member t covers the entry."""
+    """A signature as a Python int: bit t set iff matrix t has a 1 there."""
     return int.from_bytes(key.tobytes(), "little")
 
 
-def _present_signatures(members: Sequence[BoolMatrix]) -> set[int]:
-    """Distinct nonzero member-coverage signatures over all entries.
+def _split_classes(matrices: Sequence[BoolMatrix]) -> set[int]:
+    """:func:`_classes`, split straight from the packed bits.
 
-    When the members' union is a matrix ``a``, these are exactly the
-    signatures of the 1-entries of ``a``: its 0-entries all have signature 0.
+    A row block starts as one live mask of all its bits.  Matrix t splits
+    every live mask into the bits it has (class bit t set) and the bits it
+    lacks, and empty halves are dropped; after the last matrix each live
+    mask holds the entries of one class.  Padding bits are 0 in every
+    matrix, so they only reach class 0.  A block is about 64 KiB of packed
+    bytes, so the masks stay in cache while they are split.
     """
-    s = len(members)
+    rows, nbytes = matrices[0].bits.shape
+    if not nbytes:
+        return set()
+    block = _block_rows(64 * nbytes)
+    classes: set[int] = set()
+    for row0 in range(0, rows, block):
+        blocks = [m.bits[row0:row0 + block].ravel() for m in matrices]
+        live = [(0, np.full(blocks[0].size, 0xFF, dtype=np.uint8))]
+        for t, bits in enumerate(blocks):
+            split = []
+            for cls, mask in live:
+                hit = mask & bits
+                if not hit.max():  # max, not any: a third of the time
+                    split.append((cls, mask))
+                    continue
+                split.append((cls | 1 << t, hit))
+                miss = mask ^ hit
+                if miss.max():
+                    split.append((cls, miss))
+            live = split
+        classes.update(cls for cls, _ in live)
+    return classes
+
+
+def _classes(matrices: Sequence[BoolMatrix]) -> set[int]:
+    """Distinct classes over all entries: bit t set iff matrix t has a 1 there.
+
+    Up to 9 matrices the classes are split from the packed bits.  A split
+    costs a pass per live class, so it wins while classes are few, as they
+    are for families that cover a matrix, but with every class present it
+    takes 3 to 4 times as long as a scan at 8 or 9 matrices and doubles
+    with each further one.  Past 9 the entries' signatures are marked in a
+    table of all 2^s of them, or hashed past 16 matrices.
+    """
+    s = len(matrices)
+    if s <= 9:
+        return _split_classes(matrices)
     if s <= 16:
-        # histogram over the (at most 2^16) possible signatures: no sorting
-        counts = np.zeros(1 << s, dtype=np.int64)
-        for _, sig in _signature_blocks(members):
-            counts += np.bincount(sig.ravel(), minlength=1 << s)
-        seen = set(np.flatnonzero(counts).tolist())
-    else:
-        seen = set()
-        for _, sig in _signature_blocks(members):
-            seen.update(_signature_int(key) for key in np.unique(sig))
-    seen.discard(0)
+        # mark the (at most 2^16) possible signatures: no sorting or counting
+        marked = np.zeros(1 << s, dtype=bool)
+        for _, sig in _signature_blocks(matrices):
+            marked[sig.ravel()] = True
+        return set(np.flatnonzero(marked).tolist())
+    seen: set[int] = set()
+    for _, sig in _signature_blocks(matrices):
+        seen.update(_signature_int(key) for key in np.unique(sig))
     return seen
+
+
+def _failing_signatures(p: set[int], q: set[int], s: int) -> list[int]:
+    """Member signatures of a's 1-entries whose n-members do not sum to b.
+
+    ``p`` and ``q`` are the classes of ``[a, *m_fam.members]`` and
+    ``[b, *n_fam.members]`` for families of size s: bit 0 marks the factor
+    and bit t + 1 member t.  An entry of ``b`` in class T is covered by the
+    n-members of a signature S iff S meets T's members, so S fails iff it
+    meets the members of a class of b's 0-entries or misses all members of
+    a class of its 1-entries.
+    """
+    on_zero = 0  # n-members covering some 0 of b
+    on_one = set()  # the n-members of each class of b's 1-entries
+    for cls in q:
+        if cls & 1:
+            on_one.add(cls >> 1)
+        else:
+            on_zero |= cls >> 1
+    ones = sorted(cls >> 1 for cls in p if cls & 1)
+    if s > 64:
+        return [x for x in ones if x & on_zero or not all(x & t for t in on_one)]
+    # one array op per signature, however many classes b has
+    needs = np.fromiter(on_one, dtype=np.uint64, count=len(on_one))
+    return [x for x in ones if x & on_zero or not (needs & np.uint64(x)).all()]
 
 
 def verify_kron_hypotheses(
@@ -349,8 +432,17 @@ def verify_kron_hypotheses(
     True iff ``m_fam`` covers ``a`` and, for every (i, j) with a[i, j] = 1,
     the members of ``n_fam`` positionally matching the m-members that cover
     (i, j) form a cover of ``b``.  This certifies the composed cover of the
-    product without materializing it: entries are grouped by their coverage
-    signature and only the distinct signatures are checked against ``b``.
+    product without materializing it.
+
+    Both sides are reduced to their classes (:func:`_classes`): P of
+    ``[a, *m_fam.members]`` and Q of ``[b, *n_fam.members]``, where bit 0
+    marks the factor.  The m-family sums to ``a`` iff in every class of P
+    the a-bit is set exactly when some member bit is.  The n-members that a
+    signature S selects sum to ``b`` iff every class T of Q has
+    ``bool(S & T's members) == T's b-bit``, since that is their sum at the
+    entries of class T (:func:`_failing_signatures`).  This is the dense
+    check ``boolean_sum(selected n-members) != b``, decided without
+    building a sum.  Q is P when both sides are the same matrix and family.
     """
     if len(m_fam) != len(n_fam):
         raise DimensionError("families must have equal length")
@@ -359,19 +451,14 @@ def verify_kron_hypotheses(
     if n_fam.dims != (b.rows, b.cols):
         raise DimensionError("n-family dimensions do not match the second factor")
 
-    union = boolean_sum(m_fam.members)
-    if union != a:
-        bad = union.bits ^ a.bits
-        i, j = _first_set_bit(bad, a.cols)
+    p = _classes([a, *m_fam.members])
+    if any(bool(cls & 1) != (cls > 1) for cls in p):
+        union = boolean_sum(m_fam.members)
+        i, j = _first_set_bit(union.bits ^ a.bits, a.cols)
         return VerifyResult(False, (i, j), "m-family does not cover the first factor")
 
-    s = len(m_fam)
-    # m_fam sums to a, so the nonzero signatures are those of a's 1-entries
-    failing = sorted(
-        sig
-        for sig in _present_signatures(m_fam.members)
-        if boolean_sum([n_fam.members[t] for t in range(s) if sig >> t & 1]) != b
-    )
+    q = p if (b, n_fam) == (a, m_fam) else _classes([b, *n_fam.members])
+    failing = _failing_signatures(p, q, len(m_fam))
     if not failing:
         return VerifyResult(True)
 
@@ -381,7 +468,7 @@ def verify_kron_hypotheses(
             b"".join(f.to_bytes(nbytes, "little") for f in failing), dtype=sig.dtype
         )
         # the 0-entries of a carry signature 0, which is never failing
-        hits = np.flatnonzero(np.isin(sig, keys))
+        hits = np.flatnonzero(np.isin(sig[:, :a.cols], keys))
         if hits.size:
             i, j = divmod(int(hits[0]), a.cols)
             return VerifyResult(

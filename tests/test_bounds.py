@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boolrank.boolmat import BoolMatrix, kronecker
 from boolrank.bounds import (
@@ -17,7 +20,37 @@ from boolrank.cover import verify_cover
 from boolrank.crown import crown_matrix, gap_cover, sigma
 from boolrank import bounds
 from boolrank.cover import VerifyResult
-from boolrank.errors import BudgetExceededError, VerificationError
+from boolrank.errors import BudgetExceededError, DimensionError, VerificationError
+from boolrank.spanoid import MatrixSpanoid, spanoid_rank
+
+
+@st.composite
+def small_matrices(draw, max_rows=3, max_cols=4):
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    bits = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+    return [bits[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def brute_force_rank(dense):
+    """Fewest all-ones rectangles covering the 1s, by trying every set.
+
+    A rectangle with row set R widens to all columns that are 1 on every row
+    of R and stays all-ones, so covers made of those widened rectangles
+    reach the minimum.
+    """
+    rows, cols = len(dense), len(dense[0])
+    ones = {(i, j) for i in range(rows) for j in range(cols) if dense[i][j]}
+    rects = []
+    for size in range(1, rows + 1):
+        for r in combinations(range(rows), size):
+            c = [j for j in range(cols) if all(dense[i][j] for i in r)]
+            if c:
+                rects.append({(i, j) for i in r for j in c})
+    return next(
+        k for k in range(len(rects) + 1)
+        for chosen in combinations(rects, k)
+        if set().union(*chosen) == ones
+    )
 
 
 def rand_matrix(rng, rows, cols, density=0.5):
@@ -123,6 +156,18 @@ class TestExactRank:
     def test_budget_exceeded_raises(self):
         with pytest.raises(BudgetExceededError):
             exact_boolean_rank(crown_matrix(8), node_budget=10)
+
+    def test_negative_limit_refused(self):
+        with pytest.raises(DimensionError, match="non-negative"):
+            exact_boolean_rank(crown_matrix(3), limit=-1)
+
+    @given(small_matrices())
+    def test_matches_brute_force_and_spanoid_rank(self, dense):
+        m = BoolMatrix.from_dense(dense)
+        cert = exact_boolean_rank(m)
+        assert cert.exact and verify_cover(m, cert.upper)
+        assert cert.value == brute_force_rank(dense)
+        assert cert.value == spanoid_rank(MatrixSpanoid(m)).value
 
     def test_certificate_dump(self):
         cert = exact_boolean_rank(crown_matrix(2))

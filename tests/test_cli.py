@@ -296,6 +296,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "invalid input: BOOLRANK_MAX_ENTRIES must be a non-negative" in err
 
+    def test_negative_rank_limit_exit_2(self, capsys, tmp_path):
+        mat = str(tmp_path / "c3.mat")
+        write_matrix(mat, crown_matrix(3))
+        code, out, err = run(capsys, "rank", "exact", mat, "--limit", "-5")
+        assert code == 2 and out == ""
+        assert "invalid input: limit must be non-negative, got -5" in err
+
     def test_bad_format_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.mat"
         bad.write_text("not a matrix\n")

@@ -445,6 +445,113 @@ class TestSignatureOracle:
             outcomes[bool(lazy)] += 1
         assert min(outcomes.values()) >= 2
 
+    @staticmethod
+    def with_stray_one(rng, m, target):
+        """``m`` with one more 1, at a random 0 of ``target`` (if it has one)."""
+        zeros = np.argwhere(target.to_dense() == 0)
+        if not len(zeros):
+            return m
+        dense = m.to_dense().copy()
+        i, j = zeros[rng.randrange(len(zeros))]
+        dense[i, j] = 1
+        return BoolMatrix.from_dense(dense)
+
+    def expected(self, a, m_fam, b, n_fam):
+        """(ok, witness) by the eager product and the per-entry scan."""
+        eager = boolean_sum(
+            [kronecker(m, n) for m, n in zip(m_fam.members, n_fam.members)]
+        ) == kronecker(a, b)
+        union = boolean_sum(m_fam.members)
+        if union != a:
+            diff = union.to_dense() ^ a.to_dense()
+            return eager, tuple(int(x) for x in np.argwhere(diff)[0])
+        return eager, self.first_failing_entry(a, m_fam, b, n_fam)
+
+    # 5 to 7 members and their factor: classes split from the packed bits.
+    # Each case is also checked with both sides the same matrix and family,
+    # where the n-side classes are the m-side's.
+    @pytest.mark.parametrize("s", [5, 6, 7])
+    @pytest.mark.parametrize("block_entries", [4, 200, 1 << 22])
+    def test_split_classes_match_eager(self, monkeypatch, s, block_entries):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(100 + s)
+        outcomes = {True: 0, False: 0}
+        same_failed = 0
+        for it in range(15):
+            a = rand_matrix(rng, rng.randint(2, 5), rng.randint(2, 11), 0.7)
+            b = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 9), 0.8)
+            if a.is_zero() or b.is_zero():
+                continue
+            m_fam = self.covering_family(rng, a, s)
+            if it % 5 == 4:  # a member covers a 0 of a
+                members = list(m_fam.members)
+                members[-1] = self.with_stray_one(rng, members[-1], a)
+                m_fam = with_row_decompositions(members)
+            density = (0.6, 0.9, 1.0)[it % 3]
+            n_members = [rand_below(rng, b, density) for _ in range(s)]
+            if it % 5 == 3:  # an n-member covers a 0 of b
+                t = rng.randrange(s)
+                n_members[t] = self.with_stray_one(rng, n_members[t], b)
+            n_fam = with_row_decompositions(n_members)
+            lazy = verify_kron_hypotheses(a, m_fam, b, n_fam)
+            assert (bool(lazy), lazy.witness) == self.expected(a, m_fam, b, n_fam)
+            outcomes[bool(lazy)] += 1
+            same = verify_kron_hypotheses(a, m_fam, a, m_fam)
+            assert (bool(same), same.witness) == self.expected(a, m_fam, a, m_fam)
+            same_failed += not same
+        assert min(outcomes.values()) >= 2 and same_failed >= 2
+
+
+class TestSignatureClasses:
+    """Classes and signatures from packed bits against a per-entry scan."""
+
+    @staticmethod
+    def dense_signatures(matrices):
+        dense = [m.to_dense().astype(object) for m in matrices]
+        return sum(d << t for t, d in enumerate(dense))
+
+    @staticmethod
+    def rand_matrices(count, rows, cols, seed):
+        rng = random.Random(seed)
+        return [rand_matrix(rng, rows, cols, rng.choice((0.2, 0.5, 0.9)))
+                for _ in range(count)]
+
+    # padding bits only reach class 0, so class 0 may be extra
+    @pytest.mark.parametrize("count", range(1, 10))
+    @pytest.mark.parametrize("cols", [1, 3, 9, 13, 17])
+    @pytest.mark.parametrize("block_entries", [1, 200, 1 << 22])
+    def test_split_classes(self, monkeypatch, count, cols, block_entries):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        matrices = self.rand_matrices(count, 5, cols, 7 * count + cols)
+        want = set(self.dense_signatures(matrices).ravel().tolist())
+        got = cover_mod._split_classes(matrices)
+        assert got - {0} == want - {0} and want <= got
+
+    @pytest.mark.parametrize("rows, cols", [(2, 0), (0, 3)])
+    def test_no_entries(self, rows, cols):
+        z = BoolMatrix.zeros(rows, cols)
+        assert cover_mod._split_classes([z, z]) == set()
+        fam = MatrixFamily((Cover(rows, cols, ()),))
+        assert verify_kron_hypotheses(z, fam, z, fam)
+
+    @pytest.mark.parametrize("count", [1, 8, 10, 16, 17, 70])
+    @pytest.mark.parametrize("block_entries", [1, 40, 1 << 22])
+    def test_signature_blocks_and_classes(self, monkeypatch, count, block_entries):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        matrices = self.rand_matrices(count, 6, 13, count)
+        want = self.dense_signatures(matrices)
+        blocks = list(cover_mod._signature_blocks(matrices))
+        assert [row0 for row0, _ in blocks] == list(
+            range(0, 6, boolmat._block_rows(16))
+        )
+        sig = np.concatenate([block for _, block in blocks])
+        assert sig.shape == (6, 16)
+        got = [[cover_mod._signature_int(key) for key in row] for row in sig]
+        assert [row[:13] for row in got] == want.tolist()
+        assert all(x == 0 for row in got for x in row[13:])
+        classes = cover_mod._classes(matrices)
+        assert classes - {0} == set(want.ravel().tolist()) - {0}
+
 
 class TestExtractFamilies:
     def test_product_cover_extraction_round_trip(self):

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolmat import max_entries_limit
+from .boolmat import max_entries_limit, require_materializable
 from .cover import (
     Cover,
     KronCoverDescription,
@@ -32,7 +32,7 @@ from .cover import (
     verify_kron_hypotheses,
 )
 from .crown import colex_subsets, crown_matrix, restrict_family, sigma
-from .errors import DimensionError, MaterializationLimitError, VerificationError
+from .errors import DimensionError, VerificationError
 
 
 def largest_prime_leq(m: int) -> int:
@@ -144,16 +144,15 @@ class AlgebraicCoverParams:
     block_subsets: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def algebraic_family(
-    d: int, q: int, max_entries: int | None = None
-) -> tuple[AlgebraicCoverParams, MatrixFamily]:
+def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily]:
     """Build the p-1 matrices of rank <= 2d, every q of which cover the crown.
 
     p is the largest prime <= C(2d, d) and the crown order is n = p^q.  Member
     i sums the element rectangles of block 1 after rewriting each family
     set's block-1 part through g_i.  The family holds each member's
     decomposition, those (at most 2d) rectangles; members are built only
-    when read.
+    when read.  An n x n member above the ``BOOLRANK_MAX_ENTRIES`` limit
+    raises :class:`MaterializationLimitError`.
     """
     if d < 1:
         raise DimensionError("need d >= 1")
@@ -163,11 +162,7 @@ def algebraic_family(
     if p <= q:
         raise DimensionError(f"largest prime {p} <= C({2*d},{d}) does not exceed q={q}")
     n = p**q
-    limit = max_entries_limit(max_entries)
-    if n * n > limit:
-        raise MaterializationLimitError(
-            f"family matrices have {n * n} entries each, limit is {limit}"
-        )
+    require_materializable("family matrix", n * n)
     k = 2 * d * q
     blocks = tuple(
         tuple(range((j - 1) * 2 * d + 1, j * 2 * d + 1)) for j in range(1, q + 1)
@@ -204,10 +199,12 @@ def algebraic_family(
 class AsymptoticParams:
     """Derived parameters for covering crown(n) (x) crown(n).
 
+    p is the largest prime <= C(2d, d) and ``bound`` = s (2d)^2.
     ``arithmetic_feasible`` requires p > q and p - 1 >= s (enough family
-    members to select from); ``materializable`` additionally requires the
-    n-cap-squared family matrices to fit the entry limit.  ``k`` is the
-    crown rank padded to even.
+    members to select from); ``materializable`` requires the family
+    matrices, of order p^q, to fit the ``BOOLRANK_MAX_ENTRIES`` limit as it
+    was when the parameters were made.  ``k`` is the crown rank padded to
+    even.
     """
 
     n: int
@@ -225,12 +222,17 @@ class AsymptoticParams:
         return self.arithmetic_feasible and self.materializable
 
 
-def _even_padded_rank(n: int) -> int:
+def _params(n: int, d: int, q: int, s: int) -> AsymptoticParams:
+    """The parameters at (d, q, s), with k the crown rank padded to even."""
+    p = largest_prime_leq(comb(2 * d, d))
     k = sigma(n)
-    return k if k % 2 == 0 else k + 1
+    return AsymptoticParams(
+        n, d, q, s, p, k + k % 2, s * (2 * d) ** 2,
+        p > q and p - 1 >= s, (p**q) ** 2 <= max_entries_limit(),
+    )
 
 
-def asymptotic_params(n: int, max_entries: int | None = None) -> AsymptoticParams:
+def asymptotic_params(n: int) -> AsymptoticParams:
     """Parameters of the strict pipeline with arity q = 2^d.
 
     Picks the smallest d with n <= ((1/2) C(2d, d))^(2^d), reports the family
@@ -243,20 +245,10 @@ def asymptotic_params(n: int, max_entries: int | None = None) -> AsymptoticParam
     d = 1
     while (comb(2 * d, d) // 2) ** (2**d) < n:
         d += 1
-    q = 2**d
-    s = 2 ** (d + 1)
-    bound = 2 ** (d + 3) * d * d
-    p = largest_prime_leq(comb(2 * d, d))
-    arithmetic = p > q and p - 1 >= s
-    materializable = (p**q) ** 2 <= max_entries_limit(max_entries)
-    return AsymptoticParams(
-        n, d, q, s, p, _even_padded_rank(n), bound, arithmetic, materializable
-    )
+    return _params(n, d, 2**d, 2 ** (d + 1))
 
 
-def generalized_params(
-    n: int, q: int, s: int, max_entries: int | None = None
-) -> AsymptoticParams:
+def generalized_params(n: int, q: int, s: int) -> AsymptoticParams:
     """Parameters for a caller-chosen arity q and selection size s.
 
     The smallest d is chosen from the *actual* prime: p = largest prime
@@ -270,17 +262,10 @@ def generalized_params(
         raise DimensionError(f"need s >= 2q-1 = {2 * q - 1} so half-subsets cover")
     d = 1
     while True:
-        c = comb(2 * d, d)
-        if c >= 2:
-            p = largest_prime_leq(c)
-            if p > q and p - 1 >= s and p**q >= n:
-                break
+        p = largest_prime_leq(comb(2 * d, d))
+        if p > q and p - 1 >= s and p**q >= n:
+            return _params(n, d, q, s)
         d += 1
-    bound = s * (2 * d) ** 2
-    materializable = (p**q) ** 2 <= max_entries_limit(max_entries)
-    return AsymptoticParams(
-        n, d, q, s, p, _even_padded_rank(n), bound, True, materializable
-    )
 
 
 def format_params_line(params: AsymptoticParams) -> str:
@@ -306,48 +291,37 @@ class AsymptoticCoverResult:
 
 
 def asymptotic_cover(
-    n: int,
-    q: int | None = None,
-    s: int | None = None,
-    max_entries: int | None = None,
+    n: int, q: int | None = None, s: int | None = None
 ) -> AsymptoticCoverResult:
     """Cover crown(n) (x) crown(n) through the every-q family.
 
     Without ``q``/``s`` the strict parameters (q = 2^d, s = 2^(d+1)) are
-    used; these are infeasible at desk scale, and the result then carries
-    the parameter report only.  With explicit ``q`` and ``s`` the smallest
-    workable d is chosen, s members are selected, and the composition
-    hypotheses are verified symmetrically without materializing the product.
+    used; these are infeasible at desk scale.  With explicit ``q`` and ``s``
+    the smallest workable d is chosen.  Either way s members are selected
+    and the composition hypotheses are verified symmetrically without
+    materializing the product.  When the parameters are infeasible, or the
+    family matrices exceed the ``BOOLRANK_MAX_ENTRIES`` limit, the result
+    carries the parameter report only, with the reason in its message.
     """
-    if q is None and s is None:
-        params = asymptotic_params(n, max_entries)
-        if not params.arithmetic_feasible:
-            return AsymptoticCoverResult(
-                params,
-                None,
-                f"infeasible: p-1 = {params.p - 1} members available, "
-                f"need s = {params.s} (or prime {params.p} <= q = {params.q})",
-            )
-        if not params.materializable:
-            return AsymptoticCoverResult(
-                params,
-                None,
-                f"parameters feasible but family matrices of order {params.p}^"
-                f"{params.q} exceed the materialization limit; report only",
-            )
-    elif q is None or s is None:
+    if (q is None) != (s is None):
         raise DimensionError("supply both q and s, or neither")
-    else:
-        params = generalized_params(n, q, s, max_entries)
-        if not params.materializable:
-            return AsymptoticCoverResult(
-                params,
-                None,
-                f"family matrices of order {params.p}^{params.q} exceed the "
-                f"materialization limit; report only",
-            )
+    params = asymptotic_params(n) if q is None else generalized_params(n, q, s)
+    if not params.arithmetic_feasible:
+        return AsymptoticCoverResult(
+            params,
+            None,
+            f"infeasible: p-1 = {params.p - 1} members available, "
+            f"need s = {params.s} (or prime {params.p} <= q = {params.q})",
+        )
+    if not params.materializable:
+        return AsymptoticCoverResult(
+            params,
+            None,
+            f"family matrices of order {params.p}^{params.q} exceed the "
+            f"materialization limit; report only",
+        )
 
-    _, fam = algebraic_family(params.d, params.q, max_entries)
+    _, fam = algebraic_family(params.d, params.q)
     selected = MatrixFamily(fam.decompositions[: params.s])
     cap = params.p**params.q
     if n < cap:

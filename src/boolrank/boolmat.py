@@ -5,9 +5,12 @@ domination and equality run word-parallel; padding bits past the last
 column are kept zero, which makes byte-level comparisons exact.  Matrices
 are immutable after construction and safe to share across threads.
 
-The Kronecker product refuses to materialize results above a configurable
-entry limit; callers working at that scale verify covers lazily instead
-(see :mod:`boolrank.cover`).
+Dense results above the materialization limit are refused: the
+``BOOLRANK_MAX_ENTRIES`` environment variable (default ``2^31`` entries) is
+the only setting, for library calls and the CLI alike, and no function
+takes a limit of its own.  :func:`require_materializable` is the one place
+that turns the limit into a :class:`MaterializationLimitError`; callers
+working above it verify covers lazily instead (see :mod:`boolrank.cover`).
 
 This module also holds the text layer that every file format shares: one
 file reader, the block header/body/trailing-line helpers and the
@@ -24,7 +27,8 @@ import numpy as np
 
 from .errors import DimensionError, FormatError, MaterializationLimitError
 
-#: Dense results above this many entries are refused unless overridden.
+#: Dense results above this many entries are refused unless the environment
+#: variable below sets another limit.
 DEFAULT_MAX_ENTRIES = 2**31
 
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
@@ -36,10 +40,11 @@ _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 _BLOCK_ENTRIES = 1 << 22
 
 
-def max_entries_limit(override: int | None = None) -> int:
-    """Resolve the materialization limit: explicit arg, else env, else default."""
-    if override is not None:
-        return override
+def max_entries_limit() -> int:
+    """The materialization limit: ``BOOLRANK_MAX_ENTRIES``, else the default.
+
+    Read on every call, so a change to the environment takes effect at once.
+    """
     env = os.environ.get(_ENV_MAX_ENTRIES)
     if not env:
         return DEFAULT_MAX_ENTRIES
@@ -48,6 +53,15 @@ def max_entries_limit(override: int | None = None) -> int:
             f"{_ENV_MAX_ENTRIES} must be a non-negative decimal integer, got {env!r}"
         )
     return int(env)
+
+
+def require_materializable(what: str, entries: int) -> None:
+    """Refuse a dense ``what`` of ``entries`` entries above the limit."""
+    limit = max_entries_limit()
+    if entries > limit:
+        raise MaterializationLimitError(
+            f"{what} has {entries} entries, limit is {limit}"
+        )
 
 
 class BoolMatrix:
@@ -194,20 +208,14 @@ def boolean_product(u: BoolMatrix, v: BoolMatrix) -> BoolMatrix:
     return BoolMatrix.from_dense((ud @ vd > 0).astype(np.uint8))
 
 
-def kronecker(
-    a: BoolMatrix, b: BoolMatrix, max_entries: int | None = None
-) -> BoolMatrix:
+def kronecker(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
     """Kronecker product; block (i, j) equals ``a[i, j] * b``.
 
-    Refuses results beyond the materialization limit so that callers fall
-    back to lazy verification.
+    Raises :class:`MaterializationLimitError` for results above the
+    ``BOOLRANK_MAX_ENTRIES`` limit, so that callers fall back to lazy
+    verification.
     """
-    entries = a.rows * b.rows * a.cols * b.cols
-    limit = max_entries_limit(max_entries)
-    if entries > limit:
-        raise MaterializationLimitError(
-            f"kronecker result has {entries} entries, limit is {limit}"
-        )
+    require_materializable("kronecker result", a.rows * b.rows * a.cols * b.cols)
     dense = np.kron(a.to_dense(), b.to_dense())
     return BoolMatrix.from_dense(dense)
 

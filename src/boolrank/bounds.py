@@ -88,11 +88,13 @@ def exact_boolean_rank(
 
     With ``limit`` the search may stop early: it either determines the exact
     value or proves no cover smaller than ``limit`` exists ("\\u2265 limit"
-    certificate).  Exceeding the node budget raises; a wrong exact value is
-    never returned.
+    certificate).  A limit of 0 would prove nothing and is refused.
+    Exceeding the node budget raises; a wrong exact value is never returned.
     """
     if limit is not None and limit < 0:
         raise DimensionError(f"limit must be non-negative, got {limit}")
+    if limit == 0:
+        raise DimensionError("limit 0 proves no lower bound; give at least 1")
     if a.is_zero():
         empty = Cover(a.rows, a.cols, ())
         return RankCertificate(0, empty, 0, "search", True)

@@ -3,8 +3,10 @@
 Exit codes: 0 success/verified, 1 verification failed (witness printed on
 stdout), 2 invalid input or parameters, 3 budget or materialization limit
 exceeded.  Certificates go to stdout, diagnostics to stderr.  The
-materialization limit can be overridden with the BOOLRANK_MAX_ENTRIES
-environment variable (a non-negative decimal integer).
+materialization limit (default 2^31 entries) is set only by the
+BOOLRANK_MAX_ENTRIES environment variable, a non-negative decimal integer;
+it governs the library calls behind every command, and no command takes a
+limit option of its own.
 
 Each command registers once, beside its handler, through :func:`command`.
 A handler takes the parsed arguments and returns the text it certifies,
@@ -53,8 +55,6 @@ def command(words: str, help: str, *spec: str) -> Callable[[Handler], Handler]:
 
 
 def _entry_str(witness) -> str:
-    if witness is None:
-        return "none"
     if isinstance(witness, tuple):
         return f"({_format_index_list(witness)})"
     return str(witness)
@@ -67,9 +67,8 @@ def _cmd_sigma(args) -> str:
 
 @command("crown", "write the order-n crown matrix", "n:int", "-o")
 def _cmd_crown(args) -> str:
-    size, limit = args.n * args.n, boolmat.max_entries_limit()
-    if args.n > 0 and size > limit:
-        raise MaterializationLimitError(f"crown matrix has {size} entries, limit is {limit}")
+    if args.n > 0:  # a bad n is invalid input, whatever its square
+        boolmat.require_materializable("crown matrix", args.n * args.n)
     return boolmat.format_matrix(crown.crown_matrix(args.n))
 
 

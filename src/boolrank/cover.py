@@ -629,10 +629,7 @@ def _all_ones_on(m: BoolMatrix, rows: Sequence[int], cols: Sequence[int]) -> boo
 
 
 def extract_families(
-    a: BoolMatrix,
-    b: BoolMatrix,
-    c: Cover,
-    max_entries: int | None = None,
+    a: BoolMatrix, b: BoolMatrix, c: Cover
 ) -> tuple[MatrixFamily, MatrixFamily]:
     """Project a cover of ``a (x) b`` into two rank-1 families.
 
@@ -643,22 +640,23 @@ def extract_families(
     satisfy the composition hypotheses when the input is a valid cover;
     this is re-verified and a :class:`VerificationError` raised otherwise.
 
-    The input cover is verified eagerly when the product is materializable.
-    Above the limit only the per-rectangle all-ones checks plus the
-    extracted-family hypotheses are run.  They prove the cover only when
-    every rectangle is the exact product of its factors' index sets, since
-    the rectangles' union then equals the sum of the M_t (x) N_t; otherwise
-    a union falling short of the product's support would go unseen, and a
-    :class:`MaterializationLimitError` is raised instead of returning.
+    The input cover is verified eagerly when the product fits the
+    ``BOOLRANK_MAX_ENTRIES`` limit.  Above it only the per-rectangle
+    all-ones checks plus the extracted-family hypotheses are run.  They
+    prove the cover only when every rectangle is the exact product of its
+    factors' index sets, since the rectangles' union then equals the sum of
+    the M_t (x) N_t; otherwise a union falling short of the product's
+    support would go unseen, and a :class:`MaterializationLimitError` is
+    raised instead of returning.
     """
     rb, cb = b.rows, b.cols
     if c.rows != a.rows * rb or c.cols != a.cols * cb:
         raise DimensionError("cover dimensions do not match the product")
 
     entries = c.rows * c.cols
-    limit = max_entries_limit(max_entries)
+    limit = max_entries_limit()
     if entries <= limit:
-        res = verify_cover(kronecker(a, b, max_entries), c)
+        res = verify_cover(kronecker(a, b), c)
         if not res:
             raise VerificationError(
                 f"input cover invalid at entry {res.witness}: {res.reason}",

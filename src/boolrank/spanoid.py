@@ -201,9 +201,6 @@ class ProductSpanoid(Spanoid):
                 return frozenset(i * n2 + j for i, row in enumerate(rows) for j in row)
             size = grown
 
-    def pair_index(self, i: int, j: int) -> int:
-        return i * self.n2 + j
-
 
 def _transpose(lines: Iterable[Iterable[int]], n: int) -> list[list[int]]:
     """Line b of the result lists every a whose line a holds b."""
@@ -262,8 +259,9 @@ def spanoid_rank(
 class ProductBoundResult:
     """Outcome of the product-rank upper-bound check.
 
-    ``ok`` requires the per-element hypothesis and the final spanning check;
-    ``bound`` is the certified sum of |M_t| * |N_t|.
+    ``ok`` means the per-element hypothesis holds; ``bound`` is then the
+    certified sum of |M_t| * |N_t|.  Otherwise ``witness`` is the first
+    element of U1 at which the hypothesis fails.
     """
 
     ok: bool
@@ -283,8 +281,10 @@ def check_product_bound(
     """Verify the spanoid composition hypothesis and certify the bound.
 
     Requires, for every i in U1, that the union of the N_t with i in M_t
-    spans U2; on success additionally verifies that the union of the
-    M_t x N_t products spans U1 x U2 and returns sum |M_t| |N_t|.
+    spans U2, and returns sum |M_t| |N_t|.  The hypothesis implies that the
+    union X of the M_t x N_t spans U1 x U2: row i of X holds that union, so
+    the second component's rules along row i span all of {i} x U2, for
+    every i.
     """
     if len(m_sets) != len(n_sets):
         raise DimensionError("set lists must have equal length")
@@ -304,16 +304,6 @@ def check_product_bound(
                 union |= nn
         if not s2.spans_all(union):
             return ProductBoundResult(False, None, witness=i)
-
-    prod = ProductSpanoid(s1, s2)
-    big = {
-        prod.pair_index(i, j)
-        for m, nn in zip(m_sets, n_sets)
-        for i in m
-        for j in nn
-    }
-    if not prod.spans_all(big):
-        return ProductBoundResult(False, None, witness=None)
     bound = sum(len(m) * len(nn) for m, nn in zip(m_sets, n_sets))
     return ProductBoundResult(True, bound)
 

@@ -1,8 +1,16 @@
+import os
+
 import pytest
 from hypothesis import settings
 
 from boolrank.algebraic import algebraic_family
 from boolrank.crown import crown_matrix
+
+# The environment variable is the only materialization limit, so a value
+# left in the shell would change what the library refuses.  It is cleared
+# before any fixture runs; a test that needs a limit sets it with
+# monkeypatch.
+os.environ.pop("BOOLRANK_MAX_ENTRIES", None)
 
 
 @pytest.fixture(scope="session")

@@ -194,11 +194,12 @@ class TestAlgebraicFamily:
             mapped = g + params.p * (np.arange(n) // params.p)
             assert np.array_equal(np.sort(mapped), np.arange(n))
 
-    def test_infeasible_parameters(self):
+    def test_infeasible_parameters(self, monkeypatch):
         with pytest.raises(DimensionError):
             algebraic_family(1, 2)  # largest prime <= C(2,1) = 2 is not > q
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", str(10**6))
         with pytest.raises(MaterializationLimitError):
-            algebraic_family(3, 3, max_entries=10**6)
+            algebraic_family(3, 3)
 
 
 class TestAsymptoticParams:
@@ -262,6 +263,13 @@ class TestAsymptoticCover:
 
     def test_strict_d4_is_report_only(self):
         res = asymptotic_cover(10**9)
+        assert res.params.arithmetic_feasible and not res.params.materializable
+        assert res.description is None
+        assert "materialization limit" in res.message
+
+    def test_generalized_above_limit_is_report_only(self, monkeypatch):
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "100")
+        res = asymptotic_cover(25, q=2, s=3)
         assert res.params.arithmetic_feasible and not res.params.materializable
         assert res.description is None
         assert "materialization limit" in res.message

@@ -148,10 +148,11 @@ class TestKronecker:
                     assert k.get(r, c) == (a.get(e.ia, e.ja) & b.get(e.ib, e.jb))
                     assert e.flat(b.rows, b.cols) == (r, c)
 
-    def test_materialization_limit(self):
+    def test_materialization_limit(self, monkeypatch):
         a = BoolMatrix.ones(100, 100)
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", str(10**6))
         with pytest.raises(MaterializationLimitError):
-            kronecker(a, a, max_entries=10**6)
+            kronecker(a, a)
 
 
 class TestRankOne:

@@ -161,6 +161,12 @@ class TestExactRank:
         with pytest.raises(DimensionError, match="non-negative"):
             exact_boolean_rank(crown_matrix(3), limit=-1)
 
+    def test_zero_limit_refused(self):
+        # a limit of 0 proves nothing, even for the zero matrix
+        for m in (crown_matrix(3), BoolMatrix.zeros(2, 2)):
+            with pytest.raises(DimensionError, match="limit 0"):
+                exact_boolean_rank(m, limit=0)
+
     @given(small_matrices())
     def test_matches_brute_force_and_spanoid_rank(self, dense):
         m = BoolMatrix.from_dense(dense)

@@ -129,6 +129,14 @@ class TestCoverCommands:
         assert lines[0].endswith("feasible=yes")
         assert lines[1].startswith("SIZE ") and lines[1].endswith("VERIFIED")
 
+    def test_asymptotic_generalized_above_limit_reports(self, capsys, monkeypatch):
+        # the 25 x 25 family matrices have 625 entries
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "100")
+        code, out, err = run(capsys, "cover", "asymptotic", "25", "--q", "2", "--s", "3")
+        assert code == 0
+        assert out == "PARAMS d=2 q=2 p=5 n=25 k=8 s=3 bound=48 feasible=no\n"
+        assert "materialization limit" in err
+
 
 class TestVerifyKronAndQcover:
     def test_verify_kron(self, capsys, tmp_path):
@@ -302,6 +310,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "rank", "exact", mat, "--limit", "-5")
         assert code == 2 and out == ""
         assert "invalid input: limit must be non-negative, got -5" in err
+
+    def test_zero_rank_limit_exit_2(self, capsys, tmp_path):
+        mat = str(tmp_path / "c3.mat")
+        write_matrix(mat, crown_matrix(3))
+        code, out, err = run(capsys, "rank", "exact", mat, "--limit", "0")
+        assert code == 2 and out == ""
+        assert "invalid input: limit 0 proves no lower bound" in err
 
     def test_bad_format_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.mat"

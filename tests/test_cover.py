@@ -589,36 +589,38 @@ class TestExtractFamilies:
         with pytest.raises(VerificationError):
             extract_families(c2, c2, bad)
 
-    def test_product_rectangles_extract_above_limit(self):
+    def test_product_rectangles_extract_above_limit(self, monkeypatch):
         # every rectangle is rows_a x rows_b by cols_a x cols_b, so the
         # hypotheses prove the cover without materializing the product
         c4 = crown_matrix(4)
         cov = compose_kron_cover(c4_triple(), c4_triple())
-        assert extract_families(c4, c4, cov, max_entries=1) == extract_families(
-            c4, c4, cov
-        )
+        eager = extract_families(c4, c4, cov)
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "1")
+        assert extract_families(c4, c4, cov) == eager
         c2 = crown_matrix(2)
         single = Cover(4, 4, tuple(Rectangle((i,), (3 - i,)) for i in range(4)))
-        m_fam, n_fam = extract_families(c2, c2, single, max_entries=1)
+        m_fam, n_fam = extract_families(c2, c2, single)
         assert verify_kron_hypotheses(c2, m_fam, c2, n_fam)
 
-    def test_non_product_rectangles_refused_above_limit(self):
+    def test_non_product_rectangles_refused_above_limit(self, monkeypatch):
         # rows {0, 3} of J2 (x) J2 project onto all of J2 on both sides, so
         # the hypotheses hold although rows 1 and 2 are never covered
         j2 = BoolMatrix.ones(2, 2)
         short = Cover(4, 4, (Rectangle((0, 3), (0, 1, 2, 3)),))
         with pytest.raises(VerificationError):
             extract_families(j2, j2, short)
-        with pytest.raises(MaterializationLimitError):
-            extract_families(j2, j2, short, max_entries=15)
+        with monkeypatch.context() as m, pytest.raises(MaterializationLimitError):
+            m.setenv("BOOLRANK_MAX_ENTRIES", "15")
+            extract_families(j2, j2, short)
         # a valid cover of the same kind cannot be told apart, so it is
         # refused too
         valid = Cover(
             4, 4, (Rectangle((0, 3), (0, 1, 2, 3)), Rectangle((1, 2), (0, 1, 2, 3)))
         )
         extract_families(j2, j2, valid)
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "15")
         with pytest.raises(MaterializationLimitError):
-            extract_families(j2, j2, valid, max_entries=15)
+            extract_families(j2, j2, valid)
 
     def test_matches_project_factors(self):
         from boolrank.boolmat import project_factors

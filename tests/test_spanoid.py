@@ -273,6 +273,23 @@ class TestProductBound:
         with pytest.raises(DimensionError):
             check_product_bound(s, s, [{0}], [{0}, {1}])
 
+    @given(small_spanoids(), small_spanoids(), st.data())
+    def test_passing_bound_spans_the_product(self, s1, s2, data):
+        """The eager product span is the oracle for the per-element check."""
+        def sets_over(s, t):
+            element = st.integers(0, len(s) - 1) if len(s) else st.nothing()
+            return st.lists(st.frozensets(element), min_size=t, max_size=t)
+
+        t = data.draw(st.integers(0, 4))
+        m_sets = data.draw(sets_over(s1, t))
+        n_sets = data.draw(sets_over(s2, t))
+        res = check_product_bound(s1, s2, m_sets, n_sets)
+        if res:
+            n2 = len(s2)
+            x = {i * n2 + j for m, nn in zip(m_sets, n_sets) for i in m for j in nn}
+            assert ProductSpanoid(s1, s2).spans_all(x)
+            assert res.bound == sum(len(m) * len(nn) for m, nn in zip(m_sets, n_sets))
+
 
 class TestPropositionSmall:
     def test_rank_equals_boolean_rank_exhaustive_2x2(self):

@@ -33,8 +33,9 @@ DEFAULT_MAX_ENTRIES = 2**31
 
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
-#: Entries handled at once by every row-block loop: parsing and formatting a
-#: matrix body, coverage signatures, and the crown's pairwise set tests.
+#: Entries handled at once by every block loop: finding a matrix text's
+#: newlines, parsing and formatting a matrix body, building member rows from
+#: decompositions, coverage signatures, and the crown's pairwise set tests.
 #: Splitting coverage classes takes ``_block_rows(64 * packed bytes per row)``
 #: rows, a 64th of this in packed bytes (64 KiB), so its masks stay in cache.
 _BLOCK_ENTRIES = 1 << 22
@@ -417,16 +418,21 @@ def parse_matrix(text: str | bytes) -> BoolMatrix:
     """Inverse of :func:`format_matrix`; lines are split on ``\\n`` only.
 
     ``text`` may also be the file's bytes, as :func:`read_matrix` passes it.
-    The body is checked and packed as one byte grid, a row block at a time;
-    the first bad line is located from per-line masks, so every error names
-    the same line a line-by-line reader would.
+    Newlines are found a block of bytes at a time, and the body is checked
+    and packed as one byte grid, a row block at a time; the first bad line
+    is located from per-line masks, so every error names the same line a
+    line-by-line reader would.
     """
     # A str becomes ASCII with "?" for anything else: one byte per character,
     # so byte offsets are character offsets.  No non-ASCII byte passes as 0/1.
     if isinstance(text, str):
         text = text.encode("ascii", "replace")
     buf = np.frombuffer(text, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n"))
+    # newlines are found a block at a time, so no full-size mask is built
+    newlines = np.concatenate([
+        np.flatnonzero(buf[lo:lo + _BLOCK_ENTRIES] == ord("\n")) + lo
+        for lo in range(0, buf.size, _BLOCK_ENTRIES)
+    ] or [np.zeros(0, dtype=np.intp)])
     header = text[: newlines[0]] if newlines.size else text
     if not header.strip():
         raise FormatError("missing header", line=1)

@@ -18,6 +18,11 @@ Every-q covering of a family is decided in one pass over its members with
 saturating bit counters, so it is always exhaustive, however many
 q-subsets there are.
 
+The verifiers read a family's members a row block at a time, straight
+from its decompositions (:func:`cover_rows`), and drop each block once it
+is used, so no whole member is built or held; :attr:`MatrixFamily.members`
+is for callers that want the members whole.
+
 Every failed verification reports the first failing entry in row-major
 order (or the lexicographically first failing subset), so tests and CLI
 output are deterministic.
@@ -27,10 +32,11 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,7 +53,6 @@ from .boolmat import (
     _read_file,
     _split_lines,
     _write_file,
-    boolean_sum,
     kronecker,
     max_entries_limit,
 )
@@ -77,6 +82,11 @@ class Rectangle:
     def area(self) -> int:
         return len(self.row_set) * len(self.col_set)
 
+    @cached_property
+    def _col_index(self) -> np.ndarray:
+        """The column set as an index array, kept: row blocks each read it."""
+        return np.array(self.col_set, dtype=np.intp)
+
     def to_matrix(self, rows: int, cols: int) -> BoolMatrix:
         return cover_matrix(Cover(rows, cols, (self,)))
 
@@ -84,7 +94,7 @@ class Rectangle:
 def _index_mask(idx: Sequence[int], n: int) -> np.ndarray:
     """Packed bits (little order) of an n-bit row with the bits ``idx`` set."""
     ind = np.zeros(n, dtype=np.uint8)
-    ind[list(idx)] = 1
+    ind[np.asarray(idx, dtype=np.intp)] = 1
     return np.packbits(ind, bitorder="little")
 
 
@@ -108,25 +118,55 @@ class Cover:
         return len(self.rects)
 
 
-def cover_matrix(c: Cover) -> BoolMatrix:
-    """Boolean sum of the cover's rectangles.
+def cover_rows(c: Cover, row0: int, row1: int) -> np.ndarray:
+    """Packed rows ``row0`` up to ``row1`` of the cover's Boolean sum.
+
+    ``row1`` is clipped to the cover's rows, and the array is the caller's.
 
     Rectangles are taken eight at a time.  A row's 8-bit code says which of
     them contain it, a 256-row table holds the OR of column masks for every
-    code, and one gather writes each row once per group of eight.
+    code, and one gather writes each row once per group of eight.  A
+    rectangle with no row in the range adds nothing to the table.
     """
+    row1 = min(row1, c.rows)
     nbytes = (c.cols + 7) // 8
-    bits = np.zeros((c.rows, nbytes), dtype=np.uint8)
+    if not c.size:
+        return np.zeros((row1 - row0, nbytes), dtype=np.uint8)
     for g in range(0, c.size, 8):
         group = c.rects[g:g + 8]
-        code = np.zeros(c.rows, dtype=np.uint8)
+        code = np.zeros(row1 - row0, dtype=np.uint8)
         table = np.zeros((1 << len(group), nbytes), dtype=np.uint8)
         for r, rect in enumerate(group):
-            code[list(rect.row_set)] |= np.uint8(1 << r)
-            table[1 << r:2 << r] = table[:1 << r] | _index_mask(rect.col_set, c.cols)
-        bits |= table[code]
+            rows = rect.row_set
+            rows = rows[bisect_left(rows, row0):bisect_left(rows, row1)]
+            if rows:
+                code[np.subtract(rows, row0)] |= np.uint8(1 << r)
+                mask = _index_mask(rect._col_index, c.cols)
+                table[1 << r:2 << r] = table[:1 << r] | mask
+        if g:
+            bits |= table[code]
+        else:
+            bits = table[code]
+    return bits
+
+
+def cover_matrix(c: Cover) -> BoolMatrix:
+    """Boolean sum of the cover's rectangles: :func:`cover_rows` over all rows."""
+    bits = cover_rows(c, 0, c.rows)
     bits.flags.writeable = False
     return BoolMatrix(c.rows, c.cols, bits)
+
+
+def _packed_rows(m: BoolMatrix | Cover, row0: int, row1: int) -> np.ndarray:
+    """Packed rows ``row0`` up to ``row1`` of a matrix or of a cover's sum."""
+    if isinstance(m, Cover):
+        return cover_rows(m, row0, row1)
+    return m.bits[row0:row1]
+
+
+def _chunk_rows(cols: int) -> int:
+    """Rows of the blocks in which verifiers build member rows."""
+    return _block_rows(8 * ((cols + 7) // 8))
 
 
 @dataclass(frozen=True)
@@ -134,9 +174,11 @@ class MatrixFamily:
     """Equally sized matrices, held as their rank-1 decompositions only.
 
     A member is derived: it is the Boolean sum of its decomposition's
-    rectangles, built on first use of :attr:`members` and then kept.
-    Length, dimensions and ranks are read from the decompositions, so they
-    build no member.
+    rectangles.  :attr:`members` builds them all on first use and keeps
+    them, for callers that want whole members; the verifiers never read it
+    and build member rows a block at a time from the decompositions
+    instead.  Length, dimensions and ranks are read from the
+    decompositions, so they build no member.
     """
 
     decompositions: tuple[Cover, ...]
@@ -163,6 +205,11 @@ class MatrixFamily:
     def ranks(self) -> tuple[int, ...]:
         """Decomposition sizes (upper bounds on the members' Boolean ranks)."""
         return tuple(d.size for d in self.decompositions)
+
+
+def _union(fam: MatrixFamily) -> Cover:
+    """Every rectangle of every decomposition: its sum is the members' sum."""
+    return Cover(*fam.dims, tuple(r for d in fam.decompositions for r in d.rects))
 
 
 @dataclass(frozen=True)
@@ -263,22 +310,34 @@ def _first_set_bit(diff: np.ndarray, cols: int) -> tuple[int, int]:
     return i, j
 
 
+def _first_difference(a: BoolMatrix, c: Cover) -> tuple[int, int] | None:
+    """First entry in row-major order where ``a`` and the cover's sum differ.
+
+    The sum is built and compared a row block at a time, and the scan stops
+    at the first block that differs.
+    """
+    block = _chunk_rows(a.cols)
+    for row0 in range(0, a.rows, block):
+        diff = cover_rows(c, row0, row0 + block)
+        diff ^= a.bits[row0:row0 + block]
+        if diff.any():
+            i, j = _first_set_bit(diff, a.cols)
+            return row0 + i, j
+    return None
+
+
 def verify_cover(a: BoolMatrix, c: Cover) -> VerifyResult:
     """Check that the rectangles are all-ones in ``a`` and cover its support."""
     if (a.rows, a.cols) != (c.rows, c.cols):
         raise DimensionError(
             f"cover is {c.rows}x{c.cols}, target is {a.rows}x{a.cols}"
         )
-    union = cover_matrix(c)
-    over = union.bits & ~a.bits
-    under = a.bits & ~union.bits
-    bad = over | under
-    if not bad.any():
+    witness = _first_difference(a, c)
+    if witness is None:
         return VerifyResult(True)
-    i, j = _first_set_bit(bad, a.cols)
-    if (over[i, j >> 3] >> (j & 7)) & 1:
-        return VerifyResult(False, (i, j), "rectangle covers a zero entry")
-    return VerifyResult(False, (i, j), "uncovered one entry")
+    if a.get(*witness):
+        return VerifyResult(False, witness, "uncovered one entry")
+    return VerifyResult(False, witness, "rectangle covers a zero entry")
 
 
 # -- lazy hypothesis verification --------------------------------------------
@@ -300,30 +359,35 @@ _TRANSPOSE_8X8 = tuple(
 )
 
 
-def _signature_blocks(matrices: Sequence[BoolMatrix]) -> Iterator[tuple[int, np.ndarray]]:
+def _signature_blocks(
+    matrices: Sequence[BoolMatrix | Cover],
+) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (row0, signatures) per row block of the matrices' common shape.
 
+    A matrix may be given as a cover, whose Boolean sum it is.
     ``signatures`` has shape (block_rows, 8 * packed bytes per row): bit t
     of an entry's signature marks that matrix t has a 1 there, and the
     padding entries past the last column have signature 0.  Signatures are
     transposed straight from the packed bits, eight matrices at a time: the
     t-th bytes of eight matrices form an 8x8 bit matrix, and its transpose
-    holds one signature byte per entry.  The dtype is the narrowest holding
-    s bits; past 64 matrices a signature is its bytes viewed as one void
-    scalar, so it still compares as one value.
+    holds one signature byte per entry.  Each matrix's rows of the block
+    are built when its group of eight is transposed.  The dtype is the
+    narrowest holding s bits; past 64 matrices a signature is its bytes
+    viewed as one void scalar, so it still compares as one value.
     """
     s = len(matrices)
-    rows, nbytes = matrices[0].bits.shape
+    rows, cols = matrices[0].rows, matrices[0].cols
+    nbytes = (cols + 7) // 8
     dtype = _signature_dtype(s)
-    block = _block_rows(8 * nbytes)
+    block = _chunk_rows(cols)
     for row0 in range(0, rows, block):
         stop = min(rows, row0 + block)
-        packed = [m.bits[row0:stop].ravel() for m in matrices]
-        sig = np.zeros((packed[0].size * 8, dtype.itemsize), dtype=np.uint8)
+        size = (stop - row0) * nbytes
+        sig = np.zeros((size * 8, dtype.itemsize), dtype=np.uint8)
         for k in range(0, s, 8):
-            words = np.zeros((packed[0].size, 8), dtype=np.uint8)
-            for t, bits in enumerate(packed[k:k + 8]):
-                words[:, t] = bits
+            words = np.zeros((size, 8), dtype=np.uint8)
+            for t, m in enumerate(matrices[k:k + 8]):
+                words[:, t] = _packed_rows(m, row0, stop).ravel()
             w = words.view("<u8")
             for shift, mask in _TRANSPOSE_8X8:
                 swap = (w ^ (w >> shift)) & mask
@@ -337,7 +401,7 @@ def _signature_int(key: np.generic) -> int:
     return int.from_bytes(key.tobytes(), "little")
 
 
-def _split_classes(matrices: Sequence[BoolMatrix]) -> set[int]:
+def _split_classes(matrices: Sequence[BoolMatrix | Cover]) -> set[int]:
     """:func:`_classes`, split straight from the packed bits.
 
     A row block starts as one live mask of all its bits.  Matrix t splits
@@ -345,34 +409,51 @@ def _split_classes(matrices: Sequence[BoolMatrix]) -> set[int]:
     lacks, and empty halves are dropped; after the last matrix each live
     mask holds the entries of one class.  Padding bits are 0 in every
     matrix, so they only reach class 0.  A block is about 64 KiB of packed
-    bytes, so the masks stay in cache while they are split.
+    bytes, so the masks stay in cache while they are split, and a mask
+    that is dropped is reused rather than freed, so splitting allocates
+    almost nothing.  The matrices' rows are built a whole number of blocks
+    at a time, about ``_chunk_rows`` rows.
     """
-    rows, nbytes = matrices[0].bits.shape
+    rows, nbytes = matrices[0].rows, (matrices[0].cols + 7) // 8
     if not nbytes:
         return set()
     block = _block_rows(64 * nbytes)
+    chunk = block * max(1, _chunk_rows(matrices[0].cols) // block)
     classes: set[int] = set()
-    for row0 in range(0, rows, block):
-        blocks = [m.bits[row0:row0 + block].ravel() for m in matrices]
-        live = [(0, np.full(blocks[0].size, 0xFF, dtype=np.uint8))]
-        for t, bits in enumerate(blocks):
-            split = []
-            for cls, mask in live:
-                hit = mask & bits
-                if not hit.max():  # max, not any: a third of the time
-                    split.append((cls, mask))
-                    continue
-                split.append((cls | 1 << t, hit))
-                miss = mask ^ hit
-                if miss.max():
-                    split.append((cls, miss))
-            live = split
-        classes.update(cls for cls, _ in live)
+    spare: list[np.ndarray] = []
+    for chunk0 in range(0, rows, chunk):
+        chunks = [_packed_rows(m, chunk0, chunk0 + chunk) for m in matrices]
+        for row0 in range(0, len(chunks[0]), block):
+            blocks = [c[row0:row0 + block].ravel() for c in chunks]
+            if spare and spare[0].size != blocks[0].size:  # the last, shorter block
+                spare.clear()
+            mask = spare.pop() if spare else np.empty_like(blocks[0])
+            mask.fill(0xFF)
+            live = [(0, mask)]
+            for t, bits in enumerate(blocks):
+                split = []
+                for cls, mask in live:
+                    hit = np.bitwise_and(mask, bits, out=spare.pop() if spare else None)
+                    if not hit.max():  # max, not any: a third of the time
+                        spare.append(hit)
+                        split.append((cls, mask))
+                        continue
+                    split.append((cls | 1 << t, hit))
+                    mask ^= hit
+                    if mask.max():
+                        split.append((cls, mask))
+                    else:
+                        spare.append(mask)
+                live = split
+            classes.update(cls for cls, _ in live)
+            spare.extend(mask for _, mask in live)
     return classes
 
 
-def _classes(matrices: Sequence[BoolMatrix]) -> set[int]:
+def _classes(matrices: Sequence[BoolMatrix | Cover]) -> set[int]:
     """Distinct classes over all entries: bit t set iff matrix t has a 1 there.
+
+    A matrix may be given as a cover, whose Boolean sum it is.
 
     Up to 9 matrices the classes are split from the packed bits.  A split
     costs a pass per live class, so it wins while classes are few, as they
@@ -399,12 +480,12 @@ def _classes(matrices: Sequence[BoolMatrix]) -> set[int]:
 def _failing_signatures(p: set[int], q: set[int], s: int) -> list[int]:
     """Member signatures of a's 1-entries whose n-members do not sum to b.
 
-    ``p`` and ``q`` are the classes of ``[a, *m_fam.members]`` and
-    ``[b, *n_fam.members]`` for families of size s: bit 0 marks the factor
-    and bit t + 1 member t.  An entry of ``b`` in class T is covered by the
-    n-members of a signature S iff S meets T's members, so S fails iff it
-    meets the members of a class of b's 0-entries or misses all members of
-    a class of its 1-entries.
+    ``p`` and ``q`` are the classes of ``a`` with the m-members and of
+    ``b`` with the n-members, for families of size s: bit 0 marks the
+    factor and bit t + 1 member t.  An entry of ``b`` in class T is covered
+    by the n-members of a signature S iff S meets T's members, so S fails
+    iff it meets the members of a class of b's 0-entries or misses all
+    members of a class of its 1-entries.
     """
     on_zero = 0  # n-members covering some 0 of b
     on_one = set()  # the n-members of each class of b's 1-entries
@@ -435,10 +516,11 @@ def verify_kron_hypotheses(
     product without materializing it.
 
     Both sides are reduced to their classes (:func:`_classes`): P of
-    ``[a, *m_fam.members]`` and Q of ``[b, *n_fam.members]``, where bit 0
-    marks the factor.  The m-family sums to ``a`` iff in every class of P
-    the a-bit is set exactly when some member bit is.  The n-members that a
-    signature S selects sum to ``b`` iff every class T of Q has
+    ``a`` and the m-members, Q of ``b`` and the n-members, where bit 0
+    marks the factor; the members' rows are built from the decompositions.
+    The m-family sums to ``a`` iff in every class of P the a-bit is set
+    exactly when some member bit is.  The n-members that a signature S
+    selects sum to ``b`` iff every class T of Q has
     ``bool(S & T's members) == T's b-bit``, since that is their sum at the
     entries of class T (:func:`_failing_signatures`).  This is the dense
     check ``boolean_sum(selected n-members) != b``, decided without
@@ -451,18 +533,20 @@ def verify_kron_hypotheses(
     if n_fam.dims != (b.rows, b.cols):
         raise DimensionError("n-family dimensions do not match the second factor")
 
-    p = _classes([a, *m_fam.members])
+    p = _classes([a, *m_fam.decompositions])
     if any(bool(cls & 1) != (cls > 1) for cls in p):
-        union = boolean_sum(m_fam.members)
-        i, j = _first_set_bit(union.bits ^ a.bits, a.cols)
-        return VerifyResult(False, (i, j), "m-family does not cover the first factor")
+        return VerifyResult(
+            False,
+            _first_difference(a, _union(m_fam)),
+            "m-family does not cover the first factor",
+        )
 
-    q = p if (b, n_fam) == (a, m_fam) else _classes([b, *n_fam.members])
+    q = p if (b, n_fam) == (a, m_fam) else _classes([b, *n_fam.decompositions])
     failing = _failing_signatures(p, q, len(m_fam))
     if not failing:
         return VerifyResult(True)
 
-    for row0, sig in _signature_blocks(m_fam.members):
+    for row0, sig in _signature_blocks(m_fam.decompositions):
         nbytes = sig.dtype.itemsize
         keys = np.frombuffer(
             b"".join(f.to_bytes(nbytes, "little") for f in failing), dtype=sig.dtype
@@ -499,8 +583,8 @@ def compose_kron_description(
     when they fail.
     """
     description = KronCoverDescription(m_fam, n_fam)
-    a = boolean_sum(m_fam.members)
-    b = boolean_sum(n_fam.members)
+    a = cover_matrix(_union(m_fam))
+    b = cover_matrix(_union(n_fam))
     res = verify_kron_hypotheses(a, m_fam, b, n_fam)
     if not res:
         raise VerificationError(
@@ -535,18 +619,15 @@ def best_triple_pairing(
 
 # -- q-out-of-s covering ------------------------------------------------------
 
-#: Packed bytes of the target scanned at once by the q-covering check.
-_QCOVER_BLOCK_BYTES = 1 << 16
-
-
 def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckResult:
     """Check that every q-subset of the family sums to ``a``.
 
     That holds exactly when every member is dominated by ``a`` and no
     1-entry of ``a`` is missed by q or more members.  Both are decided in
-    one pass over the members, a block of packed bytes at a time: q
-    saturating bit counters record, per entry, whether more than k members
-    have missed it so far.  The answer is therefore always exhaustive.
+    one pass over the members, a row block at a time: each member's rows
+    of the block are built from its decomposition, and q saturating bit
+    counters record, per entry, whether more than k members have missed it
+    so far.  The answer is therefore always exhaustive.
 
     On failure the witness is the lexicographically first failing q-subset,
     the least of two kinds of candidates: for each entry missed by q or more
@@ -558,26 +639,27 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
         raise DimensionError(f"q={q} outside 1..{s}")
     if fam.dims != (a.rows, a.cols):
         raise DimensionError("family dimensions do not match the target")
-    target = a.bits.ravel()
-    members = [m.bits.ravel() for m in fam.members]
+    decomps = fam.decompositions
     first_over = s  # smallest member covering a 0 of a
     witness: tuple[int, ...] | None = None
-    for lo in range(0, target.size, _QCOVER_BLOCK_BYTES):
-        hi = lo + _QCOVER_BLOCK_BYTES
-        ones = target[lo:hi]
+    block = _chunk_rows(a.cols)
+    for row0 in range(0, a.rows, block):
+        row1 = row0 + block
+        ones = a.bits[row0:row1]
         zeros = ~ones
         # missed[k]: entries of a missed by more than k members so far
         missed = [np.zeros_like(ones) for _ in range(q)]
-        for t, bits in enumerate(members):
-            block = bits[lo:hi]
-            if t < first_over and (block & zeros).any():
+        for t, d in enumerate(decomps):
+            bits = cover_rows(d, row0, row1)
+            if t < first_over and (bits & zeros).any():
                 first_over = t
-            miss = ones & ~block
+            miss = np.bitwise_and(ones, ~bits, out=bits)
             for k in range(q - 1, 0, -1):
                 missed[k] |= missed[k - 1] & miss
             missed[0] |= miss
         if missed[-1].any():
-            found = _first_missing_subset(missed[-1], [m[lo:hi] for m in members], q)
+            rows = (cover_rows(d, row0, row1) for d in decomps)
+            found = _first_missing_subset(missed[-1], rows, q)
             witness = found if witness is None else min(witness, found)
     if first_over < s:
         found = tuple(range(q - 1)) + (max(first_over, q - 1),)
@@ -588,13 +670,14 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
 
 
 def _first_missing_subset(
-    missed: np.ndarray, members: Sequence[np.ndarray], q: int
+    missed: np.ndarray, members: Iterable[np.ndarray], q: int
 ) -> tuple[int, ...]:
     """Lex-first q members that all miss one of the packed entries ``missed``.
 
     Greedy in member order: take the next member missing any entry still
     in play, and keep only the entries it misses.  Every entry of
-    ``missed`` is missed by at least q members, so q are always found.
+    ``missed`` is missed by at least q members, so q are always found, and
+    no member past the q-th is read.
     """
     chosen: list[int] = []
     for t, bits in enumerate(members):

@@ -305,10 +305,30 @@ class TestMembersBuiltOnUse:
         assert main(["cover", "algebraic", "2", "2", "-o", str(tmp_path / "a.fam")]) == 0
         assert len(built) == 0
 
-    def test_asymptotic_cover_builds_only_selected_members(self, built):
+    @pytest.fixture
+    def rows_read(self, monkeypatch):
+        """Collects the decompositions whose rows are built."""
+        from boolrank import cover
+
+        read = []
+        real = cover.cover_rows
+
+        def recording(c, row0, row1):
+            read.append(c)
+            return real(c, row0, row1)
+
+        monkeypatch.setattr(cover, "cover_rows", recording)
+        return read
+
+    def test_asymptotic_cover_builds_only_selected_members(self, built, rows_read):
+        # no whole member is built; the row builder reads the 3 selected
+        # decompositions and no other
         res = asymptotic_cover(25, q=2, s=3)
         assert res.feasible
-        assert len(built) == 3
+        assert len(built) == 0
+        selected = res.description.m_family.decompositions
+        assert len(selected) == 3
+        assert {id(c) for c in rows_read} == {id(c) for c in selected}
 
 
 class TestCentralBinomialFact:

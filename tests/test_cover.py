@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from boolrank.cover import (
     check_q_covering,
     compose_kron_cover,
     cover_matrix,
+    cover_rows,
     extract_families,
     format_cover,
     format_family,
@@ -30,7 +32,7 @@ from boolrank.cover import (
     verify_cover,
     verify_kron_hypotheses,
 )
-from boolrank.crown import c4_triple, crown_matrix
+from boolrank.crown import c4_triple, crown_matrix, restrict_family
 from boolrank.errors import (
     DimensionError,
     FormatError,
@@ -150,6 +152,72 @@ class TestVerifyCover:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             verify_cover(crown_matrix(3), Cover(4, 4, ()))
+
+
+def dense_sum(c: Cover) -> np.ndarray:
+    """Oracle: the cover's Boolean sum, one dense rectangle at a time."""
+    dense = np.zeros((c.rows, c.cols), dtype=np.uint8)
+    for r in c.rects:
+        dense[np.ix_(r.row_set, r.col_set)] = 1
+    return dense
+
+
+def rand_cover(rng, rows, cols, size) -> Cover:
+    def side(n):
+        return tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+
+    rects = tuple(Rectangle(side(rows), side(cols)) for _ in range(size))
+    return Cover(rows, cols, rects)
+
+
+class TestRowBlocks:
+    """Packed rows of a cover's sum, built for any row range."""
+
+    # up to 20 rectangles: one, two and three groups of eight
+    @pytest.mark.parametrize("size", [0, 1, 8, 9, 20])
+    def test_cover_rows_match_dense_sum(self, size):
+        rng = random.Random(size)
+        for _ in range(20):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 20)
+            c = rand_cover(rng, rows, cols, size)
+            dense = dense_sum(c)
+            assert cover_matrix(c).to_dense().tolist() == dense.tolist()
+            row0 = rng.randrange(rows)
+            row1 = rng.randint(row0, rows + 3)
+            got = np.unpackbits(cover_rows(c, row0, row1), axis=1,
+                                bitorder="little", count=cols)
+            assert got.tolist() == dense[row0:row1].tolist()
+
+
+class TestVerifyCoverOracle:
+    """Row-block cover verification against a dense entry-by-entry scan."""
+
+    @pytest.mark.parametrize("block_entries", [1, 7, 1 << 22])
+    def test_matches_dense_scan(self, monkeypatch, block_entries):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(31)
+        reasons = {"": 0, "uncovered one entry": 0, "rectangle covers a zero entry": 0}
+        for it in range(120):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 19)
+            a = rand_matrix(rng, rows, cols, 0.7)
+            rects = list(row_decomposition(a).rects)
+            if it % 3 == 1 and rects:  # drop a rectangle: some 1 may be uncovered
+                del rects[rng.randrange(len(rects))]
+            if it % 3 == 2:  # add a rectangle: it may cover a 0
+                extra = rand_cover(rng, rows, cols, 1).rects[0]
+                rects.insert(rng.randrange(len(rects) + 1), extra)
+            c = Cover(rows, cols, tuple(rects))
+            res = verify_cover(a, c)
+            diff = np.argwhere(dense_sum(c) != a.to_dense())
+            if not len(diff):
+                assert res and res.witness is None
+            else:
+                i, j = (int(x) for x in diff[0])
+                reason = ("uncovered one entry" if a.get(i, j)
+                          else "rectangle covers a zero entry")
+                assert (res.ok, res.witness, res.reason) == (False, (i, j), reason)
+            reasons[res.reason] += 1
+        assert min(reasons.values()) >= 10
 
 
 class TestKronHypotheses:
@@ -378,9 +446,9 @@ class TestSubsetChecks:
 class TestQCoveringOracle:
     """The one-pass check against every q-subset, OR-ed and compared."""
 
-    @pytest.mark.parametrize("block_bytes", [1, 1 << 16])
-    def test_matches_brute_force(self, monkeypatch, block_bytes):
-        monkeypatch.setattr(cover_mod, "_QCOVER_BLOCK_BYTES", block_bytes)
+    @pytest.mark.parametrize("block_entries", [1, 7, 1 << 22])
+    def test_matches_brute_force(self, monkeypatch, block_entries):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
         rng = random.Random(2024)
         outcomes = {True: 0, False: 0}
         over = 0
@@ -500,6 +568,71 @@ class TestSignatureOracle:
             assert (bool(same), same.witness) == self.expected(a, m_fam, a, m_fam)
             same_failed += not same
         assert min(outcomes.values()) >= 2 and same_failed >= 2
+
+    # both witness kinds, at blocks of one row and of whole matrices; 6 and
+    # 12 members take the split and the marked-table class paths
+    @pytest.mark.parametrize("s", [6, 12])
+    @pytest.mark.parametrize("block_entries", [1, 7, 1 << 22])
+    def test_witness_kinds_match_eager(self, monkeypatch, s, block_entries):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(200 + s)
+        reasons = {"m-family does not cover the first factor": 0,
+                   "selected n-members do not cover the second factor": 0}
+        for it in range(12):
+            a = rand_matrix(rng, rng.randint(2, 6), rng.randint(2, 12), 0.7)
+            b = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 9), 0.8)
+            if a.is_zero() or b.is_zero():
+                continue
+            m_fam = self.covering_family(rng, a, s)
+            if it % 2:  # a member covers a 0 of a, or one misses a 1 of a
+                members = list(m_fam.members)
+                t = rng.randrange(s)
+                if it % 4 == 1:
+                    members[t] = self.with_stray_one(rng, members[t], a)
+                else:
+                    members[t] = BoolMatrix.zeros(a.rows, a.cols)
+                m_fam = with_row_decompositions(members)
+            n_fam = with_row_decompositions(rand_below(rng, b, 0.8) for _ in range(s))
+            lazy = verify_kron_hypotheses(a, m_fam, b, n_fam)
+            assert (bool(lazy), lazy.witness) == self.expected(a, m_fam, b, n_fam)
+            if not lazy:
+                reasons[lazy.reason] += 1
+        assert min(reasons.values()) >= 2
+
+
+class TestVerifiersHoldNoMember:
+    """Verifiers build member rows a block at a time and drop them.
+
+    With row blocks of 32 rows, verifying 18 members of order 2000 must
+    peak below half of what the members take as whole packed matrices; a
+    verifier that built and held the members would need all of it.
+    """
+
+    @pytest.fixture
+    def case(self, monkeypatch, family_3_3):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 1 << 16)
+        _, fam = family_3_3
+        # a separate family object, so the measured call finds no cached member
+        held = sum(m.bits.nbytes for m in restrict_family(fam, 2000).members)
+        assert held == 18 * 2000 * 250
+        return crown_matrix(2000), restrict_family(fam, 2000), held
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            assert call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_q_covering(self, case):
+        a, fam, held = case
+        assert self.peak(lambda: check_q_covering(a, fam, 3)) < held / 2
+
+    def test_kron_hypotheses(self, case):
+        a, fam, held = case
+        assert self.peak(lambda: verify_kron_hypotheses(a, fam, a, fam)) < held / 2
 
 
 class TestSignatureClasses:

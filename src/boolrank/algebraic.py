@@ -31,7 +31,7 @@ from .cover import (
     Rectangle,
     verify_kron_hypotheses,
 )
-from .crown import colex_subsets, crown_matrix, restrict_family, sigma
+from .crown import colex_subsets, crown_matrix, sigma
 from .errors import DimensionError, VerificationError
 
 
@@ -144,6 +144,30 @@ class AlgebraicCoverParams:
     block_subsets: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _members(d: int, p: int, q: int, s: int, n: int) -> MatrixFamily:
+    """Members 1..s of the every-q family of order p^q, on its n x n corner.
+
+    Element e of block 1 gives member i the rectangle of the z < n whose
+    block-1 subset, rewritten through g_i, holds e, by those whose subset
+    lacks it; empty rectangles are dropped.
+    """
+    require_materializable("family matrix", n * n)
+    in_b1 = np.zeros((p, 2 * d), dtype=bool)
+    for z, subset in enumerate(islice(colex_subsets(range(2 * d), d), p)):
+        in_b1[z, list(subset)] = True
+    zp = ZpFunctionFamily(p, q)
+    decomps = []
+    for i in range(1, s + 1):
+        sel = in_b1[zp.evaluate_all(i)[:n]]
+        rects = []
+        for t in range(2 * d):
+            rows, cols = np.flatnonzero(sel[:, t]), np.flatnonzero(~sel[:, t])
+            if rows.size and cols.size:
+                rects.append(Rectangle(tuple(rows.tolist()), tuple(cols.tolist())))
+        decomps.append(Cover(n, n, tuple(rects)))
+    return MatrixFamily(tuple(decomps))
+
+
 def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily]:
     """Build the p-1 matrices of rank <= 2d, every q of which cover the crown.
 
@@ -162,35 +186,14 @@ def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily
     if p <= q:
         raise DimensionError(f"largest prime {p} <= C({2*d},{d}) does not exceed q={q}")
     n = p**q
-    require_materializable("family matrix", n * n)
-    k = 2 * d * q
+    fam = _members(d, p, q, p - 1, n)
     blocks = tuple(
         tuple(range((j - 1) * 2 * d + 1, j * 2 * d + 1)) for j in range(1, q + 1)
     )
     block_subsets = tuple(
         tuple(islice(colex_subsets(block, d), p)) for block in blocks
     )
-    params = AlgebraicCoverParams(d, q, p, n, k, blocks, block_subsets)
-
-    zp = ZpFunctionFamily(p, q)
-    b1 = block_subsets[0]
-    in_b1 = np.zeros((p, 2 * d), dtype=bool)
-    for z, subset in enumerate(b1):
-        for e in subset:
-            in_b1[z, e - 1] = True  # block 1 is 1..2d, so e-1 indexes it
-
-    decomps = []
-    for i in range(1, p):
-        gvals = zp.evaluate_all(i)
-        rects = []
-        for t_idx in range(2 * d):
-            sel = in_b1[gvals, t_idx]
-            rows = np.nonzero(sel)[0]
-            cols = np.nonzero(~sel)[0]
-            if rows.size and cols.size:
-                rects.append(Rectangle(tuple(rows.tolist()), tuple(cols.tolist())))
-        decomps.append(Cover(n, n, tuple(rects)))
-    return params, MatrixFamily(tuple(decomps))
+    return AlgebraicCoverParams(d, q, p, n, 2 * d * q, blocks, block_subsets), fam
 
 
 # -- asymptotic pipeline --------------------------------------------------------
@@ -297,8 +300,9 @@ def asymptotic_cover(
 
     Without ``q``/``s`` the strict parameters (q = 2^d, s = 2^(d+1)) are
     used; these are infeasible at desk scale.  With explicit ``q`` and ``s``
-    the smallest workable d is chosen.  Either way s members are selected
-    and the composition hypotheses are verified symmetrically without
+    the smallest workable d is chosen.  Either way the first s members are
+    built on the leading n x n corner of the order-p^q family, and the
+    composition hypotheses are verified symmetrically without
     materializing the product.  When the parameters are infeasible, or the
     family matrices exceed the ``BOOLRANK_MAX_ENTRIES`` limit, the result
     carries the parameter report only, with the reason in its message.
@@ -321,13 +325,7 @@ def asymptotic_cover(
             f"materialization limit; report only",
         )
 
-    _, fam = algebraic_family(params.d, params.q)
-    selected = MatrixFamily(fam.decompositions[: params.s])
-    cap = params.p**params.q
-    if n < cap:
-        selected = restrict_family(selected, n)
-    elif n > cap:
-        raise AssertionError("parameter scan produced too small a cap")
+    selected = _members(params.d, params.p, params.q, params.s, n)
     target = crown_matrix(n)
     res = verify_kron_hypotheses(target, selected, target, selected)
     if not res:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import algebraic, boolmat, bounds, cover, crown, spanoid
 from .boolmat import _format_index_list
@@ -39,6 +39,7 @@ GROUP_HELP = {"cover": "constructions", "verify": "verifications",
               "spanoid": "spanoid rank operations"}
 
 Handler = Callable[[argparse.Namespace], str | Iterable[str]]
+T = TypeVar("T")
 
 # command words -> (help, argument specs, handler), in registration order.
 # A spec is "name" (a file), "name:int", "--name:int", or "-o" (write the
@@ -52,6 +53,12 @@ def command(words: str, help: str, *spec: str) -> Callable[[Handler], Handler]:
         COMMANDS[words] = (help, spec, handler)
         return handler
     return register
+
+
+def _read_two(read: Callable[[str], T], first: str, second: str) -> tuple[T, T]:
+    """``read`` of both paths; a path given twice is read once."""
+    x = read(first)
+    return x, x if second == first else read(second)
 
 
 def _entry_str(witness) -> str:
@@ -74,8 +81,7 @@ def _cmd_crown(args) -> str:
 
 @command("kron", "materialize a Kronecker product", "a", "b", "-o")
 def _cmd_kron(args) -> str:
-    a = boolmat.read_matrix(args.a)
-    b = boolmat.read_matrix(args.b)
+    a, b = _read_two(boolmat.read_matrix, args.a, args.b)
     return boolmat.format_matrix(boolmat.kronecker(a, b))
 
 
@@ -138,10 +144,8 @@ def _cmd_verify_cover(args) -> str:
 
 @command("verify kron", "lazy composition-hypothesis check", "a", "fam_m", "b", "fam_n")
 def _cmd_verify_kron(args) -> str:
-    a = boolmat.read_matrix(args.a)
-    m_fam = cover.read_family(args.fam_m)
-    b = boolmat.read_matrix(args.b)
-    n_fam = cover.read_family(args.fam_n)
+    a, b = _read_two(boolmat.read_matrix, args.a, args.b)
+    m_fam, n_fam = _read_two(cover.read_family, args.fam_m, args.fam_n)
     res = cover.verify_kron_hypotheses(a, m_fam, b, n_fam)
     if not res:
         raise VerificationError(f"entry={_entry_str(res.witness)} reason={res.reason}")
@@ -169,8 +173,7 @@ def _cmd_rank_exact(args) -> str:
 
 @command("bound lower", "lower bounds for the rank of a Kronecker product", "a", "b")
 def _cmd_bound_lower(args) -> str:
-    a = boolmat.read_matrix(args.a)
-    b = boolmat.read_matrix(args.b)
+    a, b = _read_two(boolmat.read_matrix, args.a, args.b)
     res = bounds.kron_lower_bound(a, b)
     return (f"LOWER kind=mu value={res.value}\n"
             f"LOWER kind=isolation value={res.isolation_bound}\n")
@@ -203,18 +206,15 @@ def _cmd_spanoid_rank(args) -> str:
 
 @command("spanoid product-rank", "rank of the product of two spanoids", "f1", "f2")
 def _cmd_spanoid_product_rank(args) -> str:
-    s1 = spanoid.read_spanoid(args.f1)
-    s2 = spanoid.read_spanoid(args.f2)
+    s1, s2 = _read_two(spanoid.read_spanoid, args.f1, args.f2)
     return _rank_text(spanoid.ProductSpanoid(s1, s2))
 
 
 @command("spanoid bound", "check an upper bound on the product rank",
          "f1", "f2", "msets", "nsets")
 def _cmd_spanoid_bound(args) -> str:
-    s1 = spanoid.read_spanoid(args.f1)
-    s2 = spanoid.read_spanoid(args.f2)
-    m_sets = spanoid.read_index_sets(args.msets)
-    n_sets = spanoid.read_index_sets(args.nsets)
+    s1, s2 = _read_two(spanoid.read_spanoid, args.f1, args.f2)
+    m_sets, n_sets = _read_two(spanoid.read_index_sets, args.msets, args.nsets)
     res = spanoid.check_product_bound(s1, s2, m_sets, n_sets)
     if not res:
         raise VerificationError(f"witness={_entry_str(res.witness)}")

@@ -54,12 +54,11 @@ from .boolmat import (
     _split_lines,
     _write_file,
     kronecker,
-    max_entries_limit,
+    require_materializable,
 )
 from .errors import (
     DimensionError,
     FormatError,
-    MaterializationLimitError,
     VerificationError,
 )
 
@@ -723,31 +722,21 @@ def extract_families(
     satisfy the composition hypotheses when the input is a valid cover;
     this is re-verified and a :class:`VerificationError` raised otherwise.
 
-    The input cover is verified eagerly when the product fits the
-    ``BOOLRANK_MAX_ENTRIES`` limit.  Above it only the per-rectangle
-    all-ones checks plus the extracted-family hypotheses are run.  They
-    prove the cover only when every rectangle is the exact product of its
+    The per-rectangle all-ones checks and the extracted-family hypotheses
+    prove the cover when every rectangle is the exact product of its
     factors' index sets, since the rectangles' union then equals the sum of
-    the M_t (x) N_t; otherwise a union falling short of the product's
-    support would go unseen, and a :class:`MaterializationLimitError` is
-    raised instead of returning.
+    the M_t (x) N_t.  Otherwise, or when the cover is empty, a union falling
+    short of the product's support would go unseen, so the cover is also
+    verified against the materialized product, and a
+    :class:`MaterializationLimitError` is raised when that is above the
+    ``BOOLRANK_MAX_ENTRIES`` limit.
     """
     rb, cb = b.rows, b.cols
     if c.rows != a.rows * rb or c.cols != a.cols * cb:
         raise DimensionError("cover dimensions do not match the product")
 
-    entries = c.rows * c.cols
-    limit = max_entries_limit()
-    if entries <= limit:
-        res = verify_cover(kronecker(a, b), c)
-        if not res:
-            raise VerificationError(
-                f"input cover invalid at entry {res.witness}: {res.reason}",
-                witness=res.witness,
-            )
-
     decomps_a, decomps_b = [], []
-    exact = True  # every rectangle equals rows_a x rows_b by cols_a x cols_b
+    exact = bool(c.rects)  # nonempty, each rectangle rows_a x rows_b by cols_a x cols_b
     for rect in c.rects:
         rows_a = tuple(sorted({r // rb for r in rect.row_set}))
         cols_a = tuple(sorted({x // cb for x in rect.col_set}))
@@ -764,6 +753,14 @@ def extract_families(
         )
         decomps_a.append(Cover(a.rows, a.cols, (Rectangle(rows_a, cols_a),)))
         decomps_b.append(Cover(b.rows, b.cols, (Rectangle(rows_b, cols_b),)))
+    if not exact:
+        require_materializable("cover with non-product rectangles", c.rows * c.cols)
+        res = verify_cover(kronecker(a, b), c)
+        if not res:
+            raise VerificationError(
+                f"input cover invalid at entry {res.witness}: {res.reason}",
+                witness=res.witness,
+            )
 
     m_fam = MatrixFamily(tuple(decomps_a))
     n_fam = MatrixFamily(tuple(decomps_b))
@@ -772,11 +769,6 @@ def extract_families(
         raise VerificationError(
             f"input cover invalid (hypotheses fail at {res.witness}): {res.reason}",
             witness=res.witness,
-        )
-    if entries > limit and not exact:
-        raise MaterializationLimitError(
-            f"cover of {entries} entries is above the limit {limit} and not made "
-            "of product rectangles, so its union cannot be checked"
         )
     return m_fam, n_fam
 

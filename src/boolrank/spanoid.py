@@ -25,12 +25,14 @@ import numpy as np
 from .boolmat import (
     BoolMatrix,
     _bit_indices,
+    _end,
     _format_block,
     _format_index_list,
     _parse_block,
     _parse_index_list,
     _read_file,
     _row_ints,
+    _split_lines,
     read_matrix,
 )
 from .errors import BudgetExceededError, DimensionError, FormatError
@@ -331,17 +333,19 @@ def parse_spanoid(text: str) -> RuleSpanoid:
 
 
 def read_spanoid(path: str) -> Spanoid:
-    """Read a SPANOID rule file or a MATSPANOID matrix reference."""
+    """Read a SPANOID rule file or a one-line MATSPANOID matrix reference,
+    the rest of its line, relative to the file's directory."""
     text = _read_file(path).decode()
-    stripped = text.strip()
-    if stripped.startswith("MATSPANOID"):
-        parts = stripped.split(None, 1)
-        if len(parts) != 2:
-            raise FormatError("expected 'MATSPANOID <matrix-file>'", line=1)
-        ref = parts[1].strip()
-        base = os.path.dirname(os.path.abspath(path))
-        return MatrixSpanoid(read_matrix(os.path.join(base, ref)))
-    return parse_spanoid(text)
+    lines = _split_lines(text)
+    pos = next((i for i, line in enumerate(lines) if line.strip()), 0)
+    parts = lines[pos].split(None, 1) if lines else []
+    if parts[:1] != ["MATSPANOID"]:
+        return parse_spanoid(text)
+    if len(parts) != 2:
+        raise FormatError("expected 'MATSPANOID <matrix-file>'", line=pos + 1)
+    _end(lines, pos + 1, "MATSPANOID")
+    base = os.path.dirname(os.path.abspath(path))
+    return MatrixSpanoid(read_matrix(os.path.join(base, parts[1].strip())))
 
 
 def parse_index_sets(text: str) -> list[frozenset[int]]:

@@ -17,8 +17,8 @@ from boolrank.algebraic import (
     largest_prime_leq,
 )
 from boolrank.boolmat import dominated_by
-from boolrank.cover import check_q_covering
-from boolrank.crown import crown_matrix, family_matrix, SubsetFamily
+from boolrank.cover import MatrixFamily, check_q_covering
+from boolrank.crown import crown_matrix, family_matrix, restrict_family, SubsetFamily
 from boolrank.errors import DimensionError, MaterializationLimitError
 
 
@@ -273,6 +273,18 @@ class TestAsymptoticCover:
         assert res.params.arithmetic_feasible and not res.params.materializable
         assert res.description is None
         assert "materialization limit" in res.message
+
+    @pytest.mark.parametrize("n, q, s", [
+        (20, 2, 3), (25, 2, 3), (49, 2, 3), (361, 2, 4), (2066, 3, 5), (6859, 3, 6),
+    ])
+    def test_members_built_at_order_n(self, family_3_3, n, q, s):
+        # the first s members of the order-p^q family, cut to the n x n corner
+        res = asymptotic_cover(n, q=q, s=s)
+        d = res.params.d
+        _, fam = family_3_3 if (d, q) == (3, 3) else algebraic_family(d, q)
+        expect = restrict_family(MatrixFamily(fam.decompositions[:s]), n)
+        assert res.description.m_family == expect
+        assert res.description.n_family == expect
 
     def test_s_too_small_for_half_covering(self):
         with pytest.raises(DimensionError):

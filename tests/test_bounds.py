@@ -212,6 +212,16 @@ class TestIsolation:
                     assert i != i2 and j != j2
                     assert not (dense[i, j2] and dense[i2, j])
 
+    def test_out_of_budget_is_a_lower_bound(self):
+        res = isolation_number(crown_matrix(6), node_budget=3)
+        assert not res.exact
+        assert 0 < res.value == len(res.witness) < 3
+        dense = crown_matrix(6).to_dense()
+        for (i, j), (i2, j2) in combinations(res.witness, 2):
+            assert dense[i, j] and dense[i2, j2]
+            assert i != i2 and j != j2
+            assert not (dense[i, j2] and dense[i2, j])
+
     def test_at_most_rank(self):
         rng = random.Random(24)
         for _ in range(15):
@@ -287,6 +297,20 @@ class TestKronLowerBound:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             kron_lower_bound(BoolMatrix.zeros(2, 2), crown_matrix(2))
+
+
+class TestRectangleCap:
+    """More closed column sets than the cap raise, through every caller."""
+
+    def test_cap_raises(self):
+        m = BoolMatrix.identity(3)  # a non-crown with 3 closed column sets
+        assert len(maximal_rectangles(m, cap=3)) == 3
+        with pytest.raises(BudgetExceededError, match="more than 2 closed"):
+            maximal_rectangles(m, cap=2)
+        with pytest.raises(BudgetExceededError, match="more than 2 closed"):
+            exact_boolean_rank(m, rectangle_cap=2)
+        with pytest.raises(BudgetExceededError, match="more than 2 closed"):
+            mu(m, rectangle_cap=2)
 
 
 class TestIsCrown:

@@ -1,17 +1,19 @@
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import boolrank
-from boolrank import spanoid
+from boolrank import boolmat, bounds, cover, spanoid
 from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
 from boolrank.cli import COMMANDS, GROUP_HELP, main
-from boolrank.cover import parse_cover, parse_family, read_cover
-from boolrank.crown import crown_matrix
+from boolrank.cover import parse_cover, parse_family, read_cover, write_family
+from boolrank.crown import c4_triple, crown_matrix
 
 
 def run(capsys, *argv):
@@ -228,7 +230,36 @@ class TestRankAndBounds:
         assert code == 0 and out.startswith("MU value=10/3 ones=20 maxrect=6")
 
 
+class TestIsolationBudget:
+    """The out-of-budget isolation paths, reached with a 3-node search."""
+
+    @pytest.fixture
+    def c6(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            bounds, "isolation_number", partial(bounds.isolation_number, node_budget=3)
+        )
+        mat = str(tmp_path / "c6.mat")
+        write_matrix(mat, crown_matrix(6))
+        return mat
+
+    def test_isolation_prints_lower_bound(self, capsys, c6):
+        code, out, _ = run(capsys, "isolation", c6)
+        assert code == 0 and out == "ISOLATION lower-bound=2 witness=(0,1),(1,0)\n"
+
+    def test_bound_lower_exit_3(self, capsys, c6):
+        code, out, err = run(capsys, "bound", "lower", c6, c6)
+        assert code == 3 and out == "" and "isolation search exceeded" in err
+
+
 class TestSpanoidCommands:
+    def test_matspanoid_trailing_content_exit_2(self, capsys, tmp_path):
+        write_matrix(str(tmp_path / "c2.mat"), crown_matrix(2))
+        f = tmp_path / "sp.txt"
+        f.write_text("MATSPANOID c2.mat\nS: 0 -> 1\n")
+        code, out, err = run(capsys, "spanoid", "rank", str(f))
+        assert code == 2 and out == ""
+        assert "line 2: trailing content after the MATSPANOID block" in err
+
     def test_spanoid_rank_rule_file(self, capsys, tmp_path):
         f = tmp_path / "sp.txt"
         f.write_text("SPANOID 3 2\nS: 0 -> 1\nS: 1 -> 2\n")
@@ -275,6 +306,62 @@ class TestSpanoidCommands:
         nsets.write_text("SETS 1\n0,1\n")
         code, out, _ = run(capsys, "spanoid", "bound", str(sp), str(sp), str(msets), str(nsets))
         assert code == 1 and out == "FAILED witness=1\n"
+
+
+class TestPathGivenTwice:
+    """A path given twice is read once; a copy under another name is read
+    again, and the output is the same."""
+
+    READERS = ((boolmat, "read_matrix"), (cover, "read_family"),
+               (spanoid, "read_spanoid"), (spanoid, "read_index_sets"))
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The paths passed to the four readers, in call order."""
+        log = []
+        for module, name in self.READERS:
+            def reading(path, real=getattr(module, name)):
+                log.append(path)
+                return real(path)
+            monkeypatch.setattr(module, name, reading)
+        return log
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        write_matrix(str(tmp_path / "c4.mat"), crown_matrix(4))
+        write_matrix(str(tmp_path / "c2.mat"), crown_matrix(2))
+        write_family(str(tmp_path / "c4.fam"), c4_triple())
+        (tmp_path / "sp.txt").write_text("MATSPANOID c2.mat\n")
+        (tmp_path / "m.sets").write_text("SETS 2\n0,1\n0,1\n")
+        for name in ("c4.mat", "c4.fam", "sp.txt", "m.sets"):
+            shutil.copy(tmp_path / name, tmp_path / f"copy-{name}")
+        return tmp_path
+
+    @pytest.mark.parametrize("words", [
+        "kron c4.mat c4.mat",
+        "verify kron c4.mat c4.fam c4.mat c4.fam",
+        "bound lower c4.mat c4.mat",
+        "spanoid product-rank sp.txt sp.txt",
+        "spanoid bound sp.txt sp.txt m.sets m.sets",
+    ])
+    def test_read_once(self, capsys, files, reads, words):
+        names = [w for w in words.split() if "." in w]
+        argv = [str(files / w) if "." in w else w for w in words.split()]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert reads == [str(files / w) for w in dict.fromkeys(names)]
+
+        reads.clear()
+        seen = set()
+        copies = []
+        for w in words.split():
+            if w in seen:
+                w = f"copy-{w}"
+            seen.add(w)
+            copies.append(str(files / w) if "." in w else w)
+        assert run(capsys, *copies)[:2] == (code, out)
+        assert sorted(reads) == sorted(c for c in copies if "." in c)
+        assert len(reads) == len(names)
 
 
 class TestExitCodes:

@@ -716,6 +716,24 @@ class TestExtractFamilies:
         assert all(m.count_ones() == 1 for m in m_fam.members)
         assert all(n.count_ones() == 1 for n in n_fam.members)
 
+    def test_product_rectangles_build_no_product(self, monkeypatch):
+        # the factor checks and the hypotheses decide a cover of exact
+        # product rectangles, so the product is never materialized
+        c4 = crown_matrix(4)
+        cov = compose_kron_cover(c4_triple(), c4_triple())
+        eager = extract_families(c4, c4, cov)
+
+        def refuse(a, b):
+            raise AssertionError("the product was materialized")
+
+        monkeypatch.setattr(cover_mod, "kronecker", refuse)
+        assert extract_families(c4, c4, cov) == eager
+
+    def test_empty_cover_of_nonzero_product_rejected(self):
+        c2 = crown_matrix(2)
+        with pytest.raises(VerificationError, match="uncovered one entry"):
+            extract_families(c2, c2, Cover(4, 4, ()))
+
     def test_invalid_cover_rejected(self):
         c2 = crown_matrix(2)
         bad = Cover(4, 4, (Rectangle((0,), (0,)),))

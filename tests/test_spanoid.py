@@ -349,6 +349,20 @@ class TestFormats:
         s = read_spanoid(str(tmp_path / "sp.txt"))
         assert isinstance(s, MatrixSpanoid) and len(s) == 2
 
+    def test_matspanoid_is_one_line(self, tmp_path):
+        from boolrank.boolmat import write_matrix
+        from boolrank.spanoid import read_spanoid
+
+        write_matrix(str(tmp_path / "c2.mat"), crown_matrix(2))
+        (tmp_path / "sp.txt").write_text("MATSPANOID c2.mat\nS: 0 -> 1\n")
+        with pytest.raises(FormatError, match="line 2: trailing content"):
+            read_spanoid(str(tmp_path / "sp.txt"))
+        # blank lines may follow, and the reference may hold spaces
+        write_matrix(str(tmp_path / "my c2.mat"), crown_matrix(2))
+        (tmp_path / "sp.txt").write_text("MATSPANOID my c2.mat \n\n  \n")
+        s = read_spanoid(str(tmp_path / "sp.txt"))
+        assert isinstance(s, MatrixSpanoid) and s.matrix == crown_matrix(2)
+
     def test_sets_format(self):
         sets = parse_index_sets("SETS 3\n0,1\n\n2\n")
         assert sets == [frozenset({0, 1}), frozenset(), frozenset({2})]

@@ -14,14 +14,16 @@ working above it verify covers lazily instead (see :mod:`boolrank.cover`).
 
 This module also holds the text layer that every file format shares: one
 file reader, the block header/body/trailing-line helpers and the
-index-list parser and formatter.
+index-list parser and formatter.  Matrix text alone is read and written a
+row block at a time, so its size in memory is bounded by a block, not by
+the matrix.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,9 +35,10 @@ DEFAULT_MAX_ENTRIES = 2**31
 
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
-#: Entries handled at once by every block loop: finding a matrix text's
-#: newlines, parsing and formatting a matrix body, building member rows from
-#: decompositions, coverage signatures, and the crown's pairwise set tests.
+#: Entries handled at once by every block loop: the bytes of a matrix text
+#: read or parsed at once, formatting a matrix body, the product rows of a
+#: Kronecker block, building member rows from decompositions, coverage
+#: signatures, and the crown's pairwise set tests.
 #: Splitting coverage classes takes ``_block_rows(64 * packed bytes per row)``
 #: rows, a 64th of this in packed bytes (64 KiB), so its masks stay in cache.
 _BLOCK_ENTRIES = 1 << 22
@@ -214,11 +217,23 @@ def kronecker(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
 
     Raises :class:`MaterializationLimitError` for results above the
     ``BOOLRANK_MAX_ENTRIES`` limit, so that callers fall back to lazy
-    verification.
+    verification.  The result is packed a block of ``a``'s rows at a time,
+    so no dense copy of it is built.
     """
     require_materializable("kronecker result", a.rows * b.rows * a.cols * b.cols)
-    dense = np.kron(a.to_dense(), b.to_dense())
-    return BoolMatrix.from_dense(dense)
+    cols = a.cols * b.cols
+    bits = np.empty((a.rows * b.rows, (cols + 7) // 8), dtype=np.uint8)
+    dense_b = b.to_dense()
+    block = _block_rows(b.rows * cols)
+    for row0 in range(0, a.rows, block):
+        dense_a = np.unpackbits(
+            a.bits[row0:row0 + block], axis=1, bitorder="little", count=a.cols
+        )
+        bits[row0 * b.rows:(row0 + block) * b.rows] = np.packbits(
+            np.kron(dense_a, dense_b), axis=1, bitorder="little"
+        )
+    bits.flags.writeable = False
+    return BoolMatrix(a.rows * b.rows, cols, bits)
 
 
 def dominated_by(m: BoolMatrix, a: BoolMatrix) -> bool:
@@ -292,13 +307,17 @@ def _ones(m: BoolMatrix) -> list[tuple[int, int]]:
 # counts the body lines that follow.  Only blank lines may follow the last
 # block.  Lines end at "\n"; files are read with universal newlines.
 
-def _read_file(path: str) -> bytes:
-    """The file's bytes, with CRLF and lone CR turned into LF."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _universal_newlines(data: bytes) -> bytes:
+    """``data`` with CRLF and lone CR turned into LF."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return data
+
+
+def _read_file(path: str) -> bytes:
+    """The file's bytes, with universal newlines."""
+    with open(path, "rb") as fh:
+        return _universal_newlines(fh.read())
 
 
 def _write_file(path: str, text: str) -> None:
@@ -390,50 +409,73 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, cols))
 
 
-def format_matrix(m: BoolMatrix) -> str:
+def matrix_lines(m: BoolMatrix) -> Iterator[str]:
     """Matrix text format: ``rows cols`` then one 0/1 line per row.
 
-    The text is built as one byte buffer: the header, then a
-    ``(rows, cols + 1)`` grid of each row's digits and its newline, filled
-    from the packed bits a row block at a time.  It is decoded once,
-    straight from the buffer, so the buffer and the returned string are
-    the only full-size copies.
+    Yields the header line, then the text of each row block: a
+    ``(block rows, cols + 1)`` grid of each row's digits and its newline,
+    filled from the packed bits.
     """
     rows, cols = m.rows, m.cols
-    header = f"{rows} {cols}\n".encode()
-    text = np.empty(len(header) + rows * (cols + 1), dtype=np.uint8)
-    text[:len(header)] = np.frombuffer(header, dtype=np.uint8)
-    grid = text[len(header):].reshape(rows, cols + 1)
-    grid[:, cols] = ord("\n")
+    yield f"{rows} {cols}\n"
     block = _block_rows(cols)
     for row0 in range(0, rows, block):
-        digits = np.unpackbits(
-            m.bits[row0:row0 + block], axis=1, bitorder="little", count=cols
-        )
-        np.add(digits, ord("0"), out=grid[row0:row0 + block, :cols])
-    return str(text, "ascii")
+        bits = m.bits[row0:row0 + block]
+        grid = np.empty((len(bits), cols + 1), dtype=np.uint8)
+        grid[:, cols] = ord("\n")
+        digits = np.unpackbits(bits, axis=1, bitorder="little", count=cols)
+        np.add(digits, ord("0"), out=grid[:, :cols])
+        yield str(grid, "ascii")
 
 
-def parse_matrix(text: str | bytes) -> BoolMatrix:
-    """Inverse of :func:`format_matrix`; lines are split on ``\\n`` only.
+def format_matrix(m: BoolMatrix) -> str:
+    """The text of :func:`matrix_lines` as one string."""
+    return "".join(matrix_lines(m))
 
-    ``text`` may also be the file's bytes, as :func:`read_matrix` passes it.
-    Newlines are found a block of bytes at a time, and the body is checked
-    and packed as one byte grid, a row block at a time; the first bad line
-    is located from per-line masks, so every error names the same line a
-    line-by-line reader would.
+
+def _file_pieces(fh) -> Iterator[bytes]:
+    """The bytes of a binary file, ``_BLOCK_ENTRIES`` at a time, with
+    universal newlines.  A CR that ends a piece is carried into the next,
+    which may start with its LF."""
+    cr = False  # the last piece ended in a CR, held back
+    while piece := fh.read(_BLOCK_ENTRIES):
+        if cr:
+            piece = b"\r" + piece
+        cr = piece.endswith(b"\r")
+        if piece := _universal_newlines(piece[:-1] if cr else piece):
+            yield piece
+    if cr:
+        yield b"\n"
+
+
+def _line_blocks(pieces: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Whole lines of a text given as byte pieces, a block at a time.
+
+    Yields ``(buf, ends)``, where the lines of ``buf`` end at ``ends``, each
+    at its newline.  The text's last line, which has none, comes alone and
+    ends at the end of its block; it may be empty.  A line split across
+    pieces is joined into a block of its own, and every other block is a
+    view of its piece.
     """
-    # A str becomes ASCII with "?" for anything else: one byte per character,
-    # so byte offsets are character offsets.  No non-ASCII byte passes as 0/1.
-    if isinstance(text, str):
-        text = text.encode("ascii", "replace")
-    buf = np.frombuffer(text, dtype=np.uint8)
-    # newlines are found a block at a time, so no full-size mask is built
-    newlines = np.concatenate([
-        np.flatnonzero(buf[lo:lo + _BLOCK_ENTRIES] == ord("\n")) + lo
-        for lo in range(0, buf.size, _BLOCK_ENTRIES)
-    ] or [np.zeros(0, dtype=np.intp)])
-    header = text[: newlines[0]] if newlines.size else text
+    held: list[np.ndarray] = []  # the start of a line no piece has ended yet
+    for piece in pieces:
+        buf = np.frombuffer(piece, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        if held and ends.size:
+            cut = int(ends[0]) + 1
+            line = np.concatenate([*held, buf[:cut]])
+            yield line, np.array([line.size - 1])
+            buf, ends, held = buf[cut:], ends[1:] - cut, []
+        if ends.size:
+            cut = int(ends[-1]) + 1
+            yield buf[:cut], ends
+            buf = buf[cut:]
+        held.append(buf)
+    last = np.concatenate(held) if held else np.zeros(0, dtype=np.uint8)
+    yield last, np.array([last.size])
+
+
+def _matrix_header(header: bytes) -> tuple[int, int]:
     if not header.strip():
         raise FormatError("missing header", line=1)
     head = header.split()
@@ -445,50 +487,95 @@ def parse_matrix(text: str | bytes) -> BoolMatrix:
         raise FormatError("header must hold two decimal integers", line=1) from None
     if rows < 0 or cols < 0:
         raise FormatError("dimensions must be non-negative", line=1)
-    if newlines.size < rows:
-        raise FormatError(f"expected {rows} row lines", line=newlines.size + 1)
-    # line k (0 = header) spans [starts[k], ends[k])
-    starts = np.concatenate(([0], newlines + 1))
-    ends = np.concatenate((newlines, [buf.size]))
-    lengths = ends[1:] - starts[1:]
-    bad_length = np.flatnonzero(lengths[:rows] != cols)
-    regular = int(bad_length[0]) if bad_length.size else rows
+    return rows, cols
 
-    first_bad = regular
+
+def _require_rows(blocks: Iterator, seen: int, rows: int) -> None:
+    """Raise the missing-rows error unless the text has more than ``rows``
+    lines; ``seen`` lines came before ``blocks``, which is read only as far
+    as needed."""
+    if seen <= rows:
+        for _, ends in blocks:
+            seen += ends.size
+            if seen > rows:
+                return
+        raise FormatError(f"expected {rows} row lines", line=seen)
+
+
+def _parse_matrix(pieces: Iterable) -> BoolMatrix:
+    """The matrix of a text given as byte pieces; see :func:`parse_matrix`."""
+    blocks = _line_blocks(pieces)
+    line = 0  # the text line the block starts on; 0 is the header
     packed = []
-    if regular:
-        # rows before the first short or long one sit at a fixed stride
-        grid = np.lib.stride_tricks.as_strided(
-            buf[starts[1]:], shape=(regular, cols), strides=(cols + 1, 1),
-            writeable=False,
-        )
-        block = _block_rows(cols)
-        for row0 in range(0, regular, block):
-            digits = grid[row0:row0 + block] - np.uint8(ord("0"))
+    for buf, ends in blocks:
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        lengths = ends - starts
+        first = 0
+        if not line:
+            rows, cols = _matrix_header(buf[:ends[0]].tobytes())
+            first = 1
+        # the block's lines first..body-1 are rows; later ones are trailing
+        body = max(first, min(ends.size, rows + 1 - line))
+        short_or_long = np.flatnonzero(lengths[first:body] != cols)
+        regular = first + int(short_or_long[0]) if short_or_long.size else body
+        if regular > first:
+            # rows of the right length sit at a fixed stride
+            grid = np.lib.stride_tricks.as_strided(
+                buf[starts[first]:], shape=(regular - first, cols),
+                strides=(cols + 1, 1), writeable=False,
+            )
+            digits = grid - np.uint8(ord("0"))
             bad = np.flatnonzero((digits > 1).any(axis=1))
             if bad.size:
-                first_bad = row0 + int(bad[0])
-                break
-            packed.append(np.packbits(digits, axis=1, bitorder="little"))
-    if first_bad < rows:
-        raise FormatError(
-            f"row must be exactly {cols} characters of 0/1", line=2 + first_bad
-        )
-    trailing = np.flatnonzero(lengths[rows:])
-    if trailing.size:
-        raise FormatError(
-            "trailing content after matrix", line=2 + rows + int(trailing[0])
-        )
+                regular = first + int(bad[0])
+            else:
+                packed.append(np.packbits(digits, axis=1, bitorder="little"))
+        if regular < body:
+            # a missing row outranks a bad one
+            _require_rows(blocks, line + ends.size, rows)
+            raise FormatError(
+                f"row must be exactly {cols} characters of 0/1", line=line + regular + 1
+            )
+        trailing = np.flatnonzero(lengths[body:])
+        if trailing.size:
+            raise FormatError(
+                "trailing content after matrix", line=line + body + int(trailing[0]) + 1
+            )
+        line += ends.size
+    _require_rows(blocks, line, rows)
     if not rows:
         return BoolMatrix.zeros(0, cols)
-    bits = np.concatenate(packed)
+    bits = np.concatenate(packed) if len(packed) > 1 else packed[0]
     bits.flags.writeable = False
     return BoolMatrix(rows, cols, bits)
 
 
+def parse_matrix(text: str | bytes) -> BoolMatrix:
+    """Inverse of :func:`format_matrix`; lines are split on ``\\n`` only.
+
+    ``text`` may also be bytes.  It is parsed ``_BLOCK_ENTRIES`` characters
+    at a time by the parser :func:`read_matrix` uses: bytes as views, and a
+    str as ASCII with "?" for anything else, so no non-ASCII character
+    passes as 0/1.  Each block's rows are checked and packed as one byte
+    grid, and every error names the line a line-by-line reader would.
+    """
+    step = _BLOCK_ENTRIES
+    if isinstance(text, str):
+        pieces = (text[lo:lo + step].encode("ascii", "replace")
+                  for lo in range(0, len(text), step))
+    else:
+        view = memoryview(text)
+        pieces = (view[lo:lo + step] for lo in range(0, len(view), step))
+    return _parse_matrix(pieces)
+
+
 def write_matrix(path: str, m: BoolMatrix) -> None:
-    _write_file(path, format_matrix(m))
+    with open(path, "w") as fh:
+        fh.writelines(matrix_lines(m))
 
 
 def read_matrix(path: str) -> BoolMatrix:
-    return parse_matrix(_read_file(path))
+    """The matrix in the file at ``path``, read a block at a time with
+    universal newlines; see :func:`parse_matrix`."""
+    with open(path, "rb") as fh:
+        return _parse_matrix(_file_pieces(fh))

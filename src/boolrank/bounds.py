@@ -339,13 +339,20 @@ def _rank_value(m: BoolMatrix) -> int:
 
 
 def kron_lower_bound(a: BoolMatrix, b: BoolMatrix) -> KronLowerBound:
-    """Certified lower bound on the rank of ``a (x) b`` (both orders tried)."""
+    """Certified lower bound on the rank of ``a (x) b`` (both orders tried).
+
+    When ``b`` is ``a``, each factor bound is computed once.
+    """
     if a.is_zero() or b.is_zero():
         raise ValueError("lower bound requires nonzero factors")
-    mu_a, mu_b = mu(a).value, mu(b).value
-    rank_a, rank_b = _rank_value(a), _rank_value(b)
-    iso_a = isolation_number(a)
-    iso_b = isolation_number(b)
+
+    def both(bound):
+        x = bound(a)
+        return x, x if b is a else bound(b)
+
+    mu_a, mu_b = both(lambda m: mu(m).value)
+    rank_a, rank_b = both(_rank_value)
+    iso_a, iso_b = both(isolation_number)
     if not (iso_a.exact and iso_b.exact):
         raise BudgetExceededError("isolation search exceeded its budget")
     value = math.ceil(max(mu_a * rank_b, mu_b * rank_a))

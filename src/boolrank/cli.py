@@ -73,16 +73,16 @@ def _cmd_sigma(args) -> str:
 
 
 @command("crown", "write the order-n crown matrix", "n:int", "-o")
-def _cmd_crown(args) -> str:
+def _cmd_crown(args) -> Iterator[str]:
     if args.n > 0:  # a bad n is invalid input, whatever its square
         boolmat.require_materializable("crown matrix", args.n * args.n)
-    return boolmat.format_matrix(crown.crown_matrix(args.n))
+    return boolmat.matrix_lines(crown.crown_matrix(args.n))
 
 
 @command("kron", "materialize a Kronecker product", "a", "b", "-o")
-def _cmd_kron(args) -> str:
+def _cmd_kron(args) -> Iterator[str]:
     a, b = _read_two(boolmat.read_matrix, args.a, args.b)
-    return boolmat.format_matrix(boolmat.kronecker(a, b))
+    return boolmat.matrix_lines(boolmat.kronecker(a, b))
 
 
 @command("cover canonical", "sigma(n)-rectangle cover of the crown", "n:int", "-o")

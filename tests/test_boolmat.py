@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from boolrank.boolmat import (
     format_matrix,
     is_rank_one,
     kronecker,
+    matrix_lines,
     parse_matrix,
     project_factors,
     read_matrix,
@@ -26,6 +28,7 @@ from boolrank.cli import main
 from boolrank.cover import Cover, Rectangle, cover_matrix
 from boolrank.crown import canonical_family, crown_matrix, family_matrix
 from boolrank.errors import DimensionError, FormatError, MaterializationLimitError
+from test_formats import mutate, rngs
 
 # the two rank-2 matrices whose sum is the order-4 crown
 SUMMAND_1 = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
@@ -44,6 +47,42 @@ def reference_format_matrix(m):
     for i in range(m.rows):
         lines.append("".join("1" if x else "0" for x in dense[i]))
     return "\n".join(lines) + "\n"
+
+
+def reference_parse_matrix(data):
+    """A line-by-line reader of matrix bytes: the value or the error
+    ``(line, message)`` that ``parse_matrix`` must give."""
+    lines = data.split(b"\n")
+    head = lines[0].split()
+    if not head:
+        return 1, "missing header"
+    if len(head) != 2:
+        return 1, "header must be 'rows cols'"
+    try:
+        rows, cols = int(head[0]), int(head[1])
+    except ValueError:
+        return 1, "header must hold two decimal integers"
+    if rows < 0 or cols < 0:
+        return 1, "dimensions must be non-negative"
+    if len(lines) <= rows:
+        return len(lines), f"expected {rows} row lines"
+    for i, line in enumerate(lines[1:rows + 1]):
+        if len(line) != cols or line.strip(b"01"):
+            return i + 2, f"row must be exactly {cols} characters of 0/1"
+    for i, line in enumerate(lines[rows + 1:]):
+        if line:
+            return i + rows + 2, "trailing content after matrix"
+    if not rows:
+        return BoolMatrix.zeros(0, cols)
+    return BoolMatrix.from_dense([[c - ord("0") for c in line] for line in lines[1:rows + 1]])
+
+
+def parsed(parse, source):
+    """The matrix ``parse`` reads from ``source``, or its error's line and message."""
+    try:
+        return parse(source)
+    except FormatError as exc:
+        return exc.line, exc.args[0].split(": ", 1)[1]
 
 
 class TestBooleanSum:
@@ -154,6 +193,20 @@ class TestKronecker:
         with pytest.raises(MaterializationLimitError):
             kronecker(a, a)
 
+    @pytest.mark.parametrize("block_entries", [1, 7])
+    def test_row_blocks_match_numpy(self, block_entries, monkeypatch):
+        # one or a few rows of a per block, and factors with no rows or columns
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(block_entries)
+        shapes = [((3, 4), (2, 5)), ((5, 1), (1, 9)), ((1, 1), (7, 3)), ((0, 3), (2, 2)),
+                  ((2, 0), (3, 3)), ((4, 4), (3, 0)), ((4, 3), (0, 2))]
+        shapes += [(tuple(rng.integers(1, 7, 2)), tuple(rng.integers(1, 7, 2))) for _ in range(20)]
+        for shape_a, shape_b in shapes:
+            a = rng.integers(0, 2, size=shape_a, dtype=np.uint8)
+            b = rng.integers(0, 2, size=shape_b, dtype=np.uint8)
+            got = kronecker(BoolMatrix.from_dense(a), BoolMatrix.from_dense(b))
+            assert got == BoolMatrix.from_dense(np.kron(a, b)), (shape_a, shape_b)
+
 
 class TestRankOne:
     def test_basics(self):
@@ -256,6 +309,7 @@ class TestImmutability:
             Cover(4, 5, (Rectangle((0, 2), (1, 4)), Rectangle((3,), (0, 1))))
         ),
         "crown_matrix": lambda: crown_matrix(11),
+        "kronecker": lambda: kronecker(crown_matrix(3), crown_matrix(4)),
         "family_matrix": lambda: family_matrix(canonical_family(5, 10)),
     }
 
@@ -385,6 +439,95 @@ class TestMatrixFormat:
             text = format_matrix(m)
             assert text == reference_format_matrix(m)
             assert parse_matrix(text) == m
+
+    def test_lines_are_header_then_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 7)  # two 3-column rows a block
+        m = crown_matrix(3)
+        assert list(matrix_lines(m)) == ["3 3\n", "011\n101\n", "110\n"]
+        m = BoolMatrix.zeros(5, 3)
+        assert list(matrix_lines(m)) == ["5 3\n", "000\n000\n", "000\n000\n", "000\n"]
+
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(0, 6), st.integers(0, 12)),
+               elements=st.integers(0, 1)),
+        rngs,
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.sampled_from([1, 7, 64, boolmat._BLOCK_ENTRIES]),
+    )
+    def test_file_reader_matches_bytes_parser(
+        self, tmp_path_factory, dense, rng, newline, block_entries
+    ):
+        # a valid text and a mutant of it, each read from a file, parsed from
+        # its CR-normalized bytes and its str, and read line by line
+        path = tmp_path_factory.getbasetemp() / "differential.mat"
+        valid = format_matrix(BoolMatrix.from_dense(dense))
+        for text in (valid, mutate(valid, rng)):
+            text = text.replace("\n", newline)
+            data = text.encode()
+            path.write_bytes(data)
+            normalized = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            with mock.patch.object(boolmat, "_BLOCK_ENTRIES", block_entries):
+                from_file = parsed(read_matrix, str(path))
+                from_bytes = parsed(parse_matrix, normalized)
+                from_str = parsed(parse_matrix, text)
+            assert from_file == from_bytes == reference_parse_matrix(normalized)
+            assert from_str == reference_parse_matrix(text.encode("ascii", "replace"))
+
+    CRLF_CASES = {
+        # text with CRLF line ends -> the matrix, or the error line and message
+        b"2 2\r\n01\r\n10\r\n": crown_matrix(2),
+        b"2 2\r\n01\r\n10": crown_matrix(2),  # no final newline
+        b"2 2\r\n01\r\n10\r\n\r\n\r\n": crown_matrix(2),  # trailing blank lines
+        b"2 2\r\n01\r\n10\r\n\r\n11\r\n": (5, "trailing content after matrix"),
+        b"3 2\r\n01\r\n10\r\n": (4, "row must be exactly 2 characters of 0/1"),
+        b"3 2\r\n01\r10": (3, "expected 3 row lines"),
+        b"2 2\r\n01\r\n1\xff\r\n": (3, "row must be exactly 2 characters of 0/1"),
+        b"3 2\r\n0\xff\r\n": (3, "expected 3 row lines"),  # outranks the bad row
+    }
+
+    @pytest.mark.parametrize("case", range(len(CRLF_CASES)))
+    def test_crlf_at_every_block_boundary(self, case, tmp_path, monkeypatch):
+        data, expect = list(self.CRLF_CASES.items())[case]
+        path = tmp_path / "m.mat"
+        path.write_bytes(data)
+        normalized = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        # every split of the text into pieces, a CRLF split across one too
+        for block_entries in range(1, len(data) + 2):
+            monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+            assert parsed(read_matrix, str(path)) == expect
+            assert parsed(parse_matrix, normalized) == expect
+
+    def test_streams_below_the_text_size(self, tmp_path, monkeypatch):
+        # the text of the 2100-crown goes through memory a row block at a time
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 1 << 16)
+        n = 2100
+        path = tmp_path / "c2100.mat"
+        tracemalloc.start()
+        try:
+            assert main(["crown", str(n), "-o", str(path)]) == 0
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            m = read_matrix(str(path))
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == len(f"{n} {n}\n") + n * (n + 1)  # 4.4 MB
+        assert m == crown_matrix(n)
+        assert write_peak < size and read_peak < size
+
+    def test_header_sizes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 1 << 16)
+        path = tmp_path / "huge.mat"
+        path.write_bytes(b"1000000 1000000\n01\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="line 3: expected 1000000 row lines"):
+                read_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_crlf_file_parses(self, tmp_path):
         path = tmp_path / "c3.mat"

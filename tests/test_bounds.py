@@ -298,6 +298,25 @@ class TestKronLowerBound:
         with pytest.raises(ValueError):
             kron_lower_bound(BoolMatrix.zeros(2, 2), crown_matrix(2))
 
+    def test_same_factor_bounds_computed_once(self, monkeypatch):
+        a = BoolMatrix.from_dense([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]])
+        copy = BoolMatrix(a.rows, a.cols, a.bits.copy())
+        expect = kron_lower_bound(a, copy)
+        calls = []
+        for name in ("mu", "_rank_value", "isolation_number"):
+            bound = getattr(bounds, name)
+
+            def counted(m, *args, _name=name, _bound=bound, **kwargs):
+                calls.append(_name)
+                return _bound(m, *args, **kwargs)
+
+            monkeypatch.setattr(bounds, name, counted)
+        assert kron_lower_bound(a, a) == expect
+        assert sorted(calls) == ["_rank_value", "isolation_number", "mu"]
+        calls.clear()
+        kron_lower_bound(a, copy)
+        assert len(calls) == 6
+
 
 class TestRectangleCap:
     """More closed column sets than the cap raise, through every caller."""

@@ -372,6 +372,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "kron", mat, mat)
         assert code == 3 and "budget exceeded" in err
 
+    def test_kron_above_limit_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # the product is refused before the streamed text opens the file
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "100")
+        mat, path = str(tmp_path / "c4.mat"), tmp_path / "k.mat"
+        write_matrix(mat, crown_matrix(4))
+        code, out, err = run(capsys, "kron", mat, mat, "-o", str(path))
+        assert code == 3 and out == "" and "budget exceeded" in err
+        assert not path.exists()
+
     def test_crown_above_limit_exit_3(self, capsys, tmp_path, monkeypatch):
         # the limit is checked before the crown is allocated or written
         monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "15")

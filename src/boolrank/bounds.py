@@ -6,7 +6,10 @@ an iterative-deepening branch and bound over them, so it doubles as the
 verification oracle for the closed-form crown rank.  Everything is
 deterministic: rectangles are ordered by descending area then
 lexicographically, the lexicographically first uncovered entry is branched
-on, and ties in witnesses resolve to the smallest.
+on, and ties in witnesses resolve to the smallest.  Sets of entries are
+packed into uint64 words, and a node decides all its children together in
+numpy (dominance, remaining entries, largest residual) before it counts
+and enters them one at a time.
 
 Lower bounds never round: ratios are exact fractions and ceilings exact.
 """
@@ -16,8 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 
-from .boolmat import BoolMatrix, _bit_indices, _ones, _row_ints
+import numpy as np
+
+from .boolmat import BoolMatrix, _bit_indices, _block_rows, _ones, _row_ints
 from .cover import Cover, Rectangle, format_cover, verify_cover
 from .crown import crown_matrix, sigma
 from .errors import BudgetExceededError, DimensionError, VerificationError
@@ -86,10 +92,19 @@ def exact_boolean_rank(
 ) -> RankCertificate:
     """Exact minimum rectangle cover by iterative-deepening branch and bound.
 
+    Each bound is searched depth first, branching on the first uncovered
+    entry over the rectangles that hold it.  A node decides its children
+    together: it drops a child whose residual lies inside an earlier one's,
+    and prunes a child whose uncovered entries need more rectangles of the
+    largest residual than the bound leaves.  Children are still counted as
+    nodes one at a time, in order, so ``node_budget`` counts every node the
+    search reaches.
+
     With ``limit`` the search may stop early: it either determines the exact
     value or proves no cover smaller than ``limit`` exists ("\\u2265 limit"
     certificate).  A limit of 0 would prove nothing and is refused.
-    Exceeding the node budget raises; a wrong exact value is never returned.
+    Exceeding the node budget raises with the bound proved so far and the
+    greedy cover's size; a wrong exact value is never returned.
     """
     if limit is not None and limit < 0:
         raise DimensionError(f"limit must be non-negative, got {limit}")
@@ -108,7 +123,7 @@ def exact_boolean_rank(
 
     entries = _ones(a)
     bit_of = {e: b for b, e in enumerate(entries)}
-    universe = (1 << len(entries)) - 1
+    words = -(-len(entries) // 64)
     masks = []
     for r in rects:
         m = 0
@@ -116,22 +131,31 @@ def exact_boolean_rank(
             for j in r.col_set:
                 m |= 1 << bit_of[(i, j)]
         masks.append(m)
+    # A set of entries is a list of `words` uint64 words, word w holding
+    # entries 64w..64w+63; planes[w][t] is word w of rectangle t.
+    planes = list(np.frombuffer(
+        b"".join(m.to_bytes(8 * words, "little") for m in masks), "<u8"
+    ).reshape(len(masks), words).T.copy())
     by_bit: list[list[int]] = [[] for _ in entries]
     for t, m in enumerate(masks):
         for b in _bit_indices(m):
             by_bit[b].append(t)
+    holder_ids = [np.array(ts) for ts in by_bit]
+    holder_planes = [[p[ts] for p in planes] for ts in holder_ids]
+    add = partial(np.add, dtype=np.min_scalar_type(len(entries)))
+
+    def bits(x: list[np.ndarray]) -> np.ndarray:
+        """Sizes of the sets whose words are the arrays in ``x``."""
+        return reduce(add, map(np.bitwise_count, x))
 
     # greedy upper bound (ties to the earliest rectangle in the ordering)
-    covered = 0
+    universe = [np.bitwise_or.reduce(p) for p in planes]  # rectangles cover every 1
+    rem = universe
     greedy: list[int] = []
-    while covered != universe:
-        best_t, best_gain = -1, 0
-        for t, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_t = gain, t
-        greedy.append(best_t)
-        covered |= masks[best_t]
+    while any(rem):
+        t = int(np.argmax(bits([p & r for p, r in zip(planes, rem)])))
+        greedy.append(t)
+        rem = [r & ~p[t] for p, r in zip(planes, rem)]
     ub = len(greedy)
     ub_witness = greedy
 
@@ -139,44 +163,67 @@ def exact_boolean_rank(
     lb = max(1, -(-len(entries) // max_area))
 
     nodes = 0
+    # children decided per slice; no temporary holds more than _BLOCK_ENTRIES
+    # words, since a node has at most as many children as there are rectangles
+    step = _block_rows(len(masks) * words)
+    position = np.arange(max(map(len, holder_ids)))
 
-    def dfs(covered: int, depth: int, bound: int, chosen: list[int]) -> list[int] | None:
+    def count(more: int) -> None:
         nonlocal nodes
-        nodes += 1
+        nodes += more
         if nodes > node_budget:
             raise BudgetExceededError(
-                f"rank search exceeded {node_budget} nodes"
+                f"rank search exceeded {node_budget} nodes; proved rank >= {bound};"
+                f" greedy cover has {ub} rectangles"
             )
-        if covered == universe:
-            return list(chosen)
-        if depth == bound:
-            return None
-        rem = universe & ~covered
-        best_res = 0
-        for m in masks:
-            r = (m & rem).bit_count()
-            if r > best_res:
-                best_res = r
-        if best_res == 0 or depth + -(-rem.bit_count() // best_res) > bound:
-            return None
-        target = (rem & -rem).bit_length() - 1
-        tried: list[int] = []
-        for t in by_bit[target]:
-            resid = masks[t] & rem
-            if any(resid & ~prev == 0 for prev in tried):
-                continue  # dominated by an already-explored branch
-            tried.append(resid)
-            chosen.append(t)
-            found = dfs(covered | masks[t], depth + 1, bound, chosen)
-            chosen.pop()
-            if found is not None:
-                return found
+
+    def dfs(rem: list, room: np.intp, chosen: list[int]) -> list[int] | None:
+        """Search below a counted node that the bound kept, whose children
+        may add ``room`` more rectangles after their own.
+
+        A child whose residual lies inside an earlier child's is dropped:
+        inside is transitive, so the earlier child, or one it lies inside,
+        was tried.  A kept child is entered when nothing is left uncovered or
+        ceil(left / max residual) <= room, where left is its uncovered
+        entries and max residual their most in any one rectangle.
+        """
+        w = 0
+        while not rem[w]:
+            w += 1
+        low = int(rem[w])
+        target = 64 * w + (low & -low).bit_length() - 1
+        ids = holder_ids[target]
+        resid = [p & r for p, r in zip(holder_planes[target], rem)]
+        outside = [~a for a in resid]
+        for k in range(0, len(ids), step):
+            kids = [a[k:k + step] for a in resid]
+            # [i, j] is 0 iff residual j holds residual i, as i holds itself
+            loose = reduce(np.bitwise_or, [a[:, None] & b for a, b in zip(kids, outside)])
+            keep = loose.argmin(axis=1) == position[k:k + len(loose)]
+            kept = ids[k:k + step][keep].tolist()
+            rems = [(r ^ a)[keep] for a, r in zip(kids, rem)]
+            left = bits(rems)
+            reach = np.maximum.reduce(
+                bits([a[:, None] & p for a, p in zip(rems, planes)]), axis=1)
+            done = 0
+            for j in (left <= room * reach).nonzero()[0].tolist():
+                count(j + 1 - done)
+                done = j + 1
+                chosen.append(kept[j])
+                found = dfs([a[j] for a in rems], room - 1, chosen) if left[j] else list(chosen)
+                chosen.pop()
+                if found is not None:
+                    return found
+            count(len(kept) - done)
         return None
 
     top = ub if limit is None else min(ub, limit)
     exact_sol: list[int] | None = None
     for bound in range(lb, top):
-        sol = dfs(0, 0, bound, [])
+        count(1)  # the root, which the area bound lb keeps live
+        # room is a numpy integer, so room * reach cannot wrap in the small
+        # unsigned type the set sizes are counted in
+        sol = dfs(universe, np.intp(bound - 1), [])
         if sol is not None:
             exact_sol = sol
             break

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boolrank.boolmat import BoolMatrix, kronecker
+from boolrank import boolmat
+from boolrank.boolmat import BoolMatrix, _ones, kronecker
 from boolrank.bounds import (
+    RankCertificate,
     exact_boolean_rank,
     format_rank_certificate,
     is_crown,
@@ -16,7 +19,7 @@ from boolrank.bounds import (
     maximal_rectangles,
     mu,
 )
-from boolrank.cover import verify_cover
+from boolrank.cover import Cover, verify_cover
 from boolrank.crown import crown_matrix, gap_cover, sigma
 from boolrank import bounds
 from boolrank.cover import VerifyResult
@@ -51,6 +54,79 @@ def brute_force_rank(dense):
         for chosen in combinations(rects, k)
         if set().union(*chosen) == ones
     )
+
+
+def reference_exact_boolean_rank(a, limit=None):
+    """The search as it was first written, deciding one node at a time.
+
+    Returns the certificate and the number of nodes counted, so the search
+    that decides a node's children together can be held to the same
+    certificate and the same smallest node budget.
+    """
+    if a.is_zero():
+        return RankCertificate(0, Cover(a.rows, a.cols, ()), 0, "search", True), 0
+    rects = sorted(maximal_rectangles(a), key=lambda r: (-r.area, r.row_set, r.col_set))
+    bit_of = {e: b for b, e in enumerate(_ones(a))}
+    universe = (1 << len(bit_of)) - 1
+    masks = [sum(1 << bit_of[(i, j)] for i in r.row_set for j in r.col_set) for r in rects]
+    holders = [[t for t, m in enumerate(masks) if m >> b & 1] for b in range(len(bit_of))]
+    covered, greedy = 0, []
+    while covered != universe:
+        gains = [(m & ~covered).bit_count() for m in masks]
+        greedy.append(gains.index(max(gains)))
+        covered |= masks[greedy[-1]]
+    lb = max(1, -(-len(bit_of) // max(m.bit_count() for m in masks)))
+    nodes = 0
+
+    def dfs(covered, depth, bound, chosen):
+        nonlocal nodes
+        nodes += 1
+        if covered == universe:
+            return list(chosen)
+        if depth == bound:
+            return None
+        rem = universe & ~covered
+        best = max((m & rem).bit_count() for m in masks)
+        if best == 0 or depth + -(-rem.bit_count() // best) > bound:
+            return None
+        tried = []
+        for t in holders[(rem & -rem).bit_length() - 1]:
+            resid = masks[t] & rem
+            if any(resid & ~prev == 0 for prev in tried):
+                continue
+            tried.append(resid)
+            chosen.append(t)
+            found = dfs(covered | masks[t], depth + 1, bound, chosen)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    top = len(greedy) if limit is None else min(len(greedy), limit)
+    sol = next(
+        (s for bound in range(lb, top) if (s := dfs(0, 0, bound, [])) is not None), None
+    )
+    if sol is None and limit is not None and len(greedy) > limit:
+        cover = Cover(a.rows, a.cols, tuple(rects[t] for t in greedy))
+        return RankCertificate(None, cover, limit, "search", False), nodes
+    witness = greedy if sol is None else sol
+    cover = Cover(a.rows, a.cols, tuple(rects[t] for t in witness))
+    return RankCertificate(len(witness), cover, len(witness), "search", True), nodes
+
+
+def assert_matches_reference(m, limit=None):
+    """Same certificate as the reference, and the same smallest node budget."""
+    cert, nodes = reference_exact_boolean_rank(m, limit)
+    assert exact_boolean_rank(m, limit, node_budget=nodes) == cert
+    if nodes:
+        with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} nodes"):
+            exact_boolean_rank(m, limit, node_budget=nodes - 1)
+
+
+def permuted_crown(n, seed):
+    rng = np.random.default_rng(seed)
+    dense = crown_matrix(n).to_dense()
+    return BoolMatrix.from_dense(dense[rng.permutation(n)][:, rng.permutation(n)])
 
 
 def rand_matrix(rng, rows, cols, density=0.5):
@@ -157,6 +233,15 @@ class TestExactRank:
         with pytest.raises(BudgetExceededError):
             exact_boolean_rank(crown_matrix(8), node_budget=10)
 
+    def test_budget_message_says_what_was_proved(self):
+        # the area bound gives ceil(56 / 16) = 4, the bound being searched
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^rank search exceeded 10 nodes; proved rank >= 4; "
+            r"greedy cover has 6 rectangles$",
+        ):
+            exact_boolean_rank(crown_matrix(8), node_budget=10)
+
     def test_negative_limit_refused(self):
         with pytest.raises(DimensionError, match="non-negative"):
             exact_boolean_rank(crown_matrix(3), limit=-1)
@@ -180,6 +265,39 @@ class TestExactRank:
         text = format_rank_certificate(cert)
         assert text.startswith("COVER 2 2 2\n")
         assert text.endswith("LOWER kind=search value=2\n")
+
+
+class TestSearchOracle:
+    """The search matches the one-node-at-a-time reference exactly."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.sampled_from([0.3, 0.5, 0.85, 0.9]),
+        st.integers(0, 2**32 - 1), st.integers(1, 9),
+    )
+    @example(9, 9, 0.9, 0, 4)  # 71 ones: two words per set
+    def test_random_matrices(self, rows, cols, density, seed, limit):
+        rng = np.random.default_rng(seed)
+        m = BoolMatrix.from_dense((rng.random((rows, cols)) < density).astype(np.uint8))
+        assert_matches_reference(m)
+        assert_matches_reference(m, limit)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_crowns(self, n):
+        assert_matches_reference(crown_matrix(n))
+
+    @pytest.mark.parametrize(
+        "block_entries", [1, 7, boolmat._BLOCK_ENTRIES], ids=["1", "7", "default"]
+    )
+    def test_sliced_children(self, block_entries, monkeypatch):
+        # slices of one child, of a few, and of all of them
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(3)
+        dense = (rng.random((9, 9)) < 0.85).astype(np.uint8)
+        assert dense.sum() > 64
+        for m in (permuted_crown(7, 1), BoolMatrix.from_dense(dense), crown_matrix(6)):
+            assert_matches_reference(m)
+        assert_matches_reference(crown_matrix(6), limit=3)
 
 
 class TestIsolation:

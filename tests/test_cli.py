@@ -251,6 +251,21 @@ class TestIsolationBudget:
         assert code == 3 and out == "" and "isolation search exceeded" in err
 
 
+class TestRankBudget:
+    def test_rank_exact_exit_3_says_what_was_proved(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            bounds, "exact_boolean_rank", partial(bounds.exact_boolean_rank, node_budget=10)
+        )
+        mat = str(tmp_path / "c8.mat")
+        write_matrix(mat, crown_matrix(8))
+        code, out, err = run(capsys, "rank", "exact", mat)
+        assert code == 3 and out == ""
+        assert err == (
+            "budget exceeded: rank search exceeded 10 nodes; proved rank >= 4;"
+            " greedy cover has 6 rectangles\n"
+        )
+
+
 class TestSpanoidCommands:
     def test_matspanoid_trailing_content_exit_2(self, capsys, tmp_path):
         write_matrix(str(tmp_path / "c2.mat"), crown_matrix(2))

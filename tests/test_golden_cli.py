@@ -46,6 +46,8 @@ LITERAL_INPUTS = {
     "n.sets": "SETS 2\n0,1\n0,1\n",
     "m1.sets": "SETS 1\n0\n",
     "n1.sets": "SETS 1\n0,1\n",
+    # the 7-crown with rows and columns permuted, so no closed form applies
+    "p7.mat": "7 7\n1111011\n1101111\n1110111\n0111111\n1111101\n1111110\n1011111\n",
 }
 
 # label -> (argv, exit code, sha256 of stdout)
@@ -97,6 +99,10 @@ PRINTED = {
     "rank-exact": (
         ["rank", "exact", "c4.mat"], 0,
         "0646745f203112388b5e632eb3846e7f94a3a37d8dca36d0509707898e2be308",
+    ),
+    "rank-exact-permuted": (
+        ["rank", "exact", "p7.mat"], 0,
+        "cfee5288ad65a3b96471ba0d6d8a9adba2eafec12b6220b80e7bf007874890c5",
     ),
     "bound-lower": (
         ["bound", "lower", "c4.mat", "c5.mat"], 0,

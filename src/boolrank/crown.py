@@ -193,34 +193,16 @@ class FamilyBijection:
         return dict(zip(self.domain.sets, self.images))
 
 
-def _perfect_matching(adj: list[list[int]], n_right: int) -> list[int]:
-    """Augmenting-path perfect matching; left vertices processed in order."""
-    match_right = [-1] * n_right
-    match_left = [-1] * len(adj)
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adj[u]:
-            if not visited[v]:
-                visited[v] = True
-                if match_right[v] == -1 or augment(match_right[v], visited):
-                    match_right[v] = u
-                    match_left[u] = v
-                    return True
-        return False
-
-    for u in range(len(adj)):
-        if not augment(u, [False] * n_right):
-            raise AssertionError("perfect matching must exist in a regular graph")
-    return match_left
-
-
 def build_g(k: int) -> FamilyBijection:
     """A bijection g on the (ell-1)-subsets of [k-1] with F and g(F) disjoint.
 
-    Odd k: plain complement within [k-1].  Even k: match each (ell-1)-subset
-    to a distinct ell-superset in the (regular, hence perfectly matchable)
-    containment graph and complement the superset.  Any perfect matching is
-    acceptable; vertices are scanned in colex order for determinism.
+    Odd k: plain complement within [k-1].  Even k: [k-1] has 2*ell - 1
+    elements, and the Greene-Kleitman bracket rule lifts F to an ell-set.
+    Reading 1..k-1 in order, each element absent from F opens a bracket and
+    each present one closes the latest open bracket; with x the first
+    absent element left unmatched, F -> F + {x} is a bijection onto the
+    ell-subsets, and g(F) = [k-1] - (F + {x}).  Any bijection with F and
+    g(F) disjoint serves :func:`build_h`; this one is built without search.
     """
     if k < 2:
         raise DimensionError("build_g needs k >= 2")
@@ -228,25 +210,20 @@ def build_g(k: int) -> FamilyBijection:
     ground = tuple(range(1, k))
     domain_sets = tuple(colex_subsets(ground, ell - 1))
     domain = SubsetFamily(k - 1, ell - 1, domain_sets)
-    full = set(ground)
 
-    if k % 2 == 1:
-        images = tuple(tuple(sorted(full - set(s))) for s in domain_sets)
-        return FamilyBijection(domain, images)
-
-    right_sets = tuple(colex_subsets(ground, ell))
-    right_index = {s: i for i, s in enumerate(right_sets)}
-    adj = []
+    images = []
     for s in domain_sets:
-        sset = set(s)
-        supersets = [tuple(sorted(sset | {x})) for x in ground if x not in sset]
-        adj.append(sorted(right_index[sup] for sup in supersets))
-    match_left = _perfect_matching(adj, len(right_sets))
-    images = tuple(
-        tuple(sorted(full - set(right_sets[match_left[i]])))
-        for i in range(len(domain_sets))
-    )
-    return FamilyBijection(domain, images)
+        absent, opened = [], []
+        for e in ground:
+            if e not in s:
+                absent.append(e)
+                opened.append(e)
+            elif opened:
+                opened.pop()
+        if k % 2 == 0:
+            absent.remove(opened[0])
+        images.append(tuple(absent))
+    return FamilyBijection(domain, tuple(images))
 
 
 def build_h(k: int, i: int) -> FamilyBijection:

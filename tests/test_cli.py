@@ -531,3 +531,14 @@ class TestExitCodeContract:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    # sigma = 14: an even level deep enough that a recursive search for g
+    # would overflow the interpreter's stack
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(["cover", "triple", "14", "1"], ""), (["cover", "gap", "1717", "7"], "SIZE 69\n")],
+    )
+    def test_deep_level_exit_0(self, capsys, tmp_path, argv, err):
+        out = tmp_path / "out"
+        assert run(capsys, *argv, "-o", str(out)) == (0, "", err)
+        assert out.stat().st_size > 0

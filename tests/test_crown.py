@@ -134,7 +134,7 @@ class TestBijections:
         for s, img in zip(g.domain.sets, g.images):
             assert img == tuple(sorted(set(range(1, 5)) - set(s)))
 
-    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("k", range(2, 17))
     def test_g_bijective_and_disjoint(self, k):
         g = build_g(k)
         assert set(g.images) == set(g.domain.sets)
@@ -187,7 +187,7 @@ class TestBijections:
 
 
 class TestTriples:
-    @pytest.mark.parametrize("k", [5, 6, 7])
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 14])
     def test_triple_cover_properties(self, k):
         n = comb(k, (k + 1) // 2)
         fam = triple_cover(k, 1)

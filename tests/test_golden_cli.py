@@ -160,6 +160,10 @@ WRITTEN = {
         ["cover", "gap", "12", "7"],
         "53a399c59ee4404d7322458ddb4f677c2574e20e2bf3222f67197acab7abacbe",
     ),
+    "cover-gap-36-7": (
+        ["cover", "gap", "36", "7"],
+        "37190d9162787fcf482874dfbbc8d95f13d1e980e7c709921028f56625ad2247",
+    ),
     "cover-c4": (
         ["cover", "c4"],
         "fa84bf202e4f7a1b8e7479ae886288fd69df7ec4339eb975cb08b53199d9a202",

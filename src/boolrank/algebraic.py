@@ -28,7 +28,7 @@ from .cover import (
     Cover,
     KronCoverDescription,
     MatrixFamily,
-    Rectangle,
+    _covers,
     verify_kron_hypotheses,
 )
 from .crown import colex_subsets, crown_matrix, sigma
@@ -82,11 +82,15 @@ class ZpFunctionFamily:
             raise DimensionError(f"function index {i} outside [1..{self.p - 1}]")
         return tuple(pow(i, t, self.p) for t in range(self.q))
 
-    def evaluate_all(self, i: int) -> np.ndarray:
-        """g_i over all p^q tuples, indexed by the flat encoding."""
-        z = np.arange(self.p**self.q, dtype=np.int64)
+    def evaluate(self, i: int, n: int) -> np.ndarray:
+        """g_i over the first n tuples in the flat encoding."""
+        z = np.arange(n, dtype=np.int64)
         digits = np.stack([(z // self.p**t) % self.p for t in range(self.q)], axis=1)
         return (digits @ np.array(self.coefficients(i), dtype=np.int64)) % self.p
+
+    def evaluate_all(self, i: int) -> np.ndarray:
+        """g_i over all p^q tuples, indexed by the flat encoding."""
+        return self.evaluate(i, self.p**self.q)
 
     def check_bijection_property(self) -> bool:
         """For each i and fixed tail, x_1 -> g_i(x) is a bijection of Z_p.
@@ -156,16 +160,17 @@ def _members(d: int, p: int, q: int, s: int, n: int) -> MatrixFamily:
     for z, subset in enumerate(islice(colex_subsets(range(2 * d), d), p)):
         in_b1[z, list(subset)] = True
     zp = ZpFunctionFamily(p, q)
-    decomps = []
+    heads, sides = [], []
     for i in range(1, s + 1):
-        sel = in_b1[zp.evaluate_all(i)[:n]]
-        rects = []
+        sel = in_b1[zp.evaluate(i, n)]
+        size = 0
         for t in range(2 * d):
             rows, cols = np.flatnonzero(sel[:, t]), np.flatnonzero(~sel[:, t])
             if rows.size and cols.size:
-                rects.append(Rectangle(tuple(rows.tolist()), tuple(cols.tolist())))
-        decomps.append(Cover(n, n, tuple(rects)))
-    return MatrixFamily(tuple(decomps))
+                sides += (rows, cols)
+                size += 1
+        heads.append((n, n, size))
+    return MatrixFamily(_covers(heads, sides))
 
 
 def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily]:

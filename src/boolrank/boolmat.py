@@ -16,14 +16,17 @@ This module also holds the text layer that every file format shares: one
 file reader, the block header/body/trailing-line helpers and the
 index-list parser and formatter.  Matrix text alone is read and written a
 row block at a time, so its size in memory is bounded by a block, not by
-the matrix.
+the matrix.  Index lists read or built together share one Python int per
+distinct index, and are written from one decimal string per distinct
+index, whenever such a table holds no more entries than the lists hold
+indices; a list of tuples then costs about a pointer per index.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -402,6 +405,46 @@ def _parse_index_list(token: str, lineno: int) -> np.ndarray:
 def _format_index_list(idx: Iterable[int]) -> str:
     # a list comprehension joins faster than map(str, ...) or a generator
     return ",".join([str(i) for i in idx])
+
+
+def _table_size(sides: Iterable[Sequence[int]]) -> int:
+    """Entries of a table of every value up to the largest index of the
+    sorted, nonempty ``sides``, or 0 when the sides hold fewer indices than
+    that: a huge index in a short list never sizes a table."""
+    count, hi = 0, -1
+    for side in sides:
+        count += len(side)
+        hi = max(hi, int(side[-1]))
+    return hi + 1 if hi < count else 0
+
+
+def _decimal_table(size: int) -> list[str]:
+    """The decimal strings of 0 up to ``size`` - 1."""
+    return [str(i) for i in range(size)]
+
+
+def _index_tuples(sides: Sequence[np.ndarray]) -> list[tuple[int, ...]]:
+    """Sorted, nonempty index arrays as tuples sharing one int per value.
+
+    The ints come from a pool of every value up to the largest index, when
+    :func:`_table_size` allows one; otherwise each index gets its own.
+    """
+    size = _table_size(sides)
+    if not size:
+        return [tuple(side.tolist()) for side in sides]
+    pool = np.arange(size).astype(object)
+    return [tuple(pool[side].tolist()) for side in sides]
+
+
+def _index_writer(sides: Iterable[Sequence[int]]) -> Callable[[Sequence[int]], str]:
+    """A formatter of index lists that takes one decimal string per value
+    from a table shared by ``sides``, when :func:`_table_size` allows one;
+    otherwise :func:`_format_index_list`."""
+    size = _table_size(sides)
+    if not size:
+        return _format_index_list
+    table = _decimal_table(size)
+    return lambda idx: ",".join([table[i] for i in idx])
 
 
 def _block_rows(cols: int) -> int:

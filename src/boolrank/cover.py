@@ -26,6 +26,10 @@ is for callers that want the members whole.
 Every failed verification reports the first failing entry in row-major
 order (or the lexicographically first failing subset), so tests and CLI
 output are deterministic.
+
+Rectangle sides are tuples of ints, shared one int per distinct index
+across a cover or family read or built at once, and written from one
+decimal string per distinct index (see :mod:`boolrank.boolmat`).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,10 +48,13 @@ from .boolmat import (
     BoolMatrix,
     _block,
     _block_rows,
+    _decimal_table,
     _end,
     _format_block,
     _format_index_list,
     _header,
+    _index_tuples,
+    _index_writer,
     _parse_block,
     _parse_index_list,
     _read_file,
@@ -82,19 +89,15 @@ class Rectangle:
         return len(self.row_set) * len(self.col_set)
 
     @cached_property
-    def _col_index(self) -> np.ndarray:
-        """The column set as an index array, kept: row blocks each read it."""
-        return np.array(self.col_set, dtype=np.intp)
+    def _col_mask(self) -> np.ndarray:
+        """Packed bits (little order) of the columns, up to the last one's
+        byte; kept, since every row block of a cover reads it."""
+        ind = np.zeros(self.col_set[-1] + 1, dtype=np.uint8)
+        ind[np.array(self.col_set, dtype=np.intp)] = 1
+        return np.packbits(ind, bitorder="little")
 
     def to_matrix(self, rows: int, cols: int) -> BoolMatrix:
         return cover_matrix(Cover(rows, cols, (self,)))
-
-
-def _index_mask(idx: Sequence[int], n: int) -> np.ndarray:
-    """Packed bits (little order) of an n-bit row with the bits ``idx`` set."""
-    ind = np.zeros(n, dtype=np.uint8)
-    ind[np.asarray(idx, dtype=np.intp)] = 1
-    return np.packbits(ind, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,9 @@ def cover_rows(c: Cover, row0: int, row1: int) -> np.ndarray:
             rows = rows[bisect_left(rows, row0):bisect_left(rows, row1)]
             if rows:
                 code[np.subtract(rows, row0)] |= np.uint8(1 << r)
-                mask = _index_mask(rect._col_index, c.cols)
-                table[1 << r:2 << r] = table[:1 << r] | mask
+                mask = rect._col_mask
+                table[1 << r:2 << r] = table[:1 << r]
+                table[1 << r:2 << r, :mask.size] |= mask
         if g:
             bits |= table[code]
         else:
@@ -706,8 +710,9 @@ def check_half_covering(a: BoolMatrix, fam: MatrixFamily) -> SubsetCheckResult:
 
 # -- family extraction --------------------------------------------------------
 
-def _all_ones_on(m: BoolMatrix, rows: Sequence[int], cols: Sequence[int]) -> bool:
-    return not (_index_mask(cols, m.cols) & ~m.bits[list(rows)]).any()
+def _all_ones_on(m: BoolMatrix, r: Rectangle) -> bool:
+    mask = r._col_mask
+    return not (mask & ~m.bits[list(r.row_set), :mask.size]).any()
 
 
 def extract_families(
@@ -738,21 +743,22 @@ def extract_families(
     decomps_a, decomps_b = [], []
     exact = bool(c.rects)  # nonempty, each rectangle rows_a x rows_b by cols_a x cols_b
     for rect in c.rects:
-        rows_a = tuple(sorted({r // rb for r in rect.row_set}))
-        cols_a = tuple(sorted({x // cb for x in rect.col_set}))
-        rows_b = tuple(sorted({r % rb for r in rect.row_set}))
-        cols_b = tuple(sorted({x % cb for x in rect.col_set}))
-        if not _all_ones_on(a, rows_a, cols_a) or not _all_ones_on(b, rows_b, cols_b):
+        rect_a = Rectangle(
+            tuple(sorted({r // rb for r in rect.row_set})),
+            tuple(sorted({x // cb for x in rect.col_set})),
+        )
+        rect_b = Rectangle(
+            tuple(sorted({r % rb for r in rect.row_set})),
+            tuple(sorted({x % cb for x in rect.col_set})),
+        )
+        if not _all_ones_on(a, rect_a) or not _all_ones_on(b, rect_b):
             raise VerificationError(
                 "input cover invalid: a rectangle covers a zero entry",
                 witness=rect,
             )
-        exact = exact and (
-            len(rect.row_set) == len(rows_a) * len(rows_b)
-            and len(rect.col_set) == len(cols_a) * len(cols_b)
-        )
-        decomps_a.append(Cover(a.rows, a.cols, (Rectangle(rows_a, cols_a),)))
-        decomps_b.append(Cover(b.rows, b.cols, (Rectangle(rows_b, cols_b),)))
+        exact = exact and rect.area == rect_a.area * rect_b.area
+        decomps_a.append(Cover(a.rows, a.cols, (rect_a,)))
+        decomps_b.append(Cover(b.rows, b.cols, (rect_b,)))
     if not exact:
         require_materializable("cover with non-product rectangles", c.rows * c.cols)
         res = verify_cover(kronecker(a, b), c)
@@ -780,14 +786,24 @@ def _rect_line(rows: str, cols: str) -> str:
     return f"R {rows} C {cols}"
 
 
-def _format_rectangle(r: Rectangle) -> str:
-    return _rect_line(_format_index_list(r.row_set), _format_index_list(r.col_set))
+def _sides(covers: Iterable[Cover]) -> Iterator[tuple[int, ...]]:
+    """The row side and then the column side of every rectangle, in order."""
+    return (side for c in covers for r in c.rects for side in (r.row_set, r.col_set))
+
+
+def _format_rectangle(
+    r: Rectangle, write: Callable[[Sequence[int]], str] = _format_index_list
+) -> str:
+    return _rect_line(write(r.row_set), write(r.col_set))
+
+
+def _cover_text(c: Cover, write: Callable[[Sequence[int]], str]) -> str:
+    lines = (_format_rectangle(r, write) for r in c.rects)
+    return _format_block("COVER", (c.rows, c.cols, c.size), lines)
 
 
 def format_cover(c: Cover) -> str:
-    return _format_block(
-        "COVER", (c.rows, c.cols, c.size), map(_format_rectangle, c.rects)
-    )
+    return _cover_text(c, _index_writer(_sides([c])))
 
 
 def _runs(
@@ -821,7 +837,7 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
     """
     rows, cols = d.target_dims
     rb, cb = d.n_family.dims
-    digits = [str(i) for i in range(max(rows, cols))]
+    digits = _decimal_table(max(rows, cols))
     yield _format_block("COVER", (rows, cols, d.size), ())
     for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
         row_runs = _runs(
@@ -837,43 +853,62 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
                 yield _rect_line(row_text, col_text) + "\n"
 
 
-def _index_set(token: str, lineno: int) -> tuple[int, ...]:
+def _index_set(token: str, lineno: int) -> np.ndarray:
     """A rectangle side: an index list, sorted, distinct and non-negative."""
     idx = _parse_index_list(token, lineno)
     if (np.diff(idx) <= 0).any():
         raise FormatError("indices must be sorted, distinct, 0-based", line=lineno)
-    return tuple(idx.tolist())
+    return idx
 
 
-def _cover(head: list[int], body: list[str], first_line: int) -> Cover:
-    """The cover of a COVER block whose body starts at line ``first_line``."""
-    rects = []
+def _cover_sides(body: list[str], first_line: int) -> list[np.ndarray]:
+    """The sides of a COVER block's body, which starts at line ``first_line``,
+    as :func:`_sides` orders them."""
+    sides = []
     for lineno, line in enumerate(body, first_line):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "R" or parts[2] != "C":
             raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
-        rects.append(
-            Rectangle(_index_set(parts[1], lineno), _index_set(parts[3], lineno))
-        )
-    rows, cols, _ = head
-    return Cover(rows, cols, tuple(rects))
+        sides += (_index_set(parts[1], lineno), _index_set(parts[3], lineno))
+    return sides
+
+
+def _covers(
+    heads: Sequence[Sequence[int]], sides: list[np.ndarray]
+) -> tuple[Cover, ...]:
+    """Covers from their ``rows cols s`` header fields and the index arrays
+    of all their sides, in the order of :func:`_sides`.
+
+    The sides become tuples together, so every cover shares one pool of
+    ints (:func:`_index_tuples`).
+    """
+    tuples = _index_tuples(sides)
+    covers, start = [], 0
+    for rows, cols, size in heads:
+        own = tuples[start:start + 2 * size]
+        covers.append(Cover(rows, cols, tuple(map(Rectangle, own[::2], own[1::2]))))
+        start += 2 * size
+    return tuple(covers)
 
 
 def parse_cover(text: str) -> Cover:
     head, body = _parse_block(text, "COVER", "rows cols s")
-    return _cover(head, body, 2)
+    return _covers([head], _cover_sides(body, 2))[0]
 
 
 def format_family(fam: MatrixFamily) -> str:
+    """A FAMILY header, then one COVER block per member, all written from
+    one table of decimal strings."""
+    write = _index_writer(_sides(fam.decompositions))
     header = _format_block("FAMILY", (*fam.dims, len(fam)), ())
-    return header + "".join(map(format_cover, fam.decompositions))
+    return header + "".join([_cover_text(c, write) for c in fam.decompositions])
 
 
 def parse_family(text: str) -> MatrixFamily:
     """A FAMILY header, then one COVER block per member."""
     lines = _split_lines(text)
     rows, cols, s = _header(lines, 0, "FAMILY", "rows cols s")
-    covers = []
+    heads, sides = [], []
     pos = 1
     for _ in range(s):
         head, body = _block(lines, pos, "COVER", "rows cols s")
@@ -881,10 +916,11 @@ def parse_family(text: str) -> MatrixFamily:
             raise FormatError(
                 "member cover dimensions mismatch family header", line=pos + 1
             )
-        covers.append(_cover(head, body, pos + 2))
+        heads.append(head)
+        sides += _cover_sides(body, pos + 2)
         pos += 1 + len(body)
     _end(lines, pos, "FAMILY")
-    return MatrixFamily(tuple(covers))
+    return MatrixFamily(_covers(heads, sides))
 
 
 def write_cover(path: str, c: Cover) -> None:

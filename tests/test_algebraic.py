@@ -332,6 +332,26 @@ class TestMembersBuiltOnUse:
         monkeypatch.setattr(cover, "cover_rows", recording)
         return read
 
+    def test_members_evaluate_only_the_corner(self, monkeypatch):
+        # n = 49 below p^q = 361: each g_i is evaluated on the 49 tuples only
+        def refuse(self, i):
+            raise AssertionError("evaluated all p^q tuples")
+
+        real, lengths = ZpFunctionFamily.evaluate, []
+
+        def recording(self, i, n):
+            lengths.append(n)
+            return real(self, i, n)
+
+        zp = ZpFunctionFamily(19, 2)
+        for i in (1, 7, 18):
+            assert np.array_equal(zp.evaluate(i, 49), zp.evaluate_all(i)[:49])
+        monkeypatch.setattr(ZpFunctionFamily, "evaluate_all", refuse)
+        monkeypatch.setattr(ZpFunctionFamily, "evaluate", recording)
+        res = asymptotic_cover(49, q=2, s=3)
+        assert res.feasible and res.params.p**res.params.q == 361
+        assert lengths == [49, 49, 49]
+
     def test_asymptotic_cover_builds_only_selected_members(self, built, rows_read):
         # no whole member is built; the row builder reads the 3 selected
         # decompositions and no other

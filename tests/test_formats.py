@@ -6,14 +6,18 @@ types the CLI turns into exit 2.
 """
 
 import random
+import tracemalloc
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boolrank.boolmat import _table_size
 from boolrank.cover import (
     Cover,
     MatrixFamily,
     Rectangle,
+    _sides,
     format_cover,
     format_family,
     parse_cover,
@@ -153,3 +157,90 @@ class TestFormats:
     @given(index_set_lists, rngs)
     def test_index_sets(self, sets, rng):
         assert_round_trip(parse_index_sets, format_index_sets(sets), sets, rng)
+
+
+def oracle_cover_text(c):
+    """The cover format, written with one ``str`` per index."""
+    lines = [f"COVER {c.rows} {c.cols} {c.size}"] + [
+        "R " + ",".join([str(i) for i in r.row_set])
+        + " C " + ",".join([str(j) for j in r.col_set])
+        for r in c.rects
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_family_text(fam):
+    rows, cols = fam.dims
+    head = f"FAMILY {rows} {cols} {len(fam)}\n"
+    return head + "".join(map(oracle_cover_text, fam.decompositions))
+
+
+@st.composite
+def writer_families(draw, far):
+    """(far, family) of order n whose members each hold the full n x n
+    rectangle, so their indices outnumber the values below n and the
+    writers share one table.  With ``far``, that rectangle also has column
+    ``far``, above every index count, and the writers fall back to one
+    ``str`` per index."""
+    n = draw(st.integers(1, 12))
+    full = Rectangle(tuple(range(n)), (*range(n), far) if far else tuple(range(n)))
+    cols = far + 1 if far else n
+    members = draw(st.lists(rect_sides, min_size=1, max_size=3))
+    covers = (
+        Cover(n, cols, (*(Rectangle(below(r, n), below(c, n)) for r, c in sides), full))
+        for sides in members
+    )
+    return far, MatrixFamily(tuple(covers))
+
+
+def traced(call):
+    """``call()``, the memory it still holds and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
+
+
+class TestSharedIndexTables:
+    """Certificates share one int and one decimal string per distinct index."""
+
+    @given(st.sampled_from([0, 10**6, 10**15]).flatmap(writer_families))
+    def test_writers_match_per_index_str(self, case):
+        far, fam = case
+        assert bool(_table_size(_sides(fam.decompositions))) == (not far)
+        assert format_family(fam) == oracle_family_text(fam)
+        for c in fam.decompositions:
+            assert format_cover(c) == oracle_cover_text(c)
+        assert parse_family(format_family(fam)) == fam
+
+    def test_family_holds_under_16_bytes_per_index(self):
+        rng = np.random.default_rng(17)
+        n = 3000
+
+        def side():
+            return tuple(np.flatnonzero(rng.random(n) < 0.5).tolist())
+
+        fam = MatrixFamily(tuple(
+            Cover(n, n, tuple(Rectangle(side(), side()) for _ in range(6)))
+            for _ in range(8)
+        ))
+        indices = sum(len(s) for s in _sides(fam.decompositions))
+        assert indices >= 100_000
+        text = format_family(fam)
+        back, held, _ = traced(lambda: parse_family(text))
+        assert back == fam
+        assert held < 16 * indices
+        # one int object per distinct index across the whole family
+        ints = [i for s in _sides(back.decompositions) for i in s]
+        assert len({id(i) for i in ints}) == len(set(ints))
+
+    def test_huge_index_sizes_no_table(self):
+        text = "COVER 1000000000 1000000000 1\nR 999999999 C 0\n"
+        c, _, peak = traced(lambda: parse_cover(text))
+        assert c.rects == (Rectangle((999999999,), (0,)),)
+        assert peak < 1 << 20
+        out, _, peak = traced(lambda: format_cover(c))
+        assert out == text and peak < 1 << 20

@@ -176,6 +176,11 @@ WRITTEN = {
         ["cover", "algebraic", "2", "2"],
         "ba3ce5545571940885688d0caf8a58153768edc8eb8fe75581ba3cdb542ff824",
     ),
+    # order 6859: four-digit indices, the every-3 family of the 216 < 256 witness
+    "cover-algebraic-3-3": (
+        ["cover", "algebraic", "3", "3"],
+        "1f1d6265676584f5c466f0b032826346803cd57a1fc4d0f170b46b1baaa16b6c",
+    ),
 }
 
 

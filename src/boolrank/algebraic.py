@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolmat import max_entries_limit, require_materializable
+from .boolmat import require_materializable
 from .cover import (
     Cover,
     KronCoverDescription,
@@ -32,7 +32,7 @@ from .cover import (
     verify_kron_hypotheses,
 )
 from .crown import colex_subsets, crown_matrix, sigma
-from .errors import DimensionError, VerificationError
+from .errors import DimensionError, MaterializationLimitError, VerificationError
 
 
 def largest_prime_leq(m: int) -> int:
@@ -209,10 +209,9 @@ class AsymptoticParams:
 
     p is the largest prime <= C(2d, d) and ``bound`` = s (2d)^2.
     ``arithmetic_feasible`` requires p > q and p - 1 >= s (enough family
-    members to select from); ``materializable`` requires the family
-    matrices, of order p^q, to fit the ``BOOLRANK_MAX_ENTRIES`` limit as it
-    was when the parameters were made.  ``k`` is the crown rank padded to
-    even.
+    members to select from).  Whether the n x n members fit the
+    ``BOOLRANK_MAX_ENTRIES`` limit is decided only when they are built, by
+    :func:`asymptotic_cover`.  ``k`` is the crown rank padded to even.
     """
 
     n: int
@@ -223,20 +222,16 @@ class AsymptoticParams:
     k: int
     bound: int
     arithmetic_feasible: bool
-    materializable: bool
-
-    @property
-    def feasible(self) -> bool:
-        return self.arithmetic_feasible and self.materializable
 
 
 def _params(n: int, d: int, q: int, s: int) -> AsymptoticParams:
     """The parameters at (d, q, s), with k the crown rank padded to even."""
+    if n < 2:
+        raise DimensionError("need n >= 2")
     p = largest_prime_leq(comb(2 * d, d))
     k = sigma(n)
     return AsymptoticParams(
-        n, d, q, s, p, k + k % 2, s * (2 * d) ** 2,
-        p > q and p - 1 >= s, (p**q) ** 2 <= max_entries_limit(),
+        n, d, q, s, p, k + k % 2, s * (2 * d) ** 2, p > q and p - 1 >= s
     )
 
 
@@ -245,11 +240,8 @@ def asymptotic_params(n: int) -> AsymptoticParams:
 
     Picks the smallest d with n <= ((1/2) C(2d, d))^(2^d), reports the family
     size s = 2^(d+1) and the rectangle bound 2^(d+3) d^2, and flags whether
-    the instance is actually buildable (prime large enough, matrices within
-    the materialization limit).
+    the prime is large enough to select s members.
     """
-    if n < 2:
-        raise DimensionError("need n >= 2")
     d = 1
     while (comb(2 * d, d) // 2) ** (2**d) < n:
         d += 1
@@ -276,14 +268,6 @@ def generalized_params(n: int, q: int, s: int) -> AsymptoticParams:
         d += 1
 
 
-def format_params_line(params: AsymptoticParams) -> str:
-    feasible = "yes" if params.feasible else "no"
-    return (
-        f"PARAMS d={params.d} q={params.q} p={params.p} n={params.n} "
-        f"k={params.k} s={params.s} bound={params.bound} feasible={feasible}"
-    )
-
-
 @dataclass(frozen=True)
 class AsymptoticCoverResult:
     """Outcome of the asymptotic pipeline: parameters plus, when feasible,
@@ -298,18 +282,29 @@ class AsymptoticCoverResult:
         return self.description is not None
 
 
+def format_params_line(result: AsymptoticCoverResult) -> str:
+    """The PARAMS line; ``feasible=yes`` iff the cover was built and verified."""
+    params = result.params
+    feasible = "yes" if result.feasible else "no"
+    return (
+        f"PARAMS d={params.d} q={params.q} p={params.p} n={params.n} "
+        f"k={params.k} s={params.s} bound={params.bound} feasible={feasible}"
+    )
+
+
 def asymptotic_cover(
     n: int, q: int | None = None, s: int | None = None
 ) -> AsymptoticCoverResult:
     """Cover crown(n) (x) crown(n) through the every-q family.
 
     Without ``q``/``s`` the strict parameters (q = 2^d, s = 2^(d+1)) are
-    used; these are infeasible at desk scale.  With explicit ``q`` and ``s``
-    the smallest workable d is chosen.  Either way the first s members are
-    built on the leading n x n corner of the order-p^q family, and the
-    composition hypotheses are verified symmetrically without
+    used; they are arithmetically feasible from n = 82 on, so at the
+    default limit they verify for 82 <= n <= 46340.  With explicit ``q``
+    and ``s`` the smallest workable d is chosen.  Either way the first s
+    members are built on the leading n x n corner of the order-p^q family,
+    and the composition hypotheses are verified symmetrically without
     materializing the product.  When the parameters are infeasible, or the
-    family matrices exceed the ``BOOLRANK_MAX_ENTRIES`` limit, the result
+    n x n members exceed the ``BOOLRANK_MAX_ENTRIES`` limit, the result
     carries the parameter report only, with the reason in its message.
     """
     if (q is None) != (s is None):
@@ -322,15 +317,12 @@ def asymptotic_cover(
             f"infeasible: p-1 = {params.p - 1} members available, "
             f"need s = {params.s} (or prime {params.p} <= q = {params.q})",
         )
-    if not params.materializable:
+    try:
+        selected = _members(params.d, params.p, params.q, params.s, n)
+    except MaterializationLimitError as err:
         return AsymptoticCoverResult(
-            params,
-            None,
-            f"family matrices of order {params.p}^{params.q} exceed the "
-            f"materialization limit; report only",
+            params, None, f"{err}: over the materialization limit; report only"
         )
-
-    selected = _members(params.d, params.p, params.q, params.s, n)
     target = crown_matrix(n)
     res = verify_kron_hypotheses(target, selected, target, selected)
     if not res:

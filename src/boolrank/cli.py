@@ -121,11 +121,11 @@ def _cmd_cover_algebraic(args) -> str:
     return cover.format_family(fam)
 
 
-@command("cover asymptotic", "asymptotic pipeline parameter report",
-         "n:int", "--q:int", "--s:int")
+@command("cover asymptotic", "verified every-q cover of crown(n) (x) crown(n), "
+         "else a parameter report", "n:int", "--q:int", "--s:int")
 def _cmd_cover_asymptotic(args) -> str:
     result = algebraic.asymptotic_cover(args.n, args.q, args.s)
-    params = algebraic.format_params_line(result.params) + "\n"
+    params = algebraic.format_params_line(result) + "\n"
     if result.feasible:
         return params + f"SIZE {result.description.size} VERIFIED\n"
     print(result.message, file=sys.stderr)

@@ -61,7 +61,6 @@ from .boolmat import (
     _split_lines,
     _write_file,
     kronecker,
-    require_materializable,
 )
 from .errors import (
     DimensionError,
@@ -760,7 +759,6 @@ def extract_families(
         decomps_a.append(Cover(a.rows, a.cols, (rect_a,)))
         decomps_b.append(Cover(b.rows, b.cols, (rect_b,)))
     if not exact:
-        require_materializable("cover with non-product rectangles", c.rows * c.cols)
         res = verify_cover(kronecker(a, b), c)
         if not res:
             raise VerificationError(

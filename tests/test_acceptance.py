@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from boolrank.algebraic import ZpFunctionFamily, asymptotic_params
+from boolrank.algebraic import ZpFunctionFamily, asymptotic_cover, asymptotic_params
 from boolrank.boolmat import BoolMatrix, boolean_sum, kronecker
 from boolrank.bounds import exact_boolean_rank, isolation_number, kron_lower_bound
 from boolrank.cover import (
@@ -178,15 +178,35 @@ def test_criterion_09_asymptotic_gap_witness(family_3_3, crown_6859):
     half = check_half_covering(crown_6859, selected)
     hyp = verify_kron_hypotheses(crown_6859, selected, crown_6859, selected)
     size = sum(d.size * d.size for d in selected.decompositions)
-    strict = [asymptotic_params(n) for n in (2, 82, 10**8)]  # d = 2, 3 regimes
-    documented = all(not p.feasible for p in strict)
+    # the strict parameters: d = 2 lacks members (p - 1 = 4 < s = 8); d = 3
+    # verifies 576 at n = 82, no gap as sigma(82)^2 = 81, and is report
+    # only at n = 10^8, whose members exceed the materialization limit
+    strict = asymptotic_cover(82)
+    big = asymptotic_cover(10**8)
+    documented = (
+        not asymptotic_params(2).arithmetic_feasible
+        and strict.feasible
+        and strict.description.size == 576 > sigma(82) ** 2 == 81
+        and big.params.arithmetic_feasible
+        and not big.feasible
+        and "materialization limit" in big.message
+    )
+    wide = asymptotic_cover(20000, q=4, s=7)
     ok = (
         bool(half)
         and bool(hyp)
         and size <= 216 < sigma(6859) ** 2 == 256
         and documented
+        and wide.feasible
+        and wide.description.size == 252 < sigma(20000) ** 2 == 289
     )
-    _report(9, "6859-crown square covered with 216 < 256 rectangles, lazily verified", ok, t0)
+    _report(
+        9,
+        "6859- and 20000-crown squares covered with 216 < 256 and 252 < 289 "
+        "rectangles, lazily verified",
+        ok,
+        t0,
+    )
 
 
 def test_criterion_10_lower_bounds():

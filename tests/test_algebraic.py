@@ -216,15 +216,14 @@ class TestAsymptoticParams:
         p = asymptotic_params(10**9)
         assert (p.d, p.p, p.s) == (4, 67, 32)
         assert p.arithmetic_feasible
-        assert not p.materializable
-        assert not p.feasible
+        assert not asymptotic_cover(10**9).feasible  # 10^18 member entries
 
     def test_padded_rank(self):
         assert asymptotic_params(7).k == 6  # sigma(7) = 5, padded to even
         assert asymptotic_params(6859).k == 16
 
     def test_params_line_format(self):
-        line = format_params_line(asymptotic_params(81))
+        line = format_params_line(asymptotic_cover(81))
         assert line == "PARAMS d=2 q=4 p=5 n=81 k=10 s=8 bound=128 feasible=no"
 
 
@@ -263,15 +262,26 @@ class TestAsymptoticCover:
 
     def test_strict_d4_is_report_only(self):
         res = asymptotic_cover(10**9)
-        assert res.params.arithmetic_feasible and not res.params.materializable
+        assert res.params.arithmetic_feasible and not res.feasible
         assert res.description is None
         assert "materialization limit" in res.message
 
     def test_generalized_above_limit_is_report_only(self, monkeypatch):
         monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "100")
         res = asymptotic_cover(25, q=2, s=3)
-        assert res.params.arithmetic_feasible and not res.params.materializable
+        assert res.params.arithmetic_feasible and not res.feasible
         assert res.description is None
+        assert "materialization limit" in res.message
+
+    def test_limit_reads_the_members_at_order_n(self, monkeypatch):
+        # the 20 x 20 members fit a limit of 500 although the order-25
+        # family's matrices (625 entries) do not
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "500")
+        res = asymptotic_cover(20, q=2, s=3)
+        assert res.feasible and res.params.p**res.params.q == 25
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "399")
+        res = asymptotic_cover(20, q=2, s=3)
+        assert res.params.arithmetic_feasible and not res.feasible
         assert "materialization limit" in res.message
 
     @pytest.mark.parametrize("n, q, s", [

@@ -139,6 +139,16 @@ class TestCoverCommands:
         assert out == "PARAMS d=2 q=2 p=5 n=25 k=8 s=3 bound=48 feasible=no\n"
         assert "materialization limit" in err
 
+    @pytest.mark.parametrize("limit, expect", [
+        ("500", "PARAMS d=2 q=2 p=5 n=20 k=6 s=3 bound=48 feasible=yes\nSIZE 48 VERIFIED\n"),
+        ("399", "PARAMS d=2 q=2 p=5 n=20 k=6 s=3 bound=48 feasible=no\n"),
+    ], ids=["fits", "over"])
+    def test_asymptotic_limit_reads_order_n(self, capsys, monkeypatch, limit, expect):
+        # 20^2 = 400 entries per member, below the order-25 family's 625
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", limit)
+        code, out, _ = run(capsys, "cover", "asymptotic", "20", "--q", "2", "--s", "3")
+        assert (code, out) == (0, expect)
+
 
 class TestVerifyKronAndQcover:
     def test_verify_kron(self, capsys, tmp_path):
@@ -531,6 +541,14 @@ class TestExitCodeContract:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    # both parameter paths refuse n < 2 (0 alone is in test_zero_int_exit_2)
+    @pytest.mark.parametrize(
+        "argv", [["1"], ["0", "--q", "2", "--s", "3"], ["1", "--q", "2", "--s", "3"]], ids=" ".join
+    )
+    def test_asymptotic_below_two_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "cover", "asymptotic", *argv)
+        assert (code, out) == (2, "") and err.startswith("invalid input:")
 
     # sigma = 14: an even level deep enough that a recursive search for g
     # would overflow the interpreter's stack

@@ -23,12 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolmat import require_materializable
+from .boolmat import _IntPool, require_materializable
 from .cover import (
     Cover,
     KronCoverDescription,
     MatrixFamily,
-    _covers,
+    Rectangle,
     verify_kron_hypotheses,
 )
 from .crown import colex_subsets, crown_matrix, sigma
@@ -160,17 +160,17 @@ def _members(d: int, p: int, q: int, s: int, n: int) -> MatrixFamily:
     for z, subset in enumerate(islice(colex_subsets(range(2 * d), d), p)):
         in_b1[z, list(subset)] = True
     zp = ZpFunctionFamily(p, q)
-    heads, sides = [], []
+    pool = _IntPool()  # one int per index below n, shared by every side
+    decomps = []
     for i in range(1, s + 1):
         sel = in_b1[zp.evaluate(i, n)]
-        size = 0
+        rects = []
         for t in range(2 * d):
             rows, cols = np.flatnonzero(sel[:, t]), np.flatnonzero(~sel[:, t])
             if rows.size and cols.size:
-                sides += (rows, cols)
-                size += 1
-        heads.append((n, n, size))
-    return MatrixFamily(_covers(heads, sides))
+                rects.append(Rectangle(pool.tuple(rows, n), pool.tuple(cols, n)))
+        decomps.append(Cover(n, n, tuple(rects)))
+    return MatrixFamily(tuple(decomps))
 
 
 def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily]:

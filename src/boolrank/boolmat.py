@@ -12,21 +12,23 @@ takes a limit of its own.  :func:`require_materializable` is the one place
 that turns the limit into a :class:`MaterializationLimitError`; callers
 working above it verify covers lazily instead (see :mod:`boolrank.cover`).
 
-This module also holds the text layer that every file format shares: one
-file reader, the block header/body/trailing-line helpers and the
-index-list parser and formatter.  Matrix text alone is read and written a
-row block at a time, so its size in memory is bounded by a block, not by
-the matrix.  Index lists read or built together share one Python int per
-distinct index, and are written from one decimal string per distinct
-index, whenever such a table holds no more entries than the lists hold
-indices; a list of tuples then costs about a pointer per index.
+This module also holds the text layer that every file format shares: the
+line reader with its block header/body/trailing-line checks and the
+index-list parser and formatter.  No text is held whole: matrix text is
+read and written a block of characters at a time, and every other format
+a line at a time, so text in memory is bounded by a block or a line, not
+by the file.  Index lists read or built together share one Python int per
+distinct index (:class:`_IntPool`), and are written from one decimal
+string per distinct index whenever such a table holds no more entries
+than the lists hold indices; a list of tuples then costs about a pointer
+per index.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,10 +40,13 @@ DEFAULT_MAX_ENTRIES = 2**31
 
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
-#: Entries handled at once by every block loop: the bytes of a matrix text
-#: read or parsed at once, formatting a matrix body, the product rows of a
+T = TypeVar("T")
+
+#: Entries handled at once by every block loop: the product rows of a
 #: Kronecker block, building member rows from decompositions, coverage
-#: signatures, and the crown's pairwise set tests.
+#: signatures, and the crown's pairwise set tests.  Matrix text is read,
+#: parsed and written an eighth of this many characters at a time
+#: (:func:`_text_chars`).
 #: Splitting coverage classes takes ``_block_rows(64 * packed bytes per row)``
 #: rows, a 64th of this in packed bytes (64 KiB), so its masks stay in cache.
 _BLOCK_ENTRIES = 1 << 22
@@ -308,7 +313,9 @@ def _ones(m: BoolMatrix) -> list[tuple[int, int]]:
 # Apart from the matrix format, every format is made of blocks: a
 # "TAG n1 n2 ..." header of non-negative decimal fields, whose last field
 # counts the body lines that follow.  Only blank lines may follow the last
-# block.  Lines end at "\n"; files are read with universal newlines.
+# block.  Lines end at "\n"; files are read with universal newlines.  Block
+# text is parsed a line at a time, as :class:`_Lines` takes it from a file
+# or a string, and written a line at a time.
 
 def _universal_newlines(data: bytes) -> bytes:
     """``data`` with CRLF and lone CR turned into LF."""
@@ -317,67 +324,112 @@ def _universal_newlines(data: bytes) -> bytes:
     return data
 
 
-def _read_file(path: str) -> bytes:
-    """The file's bytes, with universal newlines."""
-    with open(path, "rb") as fh:
-        return _universal_newlines(fh.read())
-
-
-def _write_file(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _is_decimal(field: str) -> bool:
     return field.isascii() and field.isdigit()
 
 
-def _split_lines(text: str) -> list[str]:
-    """The lines of ``text``; a final "\\n" ends the last line."""
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
+def _str_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, split on "\\n" only, each with its newline."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
-def _header(lines: list[str], pos: int, tag: str, fields: str) -> list[int]:
-    """The fields of the ``tag`` header on line ``pos`` (0-based)."""
-    head = lines[pos].split() if pos < len(lines) else []
-    if len(head) != 1 + len(fields.split()) or head[0] != tag:
-        raise FormatError(f"expected '{tag} {fields}'", line=pos + 1)
-    if not all(map(_is_decimal, head[1:])):
-        raise FormatError(
-            f"{tag} header fields must be non-negative decimal integers", line=pos + 1
-        )
-    return [int(f) for f in head[1:]]
+class _Lines:
+    """The lines of a block-format text, taken one at a time.
+
+    ``source`` is the text itself or its lines, such as an open text file.
+    Each line keeps its newline, which every parser strips as whitespace.
+    ``lineno`` is the number of the last line taken, and ``chars`` counts
+    the characters taken so far.
+    """
+
+    def __init__(self, source: str | Iterable[str]):
+        self._lines = iter(_str_lines(source) if isinstance(source, str) else source)
+        self.lineno = 0
+        self.chars = 0
+
+    def __iter__(self) -> Iterator[str]:
+        """The lines not taken yet."""
+        return self._lines
+
+    def take(self) -> str | None:
+        """The next line, or None at the end of the text."""
+        line = next(self._lines, None)
+        if line is not None:
+            self.lineno += 1
+            self.chars += len(line)
+        return line
+
+    def header(self, tag: str, fields: str) -> list[int]:
+        """The fields of the ``tag`` header on the next line."""
+        lineno = self.lineno + 1
+        head = (self.take() or "").split()
+        if len(head) != 1 + len(fields.split()) or head[0] != tag:
+            raise FormatError(f"expected '{tag} {fields}'", line=lineno)
+        if not all(map(_is_decimal, head[1:])):
+            raise FormatError(
+                f"{tag} header fields must be non-negative decimal integers", line=lineno
+            )
+        return [int(f) for f in head[1:]]
+
+    def _body_line(self, tag: str, size: int) -> str:
+        line = self.take()
+        if line is None:
+            raise FormatError(
+                f"expected {size} lines after the {tag} header", line=self.lineno + 1
+            )
+        return line
+
+    def skip(self, tag: str, size: int, count: int) -> None:
+        """Take ``count`` more lines of a ``size``-line ``tag`` body, and
+        raise the missing-lines error if the text ends first."""
+        for _ in range(count):
+            self._body_line(tag, size)
+
+    def body(self, tag: str, size: int, parse: Callable[[str, int], T]) -> list[T]:
+        """``parse(line, lineno)`` of each line of a ``size``-line ``tag``
+        body.  A missing line outranks a bad one, so when ``parse`` raises,
+        the rest of the body is taken before the error is passed on."""
+        out = []
+        for left in range(size - 1, -1, -1):
+            line = self._body_line(tag, size)
+            try:
+                out.append(parse(line, self.lineno))
+            except FormatError:
+                self.skip(tag, size, left)
+                raise
+        return out
+
+    def end(self, tag: str) -> None:
+        """Allow only blank lines from here on."""
+        while (line := self.take()) is not None:
+            if line.strip():
+                raise FormatError(f"trailing content after the {tag} block", line=self.lineno)
 
 
-def _block(
-    lines: list[str], pos: int, tag: str, fields: str
-) -> tuple[list[int], list[str]]:
-    """Header fields and body lines of the ``tag`` block starting at line ``pos``."""
-    head = _header(lines, pos, tag, fields)
-    end = pos + 1 + head[-1]
-    if end > len(lines):
-        raise FormatError(
-            f"expected {head[-1]} lines after the {tag} header", line=len(lines) + 1
-        )
-    return head, lines[pos + 1:end]
-
-
-def _end(lines: list[str], pos: int, tag: str) -> None:
-    """Allow only blank lines from line ``pos`` (0-based) on."""
-    for lineno in range(pos, len(lines)):
-        if lines[lineno].strip():
-            raise FormatError(f"trailing content after the {tag} block", line=lineno + 1)
-
-
-def _parse_block(text: str, tag: str, fields: str) -> tuple[list[int], list[str]]:
-    """Header fields and body lines of a text holding one ``tag`` block."""
-    lines = _split_lines(text)
-    head, body = _block(lines, 0, tag, fields)
-    _end(lines, 1 + len(body), tag)
+def _parse_block(
+    lines: _Lines, tag: str, fields: str, parse: Callable[[str, int], T]
+) -> tuple[list[int], list[T]]:
+    """Header fields and parsed body lines of a text holding one ``tag``
+    block.  Missing and trailing lines outrank a bad body line."""
+    head = lines.header(tag, fields)
+    try:
+        body = lines.body(tag, head[-1], parse)
+    except FormatError:
+        lines.end(tag)
+        raise
+    lines.end(tag)
     return head, body
+
+
+def _read_text(path: str, parse: Callable[[_Lines], T]) -> T:
+    """``parse`` of the lines of the file at ``path``, read as UTF-8 with
+    universal newlines, a line at a time."""
+    with open(path, encoding="utf-8") as fh:
+        return parse(_Lines(fh))
 
 
 def _format_block(tag: str, fields: Sequence[int], body: Iterable[str]) -> str:
@@ -423,17 +475,28 @@ def _decimal_table(size: int) -> list[str]:
     return [str(i) for i in range(size)]
 
 
-def _index_tuples(sides: Sequence[np.ndarray]) -> list[tuple[int, ...]]:
-    """Sorted, nonempty index arrays as tuples sharing one int per value.
+class _IntPool:
+    """One int object per index value, shared by the index lists given to it.
 
-    The ints come from a pool of every value up to the largest index, when
-    :func:`_table_size` allows one; otherwise each index gets its own.
+    The pool holds every value below its size.  It grows to take in the
+    largest index of a list while that index is below the caller's limit,
+    such as the characters of text read so far, so a huge index in a short
+    text never sizes it; the indices of other lists get ints of their own.
     """
-    size = _table_size(sides)
-    if not size:
-        return [tuple(side.tolist()) for side in sides]
-    pool = np.arange(size).astype(object)
-    return [tuple(pool[side].tolist()) for side in sides]
+
+    def __init__(self):
+        self._ints = np.zeros(0, dtype=object)
+
+    def tuple(self, idx: np.ndarray, limit: int) -> tuple[int, ...]:
+        """``idx`` as a tuple of pooled ints, growing the pool to at most ``limit``."""
+        size = len(self._ints)
+        top = int(idx.max()) + 1 if idx.size else 0
+        if top > size:
+            if top > limit:
+                return tuple(idx.tolist())
+            grown = np.arange(size, min(limit, max(top, 2 * size))).astype(object)
+            self._ints = np.concatenate((self._ints, grown))
+        return tuple(self._ints[idx].tolist())
 
 
 def _index_writer(sides: Iterable[Sequence[int]]) -> Callable[[Sequence[int]], str]:
@@ -452,23 +515,35 @@ def _block_rows(cols: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(1, cols))
 
 
+def _text_chars() -> int:
+    """Characters of matrix text read, parsed or written at once: an eighth
+    of ``_BLOCK_ENTRIES``, so a text block costs no more than the packed
+    rows it holds."""
+    return max(1, _BLOCK_ENTRIES // 8)
+
+
+def _grid_text(bits: np.ndarray, cols: int) -> str:
+    """The text of packed rows: a ``(rows, cols + 1)`` grid of each row's
+    digits and its newline."""
+    grid = np.empty((len(bits), cols + 1), dtype=np.uint8)
+    grid[:, cols] = ord("\n")
+    np.add(np.unpackbits(bits, axis=1, bitorder="little", count=cols), ord("0"),
+           out=grid[:, :cols])
+    return str(grid, "ascii")
+
+
 def matrix_lines(m: BoolMatrix) -> Iterator[str]:
     """Matrix text format: ``rows cols`` then one 0/1 line per row.
 
-    Yields the header line, then the text of each row block: a
-    ``(block rows, cols + 1)`` grid of each row's digits and its newline,
-    filled from the packed bits.
+    Yields the header line, then the text of each row block of about
+    :func:`_text_chars` characters (at least one row), filled from the
+    packed bits.  Only the block being written is held.
     """
     rows, cols = m.rows, m.cols
     yield f"{rows} {cols}\n"
-    block = _block_rows(cols)
+    block = max(1, _text_chars() // (cols + 1))
     for row0 in range(0, rows, block):
-        bits = m.bits[row0:row0 + block]
-        grid = np.empty((len(bits), cols + 1), dtype=np.uint8)
-        grid[:, cols] = ord("\n")
-        digits = np.unpackbits(bits, axis=1, bitorder="little", count=cols)
-        np.add(digits, ord("0"), out=grid[:, :cols])
-        yield str(grid, "ascii")
+        yield _grid_text(m.bits[row0:row0 + block], cols)
 
 
 def format_matrix(m: BoolMatrix) -> str:
@@ -477,11 +552,11 @@ def format_matrix(m: BoolMatrix) -> str:
 
 
 def _file_pieces(fh) -> Iterator[bytes]:
-    """The bytes of a binary file, ``_BLOCK_ENTRIES`` at a time, with
+    """The bytes of a binary file, :func:`_text_chars` at a time, with
     universal newlines.  A CR that ends a piece is carried into the next,
     which may start with its LF."""
     cr = False  # the last piece ended in a CR, held back
-    while piece := fh.read(_BLOCK_ENTRIES):
+    while piece := fh.read(_text_chars()):
         if cr:
             piece = b"\r" + piece
         cr = piece.endswith(b"\r")
@@ -513,7 +588,7 @@ def _line_blocks(pieces: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             cut = int(ends[-1]) + 1
             yield buf[:cut], ends
             buf = buf[cut:]
-        held.append(buf)
+        held.append(buf.copy())  # so the piece is not held
     last = np.concatenate(held) if held else np.zeros(0, dtype=np.uint8)
     yield last, np.array([last.size])
 
@@ -545,11 +620,43 @@ def _require_rows(blocks: Iterator, seen: int, rows: int) -> None:
         raise FormatError(f"expected {rows} row lines", line=seen)
 
 
+def _packed_grid(buf: np.ndarray, count: int, cols: int) -> np.ndarray | int:
+    """The packed bits of ``count`` rows of ``cols`` characters and a
+    newline each at the start of ``buf``, or the index of the first row
+    with a character other than 0 and 1."""
+    # the rows sit at a fixed stride
+    grid = np.lib.stride_tricks.as_strided(
+        buf, shape=(count, cols), strides=(cols + 1, 1), writeable=False
+    )
+    digits = grid - np.uint8(ord("0"))
+    bad = np.flatnonzero(digits.max(axis=1, initial=0) > 1)
+    if bad.size:
+        return int(bad[0])
+    return np.packbits(digits, axis=1, bitorder="little")
+
+
+def _with_rows(
+    bits: np.ndarray | None, filled: int, packed: np.ndarray, rows: int
+) -> np.ndarray:
+    """``bits`` with the ``packed`` rows written from row ``filled`` on.
+
+    The array is doubled when it is too short, up to the header's ``rows``,
+    so it grows with the rows read and a header alone sizes nothing.
+    """
+    if bits is None:
+        return packed
+    stop = filled + len(packed)
+    if stop > len(bits):
+        bits.resize((min(rows, max(stop, 2 * len(bits))), bits.shape[1]), refcheck=False)
+    bits[filled:stop] = packed
+    return bits
+
+
 def _parse_matrix(pieces: Iterable) -> BoolMatrix:
     """The matrix of a text given as byte pieces; see :func:`parse_matrix`."""
     blocks = _line_blocks(pieces)
     line = 0  # the text line the block starts on; 0 is the header
-    packed = []
+    bits, filled = None, 0  # the packed rows, and how many are checked
     for buf, ends in blocks:
         starts = np.concatenate(([0], ends[:-1] + 1))
         lengths = ends - starts
@@ -562,17 +669,12 @@ def _parse_matrix(pieces: Iterable) -> BoolMatrix:
         short_or_long = np.flatnonzero(lengths[first:body] != cols)
         regular = first + int(short_or_long[0]) if short_or_long.size else body
         if regular > first:
-            # rows of the right length sit at a fixed stride
-            grid = np.lib.stride_tricks.as_strided(
-                buf[starts[first]:], shape=(regular - first, cols),
-                strides=(cols + 1, 1), writeable=False,
-            )
-            digits = grid - np.uint8(ord("0"))
-            bad = np.flatnonzero((digits > 1).any(axis=1))
-            if bad.size:
-                regular = first + int(bad[0])
+            packed = _packed_grid(buf[starts[first]:], regular - first, cols)
+            if isinstance(packed, int):
+                regular = first + packed
             else:
-                packed.append(np.packbits(digits, axis=1, bitorder="little"))
+                bits = _with_rows(bits, filled, packed, rows)
+                filled += len(packed)
         if regular < body:
             # a missing row outranks a bad one
             _require_rows(blocks, line + ends.size, rows)
@@ -585,10 +687,10 @@ def _parse_matrix(pieces: Iterable) -> BoolMatrix:
                 "trailing content after matrix", line=line + body + int(trailing[0]) + 1
             )
         line += ends.size
+        del buf  # its piece is not held while the next is read
     _require_rows(blocks, line, rows)
     if not rows:
         return BoolMatrix.zeros(0, cols)
-    bits = np.concatenate(packed) if len(packed) > 1 else packed[0]
     bits.flags.writeable = False
     return BoolMatrix(rows, cols, bits)
 
@@ -596,13 +698,14 @@ def _parse_matrix(pieces: Iterable) -> BoolMatrix:
 def parse_matrix(text: str | bytes) -> BoolMatrix:
     """Inverse of :func:`format_matrix`; lines are split on ``\\n`` only.
 
-    ``text`` may also be bytes.  It is parsed ``_BLOCK_ENTRIES`` characters
-    at a time by the parser :func:`read_matrix` uses: bytes as views, and a
-    str as ASCII with "?" for anything else, so no non-ASCII character
-    passes as 0/1.  Each block's rows are checked and packed as one byte
-    grid, and every error names the line a line-by-line reader would.
+    ``text`` may also be bytes.  It is parsed :func:`_text_chars`
+    characters at a time by the parser :func:`read_matrix` uses: bytes as
+    views, and a str as ASCII with "?" for anything else, so no non-ASCII
+    character passes as 0/1.  Each block's rows are checked as one byte
+    grid and packed into one array, which grows with the rows read, and
+    every error names the line a line-by-line reader would.
     """
-    step = _BLOCK_ENTRIES
+    step = _text_chars()
     if isinstance(text, str):
         pieces = (text[lo:lo + step].encode("ascii", "replace")
                   for lo in range(0, len(text), step))

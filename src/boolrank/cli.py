@@ -86,24 +86,24 @@ def _cmd_kron(args) -> Iterator[str]:
 
 
 @command("cover canonical", "sigma(n)-rectangle cover of the crown", "n:int", "-o")
-def _cmd_cover_canonical(args) -> str:
+def _cmd_cover_canonical(args) -> Iterator[str]:
     fam = crown.canonical_family(crown.sigma(args.n), args.n)
-    return cover.format_cover(crown.family_cover(fam))
+    return cover.cover_lines(crown.family_cover(fam))
 
 
 @command("cover triple", "(r, k-r, k-r) coverable triple", "k:int", "r:int", "-o")
-def _cmd_cover_triple(args) -> str:
-    return cover.format_family(crown.triple_cover(args.k, args.r))
+def _cmd_cover_triple(args) -> Iterator[str]:
+    return cover.family_lines(crown.triple_cover(args.k, args.r))
 
 
 @command("cover c4", "the explicit (2,2,2) triple for the order-4 crown", "-o")
-def _cmd_cover_c4(args) -> str:
-    return cover.format_family(crown.c4_triple())
+def _cmd_cover_c4(args) -> Iterator[str]:
+    return cover.family_lines(crown.c4_triple())
 
 
 @command("cover c5", "the explicit (2,2,3) triple for the order-5 crown", "-o")
-def _cmd_cover_c5(args) -> str:
-    return cover.format_family(crown.c5_triple())
+def _cmd_cover_c5(args) -> Iterator[str]:
+    return cover.family_lines(crown.c5_triple())
 
 
 @command("cover gap", "cover of crown(n) (x) crown(m) beating the product",
@@ -116,9 +116,9 @@ def _cmd_cover_gap(args) -> Iterator[str]:
 
 
 @command("cover algebraic", "every-q-cover matrix family", "d:int", "q:int", "-o")
-def _cmd_cover_algebraic(args) -> str:
+def _cmd_cover_algebraic(args) -> Iterator[str]:
     _, fam = algebraic.algebraic_family(args.d, args.q)
-    return cover.format_family(fam)
+    return cover.family_lines(fam)
 
 
 @command("cover asymptotic", "verified every-q cover of crown(n) (x) crown(n), "
@@ -191,7 +191,7 @@ def _cmd_isolation(args) -> str:
 def _cmd_mu(args) -> str:
     res = bounds.mu(boolmat.read_matrix(args.matrix))
     rect = _format_rectangle(res.witness)
-    return f"MU value={res.value} ones={res.ones} maxrect={res.max_rectangle_area} {rect}\n"
+    return f"MU value={res.value} ones={res.ones} maxrect={res.max_rectangle_area} {rect}"
 
 
 def _rank_text(sp: spanoid.Spanoid) -> str:

@@ -46,20 +46,15 @@ import numpy as np
 
 from .boolmat import (
     BoolMatrix,
-    _block,
     _block_rows,
     _decimal_table,
-    _end,
-    _format_block,
     _format_index_list,
-    _header,
-    _index_tuples,
     _index_writer,
+    _IntPool,
+    _Lines,
     _parse_block,
     _parse_index_list,
-    _read_file,
-    _split_lines,
-    _write_file,
+    _read_text,
     kronecker,
 )
 from .errors import (
@@ -462,13 +457,13 @@ def _classes(matrices: Sequence[BoolMatrix | Cover]) -> set[int]:
     are for families that cover a matrix, but with every class present it
     takes 3 to 4 times as long as a scan at 8 or 9 matrices and doubles
     with each further one.  Past 9 the entries' signatures are marked in a
-    table of all 2^s of them, or hashed past 16 matrices.
+    table of all 2^s of them, at most 1 MiB, or hashed past 20 matrices.
     """
     s = len(matrices)
     if s <= 9:
         return _split_classes(matrices)
-    if s <= 16:
-        # mark the (at most 2^16) possible signatures: no sorting or counting
+    if s <= 20:
+        # mark the (at most 2^20) possible signatures: no sorting or counting
         marked = np.zeros(1 << s, dtype=bool)
         for _, sig in _signature_blocks(matrices):
             marked[sig.ravel()] = True
@@ -780,8 +775,8 @@ def extract_families(
 # -- text formats -------------------------------------------------------------
 
 def _rect_line(rows: str, cols: str) -> str:
-    """A cover body line from the text of its two index lists."""
-    return f"R {rows} C {cols}"
+    """A cover body line, with its newline, from the text of its two index lists."""
+    return f"R {rows} C {cols}\n"
 
 
 def _sides(covers: Iterable[Cover]) -> Iterator[tuple[int, ...]]:
@@ -795,13 +790,19 @@ def _format_rectangle(
     return _rect_line(write(r.row_set), write(r.col_set))
 
 
-def _cover_text(c: Cover, write: Callable[[Sequence[int]], str]) -> str:
-    lines = (_format_rectangle(r, write) for r in c.rects)
-    return _format_block("COVER", (c.rows, c.cols, c.size), lines)
+def _cover_lines(c: Cover, write: Callable[[Sequence[int]], str]) -> Iterator[str]:
+    yield f"COVER {c.rows} {c.cols} {c.size}\n"
+    for r in c.rects:
+        yield _format_rectangle(r, write)
+
+
+def cover_lines(c: Cover) -> Iterator[str]:
+    """The lines of :func:`format_cover`, one at a time."""
+    return _cover_lines(c, _index_writer(_sides([c])))
 
 
 def format_cover(c: Cover) -> str:
-    return _cover_text(c, _index_writer(_sides([c])))
+    return "".join(cover_lines(c))
 
 
 def _runs(
@@ -836,7 +837,7 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
     rows, cols = d.target_dims
     rb, cb = d.n_family.dims
     digits = _decimal_table(max(rows, cols))
-    yield _format_block("COVER", (rows, cols, d.size), ())
+    yield f"COVER {rows} {cols} {d.size}\n"
     for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
         row_runs = _runs(
             digits, rb, [r.row_set for r in dm.rects], [r.row_set for r in dn.rects]
@@ -848,90 +849,94 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
             for row_run, col_run in zip(row_runs, col_runs):
                 row_text = ",".join([row_run[i] for i in rm.row_set])
                 col_text = ",".join([col_run[j] for j in rm.col_set])
-                yield _rect_line(row_text, col_text) + "\n"
+                yield _rect_line(row_text, col_text)
 
 
-def _index_set(token: str, lineno: int) -> np.ndarray:
-    """A rectangle side: an index list, sorted, distinct and non-negative."""
-    idx = _parse_index_list(token, lineno)
-    if (np.diff(idx) <= 0).any():
-        raise FormatError("indices must be sorted, distinct, 0-based", line=lineno)
-    return idx
+def _rectangle_parser(lines: _Lines) -> Callable[[str, int], Rectangle]:
+    """A parser of the cover body lines taken from ``lines``.
 
+    Each side becomes a tuple as soon as it is read, sharing the ints of
+    one :class:`~boolrank.boolmat._IntPool` with every other side of the
+    text, and :class:`Rectangle` checks its order.
+    """
+    pool = _IntPool()
 
-def _cover_sides(body: list[str], first_line: int) -> list[np.ndarray]:
-    """The sides of a COVER block's body, which starts at line ``first_line``,
-    as :func:`_sides` orders them."""
-    sides = []
-    for lineno, line in enumerate(body, first_line):
+    def parse(line: str, lineno: int) -> Rectangle:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "R" or parts[2] != "C":
             raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
-        sides += (_index_set(parts[1], lineno), _index_set(parts[3], lineno))
-    return sides
+        rows, cols = (
+            pool.tuple(_parse_index_list(token, lineno), lines.chars)
+            for token in (parts[1], parts[3])
+        )
+        try:
+            return Rectangle(rows, cols)
+        except ValueError:
+            raise FormatError(
+                "indices must be sorted, distinct, 0-based", line=lineno
+            ) from None
+    return parse
 
 
-def _covers(
-    heads: Sequence[Sequence[int]], sides: list[np.ndarray]
-) -> tuple[Cover, ...]:
-    """Covers from their ``rows cols s`` header fields and the index arrays
-    of all their sides, in the order of :func:`_sides`.
-
-    The sides become tuples together, so every cover shares one pool of
-    ints (:func:`_index_tuples`).
-    """
-    tuples = _index_tuples(sides)
-    covers, start = [], 0
-    for rows, cols, size in heads:
-        own = tuples[start:start + 2 * size]
-        covers.append(Cover(rows, cols, tuple(map(Rectangle, own[::2], own[1::2]))))
-        start += 2 * size
-    return tuple(covers)
+def _parse_cover(lines: _Lines) -> Cover:
+    (rows, cols, _), rects = _parse_block(
+        lines, "COVER", "rows cols s", _rectangle_parser(lines)
+    )
+    return Cover(rows, cols, tuple(rects))
 
 
 def parse_cover(text: str) -> Cover:
-    head, body = _parse_block(text, "COVER", "rows cols s")
-    return _covers([head], _cover_sides(body, 2))[0]
+    return _parse_cover(_Lines(text))
+
+
+def family_lines(fam: MatrixFamily) -> Iterator[str]:
+    """The lines of :func:`format_family`, one at a time."""
+    write = _index_writer(_sides(fam.decompositions))
+    yield f"FAMILY {fam.dims[0]} {fam.dims[1]} {len(fam)}\n"
+    for c in fam.decompositions:
+        yield from _cover_lines(c, write)
 
 
 def format_family(fam: MatrixFamily) -> str:
     """A FAMILY header, then one COVER block per member, all written from
     one table of decimal strings."""
-    write = _index_writer(_sides(fam.decompositions))
-    header = _format_block("FAMILY", (*fam.dims, len(fam)), ())
-    return header + "".join([_cover_text(c, write) for c in fam.decompositions])
+    return "".join(family_lines(fam))
+
+
+def _parse_family(lines: _Lines) -> MatrixFamily:
+    rows, cols, s = lines.header("FAMILY", "rows cols s")
+    parse = _rectangle_parser(lines)
+    members = []
+    for _ in range(s):
+        at = lines.lineno + 1
+        head = lines.header("COVER", "rows cols s")
+        if head[:2] != [rows, cols]:
+            lines.skip("COVER", head[-1], head[-1])  # a missing line outranks this
+            raise FormatError("member cover dimensions mismatch family header", line=at)
+        members.append(lines.body("COVER", head[-1], parse))
+    lines.end("FAMILY")
+    # the covers check their rectangles only once the whole text is read
+    return MatrixFamily(tuple(Cover(rows, cols, tuple(rects)) for rects in members))
 
 
 def parse_family(text: str) -> MatrixFamily:
     """A FAMILY header, then one COVER block per member."""
-    lines = _split_lines(text)
-    rows, cols, s = _header(lines, 0, "FAMILY", "rows cols s")
-    heads, sides = [], []
-    pos = 1
-    for _ in range(s):
-        head, body = _block(lines, pos, "COVER", "rows cols s")
-        if head[:2] != [rows, cols]:
-            raise FormatError(
-                "member cover dimensions mismatch family header", line=pos + 1
-            )
-        heads.append(head)
-        sides += _cover_sides(body, pos + 2)
-        pos += 1 + len(body)
-    _end(lines, pos, "FAMILY")
-    return MatrixFamily(_covers(heads, sides))
+    return _parse_family(_Lines(text))
 
 
 def write_cover(path: str, c: Cover) -> None:
-    _write_file(path, format_cover(c))
+    with open(path, "w") as fh:
+        fh.writelines(cover_lines(c))
 
 
 def read_cover(path: str) -> Cover:
-    return parse_cover(_read_file(path).decode())
+    return _read_text(path, _parse_cover)
 
 
 def write_family(path: str, fam: MatrixFamily) -> None:
-    _write_file(path, format_family(fam))
+    with open(path, "w") as fh:
+        fh.writelines(family_lines(fam))
 
 
 def read_family(path: str) -> MatrixFamily:
-    return parse_family(_read_file(path).decode())
+    return _read_text(path, _parse_family)

@@ -31,6 +31,7 @@ from .boolmat import (
     _block_rows,
     _format_block,
     _format_index_list,
+    _Lines,
     _parse_block,
     _parse_index_list,
 )
@@ -443,13 +444,13 @@ def format_subset_family(f: SubsetFamily) -> str:
     )
 
 
+def _subset(line: str, lineno: int) -> tuple[int, ...]:
+    return tuple(_parse_index_list(line.strip(), lineno).tolist())
+
+
 def parse_subset_family(text: str) -> SubsetFamily:
-    (k, ell, _), body = _parse_block(text, "FAMILY-SETS", "k ell n")
-    sets = tuple(
-        tuple(_parse_index_list(line.strip(), lineno).tolist())
-        for lineno, line in enumerate(body, 2)
-    )
+    (k, ell, _), sets = _parse_block(_Lines(text), "FAMILY-SETS", "k ell n", _subset)
     try:
-        return SubsetFamily(k, ell, sets)
+        return SubsetFamily(k, ell, tuple(sets))
     except ValueError as exc:
         raise FormatError(str(exc)) from None

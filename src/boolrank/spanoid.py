@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,14 +25,13 @@ import numpy as np
 from .boolmat import (
     BoolMatrix,
     _bit_indices,
-    _end,
     _format_block,
     _format_index_list,
+    _Lines,
     _parse_block,
     _parse_index_list,
-    _read_file,
+    _read_text,
     _row_ints,
-    _split_lines,
     read_matrix,
 )
 from .errors import BudgetExceededError, DimensionError, FormatError
@@ -317,46 +316,62 @@ def format_rule_spanoid(s: RuleSpanoid) -> str:
     return _format_block("SPANOID", (len(s.universe), len(s.rules)), rules)
 
 
-def parse_spanoid(text: str) -> RuleSpanoid:
-    (u, _), body = _parse_block(text, "SPANOID", "u r")
-    rules = []
-    for lineno, line in enumerate(body, 2):
-        left, arrow, right = line.partition("->")
-        if not left.startswith("S:") or not arrow:
-            raise FormatError("expected 'S: i1,...,ik -> j'", line=lineno)
-        target = _parse_index_list(right.strip(), lineno)
-        if target.size != 1:
-            raise FormatError("a rule infers exactly one index", line=lineno)
-        premise = _parse_index_list(left[2:].strip(), lineno)
-        rules.append((frozenset(premise.tolist()), int(target[0])))
+def _rule(line: str, lineno: int) -> tuple[frozenset[int], int]:
+    left, arrow, right = line.partition("->")
+    if not left.startswith("S:") or not arrow:
+        raise FormatError("expected 'S: i1,...,ik -> j'", line=lineno)
+    target = _parse_index_list(right.strip(), lineno)
+    if target.size != 1:
+        raise FormatError("a rule infers exactly one index", line=lineno)
+    premise = _parse_index_list(left[2:].strip(), lineno)
+    return frozenset(premise.tolist()), int(target[0])
+
+
+def _parse_spanoid(lines: _Lines) -> RuleSpanoid:
+    (u, _), rules = _parse_block(lines, "SPANOID", "u r", _rule)
     return RuleSpanoid(u, rules)
+
+
+def parse_spanoid(text: str) -> RuleSpanoid:
+    return _parse_spanoid(_Lines(text))
+
+
+def _rules_or_matrix_file(lines: _Lines) -> RuleSpanoid | str:
+    """The spanoid of a SPANOID text, or the matrix file that a one-line
+    MATSPANOID text names."""
+    taken = []  # up to the first line that is not blank
+    while (line := lines.take()) is not None:
+        taken.append(line)
+        if line.strip():
+            break
+    parts = taken[-1].split(None, 1) if taken else []
+    if parts[:1] != ["MATSPANOID"]:
+        return _parse_spanoid(_Lines(chain(taken, lines)))
+    if len(parts) != 2:
+        raise FormatError("expected 'MATSPANOID <matrix-file>'", line=lines.lineno)
+    lines.end("MATSPANOID")
+    return parts[1].strip()
 
 
 def read_spanoid(path: str) -> Spanoid:
     """Read a SPANOID rule file or a one-line MATSPANOID matrix reference,
     the rest of its line, relative to the file's directory."""
-    text = _read_file(path).decode()
-    lines = _split_lines(text)
-    pos = next((i for i, line in enumerate(lines) if line.strip()), 0)
-    parts = lines[pos].split(None, 1) if lines else []
-    if parts[:1] != ["MATSPANOID"]:
-        return parse_spanoid(text)
-    if len(parts) != 2:
-        raise FormatError("expected 'MATSPANOID <matrix-file>'", line=pos + 1)
-    _end(lines, pos + 1, "MATSPANOID")
+    found = _read_text(path, _rules_or_matrix_file)
+    if isinstance(found, RuleSpanoid):
+        return found
     base = os.path.dirname(os.path.abspath(path))
-    return MatrixSpanoid(read_matrix(os.path.join(base, parts[1].strip())))
+    return MatrixSpanoid(read_matrix(os.path.join(base, found)))
+
+
+def _index_set(line: str, lineno: int) -> frozenset[int]:
+    return frozenset(_parse_index_list(line.strip(), lineno).tolist())
 
 
 def parse_index_sets(text: str) -> list[frozenset[int]]:
     """SETS format: 'SETS s' then s lines of comma-separated indices
     (an empty line is the empty set)."""
-    _, body = _parse_block(text, "SETS", "s")
-    return [
-        frozenset(_parse_index_list(line.strip(), lineno).tolist())
-        for lineno, line in enumerate(body, 2)
-    ]
+    return _parse_block(_Lines(text), "SETS", "s", _index_set)[1]
 
 
 def read_index_sets(path: str) -> list[frozenset[int]]:
-    return parse_index_sets(_read_file(path).decode())
+    return _read_text(path, lambda lines: _parse_block(lines, "SETS", "s", _index_set)[1])

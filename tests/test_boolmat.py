@@ -441,7 +441,8 @@ class TestMatrixFormat:
             assert parse_matrix(text) == m
 
     def test_lines_are_header_then_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 7)  # two 3-column rows a block
+        # 64 entries make 8-character text blocks: two 3-column rows a block
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 64)
         m = crown_matrix(3)
         assert list(matrix_lines(m)) == ["3 3\n", "011\n101\n", "110\n"]
         m = BoolMatrix.zeros(5, 3)
@@ -544,3 +545,64 @@ class TestMatrixFormat:
         path.write_bytes(b"2 2\n01\n1\xff\n")
         with pytest.raises(FormatError, match="line 3: row must be exactly 2"):
             read_matrix(str(path))
+
+
+class TestMatrixTextBlocks:
+    """Matrix text is read and written a text block at a time, an eighth of
+    ``_BLOCK_ENTRIES`` characters, so beyond the packed matrix its memory
+    is about one block."""
+
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(0, 6), st.integers(0, 12)),
+               elements=st.integers(0, 1)),
+        rngs,
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.sampled_from([1, 7, 64]),
+    )
+    def test_file_reader_in_text_blocks(
+        self, tmp_path_factory, dense, rng, newline, chars
+    ):
+        # text blocks of 1, 7 and 64 characters split lines and CRLF pairs
+        path = tmp_path_factory.getbasetemp() / "blocks.mat"
+        m = BoolMatrix.from_dense(dense)
+        with mock.patch.object(boolmat, "_BLOCK_ENTRIES", 8 * chars):
+            assert boolmat._text_chars() == chars
+            boolmat.write_matrix(str(path), m)
+            assert read_matrix(str(path)) == m
+            valid = format_matrix(m)
+            for text in (valid, mutate(valid, rng)):
+                data = text.replace("\n", newline).encode()
+                path.write_bytes(data)
+                normalized = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                from_file = parsed(read_matrix, str(path))
+                assert from_file == parsed(parse_matrix, normalized)
+                assert from_file == reference_parse_matrix(normalized)
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peak(self, tmp_path):
+        # 1.06 MB measured: the block's digit grid and its text, then the
+        # text and its encoding (16.8 MB when a block was 4 Mi entries)
+        m = crown_matrix(3000)
+        path = tmp_path / "c3000.mat"
+        _, peak = self.traced_peak(lambda: boolmat.write_matrix(str(path), m))
+        assert peak < 1.5e6
+        assert path.read_bytes() == format_matrix(m).encode()
+
+    def test_read_peak(self, tmp_path):
+        # the 1.1 MB packed matrix plus 1.13 MB measured: a text piece and
+        # its newline mask (plus 16.2 MB when pieces were 4 MiB and the
+        # packed blocks were joined at the end)
+        m = crown_matrix(3000)
+        path = tmp_path / "c3000.mat"
+        boolmat.write_matrix(str(path), m)
+        back, peak = self.traced_peak(lambda: read_matrix(str(path)))
+        assert back == m
+        assert peak < m.bits.nbytes + 1.5e6

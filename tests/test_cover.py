@@ -513,6 +513,16 @@ class TestSignatureOracle:
             outcomes[bool(lazy)] += 1
         assert min(outcomes.values()) >= 2
 
+    # 16 to 19 members and their factor, 17 to 20 matrices, mark a table of
+    # at most 2^20 signatures; 20 members, 21 matrices, hash them
+    @pytest.mark.parametrize("s", [16, 17, 18, 19, 20])
+    def test_marked_table_up_to_20_matrices(self, monkeypatch, s):
+        hashed = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: hashed.append(s) or unique(*a, **kw))
+        self.test_matches_eager_and_brute_force(monkeypatch, s, 1 << 22)
+        assert bool(hashed) == (s + 1 > 20)
+
     @staticmethod
     def with_stray_one(rng, m, target):
         """``m`` with one more 1, at a random 0 of ``target`` (if it has one)."""

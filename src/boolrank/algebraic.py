@@ -24,14 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .boolmat import _IntPool, require_materializable
-from .cover import (
-    Cover,
-    KronCoverDescription,
-    MatrixFamily,
-    Rectangle,
-    verify_kron_hypotheses,
-)
-from .crown import colex_subsets, crown_matrix, sigma
+from .cover import KronCoverDescription, MatrixFamily, verify_kron_hypotheses
+from .crown import _element_cover, colex_subsets, crown_matrix, sigma
 from .errors import DimensionError, MaterializationLimitError, VerificationError
 
 
@@ -161,16 +155,10 @@ def _members(d: int, p: int, q: int, s: int, n: int) -> MatrixFamily:
         in_b1[z, list(subset)] = True
     zp = ZpFunctionFamily(p, q)
     pool = _IntPool()  # one int per index below n, shared by every side
-    decomps = []
-    for i in range(1, s + 1):
-        sel = in_b1[zp.evaluate(i, n)]
-        rects = []
-        for t in range(2 * d):
-            rows, cols = np.flatnonzero(sel[:, t]), np.flatnonzero(~sel[:, t])
-            if rows.size and cols.size:
-                rects.append(Rectangle(pool.tuple(rows, n), pool.tuple(cols, n)))
-        decomps.append(Cover(n, n, tuple(rects)))
-    return MatrixFamily(tuple(decomps))
+    return MatrixFamily(tuple(
+        _element_cover(in_b1[zp.evaluate(i, n)], range(2 * d), pool)
+        for i in range(1, s + 1)
+    ))
 
 
 def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily]:

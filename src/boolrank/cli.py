@@ -91,7 +91,7 @@ def _cmd_cover_canonical(args) -> Iterator[str]:
     return cover.cover_lines(crown.family_cover(fam))
 
 
-@command("cover triple", "(r, k-r, k-r) coverable triple", "k:int", "r:int", "-o")
+@command("cover triple", "(1, k-1, k-1) coverable triple", "k:int", "r:int", "-o")
 def _cmd_cover_triple(args) -> Iterator[str]:
     return cover.family_lines(crown.triple_cover(args.k, args.r))
 

@@ -9,20 +9,23 @@ Permuting the subset labelling with a carefully chosen bijection yields a
 second cover sharing its first rectangles with the original, which is how
 the coverable triples behind the sub-multiplicativity gaps are built: an
 [r]-preserving, [r]-intersection-shifting bijection gives three matrices of
-ranks (r, k-r, k-r) of which every two cover the crown.
+ranks (r, k-r, k-r) of which every two cover the crown.  Only r = 1 is
+built, from the {1}-preserving bijection of :func:`build_h`.
 
-Subset families are enumerated in colexicographic order throughout, so
-partial families are prefixes and all constructions are deterministic.
+Every construction here, and the every-q family of :mod:`.algebraic`, is a
+sum of element rectangles: given each row a set, the rectangle of element
+t takes the rows whose set holds t by the columns whose set lacks it.
+:func:`_element_cover` builds them all.  Subset families are enumerated in
+colexicographic order throughout, so partial families are prefixes and all
+constructions are deterministic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .boolmat import (
     _block_rows,
     _format_block,
     _format_index_list,
+    _IntPool,
     _Lines,
     _parse_block,
     _parse_index_list,
@@ -41,6 +45,7 @@ from .cover import (
     Rectangle,
     best_triple_pairing,
     compose_kron_cover,
+    cover_matrix,
 )
 from .errors import DimensionError, FormatError, VerificationError
 
@@ -105,18 +110,34 @@ class SubsetFamily:
 
     def masks(self) -> np.ndarray:
         """Bitmask array of the sets (element e -> bit e-1)."""
-        return _set_masks(self.sets)
+        return _masks(_held(self.sets, self.k))
 
 
-def _set_masks(sets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Bitmask array of 1-based sets (element e -> bit e-1)."""
-    out = np.zeros(len(sets), dtype=np.int64)
-    for i, s in enumerate(sets):
-        m = 0
-        for e in s:
-            m |= 1 << (e - 1)
-        out[i] = m
-    return out
+def _held(sets: Sequence[Sequence[int]], k: int) -> np.ndarray:
+    """The len(sets) x k membership array of 1-based sets: [i, e-1] iff e in sets[i]."""
+    held = np.zeros((len(sets), k), dtype=bool)
+    rows = [i for i, s in enumerate(sets) for _ in s]
+    held[rows, [e - 1 for s in sets for e in s]] = True
+    return held
+
+
+def _masks(held: np.ndarray) -> np.ndarray:
+    """Row i of a membership array as an int64 bitmask (column e -> bit e);
+    more than 63 columns overflow and raise."""
+    return held @ np.array([1 << e for e in range(held.shape[1])], dtype=np.int64)
+
+
+def _element_cover(held: np.ndarray, ts: Iterable[int], pool: _IntPool) -> Cover:
+    """The element rectangles of the 0-based columns ``ts`` of a membership
+    array, empty ones dropped: element t gives the rows that hold it by the
+    rows that lack it.  Their sides take their ints from ``pool``."""
+    n = len(held)
+    rects = []
+    for t in ts:
+        rows, cols = np.flatnonzero(held[:, t]), np.flatnonzero(~held[:, t])
+        if rows.size and cols.size:
+            rects.append(Rectangle(pool.tuple(rows, n), pool.tuple(cols, n)))
+    return Cover(n, n, tuple(rects))
 
 
 def canonical_family(k: int, n: int) -> SubsetFamily:
@@ -131,42 +152,25 @@ def canonical_family(k: int, n: int) -> SubsetFamily:
 def family_matrix(f: SubsetFamily) -> BoolMatrix:
     """The intersection matrix B_F: entry (i, j) = 1 iff F_i meets [k] \\ F_j.
 
-    For distinct subsets of size ceil(k/2) this equals the crown matrix.
+    It is the sum of the family's element rectangles.  For distinct subsets
+    of size ceil(k/2) it equals the crown matrix.
     """
-    n = len(f)
-    masks = f.masks()
-    full = (1 << f.k) - 1
-    comp = full & ~masks
-    nbytes = (n + 7) // 8
-    bits = np.zeros((n, nbytes), dtype=np.uint8)
-    block = _block_rows(n)
-    for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        inter = (masks[r0:r1, None] & comp[None, :]) != 0
-        bits[r0:r1] = np.packbits(inter.astype(np.uint8), axis=1, bitorder="little")
-    bits.flags.writeable = False
-    return BoolMatrix(n, n, bits)
+    return cover_matrix(family_cover(f))
 
 
 def intersection_rectangle(f: SubsetFamily, t: int) -> Rectangle:
     """The rank-1 matrix P_F(t): rows whose set holds t, columns whose set lacks t."""
     if not 1 <= t <= f.k:
         raise DimensionError(f"element {t} outside [1..{f.k}]")
-    rows = tuple(i for i, s in enumerate(f.sets) if t in s)
-    cols = tuple(j for j, s in enumerate(f.sets) if t not in s)
-    if not rows or not cols:
+    rects = _element_cover(_held(f.sets, f.k), (t - 1,), _IntPool()).rects
+    if not rects:
         raise ValueError(f"element {t} yields an empty rectangle in this family")
-    return Rectangle(rows, cols)
+    return rects[0]
 
 
 def family_cover(f: SubsetFamily) -> Cover:
     """Cover of B_F by the element rectangles P_F(1..k), skipping empty ones."""
-    n = len(f)
-    held = Counter(e for s in f.sets for e in s)
-    rects = tuple(
-        intersection_rectangle(f, t) for t in range(1, f.k + 1) if 0 < held[t] < n
-    )
-    return Cover(n, n, rects)
+    return _element_cover(_held(f.sets, f.k), range(f.k), _IntPool())
 
 
 # -- bijections ---------------------------------------------------------------
@@ -273,9 +277,9 @@ def is_L_intersection_shifting(h: FamilyBijection, L: Sequence[int]) -> bool:
     the image pair must intersect outside L.
     """
     full = (1 << h.domain.k) - 1
-    l_mask = _set_masks([L])[0]
+    l_mask = sum(1 << (e - 1) for e in set(L))
     d_masks = h.domain.masks()
-    h_masks = _set_masks(h.images)
+    h_masks = _masks(_held(h.images, h.domain.k))
     comp = full & ~d_masks
     comp_h = full & ~h_masks
     n = len(d_masks)
@@ -294,65 +298,39 @@ def is_L_intersection_shifting(h: FamilyBijection, L: Sequence[int]) -> bool:
 
 # -- coverable triples ---------------------------------------------------------
 
-def triple_cover(
-    k: int, r: int = 1, h: FamilyBijection | None = None
-) -> MatrixFamily:
-    """Three matrices of ranks (r, k-r, k-r), every two covering the crown.
+def triple_cover(k: int, r: int = 1) -> MatrixFamily:
+    """Three matrices of ranks (1, k-1, k-1), every two covering the crown.
 
     Uses the full colex family of ceil(k/2)-subsets of [k], so the target is
-    the crown of order C(k, ceil(k/2)).  For r = 1 the bijection is built
-    internally; for larger r the caller must supply an [r]-preserving and
-    [r]-intersection-shifting bijection of the full family.
+    the crown of order C(k, ceil(k/2)).  Only r = 1 is built; any other r
+    raises :class:`DimensionError`.
     """
-    if not 1 <= r <= k:
-        raise DimensionError(f"r={r} outside [1..{k}]")
-    ell = (k + 1) // 2
-    n = comb(k, ell)
-    fam = canonical_family(k, n)
-    if h is None:
-        if r != 1:
-            raise ValueError("a bijection must be supplied for r > 1")
-        h = build_h(k, 1)
-    if h.domain.sets != fam.sets:
-        raise ValueError("bijection domain must be the full colex family")
-    L = tuple(range(1, r + 1))
-    if not is_L_preserving(h, L) or not is_L_intersection_shifting(h, L):
+    if r != 1 or k < 5:
+        raise DimensionError(f"triples are built for r = 1 and k >= 5, got k={k}, r={r}")
+    return _triple_prefix(k, comb(k, (k + 1) // 2))
+
+
+def _triple_prefix(k: int, n: int) -> MatrixFamily:
+    """The (1, k-1, k-1) triple on the first n colex ceil(k/2)-subsets of [k].
+
+    Member 1 is element 1's rectangle and member 2 those of elements 2..k,
+    over the sets; member 3 takes elements 2..k over their images under
+    h = :func:`build_h` (k, 1), which is checked to be {1}-preserving and
+    {1}-intersection shifting.  The properties hold for every pair of sets,
+    so every two members cover the order-n crown.
+    """
+    h = build_h(k, 1)
+    if not is_L_preserving(h, (1,)) or not is_L_intersection_shifting(h, (1,)):
         raise VerificationError(
-            f"bijection is not [{r}]-preserving and [{r}]-intersection shifting"
+            "bijection is not {1}-preserving and {1}-intersection shifting"
         )
-    f_prime = SubsetFamily(k, ell, h.images)
-
-    def summed(source: SubsetFamily, ts: range) -> Cover:
-        return Cover(n, n, tuple(intersection_rectangle(source, t) for t in ts))
-
+    held = _held(h.domain.sets[:n], k)
+    pool = _IntPool()
     return MatrixFamily((
-        summed(fam, range(1, r + 1)),
-        summed(fam, range(r + 1, k + 1)),
-        summed(f_prime, range(r + 1, k + 1)),
+        _element_cover(held, range(1), pool),
+        _element_cover(held, range(1, k), pool),
+        _element_cover(_held(h.images[:n], k), range(1, k), pool),
     ))
-
-
-def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
-    """Restrict a family over a crown to its leading n x n corner.
-
-    Rectangles of the decompositions are intersected with the index prefix
-    and dropped when they vanish; the restricted members are derived from
-    the restricted decompositions.  Pairwise-covering properties survive
-    restriction.
-    """
-    rows, cols = fam.dims
-    if n > rows or n > cols:
-        raise DimensionError(f"cannot restrict {rows}x{cols} family to {n}")
-    covers = []
-    for d in fam.decompositions:
-        rects = []
-        for rect in d.rects:
-            rs = rect.row_set[:bisect_left(rect.row_set, n)]
-            cs = rect.col_set[:bisect_left(rect.col_set, n)]
-            if rs and cs:
-                rects.append(Rectangle(rs, cs))
-        covers.append(Cover(n, n, tuple(rects)))
-    return MatrixFamily(tuple(covers))
 
 
 def c5_triple() -> MatrixFamily:
@@ -362,21 +340,10 @@ def c5_triple() -> MatrixFamily:
     {3,4,5,6} of [7]; the members group the element rectangles at {1,2},
     {3,4} and {5,6,7}.  Every two members cover the crown.
     """
-    fam = SubsetFamily(
-        7,
-        4,
-        (
-            (1, 4, 5, 7),
-            (1, 3, 6, 7),
-            (2, 4, 6, 7),
-            (2, 3, 5, 7),
-            (3, 4, 5, 6),
-        ),
-    )
-    groups = ((1, 2), (3, 4), (5, 6, 7))
+    held = _held(((1, 4, 5, 7), (1, 3, 6, 7), (2, 4, 6, 7), (2, 3, 5, 7), (3, 4, 5, 6)), 7)
+    pool = _IntPool()
     return MatrixFamily(tuple(
-        Cover(5, 5, tuple(intersection_rectangle(fam, t) for t in ts))
-        for ts in groups
+        _element_cover(held, ts, pool) for ts in (range(0, 2), range(2, 4), range(4, 7))
     ))
 
 
@@ -400,15 +367,12 @@ def c4_triple() -> MatrixFamily:
 def coverable_triple(n: int) -> MatrixFamily:
     """A triple for the order-n crown with every two members covering it.
 
-    n >= 7 uses the (1, k-1, k-1) construction restricted to the colex
-    prefix; n in {4, 5} uses the explicit small triples.  No triple is
+    n >= 7 builds the (1, k-1, k-1) construction on the first n colex sets,
+    k = sigma(n); n in {4, 5} uses the explicit small triples.  No triple is
     available for n = 6 (or for pairing two order-5 crowns).
     """
     if n >= 7:
-        k = sigma(n)
-        full = comb(k, (k + 1) // 2)
-        fam = triple_cover(k, 1)
-        return restrict_family(fam, n) if n < full else fam
+        return _triple_prefix(sigma(n), n)
     if n == 5:
         return c5_triple()
     if n == 4:

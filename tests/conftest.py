@@ -1,10 +1,13 @@
 import os
+from bisect import bisect_left
 
 import pytest
 from hypothesis import settings
 
 from boolrank.algebraic import algebraic_family
+from boolrank.cover import Cover, MatrixFamily, Rectangle
 from boolrank.crown import crown_matrix
+from boolrank.errors import DimensionError
 
 # The environment variable is the only materialization limit, so a value
 # left in the shell would change what the library refuses.  It is cleared
@@ -22,6 +25,27 @@ def family_3_3():
 @pytest.fixture(scope="session")
 def crown_6859():
     return crown_matrix(6859)
+
+
+def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
+    """Reference: a family over a crown cut to its leading n x n corner.
+
+    Rectangles of the decompositions are intersected with the index prefix
+    and dropped when they vanish; pairwise-covering properties survive.
+    """
+    rows, cols = fam.dims
+    if n > rows or n > cols:
+        raise DimensionError(f"cannot restrict {rows}x{cols} family to {n}")
+    covers = []
+    for d in fam.decompositions:
+        rects = []
+        for rect in d.rects:
+            rs = rect.row_set[:bisect_left(rect.row_set, n)]
+            cs = rect.col_set[:bisect_left(rect.col_set, n)]
+            if rs and cs:
+                rects.append(Rectangle(rs, cs))
+        covers.append(Cover(n, n, tuple(rects)))
+    return MatrixFamily(tuple(covers))
 
 
 # property tests draw the same examples on every run

@@ -18,8 +18,9 @@ from boolrank.algebraic import (
 )
 from boolrank.boolmat import dominated_by
 from boolrank.cover import MatrixFamily, check_q_covering
-from boolrank.crown import crown_matrix, family_matrix, restrict_family, SubsetFamily
+from boolrank.crown import crown_matrix, family_matrix, SubsetFamily
 from boolrank.errors import DimensionError, MaterializationLimitError
+from conftest import restrict_family
 
 
 class TestPrimes:

@@ -550,6 +550,14 @@ class TestExitCodeContract:
         code, out, err = run(capsys, "cover", "asymptotic", *argv)
         assert (code, out) == (2, "") and err.startswith("invalid input:")
 
+    # only r = 1 is built, and the bijection behind it needs k >= 5
+    @pytest.mark.parametrize("argv", [["7", "2"], ["4", "1"]], ids=" ".join)
+    def test_triple_outside_construction_exit_2(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "cover", "triple", *argv, "-o", str(out))
+        assert (code, stdout) == (2, "") and err.startswith("invalid input:")
+        assert "Traceback" not in err and not out.exists()
+
     # sigma = 14: an even level deep enough that a recursive search for g
     # would overflow the interpreter's stack
     @pytest.mark.parametrize(

@@ -32,13 +32,14 @@ from boolrank.cover import (
     verify_cover,
     verify_kron_hypotheses,
 )
-from boolrank.crown import c4_triple, crown_matrix, restrict_family
+from boolrank.crown import c4_triple, crown_matrix
 from boolrank.errors import (
     DimensionError,
     FormatError,
     MaterializationLimitError,
     VerificationError,
 )
+from conftest import restrict_family
 
 
 def row_decomposition(m: BoolMatrix) -> Cover:

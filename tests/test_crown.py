@@ -2,12 +2,15 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from boolrank import boolmat
-from boolrank.boolmat import BoolMatrix, dominated_by, kronecker
+from boolrank import boolmat, crown
+from boolrank.boolmat import BoolMatrix, _IntPool, dominated_by, kronecker
 from boolrank.cover import (
     check_half_covering,
     compose_kron_description,
+    cover_matrix,
     format_cover,
     kron_cover_lines,
     verify_cover,
@@ -33,11 +36,11 @@ from boolrank.crown import (
     is_L_intersection_shifting,
     is_L_preserving,
     parse_subset_family,
-    restrict_family,
     sigma,
     triple_cover,
 )
-from boolrank.errors import DimensionError, FormatError
+from boolrank.errors import DimensionError, FormatError, VerificationError
+from conftest import restrict_family
 
 C5_PRINTED = {
     "A1": [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 1], [0, 0, 0, 0, 0]],
@@ -107,6 +110,30 @@ class TestFamilies:
                 fam = SubsetFamily(k, (k + 1) // 2, sets)
                 assert family_matrix(fam) == crown_matrix(n)
 
+    @given(st.data())
+    def test_family_matrix_is_its_definition(self, data):
+        # (i, j) = 1 iff F_i meets [k] - F_j, over families of any set size
+        # in any order
+        k = data.draw(st.integers(1, 8), label="k")
+        ell = data.draw(st.integers(0, k), label="ell")
+        pool = list(colex_subsets(range(1, k + 1), ell))
+        sets = data.draw(st.permutations(pool), label="order")
+        sets = sets[:data.draw(st.integers(1, len(pool)), label="n")]
+        dense = [[bool(set(a) - set(b)) for b in sets] for a in sets]
+        assert family_matrix(SubsetFamily(k, ell, tuple(sets))).to_dense().tolist() == dense
+
+    @given(st.data())
+    def test_element_rectangles_sum_to_intersections(self, data):
+        # sets of mixed sizes, repeats allowed, so the sum is not a crown
+        k = data.draw(st.integers(1, 8), label="k")
+        sets = data.draw(
+            st.lists(st.frozensets(st.integers(1, k)), min_size=1, max_size=12), label="sets"
+        )
+        held = crown._held([sorted(s) for s in sets], k)
+        c = crown._element_cover(held, range(k), _IntPool())
+        dense = [[bool(a - b) for b in sets] for a in sets]
+        assert cover_matrix(c).to_dense().tolist() == dense
+
     def test_intersection_rectangle_full_k4(self):
         fam = canonical_family(4, 6)
         p1 = intersection_rectangle(fam, 1)
@@ -142,8 +169,8 @@ class TestBijections:
             assert not set(s) & set(img)
 
     def test_row_blocks_do_not_change_results(self, monkeypatch):
-        # family_matrix and the shifting check walk boolmat's row blocks:
-        # 2 rows each here, so 35 rows end on a partial block
+        # the shifting check walks boolmat's row blocks: 2 rows each here,
+        # so 35 rows end on a partial block
         fam = canonical_family(7, 35)
         h = build_h(7, 1)
         monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 70)
@@ -197,6 +224,35 @@ class TestTriples:
     def test_triple_restriction_keeps_covering(self):
         fam = restrict_family(triple_cover(5, 1), 8)
         assert check_half_covering(crown_matrix(8), fam)
+
+    @pytest.mark.parametrize("k", range(5, 13))
+    def test_coverable_triple_is_level_prefix(self, k):
+        # every order of levels 5..9, both ends of levels 10..12: the triple
+        # built on the n-prefix is the whole level's triple cut to n
+        top = comb(k, (k + 1) // 2)
+        bottom = comb(k - 1, k // 2) + 1
+        whole = triple_cover(k, 1)
+        for n in range(bottom, top + 1) if k <= 9 else (bottom, top):
+            assert sigma(n) == k
+            assert coverable_triple(n) == restrict_family(whole, n)
+
+    def test_bad_bijection_is_refused(self, monkeypatch):
+        # the identity is {1}-preserving but not {1}-intersection shifting;
+        # whole levels and prefixes both check the bijection they are given
+        def identity(k, i):
+            fam = canonical_family(k, comb(k, (k + 1) // 2))
+            return FamilyBijection(fam, fam.sets)
+
+        monkeypatch.setattr(crown, "build_h", identity)
+        with pytest.raises(VerificationError):
+            triple_cover(7)
+        with pytest.raises(VerificationError):
+            coverable_triple(30)
+
+    @pytest.mark.parametrize("r", [0, 2, 3])
+    def test_triple_only_r1(self, r):
+        with pytest.raises(DimensionError):
+            triple_cover(7, r)
 
     def test_c5_matches_printed_matrices(self):
         fam = c5_triple()

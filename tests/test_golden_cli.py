@@ -152,6 +152,15 @@ WRITTEN = {
         ["cover", "triple", "5", "1"],
         "9c89c479207286c70b76225efcd5c47765b66fe7162cc5d49f0675f78fca8680",
     ),
+    # whole levels: an even one (k = 8) and an odd one (k = 9)
+    "cover-triple-8": (
+        ["cover", "triple", "8", "1"],
+        "20d6f363bac89bb3806e7620aca3048e6004b4c4f6c1accbafcc1f70c9610c67",
+    ),
+    "cover-triple-9": (
+        ["cover", "triple", "9", "1"],
+        "1f4b2d8eebdb82f6554a43fd13b174aac4bf537cefef3b95fae4a4de429131d3",
+    ),
     "cover-gap": (
         ["cover", "gap", "7", "7"],
         "e108d952c4cef30f0d6cfb98e9814c3a9d0f71801d9ea3d48b14dec68e19a844",
@@ -163,6 +172,11 @@ WRITTEN = {
     "cover-gap-36-7": (
         ["cover", "gap", "36", "7"],
         "37190d9162787fcf482874dfbbc8d95f13d1e980e7c709921028f56625ad2247",
+    ),
+    # strict prefixes of an odd level (k = 9) and of an even one (k = 8)
+    "cover-gap-100-40": (
+        ["cover", "gap", "100", "40"],
+        "8d1eef6523a342b46e928a4e4a39dadb5c486983d639400eb09ca1654778fb53",
     ),
     "cover-c4": (
         ["cover", "c4"],

@@ -9,6 +9,9 @@ it governs the library calls behind every command, and no command takes a
 limit option of its own.
 
 Each command registers once, beside its handler, through :func:`command`.
+Only ``boolmat`` and ``errors`` are imported with this module; a handler
+imports the other modules it uses in its body, so a process loads only
+the code of the command it runs.
 A handler takes the parsed arguments and returns the text it certifies,
 as one string or as an iterable of its lines (each ending in a newline);
 it fails by raising, before it returns.  A verifier that rejects its input
@@ -22,12 +25,14 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
-from . import algebraic, boolmat, bounds, cover, crown, spanoid
+from . import boolmat
 from .boolmat import _format_index_list
-from .cover import _format_rectangle
 from .errors import BudgetExceededError, MaterializationLimitError, VerificationError
+
+if TYPE_CHECKING:
+    from .spanoid import Spanoid
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -69,11 +74,13 @@ def _entry_str(witness) -> str:
 
 @command("sigma", "Boolean rank of the order-n crown", "n:int")
 def _cmd_sigma(args) -> str:
+    from . import crown
     return f"{crown.sigma(args.n)}\n"
 
 
 @command("crown", "write the order-n crown matrix", "n:int", "-o")
 def _cmd_crown(args) -> Iterator[str]:
+    from . import crown
     if args.n > 0:  # a bad n is invalid input, whatever its square
         boolmat.require_materializable("crown matrix", args.n * args.n)
     return boolmat.matrix_lines(crown.crown_matrix(args.n))
@@ -87,29 +94,37 @@ def _cmd_kron(args) -> Iterator[str]:
 
 @command("cover canonical", "sigma(n)-rectangle cover of the crown", "n:int", "-o")
 def _cmd_cover_canonical(args) -> Iterator[str]:
+    from . import cover, crown
     fam = crown.canonical_family(crown.sigma(args.n), args.n)
     return cover.cover_lines(crown.family_cover(fam))
 
 
 @command("cover triple", "(1, k-1, k-1) coverable triple", "k:int", "r:int", "-o")
 def _cmd_cover_triple(args) -> Iterator[str]:
+    from . import cover, crown
     return cover.family_lines(crown.triple_cover(args.k, args.r))
 
 
 @command("cover c4", "the explicit (2,2,2) triple for the order-4 crown", "-o")
 def _cmd_cover_c4(args) -> Iterator[str]:
+    from . import cover, crown
     return cover.family_lines(crown.c4_triple())
 
 
 @command("cover c5", "the explicit (2,2,3) triple for the order-5 crown", "-o")
 def _cmd_cover_c5(args) -> Iterator[str]:
+    from . import cover, crown
     return cover.family_lines(crown.c5_triple())
 
 
 @command("cover gap", "cover of crown(n) (x) crown(m) beating the product",
          "n:int", "m:int", "-o")
 def _cmd_cover_gap(args) -> Iterator[str]:
+    from . import cover, crown
     m_fam, n_fam = crown.gap_families(args.n, args.m)
+    # the text is refused before its hypotheses are checked or -o is opened
+    text = cover.KronCoverDescription(m_fam, n_fam).indices
+    boolmat.require_materializable("gap cover text", text)
     description = cover.compose_kron_description(m_fam, n_fam)
     print(f"SIZE {description.size}", file=sys.stderr)
     return cover.kron_cover_lines(description)
@@ -117,6 +132,7 @@ def _cmd_cover_gap(args) -> Iterator[str]:
 
 @command("cover algebraic", "every-q-cover matrix family", "d:int", "q:int", "-o")
 def _cmd_cover_algebraic(args) -> Iterator[str]:
+    from . import algebraic, cover
     _, fam = algebraic.algebraic_family(args.d, args.q)
     return cover.family_lines(fam)
 
@@ -124,6 +140,7 @@ def _cmd_cover_algebraic(args) -> Iterator[str]:
 @command("cover asymptotic", "verified every-q cover of crown(n) (x) crown(n), "
          "else a parameter report", "n:int", "--q:int", "--s:int")
 def _cmd_cover_asymptotic(args) -> str:
+    from . import algebraic
     result = algebraic.asymptotic_cover(args.n, args.q, args.s)
     params = algebraic.format_params_line(result) + "\n"
     if result.feasible:
@@ -134,6 +151,7 @@ def _cmd_cover_asymptotic(args) -> str:
 
 @command("verify cover", "check a cover file against a matrix", "matrix", "cover")
 def _cmd_verify_cover(args) -> str:
+    from . import cover
     a = boolmat.read_matrix(args.matrix)
     c = cover.read_cover(args.cover)
     res = cover.verify_cover(a, c)
@@ -144,6 +162,7 @@ def _cmd_verify_cover(args) -> str:
 
 @command("verify kron", "lazy composition-hypothesis check", "a", "fam_m", "b", "fam_n")
 def _cmd_verify_kron(args) -> str:
+    from . import cover
     a, b = _read_two(boolmat.read_matrix, args.a, args.b)
     m_fam, n_fam = _read_two(cover.read_family, args.fam_m, args.fam_n)
     res = cover.verify_kron_hypotheses(a, m_fam, b, n_fam)
@@ -155,6 +174,7 @@ def _cmd_verify_kron(args) -> str:
 
 @command("verify qcover", "every q members cover the matrix", "matrix", "family", "q:int")
 def _cmd_verify_qcover(args) -> str:
+    from . import cover
     a = boolmat.read_matrix(args.matrix)
     fam = cover.read_family(args.family)
     res = cover.check_q_covering(a, fam, args.q)
@@ -165,6 +185,7 @@ def _cmd_verify_qcover(args) -> str:
 
 @command("rank exact", "certified exact Boolean rank", "matrix", "--limit:int")
 def _cmd_rank_exact(args) -> str:
+    from . import bounds
     a = boolmat.read_matrix(args.matrix)
     cert = bounds.exact_boolean_rank(a, limit=args.limit)
     rank = cert.value if cert.exact else f">= {cert.lower}"
@@ -173,6 +194,7 @@ def _cmd_rank_exact(args) -> str:
 
 @command("bound lower", "lower bounds for the rank of a Kronecker product", "a", "b")
 def _cmd_bound_lower(args) -> str:
+    from . import bounds
     a, b = _read_two(boolmat.read_matrix, args.a, args.b)
     res = bounds.kron_lower_bound(a, b)
     return (f"LOWER kind=mu value={res.value}\n"
@@ -181,6 +203,7 @@ def _cmd_bound_lower(args) -> str:
 
 @command("isolation", "isolation (fooling-set) number", "matrix")
 def _cmd_isolation(args) -> str:
+    from . import bounds
     res = bounds.isolation_number(boolmat.read_matrix(args.matrix))
     witness = ",".join(map(_entry_str, res.witness))
     kind = "value" if res.exact else "lower-bound"
@@ -189,23 +212,27 @@ def _cmd_isolation(args) -> str:
 
 @command("mu", "density lower-bound ratio", "matrix")
 def _cmd_mu(args) -> str:
+    from . import bounds, cover
     res = bounds.mu(boolmat.read_matrix(args.matrix))
-    rect = _format_rectangle(res.witness)
+    rect = cover._format_rectangle(res.witness)
     return f"MU value={res.value} ones={res.ones} maxrect={res.max_rectangle_area} {rect}"
 
 
-def _rank_text(sp: spanoid.Spanoid) -> str:
+def _rank_text(sp: Spanoid) -> str:
+    from . import spanoid
     res = spanoid.spanoid_rank(sp)
     return f"RANK value={res.value} witness={_format_index_list(res.witness)}\n"
 
 
 @command("spanoid rank", "rank of a spanoid", "file")
 def _cmd_spanoid_rank(args) -> str:
+    from . import spanoid
     return _rank_text(spanoid.read_spanoid(args.file))
 
 
 @command("spanoid product-rank", "rank of the product of two spanoids", "f1", "f2")
 def _cmd_spanoid_product_rank(args) -> str:
+    from . import spanoid
     s1, s2 = _read_two(spanoid.read_spanoid, args.f1, args.f2)
     return _rank_text(spanoid.ProductSpanoid(s1, s2))
 
@@ -213,6 +240,7 @@ def _cmd_spanoid_product_rank(args) -> str:
 @command("spanoid bound", "check an upper bound on the product rank",
          "f1", "f2", "msets", "nsets")
 def _cmd_spanoid_bound(args) -> str:
+    from . import spanoid
     s1, s2 = _read_two(spanoid.read_spanoid, args.f1, args.f2)
     m_sets, n_sets = _read_two(spanoid.read_index_sets, args.msets, args.nsets)
     res = spanoid.check_product_bound(s1, s2, m_sets, n_sets)

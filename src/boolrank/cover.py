@@ -235,6 +235,16 @@ class KronCoverDescription:
         )
 
     @property
+    def indices(self) -> int:
+        """The row and column indices in the cover's text: the product of
+        rm and rn has |rm| |rn| rows and likewise columns."""
+        count = 0
+        for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions):
+            (rows_m, cols_m), (rows_n, cols_n) = _side_lengths(dm), _side_lengths(dn)
+            count += rows_m * rows_n + cols_m * cols_n
+        return count
+
+    @property
     def target_dims(self) -> tuple[int, int]:
         (ra, ca), (rb, cb) = self.m_family.dims, self.n_family.dims
         return ra * rb, ca * cb
@@ -782,6 +792,11 @@ def _rect_line(rows: str, cols: str) -> str:
 def _sides(covers: Iterable[Cover]) -> Iterator[tuple[int, ...]]:
     """The row side and then the column side of every rectangle, in order."""
     return (side for c in covers for r in c.rects for side in (r.row_set, r.col_set))
+
+
+def _side_lengths(c: Cover) -> tuple[int, int]:
+    """The summed row-side and column-side lengths of a cover's rectangles."""
+    return sum(len(r.row_set) for r in c.rects), sum(len(r.col_set) for r in c.rects)
 
 
 def _format_rectangle(

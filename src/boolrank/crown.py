@@ -307,23 +307,29 @@ def triple_cover(k: int, r: int = 1) -> MatrixFamily:
     """
     if r != 1 or k < 5:
         raise DimensionError(f"triples are built for r = 1 and k >= 5, got k={k}, r={r}")
-    return _triple_prefix(k, comb(k, (k + 1) // 2))
+    return _triple_prefix(_checked_h(k), comb(k, (k + 1) // 2))
 
 
-def _triple_prefix(k: int, n: int) -> MatrixFamily:
-    """The (1, k-1, k-1) triple on the first n colex ceil(k/2)-subsets of [k].
-
-    Member 1 is element 1's rectangle and member 2 those of elements 2..k,
-    over the sets; member 3 takes elements 2..k over their images under
-    h = :func:`build_h` (k, 1), which is checked to be {1}-preserving and
-    {1}-intersection shifting.  The properties hold for every pair of sets,
-    so every two members cover the order-n crown.
-    """
+def _checked_h(k: int) -> FamilyBijection:
+    """h = :func:`build_h` (k, 1), checked to be {1}-preserving and
+    {1}-intersection shifting."""
     h = build_h(k, 1)
     if not is_L_preserving(h, (1,)) or not is_L_intersection_shifting(h, (1,)):
         raise VerificationError(
             "bijection is not {1}-preserving and {1}-intersection shifting"
         )
+    return h
+
+
+def _triple_prefix(h: FamilyBijection, n: int) -> MatrixFamily:
+    """The (1, k-1, k-1) triple on the first n sets of h's domain.
+
+    Member 1 is element 1's rectangle and member 2 those of elements 2..k,
+    over the sets; member 3 takes elements 2..k over their images under
+    the checked h of :func:`_checked_h`.  Its properties hold for every
+    pair of sets, so every two members cover the order-n crown.
+    """
+    k = h.domain.k
     held = _held(h.domain.sets[:n], k)
     pool = _IntPool()
     return MatrixFamily((
@@ -372,7 +378,7 @@ def coverable_triple(n: int) -> MatrixFamily:
     available for n = 6 (or for pairing two order-5 crowns).
     """
     if n >= 7:
-        return _triple_prefix(sigma(n), n)
+        return _triple_prefix(_checked_h(sigma(n)), n)
     if n == 5:
         return c5_triple()
     if n == 4:
@@ -384,12 +390,16 @@ def gap_families(n: int, m: int) -> tuple[MatrixFamily, MatrixFamily]:
     """The pair of triples whose composition covers crown(n) (x) crown(m).
 
     The second triple is reordered to minimize the composed size; for
-    n, m >= 7 the minimum is sigma(n) * sigma(m) - 1.
+    n, m >= 7 the minimum is sigma(n) * sigma(m) - 1.  When sigma(n) =
+    sigma(m), both triples are cut from one checked bijection.
     """
     if n == 5 and m == 5:
         raise DimensionError("no gap construction is known for two order-5 crowns")
-    m_fam = coverable_triple(n)
-    n_fam = coverable_triple(m)
+    if n >= 7 and m >= 7 and sigma(n) == sigma(m):
+        h = _checked_h(sigma(n))
+        m_fam, n_fam = _triple_prefix(h, n), _triple_prefix(h, m)
+    else:
+        m_fam, n_fam = coverable_triple(n), coverable_triple(m)
     n_fam, _ = best_triple_pairing(m_fam, n_fam)
     return m_fam, n_fam
 

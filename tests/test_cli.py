@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -568,3 +569,46 @@ class TestExitCodeContract:
         out = tmp_path / "out"
         assert run(capsys, *argv, "-o", str(out)) == (0, "", err)
         assert out.stat().st_size > 0
+
+    # the expanded text of cover gap 7 7 holds 608 indices; the limit refuses
+    # it before the hypotheses are checked or the file is opened
+    def test_gap_text_above_limit_exit_3(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "g.cov"
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "607")
+        code, stdout, err = run(capsys, "cover", "gap", "7", "7", "-o", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == "budget exceeded: gap cover text has 608 entries, limit is 607\n"
+        assert not out.exists()
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "608")
+        assert run(capsys, "cover", "gap", "7", "7", "-o", str(out)) == (0, "", "SIZE 24\n")
+        assert out.stat().st_size > 0
+
+
+class TestHelpText:
+    """Help text is pinned at 80 columns by sha256 (Python 3.11's argparse)."""
+
+    @pytest.mark.parametrize("group, digest", [
+        ("", "d086792d8f9008b98f9248ef005fa72d01e94fe677468d7b25a578fdd9eeffe6"),
+        ("cover", "09cced5a6aac9f2941fb8af18f03f4438e8d41842960c90ba5ac315ea5b75a27"),
+        ("verify", "d04ea67685d5de79a93fcf09fdf6dade17b216cd7e8e402a163d5177186b1c07"),
+        ("rank", "455190525292fff9d909a5fb0bbfab8dab240786f7cf800a7ba19a25a5697ee4"),
+        ("bound", "922a1fa3e189cc07cf73e04421774641a42ac6b74c45cb8df01e7076f9995573"),
+        ("spanoid", "bd520e4351d291636bbdbf09dc14c3b505d84854c0b7658448aa89cded0a2ba4"),
+    ])
+    def test_group_help(self, capsys, monkeypatch, group, digest):
+        assert self.help_digest(capsys, monkeypatch, [group.split()]) == digest
+
+    def test_every_command_help(self, capsys, monkeypatch):
+        argvs = [words.split() for words in COMMANDS]
+        digest = "3b0694a1f6f99687f00d844b6409e6d1b3d36d9f51dba8b2801f1322d587a1aa"
+        assert self.help_digest(capsys, monkeypatch, argvs) == digest
+
+    @staticmethod
+    def help_digest(capsys, monkeypatch, argvs):
+        """sha256 of the ``--help`` text of each argv in turn."""
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

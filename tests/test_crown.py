@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from boolrank import boolmat, crown
 from boolrank.boolmat import BoolMatrix, _IntPool, dominated_by, kronecker
 from boolrank.cover import (
+    KronCoverDescription,
+    best_triple_pairing,
     check_half_covering,
     compose_kron_description,
     cover_matrix,
@@ -347,6 +349,42 @@ class TestGapCovers:
     def test_streamed_text_matches_format_cover(self, n, m):
         description = compose_kron_description(*gap_families(n, m))
         assert "".join(kron_cover_lines(description)) == format_cover(gap_cover(n, m))
+
+    @pytest.mark.parametrize("n,m,builds", [(12, 20, 1), (30, 30, 1), (20, 35, 2), (35, 7, 2)])
+    def test_shared_level_builds_h_once(self, monkeypatch, n, m, builds):
+        # sigma(12) = sigma(20) = 6 and sigma(30) = 7; both triples are the
+        # level's triple cut to n and to m
+        calls = []
+
+        def counted(k, i, real=crown.build_h):
+            calls.append(k)
+            return real(k, i)
+
+        monkeypatch.setattr(crown, "build_h", counted)
+        m_fam, n_fam = gap_families(n, m)
+        assert len(calls) == builds
+        monkeypatch.undo()
+        whole = triple_cover(sigma(n), 1)
+        assert m_fam == restrict_family(whole, n)
+        assert (m_fam, n_fam) == (
+            coverable_triple(n), best_triple_pairing(m_fam, coverable_triple(m))[0]
+        )
+
+    def test_shared_level_checks_its_bijection(self, monkeypatch):
+        def identity(k, i):
+            fam = canonical_family(k, comb(k, (k + 1) // 2))
+            return FamilyBijection(fam, fam.sets)
+
+        monkeypatch.setattr(crown, "build_h", identity)
+        with pytest.raises(VerificationError):
+            gap_families(30, 30)
+
+    @pytest.mark.parametrize("n,m", [(4, 5), (7, 7), (7, 12), (20, 35)])
+    def test_indices_count_the_text(self, n, m):
+        lines = kron_cover_lines(compose_kron_description(*gap_families(n, m)))
+        next(lines)
+        count = sum(len(side.split(",")) for line in lines for side in line.split()[1::2])
+        assert KronCoverDescription(*gap_families(n, m)).indices == count
 
     def test_small_crown_combinations(self):
         assert gap_cover(4, 4).size == 12

@@ -56,6 +56,7 @@ from .boolmat import (
     _parse_index_list,
     _read_text,
     kronecker,
+    require_materializable,
 )
 from .errors import (
     DimensionError,
@@ -66,7 +67,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Rectangle:
-    """A rank-1 cover element: (row index set) x (column index set)."""
+    """A rank-1 cover element: (row index set) x (column index set).
+
+    Each side is nonempty, sorted, distinct and 0-based.  The constructor
+    checks that on the tuples; the cover readers and the crown builders
+    check their index arrays instead, in :func:`_rectangle_of`, which
+    makes the same rectangle.
+    """
 
     row_set: tuple[int, ...]
     col_set: tuple[int, ...]
@@ -86,12 +93,37 @@ class Rectangle:
     def _col_mask(self) -> np.ndarray:
         """Packed bits (little order) of the columns, up to the last one's
         byte; kept, since every row block of a cover reads it."""
-        ind = np.zeros(self.col_set[-1] + 1, dtype=np.uint8)
-        ind[np.array(self.col_set, dtype=np.intp)] = 1
-        return np.packbits(ind, bitorder="little")
+        return _index_mask(np.array(self.col_set, dtype=np.intp))
 
-    def to_matrix(self, rows: int, cols: int) -> BoolMatrix:
-        return cover_matrix(Cover(rows, cols, (self,)))
+
+def _index_mask(idx: np.ndarray) -> np.ndarray:
+    """Packed bits (little order) of sorted indices, up to the last one's byte."""
+    ind = np.zeros(idx[-1] + 1, dtype=np.uint8)
+    ind[idx] = 1
+    return np.packbits(ind, bitorder="little")
+
+
+def _rectangle_of(
+    rows: np.ndarray, cols: np.ndarray, pool: _IntPool, limit: int
+) -> Rectangle:
+    """``Rectangle`` of two index arrays, checked on the arrays.
+
+    It raises the constructor's ``ValueError`` for a side that is empty or
+    not sorted, distinct and 0-based, and takes its sides from ``pool``,
+    grown to at most ``limit``.  A column mask no larger than the column
+    array is kept at once, so it is never made back from the tuple.
+    """
+    for name, idx in (("row_set", rows), ("col_set", cols)):
+        if not idx.size:
+            raise ValueError(f"rectangle {name} must be nonempty")
+        if idx[0] < 0 or (idx.size > 1 and np.diff(idx).min() <= 0):
+            raise ValueError(f"rectangle {name} must be sorted distinct >= 0")
+    rect = object.__new__(Rectangle)
+    fields = vars(rect)
+    fields.update(row_set=pool.tuple(rows, limit), col_set=pool.tuple(cols, limit))
+    if cols[-1] < 8 * cols.nbytes:
+        fields["_col_mask"] = _index_mask(cols)
+    return rect
 
 
 @dataclass(frozen=True)
@@ -267,6 +299,10 @@ class KronCoverDescription:
                     yield Rectangle(tuple(rows.tolist()), tuple(cols.tolist()))
 
     def to_cover(self) -> Cover:
+        """The rectangles themselves, refused (``MaterializationLimitError``)
+        when their :attr:`indices` are above the ``BOOLRANK_MAX_ENTRIES``
+        limit."""
+        require_materializable("product cover", self.indices)
         return Cover(*self.target_dims, tuple(self.iter_rectangles()))
 
 
@@ -632,9 +668,16 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
     That holds exactly when every member is dominated by ``a`` and no
     1-entry of ``a`` is missed by q or more members.  Both are decided in
     one pass over the members, a row block at a time: each member's rows
-    of the block are built from its decomposition, and q saturating bit
-    counters record, per entry, whether more than k members have missed it
-    so far.  The answer is therefore always exhaustive.
+    of the block are built from its decomposition and XORed with ``a``,
+    which marks the 1-entries it misses and the 0-entries it covers, and q
+    saturating bit counters record, per entry, whether more than k members
+    have marked it so far.  At the 1-entries that counts misses, so the
+    answer is always exhaustive.  At the 0-entries the first counter is
+    the members' OR, so domination is tested once per block, after the
+    members below the least one known to cover a 0, and those are read
+    again only when one of them covers a 0 of the block, so each re-read
+    finds a smaller one.  Blocks are half the rows of
+    :func:`_chunk_rows`, so the counters and a member's rows stay small.
 
     On failure the witness is the lexicographically first failing q-subset,
     the least of two kinds of candidates: for each entry missed by q or more
@@ -649,21 +692,31 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
     decomps = fam.decompositions
     first_over = s  # smallest member covering a 0 of a
     witness: tuple[int, ...] | None = None
-    block = _chunk_rows(a.cols)
+    block = max(1, _chunk_rows(a.cols) // 2)
     for row0 in range(0, a.rows, block):
         row1 = row0 + block
         ones = a.bits[row0:row1]
-        zeros = ~ones
-        # missed[k]: entries of a missed by more than k members so far
+        # missed[k]: entries marked by more than k members so far
         missed = [np.zeros_like(ones) for _ in range(q)]
-        for t, d in enumerate(decomps):
-            bits = cover_rows(d, row0, row1)
-            if t < first_over and (bits & zeros).any():
-                first_over = t
-            miss = np.bitwise_and(ones, ~bits, out=bits)
-            for k in range(q - 1, 0, -1):
-                missed[k] |= missed[k - 1] & miss
-            missed[0] |= miss
+        both = np.empty_like(ones)
+
+        def mark(members: Sequence[Cover]) -> None:
+            for d in members:
+                miss = cover_rows(d, row0, row1)
+                miss ^= ones
+                for k in range(q - 1, 0, -1):
+                    missed[k] |= np.bitwise_and(missed[k - 1], miss, out=both)
+                missed[0] |= miss
+
+        head = first_over
+        mark(decomps[:head])
+        if np.bitwise_and(missed[0], ~ones, out=both).any():
+            zeros = ~ones
+            first_over = next(
+                t for t in range(head) if (cover_rows(decomps[t], row0, row1) & zeros).any()
+            )
+        mark(decomps[head:])
+        missed[-1] &= ones
         if missed[-1].any():
             rows = (cover_rows(d, row0, row1) for d in decomps)
             found = _first_missing_subset(missed[-1], rows, q)
@@ -870,9 +923,10 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
 def _rectangle_parser(lines: _Lines) -> Callable[[str, int], Rectangle]:
     """A parser of the cover body lines taken from ``lines``.
 
-    Each side becomes a tuple as soon as it is read, sharing the ints of
-    one :class:`~boolrank.boolmat._IntPool` with every other side of the
-    text, and :class:`Rectangle` checks its order.
+    Both index lists are read before either side's order is checked, on
+    the arrays (:func:`_rectangle_of`); each side then becomes a tuple
+    sharing the ints of one :class:`~boolrank.boolmat._IntPool` with every
+    other side of the text.
     """
     pool = _IntPool()
 
@@ -880,12 +934,10 @@ def _rectangle_parser(lines: _Lines) -> Callable[[str, int], Rectangle]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "R" or parts[2] != "C":
             raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
-        rows, cols = (
-            pool.tuple(_parse_index_list(token, lineno), lines.chars)
-            for token in (parts[1], parts[3])
-        )
+        rows = _parse_index_list(parts[1], lineno)
+        cols = _parse_index_list(parts[3], lineno)
         try:
-            return Rectangle(rows, cols)
+            return _rectangle_of(rows, cols, pool, lines.chars)
         except ValueError:
             raise FormatError(
                 "indices must be sorted, distinct, 0-based", line=lineno

@@ -43,6 +43,7 @@ from .cover import (
     Cover,
     MatrixFamily,
     Rectangle,
+    _rectangle_of,
     best_triple_pairing,
     compose_kron_cover,
     cover_matrix,
@@ -136,7 +137,7 @@ def _element_cover(held: np.ndarray, ts: Iterable[int], pool: _IntPool) -> Cover
     for t in ts:
         rows, cols = np.flatnonzero(held[:, t]), np.flatnonzero(~held[:, t])
         if rows.size and cols.size:
-            rects.append(Rectangle(pool.tuple(rows, n), pool.tuple(cols, n)))
+            rects.append(_rectangle_of(rows, cols, pool, n))
     return Cover(n, n, tuple(rects))
 
 

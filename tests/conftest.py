@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from boolrank.algebraic import algebraic_family
-from boolrank.cover import Cover, MatrixFamily, Rectangle
+from boolrank.cover import Cover, MatrixFamily, Rectangle, cover_matrix
 from boolrank.crown import crown_matrix
 from boolrank.errors import DimensionError
 
@@ -25,6 +25,11 @@ def family_3_3():
 @pytest.fixture(scope="session")
 def crown_6859():
     return crown_matrix(6859)
+
+
+def rect_matrix(r: Rectangle, rows: int, cols: int):
+    """The rows x cols matrix with ones exactly on the rectangle ``r``."""
+    return cover_matrix(Cover(rows, cols, (r,)))
 
 
 def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:

@@ -28,6 +28,7 @@ from boolrank.cli import main
 from boolrank.cover import Cover, Rectangle, cover_matrix
 from boolrank.crown import canonical_family, crown_matrix, family_matrix
 from boolrank.errors import DimensionError, FormatError, MaterializationLimitError
+from conftest import rect_matrix
 from test_formats import mutate, rngs
 
 # the two rank-2 matrices whose sum is the order-4 crown
@@ -255,7 +256,7 @@ class TestProjectFactors:
         c2 = crown_matrix(2)
         prod = kronecker(c2, c2)
         for rect in maximal_rectangles(prod):
-            m = rect.to_matrix(4, 4)
+            m = rect_matrix(rect, 4, 4)
             ma, mb = project_factors(m, (2, 2), (2, 2))
             assert is_rank_one(ma) and is_rank_one(mb)
             assert dominated_by(ma, c2) and dominated_by(mb, c2)
@@ -274,7 +275,7 @@ class TestProjectFactors:
             if prod.is_zero():
                 continue
             for rect in maximal_rectangles(prod):
-                m = rect.to_matrix(prod.rows, prod.cols)
+                m = rect_matrix(rect, prod.rows, prod.cols)
                 ma, mb = project_factors(m, (a.rows, a.cols), (b.rows, b.cols))
                 assert is_rank_one(ma) and is_rank_one(mb)
                 assert dominated_by(ma, a) and dominated_by(mb, b)

@@ -25,6 +25,7 @@ from boolrank import bounds
 from boolrank.cover import VerifyResult
 from boolrank.errors import BudgetExceededError, DimensionError, VerificationError
 from boolrank.spanoid import MatrixSpanoid, spanoid_rank
+from conftest import rect_matrix
 
 
 @st.composite
@@ -173,7 +174,7 @@ class TestMaximalRectangles:
                 continue
             union = None
             for r in maximal_rectangles(m):
-                rm = r.to_matrix(5, 5)
+                rm = rect_matrix(r, 5, 5)
                 union = rm if union is None else BoolMatrix.from_dense(
                     union.to_dense() | rm.to_dense()
                 )

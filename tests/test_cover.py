@@ -39,7 +39,7 @@ from boolrank.errors import (
     MaterializationLimitError,
     VerificationError,
 )
-from conftest import restrict_family
+from conftest import rect_matrix, restrict_family
 
 
 def row_decomposition(m: BoolMatrix) -> Cover:
@@ -112,7 +112,7 @@ class TestRectangleAndCover:
         assert r.area == 2
         from boolrank.boolmat import is_rank_one
 
-        assert is_rank_one(r.to_matrix(3, 2))
+        assert is_rank_one(rect_matrix(r, 3, 2))
 
     def test_cover_range_check(self):
         with pytest.raises(DimensionError):
@@ -442,6 +442,41 @@ class TestSubsetChecks:
     def test_q_out_of_range(self):
         with pytest.raises(DimensionError):
             check_q_covering(crown_matrix(4), c4_triple(), 4)
+
+
+class TestQCoveringBlocks:
+    """Witnesses whose evidence lies in a later row block than the first."""
+
+    def with_entries(self, a, entries):
+        """``a`` with the entries (i, j) flipped."""
+        dense = a.to_dense()
+        for i, j in entries:
+            dense[i, j] ^= 1
+        return BoolMatrix.from_dense(dense)
+
+    def check(self, monkeypatch, a, members, q, witness):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 1)  # one row per block
+        fam = with_row_decompositions(members)
+        res = check_q_covering(a, fam, q)
+        assert res.witness == witness
+        assert (res.ok, res.witness, res.checked) == brute_q_covering(a, fam, q)
+
+    def test_later_block_holds_smaller_covering_member(self, monkeypatch):
+        # member 3 covers the 0 at (0, 0) in the first block, member 1 the
+        # 0 at (2, 2) in the third: the witness takes member 1
+        a = crown_matrix(4)
+        members = [a] * 5
+        members[3] = self.with_entries(a, [(0, 0)])
+        members[1] = self.with_entries(a, [(2, 2)])
+        self.check(monkeypatch, a, members, 2, (0, 1))
+
+    def test_entry_missed_q_times_only_in_a_later_block(self, monkeypatch):
+        a = crown_matrix(4)
+        members = [a] * 5
+        for t in (1, 4):
+            members[t] = self.with_entries(a, [(3, 1)])
+        members[2] = self.with_entries(a, [(1, 0)])
+        self.check(monkeypatch, a, members, 2, (1, 4))
 
 
 class TestQCoveringOracle:
@@ -791,7 +826,7 @@ class TestExtractFamilies:
         cov = compose_kron_cover(c4_triple(), c4_triple())
         m_fam, n_fam = extract_families(c4, c4, cov)
         for rect, m, n in zip(cov.rects, m_fam.members, n_fam.members):
-            ma, mb = project_factors(rect.to_matrix(16, 16), (4, 4), (4, 4))
+            ma, mb = project_factors(rect_matrix(rect, 16, 16), (4, 4), (4, 4))
             assert ma == m and mb == n
 
 

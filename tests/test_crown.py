@@ -11,6 +11,7 @@ from boolrank.cover import (
     KronCoverDescription,
     best_triple_pairing,
     check_half_covering,
+    compose_kron_cover,
     compose_kron_description,
     cover_matrix,
     format_cover,
@@ -41,7 +42,12 @@ from boolrank.crown import (
     sigma,
     triple_cover,
 )
-from boolrank.errors import DimensionError, FormatError, VerificationError
+from boolrank.errors import (
+    DimensionError,
+    FormatError,
+    MaterializationLimitError,
+    VerificationError,
+)
 from conftest import restrict_family
 
 C5_PRINTED = {
@@ -385,6 +391,19 @@ class TestGapCovers:
         next(lines)
         count = sum(len(side.split(",")) for line in lines for side in line.split()[1::2])
         assert KronCoverDescription(*gap_families(n, m)).indices == count
+
+    def test_product_cover_is_gated_on_its_indices(self, monkeypatch):
+        # gap_cover(7, 7)'s text holds 608 indices
+        m_fam, n_fam = gap_families(7, 7)
+        assert KronCoverDescription(m_fam, n_fam).indices == 608
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "607")
+        for build in (lambda: gap_cover(7, 7), lambda: compose_kron_cover(m_fam, n_fam)):
+            with pytest.raises(MaterializationLimitError, match="product cover has 608"):
+                build()
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "608")
+        cov = gap_cover(7, 7)
+        assert sum(len(r.row_set) + len(r.col_set) for r in cov.rects) == 608
+        assert compose_kron_cover(m_fam, n_fam) == cov
 
     def test_small_crown_combinations(self):
         assert gap_cover(4, 4).size == 12

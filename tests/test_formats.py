@@ -10,15 +10,17 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from boolrank import boolmat
-from boolrank.boolmat import _parse_index_list, _table_size
+from boolrank.boolmat import _IntPool, _parse_index_list, _table_size
 from boolrank.cover import (
     Cover,
     MatrixFamily,
     Rectangle,
+    _rectangle_of,
     _sides,
     cover_lines,
     family_lines,
@@ -254,6 +256,67 @@ class TestSharedIndexTables:
         assert peak < 1 << 20
         out, _, peak = traced(lambda: format_cover(c))
         assert out == text and peak < 1 << 20
+
+
+class TestRectangleSides:
+    """The readers check rectangle sides on their index arrays."""
+
+    ORDER = "indices must be sorted, distinct, 0-based"
+
+    @pytest.mark.parametrize("side", ["2,1", "1,1", "0,3,3", "4,0"])
+    @pytest.mark.parametrize("row_side", [True, False])
+    def test_order_error_at_its_line(self, side, row_side):
+        bad = f"R {side} C 0" if row_side else f"R 0 C {side}"
+        text = f"COVER 5 5 3\nR 0 C 1\n{bad}\nR 2 C 3\n"
+        assert outcome(parse_cover, text) == (FormatError, 3, f"line 3: {self.ORDER}")
+        family = f"FAMILY 5 5 1\n{text}"
+        assert outcome(parse_family, family) == (FormatError, 4, f"line 4: {self.ORDER}")
+
+    def test_negative_index_is_not_an_index_list(self):
+        # a minus sign never reaches the order check
+        assert outcome(parse_cover, "COVER 5 5 1\nR -1 C 0\n") == (
+            FormatError, 2, "line 2: bad index list '-1'"
+        )
+
+    def test_malformed_column_list_outranks_row_order(self):
+        assert outcome(parse_cover, "COVER 5 5 1\nR 2,1 C 0,x\n") == (
+            FormatError, 2, "line 2: bad index list '0,x'"
+        )
+
+    @pytest.mark.parametrize("rows,cols,message", [
+        ([], [0], "row_set must be nonempty"),
+        ([0], [], "col_set must be nonempty"),
+        ([-1, 2], [0], "row_set must be sorted distinct >= 0"),
+        ([0], [-3], "col_set must be sorted distinct >= 0"),
+        ([1, 1], [0], "row_set must be sorted distinct >= 0"),
+        ([0], [2, 1], "col_set must be sorted distinct >= 0"),
+    ])
+    def test_arrays_raise_the_constructors_error(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            Rectangle(tuple(rows), tuple(cols))
+        with pytest.raises(ValueError, match=message):
+            _rectangle_of(np.array(rows, dtype=np.int64),
+                          np.array(cols, dtype=np.int64), _IntPool(), 10)
+
+    @given(nonempty_raws, nonempty_raws)
+    def test_arrays_make_the_same_rectangle(self, raw_rows, raw_cols):
+        # columns below 2000, so with at most 8 of them (a mask is kept
+        # below 64 per column) both kinds of rectangle are drawn
+        rows, cols = below(raw_rows, 10**15), below(raw_cols, 2000)
+        made = _rectangle_of(np.array(rows), np.array(cols), _IntPool(), 1000)
+        direct = Rectangle(tuple(rows), tuple(cols))
+        assert made == direct and hash(made) == hash(direct)
+        assert (made.row_set, made.col_set) == (direct.row_set, direct.col_set)
+        # a column mask no larger than the column array is kept at once
+        assert ("_col_mask" in vars(made)) == (cols[-1] < 64 * len(cols))
+        assert np.array_equal(made._col_mask, direct._col_mask)
+
+    def test_parsed_masks_match_computed(self):
+        fam = parse_family(format_family(MatrixFamily((
+            cover_of(9, 70, [([1, 2], [3, 4, 5]), ([4], [0, 69])]),
+        ))))
+        for r in fam.decompositions[0].rects:
+            assert np.array_equal(r._col_mask, Rectangle(r.row_set, r.col_set)._col_mask)
 
 
 # -- streamed readers against a whole-text reader -------------------------------

@@ -70,9 +70,9 @@ class Rectangle:
     """A rank-1 cover element: (row index set) x (column index set).
 
     Each side is nonempty, sorted, distinct and 0-based.  The constructor
-    checks that on the tuples; the cover readers and the crown builders
-    check their index arrays instead, in :func:`_rectangle_of`, which
-    makes the same rectangle.
+    checks that on the tuples; the cover readers, the crown builders and
+    the product covers check their index arrays instead, in
+    :func:`_rectangle_of`, which makes the same rectangle.
     """
 
     row_set: tuple[int, ...]
@@ -286,9 +286,10 @@ class KronCoverDescription:
 
         The product of rm and rn has rows ``i * rows_b + i'`` for i in rm and
         i' in rn, and likewise columns, where rows_b x cols_b are n_family's
-        dims.
+        dims.  Each is made by :func:`_rectangle_of` from its index arrays,
+        and all take their ints from one pool.
         """
-        rb, cb = self.n_family.dims
+        (rb, cb), pool, limit = self.n_family.dims, _IntPool(), max(self.target_dims)
         for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions):
             for rm in dm.rects:
                 row_a = np.array(rm.row_set) * rb
@@ -296,7 +297,7 @@ class KronCoverDescription:
                 for rn in dn.rects:
                     rows = (row_a[:, None] + np.array(rn.row_set)).ravel()
                     cols = (col_a[:, None] + np.array(rn.col_set)).ravel()
-                    yield Rectangle(tuple(rows.tolist()), tuple(cols.tolist()))
+                    yield _rectangle_of(rows, cols, pool, limit)
 
     def to_cover(self) -> Cover:
         """The rectangles themselves, refused (``MaterializationLimitError``)
@@ -589,11 +590,11 @@ def verify_kron_hypotheses(
     if not failing:
         return VerifyResult(True)
 
+    dtype = _signature_dtype(len(m_fam))
+    keys = np.frombuffer(
+        b"".join(f.to_bytes(dtype.itemsize, "little") for f in failing), dtype=dtype
+    )
     for row0, sig in _signature_blocks(m_fam.decompositions):
-        nbytes = sig.dtype.itemsize
-        keys = np.frombuffer(
-            b"".join(f.to_bytes(nbytes, "little") for f in failing), dtype=sig.dtype
-        )
         # the 0-entries of a carry signature 0, which is never failing
         hits = np.flatnonzero(np.isin(sig[:, :a.cols], keys))
         if hits.size:

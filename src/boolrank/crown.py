@@ -10,7 +10,10 @@ second cover sharing its first rectangles with the original, which is how
 the coverable triples behind the sub-multiplicativity gaps are built: an
 [r]-preserving, [r]-intersection-shifting bijection gives three matrices of
 ranks (r, k-r, k-r) of which every two cover the crown.  Only r = 1 is
-built, from the {1}-preserving bijection of :func:`build_h`.
+built, from the {1}-preserving bijection of :func:`build_h`; a level checks
+it once, in linear time, by the lemma of :func:`_checked_h`.  The
+exhaustive checks :func:`is_L_preserving` and
+:func:`is_L_intersection_shifting` are kept as oracles for tests.
 
 Every construction here, and the every-q family of :mod:`.algebraic`, is a
 sum of element rectangles: given each row a set, the rectangle of element
@@ -238,7 +241,9 @@ def build_h(k: int, i: int) -> FamilyBijection:
 
     Sets containing i map to g(F - {i}) + {i} with g from :func:`build_g`
     relabelled onto [k] - {i}; other sets are fixed.  The counting argument
-    behind the shifting property needs k >= 5.
+    behind the shifting property needs k >= 5.  For i = 1, h meets the
+    hypotheses of the lemma in :func:`_checked_h`, which checks them once
+    per level.
     """
     if k < 5:
         raise DimensionError("build_h needs k >= 5")
@@ -264,7 +269,11 @@ def build_h(k: int, i: int) -> FamilyBijection:
 
 
 def is_L_preserving(h: FamilyBijection, L: Sequence[int]) -> bool:
-    """Exhaustive check: every set meets L exactly as its image does."""
+    """Exhaustive check: every set meets L exactly as its image does.
+
+    An oracle for tests; the triples check :func:`build_h` by the lemma of
+    :func:`_checked_h` instead.
+    """
     l_set = set(L)
     return all(
         set(s) & l_set == set(img) & l_set for s, img in zip(h.domain.sets, h.images)
@@ -275,7 +284,8 @@ def is_L_intersection_shifting(h: FamilyBijection, L: Sequence[int]) -> bool:
     """Exhaustive check over all pairs (D, E) of the shifting property.
 
     Whenever D meets the complement of E only inside L (and does meet it),
-    the image pair must intersect outside L.
+    the image pair must intersect outside L.  An O(N^2) oracle for tests;
+    the triples check :func:`build_h` by the lemma of :func:`_checked_h`.
     """
     full = (1 << h.domain.k) - 1
     l_mask = sum(1 << (e - 1) for e in set(L))
@@ -311,32 +321,50 @@ def triple_cover(k: int, r: int = 1) -> MatrixFamily:
     return _triple_prefix(_checked_h(k), comb(k, (k + 1) // 2))
 
 
-def _checked_h(k: int) -> FamilyBijection:
-    """h = :func:`build_h` (k, 1), checked to be {1}-preserving and
-    {1}-intersection shifting."""
-    h = build_h(k, 1)
-    if not is_L_preserving(h, (1,)) or not is_L_intersection_shifting(h, (1,)):
-        raise VerificationError(
-            "bijection is not {1}-preserving and {1}-intersection shifting"
-        )
-    return h
+def _checked_h(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The membership arrays of the sets and of their images under h =
+    :func:`build_h` (k, 1), once h is checked by the lemma below to be
+    {1}-preserving and {1}-intersection shifting.
 
+    Lemma.  Let h be a bijection of ell-subsets of [k], ell >= 3, that
+    fixes every set without 1, and so maps sets holding 1 to sets holding
+    1, and that keeps D - {1} and h(D) - {1} disjoint for each D holding 1.
+    Then h is {1}-preserving and {1}-intersection shifting.  Proof: the
+    only pairs to check are D holding 1 and E = (D - {1}) + {y}, where
+    h(E) = E.  So h(D) - {1} inside E would force h(D) - {1} inside {y},
+    which cannot be, since h(D) - {1} has ell - 1 >= 2 elements.
 
-def _triple_prefix(h: FamilyBijection, n: int) -> MatrixFamily:
-    """The (1, k-1, k-1) triple on the first n sets of h's domain.
-
-    Member 1 is element 1's rectangle and member 2 those of elements 2..k,
-    over the sets; member 3 takes elements 2..k over their images under
-    the checked h of :func:`_checked_h`.  Its properties hold for every
-    pair of sets, so every two members cover the order-n crown.
+    The check counts, in O(N k) for N sets, the elements each set shares
+    with its image: all ell for a set without 1, which is so fixed, and one
+    for a set holding 1.  That one is 1, since the fixed sets leave only
+    the sets holding 1 as images; bijectivity is :class:`FamilyBijection`'s.
+    :func:`is_L_preserving` and :func:`is_L_intersection_shifting` are the
+    exhaustive oracles it is tested against.
     """
-    k = h.domain.k
-    held = _held(h.domain.sets[:n], k)
+    h = build_h(k, 1)
+    sets, images = _held(h.domain.sets, h.domain.k), _held(h.images, h.domain.k)
+    shared = (sets & images).sum(axis=1)
+    if h.domain.ell < 3 or (shared != np.where(sets[:, 0], 1, h.domain.ell)).any():
+        raise VerificationError("bijection is not {1}-preserving and {1}-intersection shifting")
+    return sets, images
+
+
+def _triple_prefix(level: tuple[np.ndarray, np.ndarray], n: int) -> MatrixFamily:
+    """The (1, k-1, k-1) triple on the first n sets of a level.
+
+    ``level`` is :func:`_checked_h`'s pair of arrays.  Member 1 is element
+    1's rectangle and member 2 those of elements 2..k, over the sets;
+    member 3 takes elements 2..k over their images under the checked h.
+    Its properties hold for every pair of sets, so every two members cover
+    the order-n crown.
+    """
+    sets, images = level[0][:n], level[1][:n]
+    k = sets.shape[1]
     pool = _IntPool()
     return MatrixFamily((
-        _element_cover(held, range(1), pool),
-        _element_cover(held, range(1, k), pool),
-        _element_cover(_held(h.images[:n], k), range(1, k), pool),
+        _element_cover(sets, range(1), pool),
+        _element_cover(sets, range(1, k), pool),
+        _element_cover(images, range(1, k), pool),
     ))
 
 
@@ -397,8 +425,8 @@ def gap_families(n: int, m: int) -> tuple[MatrixFamily, MatrixFamily]:
     if n == 5 and m == 5:
         raise DimensionError("no gap construction is known for two order-5 crowns")
     if n >= 7 and m >= 7 and sigma(n) == sigma(m):
-        h = _checked_h(sigma(n))
-        m_fam, n_fam = _triple_prefix(h, n), _triple_prefix(h, m)
+        level = _checked_h(sigma(n))
+        m_fam, n_fam = _triple_prefix(level, n), _triple_prefix(level, m)
     else:
         m_fam, n_fam = coverable_triple(n), coverable_triple(m)
     n_fam, _ = best_triple_pairing(m_fam, n_fam)

@@ -1,5 +1,10 @@
+import os
+import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -327,6 +332,180 @@ class TestTriples:
         ones = crown_matrix(5).count_ones()
         maxrect = 2 * 3  # ceil(5/2) * floor(5/2)
         assert (2 + 2 + 2) * maxrect < 2 * ones
+
+
+def lemma_accepts(monkeypatch, h):
+    """Whether the level check of the triples accepts ``h`` as build_h(k, 1)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(crown, "build_h", lambda k, i: h)
+        try:
+            crown._checked_h(h.domain.k)
+        except VerificationError:
+            return False
+    return True
+
+
+def full_level(k):
+    return canonical_family(k, comb(k, (k + 1) // 2))
+
+
+def conjugate(h, perm):
+    """perm h perm^-1, for a relabelling ``perm`` of [k] given as a dict."""
+    def relabel(s):
+        return tuple(sorted(perm[e] for e in s))
+
+    image = {relabel(d): relabel(img) for d, img in zip(h.domain.sets, h.images)}
+    return FamilyBijection(h.domain, tuple(image[s] for s in h.domain.sets))
+
+
+def random_shift(k, rng):
+    """A random bijection meeting the lemma's hypotheses: the sets holding 1
+    are matched, by augmenting paths in a random order, to sets holding 1
+    disjoint from them off 1; the other sets are fixed."""
+    fam = full_level(k)
+    ones = [s for s in fam.sets if s[0] == 1]
+    source = {}  # image -> the set mapped to it
+
+    def augment(d, seen):
+        targets = [e for e in ones if not set(e[1:]) & set(d[1:])]
+        rng.shuffle(targets)
+        for e in targets:
+            if e not in seen:
+                seen.add(e)
+                if e not in source or augment(source[e], seen):
+                    source[e] = d
+                    return True
+        return False
+
+    for d in rng.sample(ones, len(ones)):
+        assert augment(d, set())
+    image = {d: e for e, d in source.items()}
+    return FamilyBijection(fam, tuple(image.get(s, s) for s in fam.sets))
+
+
+def swapped(h, i, j):
+    """h with the images of its i-th and j-th sets exchanged."""
+    images = list(h.images)
+    images[i], images[j] = images[j], images[i]
+    return FamilyBijection(h.domain, tuple(images))
+
+
+class TestLemmaCheck:
+    """The triples check each level's bijection once, by the lemma of
+    ``_checked_h``; the exhaustive ``is_L_*`` checks are its oracles."""
+
+    @pytest.mark.parametrize("k", range(5, 14))
+    def test_build_h_passes_both(self, k):
+        h = build_h(k, 1)
+        sets, images = crown._checked_h(k)
+        assert sets.shape == images.shape == (comb(k, (k + 1) // 2), k)
+        assert (sets.sum(axis=1) == h.domain.ell).all()
+        assert (images.sum(axis=1) == h.domain.ell).all()
+        assert is_L_preserving(h, [1])
+        assert is_L_intersection_shifting(h, [1])
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9, 10])
+    def test_conjugates_pass_both(self, monkeypatch, k):
+        rng = random.Random(k)
+        h = build_h(k, 1)
+        for _ in range(3):
+            rest = list(range(2, k + 1))
+            perm = {1: 1, **dict(zip(rest, rng.sample(rest, len(rest))))}
+            hc = conjugate(h, perm)
+            assert lemma_accepts(monkeypatch, hc)
+            assert is_L_preserving(hc, [1])
+            assert is_L_intersection_shifting(hc, [1])
+
+    def test_conjugate_builds_a_covering_triple(self, monkeypatch):
+        h = conjugate(build_h(8, 1), {1: 1, 2: 5, 3: 8, 4: 2, 5: 7, 6: 3, 7: 6, 8: 4})
+        assert h != build_h(8, 1)
+        monkeypatch.setattr(crown, "build_h", lambda k, i: h)
+        fam = triple_cover(8)
+        assert fam.ranks() == (1, 7, 7)
+        assert check_half_covering(crown_matrix(70), fam)
+
+    @pytest.mark.parametrize("k", [6, 7, 8])
+    def test_rejects_moving_a_set_without_1(self, monkeypatch, k):
+        h = build_h(k, 1)
+        free = [i for i, s in enumerate(h.domain.sets) if 1 not in s]
+        assert lemma_accepts(monkeypatch, h)
+        assert not lemma_accepts(monkeypatch, swapped(h, free[0], free[-1]))
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_rejects_losing_element_1(self, monkeypatch, k):
+        # a bijection that takes a set holding 1 to one without 1 must move
+        # a set without 1
+        h = build_h(k, 1)
+        bad = swapped(h, 0, h.domain.sets.index(tuple(range(2, h.domain.ell + 2))))
+        assert 1 in h.domain.sets[0] and 1 not in bad.images[0]
+        assert not is_L_preserving(bad, [1])
+        assert not lemma_accepts(monkeypatch, bad)
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_rejects_an_image_meeting_its_set(self, monkeypatch, k):
+        h = build_h(k, 1)
+        ones = [i for i, s in enumerate(h.domain.sets) if 1 in s]
+        i, j = next(
+            (i, j) for i in ones for j in ones
+            if set(h.images[j]) & set(h.domain.sets[i]) - {1}
+        )
+        bad = swapped(h, i, j)
+        assert bad.mapping()[h.domain.sets[i]] == h.images[j]
+        assert not lemma_accepts(monkeypatch, bad)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_rejects_the_identity(self, monkeypatch, k):
+        fam = full_level(k)
+        assert not lemma_accepts(monkeypatch, FamilyBijection(fam, fam.sets))
+
+    def test_rejects_pairs(self, monkeypatch):
+        # {1, a} -> {1, a + 1 mod [2..5]} on the 2-subsets of [5] meets every
+        # other hypothesis, and is not shifting: ell - 1 = 1 leaves no room
+        fam = SubsetFamily(5, 2, tuple(colex_subsets(range(1, 6), 2)))
+        h = FamilyBijection(fam, tuple(
+            (1, s[1] % 4 + 2) if s[0] == 1 else s for s in fam.sets
+        ))
+        assert is_L_preserving(h, [1])
+        assert not is_L_intersection_shifting(h, [1])
+        assert not lemma_accepts(monkeypatch, h)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_accepted_means_the_oracles_accept(self, monkeypatch, k):
+        # random matchings, then 0, 1 or 2 random swaps of their images
+        rng = random.Random(100 + k)
+        verdicts = set()
+        for sample in range(12):
+            h = random_shift(k, rng)
+            for _ in range(sample % 3):
+                h = swapped(h, *rng.sample(range(len(h.images)), 2))
+            accepted = lemma_accepts(monkeypatch, h)
+            verdicts.add(accepted)
+            if accepted:
+                assert is_L_preserving(h, [1])
+                assert is_L_intersection_shifting(h, [1])
+        assert verdicts == {True, False}
+
+    def test_refusal_survives_python_O(self):
+        code = (
+            "from math import comb\n"
+            "from boolrank import crown\n"
+            "from boolrank.errors import VerificationError\n"
+            "def identity(k, i):\n"
+            "    fam = crown.canonical_family(k, comb(k, (k + 1) // 2))\n"
+            "    return crown.FamilyBijection(fam, fam.sets)\n"
+            "crown.build_h = identity\n"
+            "try:\n"
+            "    crown.triple_cover(7)\n"
+            "except VerificationError:\n"
+            "    print(__debug__, 'refused')\n"
+        )
+        src = str(Path(crown.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False refused\n", "")
 
 
 class TestGapCovers:

@@ -161,6 +161,15 @@ WRITTEN = {
         ["cover", "triple", "9", "1"],
         "1f4b2d8eebdb82f6554a43fd13b174aac4bf537cefef3b95fae4a4de429131d3",
     ),
+    # the largest levels built in tests: 12870 and 24310 sets
+    "cover-triple-16": (
+        ["cover", "triple", "16", "1"],
+        "7ffb2fb6799b664a5cef99fc16e70a592e0e4809699e707702e162e22eae7273",
+    ),
+    "cover-triple-17": (
+        ["cover", "triple", "17", "1"],
+        "eb7e049e4a98ebc7c73f97c4f113be2b82dc61becb461d8112fb30bab28220a4",
+    ),
     "cover-gap": (
         ["cover", "gap", "7", "7"],
         "e108d952c4cef30f0d6cfb98e9814c3a9d0f71801d9ea3d48b14dec68e19a844",
@@ -177,6 +186,11 @@ WRITTEN = {
     "cover-gap-100-40": (
         ["cover", "gap", "100", "40"],
         "8d1eef6523a342b46e928a4e4a39dadb5c486983d639400eb09ca1654778fb53",
+    ),
+    # the first order of an odd level (k = 11) against the 7-crown
+    "cover-gap-253-7": (
+        ["cover", "gap", "253", "7"],
+        "c12793d87fda9bacda291a942d8b8c2c9e7655e35a17fbdfe6a2fa6892305678",
     ),
     "cover-c4": (
         ["cover", "c4"],

@@ -17,7 +17,7 @@ sub-multiplicativity gap at scales where the product cannot be materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .boolmat import _IntPool, require_materializable
 from .cover import KronCoverDescription, MatrixFamily, verify_kron_hypotheses
-from .crown import _element_cover, colex_subsets, crown_matrix, sigma
+from .crown import _colex, _element_cover, _sets, crown_matrix, sigma
 from .errors import DimensionError, MaterializationLimitError, VerificationError
 
 
@@ -150,9 +150,7 @@ def _members(d: int, p: int, q: int, s: int, n: int) -> MatrixFamily:
     lacks it; empty rectangles are dropped.
     """
     require_materializable("family matrix", n * n)
-    in_b1 = np.zeros((p, 2 * d), dtype=bool)
-    for z, subset in enumerate(islice(colex_subsets(range(2 * d), d), p)):
-        in_b1[z, list(subset)] = True
+    in_b1 = _colex(2 * d, d, p)
     zp = ZpFunctionFamily(p, q)
     pool = _IntPool()  # one int per index below n, shared by every side
     return MatrixFamily(tuple(
@@ -183,8 +181,9 @@ def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily
     blocks = tuple(
         tuple(range((j - 1) * 2 * d + 1, j * 2 * d + 1)) for j in range(1, q + 1)
     )
+    subsets = _sets(_colex(2 * d, d, p))
     block_subsets = tuple(
-        tuple(islice(colex_subsets(block, d), p)) for block in blocks
+        tuple(tuple(e + block[0] - 1 for e in s) for s in subsets) for block in blocks
     )
     return AlgebraicCoverParams(d, q, p, n, 2 * d * q, blocks, block_subsets), fam
 

@@ -20,15 +20,18 @@ sum of element rectangles: given each row a set, the rectangle of element
 t takes the rows whose set holds t by the columns whose set lacks it.
 :func:`_element_cover` builds them all.  Subset families are enumerated in
 colexicographic order throughout, so partial families are prefixes and all
-constructions are deterministic.
+constructions are deterministic.  A family is built as its membership
+array, one bool row per set, each row unranked from its colex index by the
+combinatorial number system (:func:`_colex`); a σ-level stays in that form
+from its sets to the checked h, and the tuple API (:func:`canonical_family`,
+:func:`build_g`, :func:`build_h`) is a view of those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .boolmat import (
     _Lines,
     _parse_block,
     _parse_index_list,
+    require_materializable,
 )
 from .cover import (
     Cover,
@@ -77,15 +81,30 @@ def sigma(n: int) -> int:
     return k
 
 
-def colex_subsets(elements: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
-    """All size-subsets of a sorted sequence in colexicographic order."""
-    elements = tuple(elements)
-    if size == 0:
-        yield ()
-        return
-    for m in range(size - 1, len(elements)):
-        for prefix in colex_subsets(elements[:m], size - 1):
-            yield prefix + (elements[m],)
+def _colex(k: int, ell: int, n: int) -> np.ndarray:
+    """The first n ell-subsets of range(k) in colex order, as an n x k
+    membership array.
+
+    Row r is unranked by the combinatorial number system: r = sum_j
+    C(c_j, j) over its elements c_ell > ... > c_1, each the largest c with
+    C(c, j) at most what is left of r.  Table entries are clamped at n, which
+    no rank reaches, so they fit int64 for any k.
+    """
+    require_materializable("subset family", n * k)
+    held = np.zeros((n, k), dtype=bool)
+    rows, rank = np.arange(n), np.arange(n, dtype=np.int64)
+    for j in range(ell, 0, -1):
+        table = np.array([min(comb(c, j), n) for c in range(k)], dtype=np.int64)
+        c = np.searchsorted(table, rank, side="right") - 1
+        held[rows, c] = True
+        rank -= table[c]
+    return held
+
+
+def _sets(held: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The 1-based sets of a membership array whose rows hold equally many."""
+    size = int(held[:1].sum())
+    return tuple(map(tuple, (np.nonzero(held)[1] + 1).reshape(len(held), size).tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,10 +131,6 @@ class SubsetFamily:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def masks(self) -> np.ndarray:
-        """Bitmask array of the sets (element e -> bit e-1)."""
-        return _masks(_held(self.sets, self.k))
-
 
 def _held(sets: Sequence[Sequence[int]], k: int) -> np.ndarray:
     """The len(sets) x k membership array of 1-based sets: [i, e-1] iff e in sets[i]."""
@@ -128,7 +143,11 @@ def _held(sets: Sequence[Sequence[int]], k: int) -> np.ndarray:
 def _masks(held: np.ndarray) -> np.ndarray:
     """Row i of a membership array as an int64 bitmask (column e -> bit e);
     more than 63 columns overflow and raise."""
-    return held @ np.array([1 << e for e in range(held.shape[1])], dtype=np.int64)
+    if held.shape[1] > 63:
+        raise OverflowError(f"{held.shape[1]} columns do not fit an int64 bitmask")
+    packed = np.zeros((len(held), 8), dtype=np.uint8)
+    packed[:, :(held.shape[1] + 7) // 8] = np.packbits(held, axis=1, bitorder="little")
+    return packed.view("<i8")[:, 0]
 
 
 def _element_cover(held: np.ndarray, ts: Iterable[int], pool: _IntPool) -> Cover:
@@ -149,8 +168,7 @@ def canonical_family(k: int, n: int) -> SubsetFamily:
     ell = (k + 1) // 2
     if n > comb(k, ell):
         raise DimensionError(f"n={n} exceeds C({k},{ell})={comb(k, ell)}")
-    sets = tuple(islice(colex_subsets(range(1, k + 1), ell), n))
-    return SubsetFamily(k, ell, sets)
+    return SubsetFamily(k, ell, _sets(_colex(k, ell, n)))
 
 
 def family_matrix(f: SubsetFamily) -> BoolMatrix:
@@ -192,15 +210,6 @@ class FamilyBijection:
         if set(self.images) != set(self.domain.sets):
             raise ValueError("images are not a permutation of the domain")
 
-    def apply(self, s: tuple[int, ...]) -> tuple[int, ...]:
-        try:
-            return self.images[self.domain.sets.index(s)]
-        except ValueError:
-            raise KeyError(f"{s} not in bijection domain") from None
-
-    def mapping(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        return dict(zip(self.domain.sets, self.images))
-
 
 def build_g(k: int) -> FamilyBijection:
     """A bijection g on the (ell-1)-subsets of [k-1] with F and g(F) disjoint.
@@ -211,28 +220,32 @@ def build_g(k: int) -> FamilyBijection:
     each present one closes the latest open bracket; with x the first
     absent element left unmatched, F -> F + {x} is a bijection onto the
     ell-subsets, and g(F) = [k-1] - (F + {x}).  Any bijection with F and
-    g(F) disjoint serves :func:`build_h`; this one is built without search.
+    g(F) disjoint serves :func:`build_h`; this one is built without search,
+    by :func:`_g`, and returned as tuples.
     """
     if k < 2:
         raise DimensionError("build_g needs k >= 2")
     ell = (k + 1) // 2
-    ground = tuple(range(1, k))
-    domain_sets = tuple(colex_subsets(ground, ell - 1))
-    domain = SubsetFamily(k - 1, ell - 1, domain_sets)
+    held = _colex(k - 1, ell - 1, comb(k - 1, ell - 1))
+    return FamilyBijection(SubsetFamily(k - 1, ell - 1, _sets(held)), _sets(_g(held)))
 
-    images = []
-    for s in domain_sets:
-        absent, opened = [], []
-        for e in ground:
-            if e not in s:
-                absent.append(e)
-                opened.append(e)
-            elif opened:
-                opened.pop()
-        if k % 2 == 0:
-            absent.remove(opened[0])
-        images.append(tuple(absent))
-    return FamilyBijection(domain, tuple(images))
+
+def _g(held: np.ndarray) -> np.ndarray:
+    """g of :func:`build_g` on each row of a membership array of
+    (ell-1)-subsets of [k-1]: the complement, less x when k is even (an odd
+    number of columns).
+
+    x is the first absent column whose bracket no later present one
+    closes: with a running count of +1 per absent column and -1 per
+    present one, the first absent column whose count never falls below
+    its own value later.
+    """
+    images = ~held
+    if held.shape[1] % 2:
+        count = np.cumsum(np.where(held, np.int8(-1), np.int8(1)), axis=1, dtype=np.int8)
+        later = np.minimum.accumulate(count[:, ::-1], axis=1)[:, ::-1]
+        images[np.arange(len(held)), np.argmax(images & (later == count), axis=1)] = False
+    return images
 
 
 def build_h(k: int, i: int) -> FamilyBijection:
@@ -243,29 +256,29 @@ def build_h(k: int, i: int) -> FamilyBijection:
     relabelled onto [k] - {i}; other sets are fixed.  The counting argument
     behind the shifting property needs k >= 5.  For i = 1, h meets the
     hypotheses of the lemma in :func:`_checked_h`, which checks them once
-    per level.
+    per level.  The tuples are a view of :func:`_h_held`'s arrays.
     """
     if k < 5:
         raise DimensionError("build_h needs k >= 5")
     if not 1 <= i <= k:
         raise DimensionError(f"element {i} outside [1..{k}]")
-    ell = (k + 1) // 2
-    domain = canonical_family(k, comb(k, ell))
-    g = build_g(k)
-    g_map = g.mapping()
-    others = tuple(e for e in range(1, k + 1) if e != i)
-    to_g = {e: idx + 1 for idx, e in enumerate(others)}
-    from_g = {idx + 1: e for idx, e in enumerate(others)}
+    sets, images = _h_held(k, i)
+    return FamilyBijection(SubsetFamily(k, (k + 1) // 2, _sets(sets)), _sets(images))
 
-    images = []
-    for s in domain.sets:
-        if i in s:
-            relabelled = tuple(sorted(to_g[e] for e in s if e != i))
-            image = g_map[relabelled]
-            images.append(tuple(sorted([from_g[e] for e in image] + [i])))
-        else:
-            images.append(s)
-    return FamilyBijection(domain, tuple(images))
+
+def _h_held(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The membership arrays of all ceil(k/2)-subsets of [k], in colex
+    order, and of their images under :func:`build_h` (k, i).
+
+    The rows holding i take :func:`_g` on the other columns, kept in order,
+    which is g's relabelling onto [k] - {i}.
+    """
+    ell = (k + 1) // 2
+    sets = _colex(k, ell, comb(k, ell))
+    images = sets.copy()
+    moved = np.ix_(np.flatnonzero(sets[:, i - 1]), np.delete(np.arange(k), i - 1))
+    images[moved] = _g(sets[moved])
+    return sets, images
 
 
 def is_L_preserving(h: FamilyBijection, L: Sequence[int]) -> bool:
@@ -289,7 +302,7 @@ def is_L_intersection_shifting(h: FamilyBijection, L: Sequence[int]) -> bool:
     """
     full = (1 << h.domain.k) - 1
     l_mask = sum(1 << (e - 1) for e in set(L))
-    d_masks = h.domain.masks()
+    d_masks = _masks(_held(h.domain.sets, h.domain.k))
     h_masks = _masks(_held(h.images, h.domain.k))
     comp = full & ~d_masks
     comp_h = full & ~h_masks
@@ -323,8 +336,9 @@ def triple_cover(k: int, r: int = 1) -> MatrixFamily:
 
 def _checked_h(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The membership arrays of the sets and of their images under h =
-    :func:`build_h` (k, 1), once h is checked by the lemma below to be
-    {1}-preserving and {1}-intersection shifting.
+    :func:`_h_held` (k, 1), once h is checked to be a bijection of the
+    level and, by the lemma below, {1}-preserving and {1}-intersection
+    shifting.
 
     Lemma.  Let h be a bijection of ell-subsets of [k], ell >= 3, that
     fixes every set without 1, and so maps sets holding 1 to sets holding
@@ -334,17 +348,27 @@ def _checked_h(k: int) -> tuple[np.ndarray, np.ndarray]:
     h(E) = E.  So h(D) - {1} inside E would force h(D) - {1} inside {y},
     which cannot be, since h(D) - {1} has ell - 1 >= 2 elements.
 
-    The check counts, in O(N k) for N sets, the elements each set shares
-    with its image: all ell for a set without 1, which is so fixed, and one
-    for a set holding 1.  That one is 1, since the fixed sets leave only
-    the sets holding 1 as images; bijectivity is :class:`FamilyBijection`'s.
-    :func:`is_L_preserving` and :func:`is_L_intersection_shifting` are the
-    exhaustive oracles it is tested against.
+    The sets must be the whole level in colex order: C(k, ell) rows of ell
+    elements with strictly increasing bitmasks.  h is a bijection when the
+    sorted image bitmasks are the set bitmasks; a map that is not onto can
+    meet the count below (at k = 6, say).  The lemma's check counts, in
+    O(N k) for N sets, the elements each set shares with its image: all ell
+    for a set without 1, which is so fixed, and one for a set holding 1.
+    That one is 1, since the fixed sets leave only the sets holding 1 as
+    images.  :func:`is_L_preserving` and :func:`is_L_intersection_shifting`
+    are the exhaustive oracles it is tested against.
     """
-    h = build_h(k, 1)
-    sets, images = _held(h.domain.sets, h.domain.k), _held(h.images, h.domain.k)
+    ell = (k + 1) // 2
+    sets, images = _h_held(k, 1)
+    masks = _masks(sets)
+    if (
+        sets.shape != (comb(k, ell), k) or images.shape != sets.shape
+        or (sets.sum(axis=1) != ell).any() or (np.diff(masks) <= 0).any()
+        or not np.array_equal(np.sort(_masks(images)), masks)
+    ):
+        raise VerificationError(f"h is not a bijection of the colex {ell}-subsets of [{k}]")
     shared = (sets & images).sum(axis=1)
-    if h.domain.ell < 3 or (shared != np.where(sets[:, 0], 1, h.domain.ell)).any():
+    if ell < 3 or (shared != np.where(sets[:, 0], 1, ell)).any():
         raise VerificationError("bijection is not {1}-preserving and {1}-intersection shifting")
     return sets, images
 

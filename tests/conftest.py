@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from boolrank.algebraic import algebraic_family
 from boolrank.cover import Cover, MatrixFamily, Rectangle, cover_matrix
-from boolrank.crown import crown_matrix
+from boolrank.crown import _held, crown_matrix
 from boolrank.errors import DimensionError
 
 # The environment variable is the only materialization limit, so a value
@@ -51,6 +51,42 @@ def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
                 rects.append(Rectangle(rs, cs))
         covers.append(Cover(n, n, tuple(rects)))
     return MatrixFamily(tuple(covers))
+
+
+def colex_subsets(elements, size):
+    """Reference: all size-subsets of a sorted sequence in colexicographic
+    order, by recursion on the largest element."""
+    elements = tuple(elements)
+    if size == 0:
+        yield ()
+        return
+    for m in range(size - 1, len(elements)):
+        for prefix in colex_subsets(elements[:m], size - 1):
+            yield prefix + (elements[m],)
+
+
+def bracket_g(k, s):
+    """Reference: g of a sorted (ell-1)-subset s of [k-1] by the bracket loop.
+
+    The complement of s in [k-1]; for even k, less the first absent element
+    whose bracket no later present element closes.
+    """
+    absent, opened = [], []
+    for e in range(1, k):
+        if e not in s:
+            absent.append(e)
+            opened.append(e)
+        elif opened:
+            opened.pop()
+    if k % 2 == 0:
+        absent.remove(opened[0])
+    return tuple(absent)
+
+
+def level_arrays(h):
+    """A bijection of 1-based sets as the (sets, images) membership arrays
+    that ``crown._h_held`` returns."""
+    return _held(h.domain.sets, h.domain.k), _held(h.images, h.domain.k)
 
 
 # property tests draw the same examples on every run

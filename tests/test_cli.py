@@ -559,6 +559,19 @@ class TestExitCodeContract:
         assert (code, stdout) == (2, "") and err.startswith("invalid input:")
         assert "Traceback" not in err and not out.exists()
 
+    # the level of cover triple 7 1 is a 35 x 7 membership array: 245
+    # entries, refused before any cover is built or the file is opened
+    def test_triple_level_above_limit_exit_3(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "t.fam"
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "244")
+        code, stdout, err = run(capsys, "cover", "triple", "7", "1", "-o", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == "budget exceeded: subset family has 245 entries, limit is 244\n"
+        assert not out.exists()
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "245")
+        assert run(capsys, "cover", "triple", "7", "1", "-o", str(out)) == (0, "", "")
+        assert out.stat().st_size > 0
+
     # sigma = 14: an even level deep enough that a recursive search for g
     # would overflow the interpreter's stack
     @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
+import inspect
 import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,7 +34,6 @@ from boolrank.crown import (
     c4_triple,
     c5_triple,
     canonical_family,
-    colex_subsets,
     coverable_triple,
     crown_matrix,
     family_cover,
@@ -53,7 +54,7 @@ from boolrank.errors import (
     MaterializationLimitError,
     VerificationError,
 )
-from conftest import restrict_family
+from conftest import bracket_g, colex_subsets, level_arrays, restrict_family
 
 C5_PRINTED = {
     "A1": [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 1], [0, 0, 0, 0, 0]],
@@ -95,6 +96,22 @@ class TestFamilies:
         assert canonical_family(4, 6).sets == tuple(colex_subsets(range(1, 5), 2))
         assert len(canonical_family(5, 10)) == 10
         assert canonical_family(4, 4).sets == ((1, 2), (1, 3), (2, 3), (1, 4))
+
+    @pytest.mark.parametrize("k", range(15))
+    def test_colex_matches_reference(self, k):
+        # unranked rows against the recursive generator: no set, one, a mid
+        # prefix and the whole level, for every size
+        for ell in range(k + 1):
+            full = list(colex_subsets(range(1, k + 1), ell))
+            for n in sorted({0, 1, len(full) // 2 + 1, len(full)}):
+                held = crown._colex(k, ell, n)
+                assert held.shape == (n, k) and held.dtype == bool
+                assert crown._sets(held) == tuple(full[:n])
+
+    def test_canonical_family_of_a_wide_level(self):
+        # C(100, 50) overflows int64; the rank tables are clamped at n
+        first = tuple(islice(colex_subsets(range(1, 101), 50), 5))
+        assert canonical_family(100, 5) == SubsetFamily(100, 50, first)
 
     def test_canonical_family_too_large(self):
         with pytest.raises(DimensionError):
@@ -181,6 +198,15 @@ class TestBijections:
         for s, img in zip(g.domain.sets, g.images):
             assert not set(s) & set(img)
 
+    @pytest.mark.parametrize("k", range(2, 19))
+    def test_g_matches_bracket_loop(self, k):
+        ell = (k + 1) // 2
+        sets = list(colex_subsets(range(1, k), ell - 1))
+        held = crown._colex(k - 1, ell - 1, len(sets))
+        assert crown._sets(held) == tuple(sets)
+        expected = crown._held([bracket_g(k, s) for s in sets], k - 1)
+        assert np.array_equal(crown._g(held), expected)
+
     def test_row_blocks_do_not_change_results(self, monkeypatch):
         # the shifting check walks boolmat's row blocks: 2 rows each here,
         # so 35 rows end on a partial block
@@ -194,17 +220,19 @@ class TestBijections:
 
     def test_h_hand_example(self):
         h = build_h(5, 1)
-        assert h.apply((1, 2, 3)) == (1, 4, 5)
-        assert h.apply((2, 3, 4)) == (2, 3, 4)
+        image = dict(zip(h.domain.sets, h.images))
+        assert image[(1, 2, 3)] == (1, 4, 5)
+        assert image[(2, 3, 4)] == (2, 3, 4)
 
     def test_h_shifting_hand_instance(self):
         # D = {1,2,3}, E = {2,3,5}: D meets the complement of E exactly at 1,
         # and the image pair must intersect off 1
         h = build_h(5, 1)
+        image = dict(zip(h.domain.sets, h.images))
         d, e = (1, 2, 3), (2, 3, 5)
         comp_e = set(range(1, 6)) - set(e)
         assert set(d) & comp_e == {1}
-        shifted = (set(h.apply(d)) & (set(range(1, 6)) - set(h.apply(e)))) - {1}
+        shifted = (set(image[d]) & (set(range(1, 6)) - set(image[e]))) - {1}
         assert shifted == {4}
 
     @pytest.mark.parametrize("k", range(5, 11))
@@ -254,13 +282,26 @@ class TestTriples:
         # whole levels and prefixes both check the bijection they are given
         def identity(k, i):
             fam = canonical_family(k, comb(k, (k + 1) // 2))
-            return FamilyBijection(fam, fam.sets)
+            return level_arrays(FamilyBijection(fam, fam.sets))
 
-        monkeypatch.setattr(crown, "build_h", identity)
+        monkeypatch.setattr(crown, "_h_held", identity)
         with pytest.raises(VerificationError):
             triple_cover(7)
         with pytest.raises(VerificationError):
             coverable_triple(30)
+
+    def test_level_path_builds_no_tuples(self, monkeypatch):
+        builds = (
+            lambda: triple_cover(9), lambda: coverable_triple(30), lambda: gap_families(30, 30)
+        )
+        expected = [build() for build in builds]
+
+        def refuse(*args):
+            raise AssertionError("a level was built as tuples")
+
+        monkeypatch.setattr(crown, "SubsetFamily", refuse)
+        monkeypatch.setattr(crown, "FamilyBijection", refuse)
+        assert [build() for build in builds] == expected
 
     @pytest.mark.parametrize("r", [0, 2, 3])
     def test_triple_only_r1(self, r):
@@ -335,9 +376,10 @@ class TestTriples:
 
 
 def lemma_accepts(monkeypatch, h):
-    """Whether the level check of the triples accepts ``h`` as build_h(k, 1)."""
+    """Whether the level check of the triples accepts ``h`` as the level's
+    bijection, given to it as ``_h_held(k, 1)``'s arrays."""
     with monkeypatch.context() as patch:
-        patch.setattr(crown, "build_h", lambda k, i: h)
+        patch.setattr(crown, "_h_held", lambda k, i: level_arrays(h))
         try:
             crown._checked_h(h.domain.k)
         except VerificationError:
@@ -383,6 +425,19 @@ def random_shift(k, rng):
     return FamilyBijection(fam, tuple(image.get(s, s) for s in fam.sets))
 
 
+def not_onto(k, i, real=crown._h_held):
+    """h's arrays with one set holding 1 sent to the image of another,
+    which is disjoint from it off 1: the shared-element count still holds,
+    and the map is not onto."""
+    sets, images = real(k, i)
+    ones = sets[:, 0].nonzero()[0]
+    a, b = next(
+        (a, b) for a in ones for b in ones if a != b and not (sets[a, 1:] & images[b, 1:]).any()
+    )
+    images[a] = images[b]
+    return sets, images
+
+
 def swapped(h, i, j):
     """h with the images of its i-th and j-th sets exchanged."""
     images = list(h.images)
@@ -419,7 +474,7 @@ class TestLemmaCheck:
     def test_conjugate_builds_a_covering_triple(self, monkeypatch):
         h = conjugate(build_h(8, 1), {1: 1, 2: 5, 3: 8, 4: 2, 5: 7, 6: 3, 7: 6, 8: 4})
         assert h != build_h(8, 1)
-        monkeypatch.setattr(crown, "build_h", lambda k, i: h)
+        monkeypatch.setattr(crown, "_h_held", lambda k, i: level_arrays(h))
         fam = triple_cover(8)
         assert fam.ranks() == (1, 7, 7)
         assert check_half_covering(crown_matrix(70), fam)
@@ -450,8 +505,30 @@ class TestLemmaCheck:
             if set(h.images[j]) & set(h.domain.sets[i]) - {1}
         )
         bad = swapped(h, i, j)
-        assert bad.mapping()[h.domain.sets[i]] == h.images[j]
+        assert dict(zip(bad.domain.sets, bad.images))[h.domain.sets[i]] == h.images[j]
         assert not lemma_accepts(monkeypatch, bad)
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_rejects_a_map_that_is_not_onto(self, monkeypatch, k):
+        sets, images = not_onto(k, 1)
+        shared = (sets & images).sum(axis=1)
+        assert (shared == np.where(sets[:, 0], 1, (k + 1) // 2)).all()
+        assert len(np.unique(crown._masks(images))) == len(sets) - 1
+        monkeypatch.setattr(crown, "_h_held", lambda k, i: (sets, images))
+        with pytest.raises(VerificationError, match="not a bijection"):
+            crown._checked_h(k)
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_rejects_a_level_that_is_not_the_colex_level(self, monkeypatch, k):
+        # h itself on its sets in reverse order, without its last set, or
+        # with that set, which h fixes, replaced by the one before it
+        sets, images = crown._h_held(k, 1)
+        twice = np.r_[:len(sets) - 1, -2]
+        for rows in (np.s_[::-1], np.s_[:-1], twice):
+            level = sets[rows], images[rows]
+            monkeypatch.setattr(crown, "_h_held", lambda k, i: level)
+            with pytest.raises(VerificationError, match="not a bijection"):
+                crown._checked_h(k)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_rejects_the_identity(self, monkeypatch, k):
@@ -468,6 +545,13 @@ class TestLemmaCheck:
         assert is_L_preserving(h, [1])
         assert not is_L_intersection_shifting(h, [1])
         assert not lemma_accepts(monkeypatch, h)
+
+    def test_rejects_level_4(self):
+        # level 4's h meets the count; ell - 1 = 1 leaves it no room to shift
+        h = FamilyBijection(full_level(4), crown._sets(crown._h_held(4, 1)[1]))
+        assert is_L_preserving(h, [1]) and not is_L_intersection_shifting(h, [1])
+        with pytest.raises(VerificationError, match="shifting"):
+            crown._checked_h(4)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_accepted_means_the_oracles_accept(self, monkeypatch, k):
@@ -486,18 +570,22 @@ class TestLemmaCheck:
         assert verdicts == {True, False}
 
     def test_refusal_survives_python_O(self):
+        # the identity at k = 7, and maps that are not onto at k = 6 and 8
         code = (
             "from math import comb\n"
             "from boolrank import crown\n"
             "from boolrank.errors import VerificationError\n"
             "def identity(k, i):\n"
             "    fam = crown.canonical_family(k, comb(k, (k + 1) // 2))\n"
-            "    return crown.FamilyBijection(fam, fam.sets)\n"
-            "crown.build_h = identity\n"
-            "try:\n"
-            "    crown.triple_cover(7)\n"
-            "except VerificationError:\n"
-            "    print(__debug__, 'refused')\n"
+            "    held = crown._held(fam.sets, k)\n"
+            "    return held, held.copy()\n"
+            f"{inspect.getsource(not_onto)}"
+            "for k, level in ((7, identity), (6, not_onto), (8, not_onto)):\n"
+            "    crown._h_held = level\n"
+            "    try:\n"
+            "        crown.triple_cover(k)\n"
+            "    except VerificationError:\n"
+            "        print(__debug__, 'refused')\n"
         )
         src = str(Path(crown.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -505,7 +593,7 @@ class TestLemmaCheck:
             [sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, timeout=60,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False refused\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False refused\n" * 3, "")
 
 
 class TestGapCovers:
@@ -541,11 +629,11 @@ class TestGapCovers:
         # level's triple cut to n and to m
         calls = []
 
-        def counted(k, i, real=crown.build_h):
+        def counted(k, i, real=crown._h_held):
             calls.append(k)
             return real(k, i)
 
-        monkeypatch.setattr(crown, "build_h", counted)
+        monkeypatch.setattr(crown, "_h_held", counted)
         m_fam, n_fam = gap_families(n, m)
         assert len(calls) == builds
         monkeypatch.undo()
@@ -558,9 +646,9 @@ class TestGapCovers:
     def test_shared_level_checks_its_bijection(self, monkeypatch):
         def identity(k, i):
             fam = canonical_family(k, comb(k, (k + 1) // 2))
-            return FamilyBijection(fam, fam.sets)
+            return level_arrays(FamilyBijection(fam, fam.sets))
 
-        monkeypatch.setattr(crown, "build_h", identity)
+        monkeypatch.setattr(crown, "_h_held", identity)
         with pytest.raises(VerificationError):
             gap_families(30, 30)
 

@@ -148,6 +148,11 @@ WRITTEN = {
         ["cover", "canonical", "7"],
         "14438a90df98ff07482537765af8320fff174606b09a3d83470047505c5398db",
     ),
+    # a strict prefix of level 14
+    "cover-canonical-3000": (
+        ["cover", "canonical", "3000"],
+        "1a003339ddbb8c318fa4d982eeb3c180fb5e07da992fba30d150a1c2aac83da3",
+    ),
     "cover-triple": (
         ["cover", "triple", "5", "1"],
         "9c89c479207286c70b76225efcd5c47765b66fe7162cc5d49f0675f78fca8680",
@@ -169,6 +174,11 @@ WRITTEN = {
     "cover-triple-17": (
         ["cover", "triple", "17", "1"],
         "eb7e049e4a98ebc7c73f97c4f113be2b82dc61becb461d8112fb30bab28220a4",
+    ),
+    # 48620 sets, built as membership arrays without tuples
+    "cover-triple-18": (
+        ["cover", "triple", "18", "1"],
+        "dbdd404e3512fbdd5c9eb464b6e54ec7527ea590a4456670e8bd332835060b5f",
     ),
     "cover-gap": (
         ["cover", "gap", "7", "7"],

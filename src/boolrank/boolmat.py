@@ -43,12 +43,12 @@ _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 T = TypeVar("T")
 
 #: Entries handled at once by every block loop: the product rows of a
-#: Kronecker block, building member rows from decompositions, coverage
-#: signatures, and the crown's pairwise set tests.  Matrix text is read,
+#: Kronecker block and the crown's pairwise set tests.  Matrix text is read,
 #: parsed and written an eighth of this many characters at a time
-#: (:func:`_text_chars`).
-#: Splitting coverage classes takes ``_block_rows(64 * packed bytes per row)``
-#: rows, a 64th of this in packed bytes (64 KiB), so its masks stay in cache.
+#: (:func:`_text_chars`).  The cover verifiers read member rows, split
+#: coverage classes and count misses ``_block_rows(64 * packed bytes per
+#: row)`` rows at a time, a 64th of this in packed bytes (64 KiB), so their
+#: blocks stay in cache.
 _BLOCK_ENTRIES = 1 << 22
 
 

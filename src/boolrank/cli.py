@@ -95,8 +95,7 @@ def _cmd_kron(args) -> Iterator[str]:
 @command("cover canonical", "sigma(n)-rectangle cover of the crown", "n:int", "-o")
 def _cmd_cover_canonical(args) -> Iterator[str]:
     from . import cover, crown
-    fam = crown.canonical_family(crown.sigma(args.n), args.n)
-    return cover.cover_lines(crown.family_cover(fam))
+    return cover.cover_lines(crown._canonical_cover(crown.sigma(args.n), args.n))
 
 
 @command("cover triple", "(1, k-1, k-1) coverable triple", "k:int", "r:int", "-o")

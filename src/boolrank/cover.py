@@ -18,10 +18,14 @@ Every-q covering of a family is decided in one pass over its members with
 saturating bit counters, so it is always exhaustive, however many
 q-subsets there are.
 
-The verifiers read a family's members a row block at a time, straight
-from its decompositions (:func:`cover_rows`), and drop each block once it
-is used, so no whole member is built or held; :attr:`MatrixFamily.members`
-is for callers that want the members whole.
+The verifiers read a family's members a scan block at a time, about
+64 KiB of packed bytes (:func:`_scan_rows`), straight from its
+decompositions, and drop each block once it is used, so no whole member is
+built or held; :attr:`MatrixFamily.members` is for callers that want the
+members whole.  All rows are read through one reader per matrix or cover,
+made once per scan (:func:`_row_reader`): a cover's rectangles are taken in
+groups, each with a uint8 code per row and an OR table no larger than a
+block (:func:`_row_groups`), so a block of its sum is one gather per group.
 
 Every failed verification reports the first failing entry in row-major
 order (or the lexicographically first failing subset), so tests and CLI
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -146,56 +149,77 @@ class Cover:
         return len(self.rects)
 
 
-def cover_rows(c: Cover, row0: int, row1: int) -> np.ndarray:
-    """Packed rows ``row0`` up to ``row1`` of the cover's Boolean sum.
+def _scan_rows(cols: int) -> int:
+    """Rows of the blocks in which verifiers read member rows: about 64 KiB
+    of packed bytes (a 64th of ``_BLOCK_ENTRIES``), so they stay in cache."""
+    return _block_rows(64 * ((cols + 7) // 8))
 
-    ``row1`` is clipped to the cover's rows, and the array is the caller's.
 
-    Rectangles are taken eight at a time.  A row's 8-bit code says which of
-    them contain it, a 256-row table holds the OR of column masks for every
-    code, and one gather writes each row once per group of eight.  A
-    rectangle with no row in the range adds nothing to the table.
+def _row_groups(c: Cover) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(code, table) per group of the cover's rectangles, g at a time.
+
+    Bit r of a row's uint8 code is set iff rectangle r of the group holds
+    the row, and row x of the 2^g-row table is the OR of the column masks
+    of the rectangles whose bits x sets, so ``table[code]`` is the group's
+    sum.  g is the largest number, at most 8 and at least 1, with 2^g rows
+    in one scan block (:func:`_scan_rows`): a table takes at most one
+    block, or two rows (twice the column mask its one rectangle caches)
+    when a row alone is past a block.  A cover with no rectangle has one
+    group of code 0 and one zero row.
     """
-    row1 = min(row1, c.rows)
     nbytes = (c.cols + 7) // 8
-    if not c.size:
-        return np.zeros((row1 - row0, nbytes), dtype=np.uint8)
-    for g in range(0, c.size, 8):
-        group = c.rects[g:g + 8]
-        code = np.zeros(row1 - row0, dtype=np.uint8)
+    g = min(8, max(1, _scan_rows(c.cols).bit_length() - 1))
+    if not c.rects:
+        return [(np.zeros(c.rows, dtype=np.uint8), np.zeros((1, nbytes), dtype=np.uint8))]
+    groups = []
+    for k in range(0, c.size, g):
+        group = c.rects[k:k + g]
+        code = np.zeros(c.rows, dtype=np.uint8)
         table = np.zeros((1 << len(group), nbytes), dtype=np.uint8)
         for r, rect in enumerate(group):
             rows = rect.row_set
-            rows = rows[bisect_left(rows, row0):bisect_left(rows, row1)]
-            if rows:
-                code[np.subtract(rows, row0)] |= np.uint8(1 << r)
-                mask = rect._col_mask
-                table[1 << r:2 << r] = table[:1 << r]
-                table[1 << r:2 << r, :mask.size] |= mask
-        if g:
-            bits |= table[code]
-        else:
-            bits = table[code]
-    return bits
+            code[np.fromiter(rows, np.intp, len(rows))] |= np.uint8(1 << r)
+            mask = rect._col_mask
+            table[1 << r:2 << r] = table[:1 << r]
+            table[1 << r:2 << r, :mask.size] |= mask
+        groups.append((code, table))
+    return groups
+
+
+def _row_reader(m: BoolMatrix | Cover) -> Callable[[int, int], np.ndarray]:
+    """``read(row0, row1)``: packed rows ``row0`` up to ``row1`` of a matrix,
+    or of a cover's Boolean sum, clipped to its rows.
+
+    A matrix's rows are a view of its bits.  A cover's are a new array, the
+    caller's: its groups' codes and tables (:func:`_row_groups`) are made
+    once, here, so a read is one gather per group, ``table[code[row0:row1]]``,
+    OR'd over the groups.  Make one reader per scan and drop it after.
+    """
+    if isinstance(m, BoolMatrix):
+        bits = m.bits
+        return lambda row0, row1: bits[row0:row1]
+    (first_code, first_table), *rest = _row_groups(m)
+
+    def read(row0: int, row1: int) -> np.ndarray:
+        rows = first_table[first_code[row0:row1]]
+        for code, table in rest:
+            rows |= table[code[row0:row1]]
+        return rows
+    return read
+
+
+def cover_rows(c: Cover, row0: int, row1: int) -> np.ndarray:
+    """Packed rows ``row0`` up to ``row1`` of the cover's Boolean sum, the
+    caller's array; a scan that reads many ranges makes one
+    :func:`_row_reader` instead."""
+    return _row_reader(c)(row0, row1)
 
 
 def cover_matrix(c: Cover) -> BoolMatrix:
-    """Boolean sum of the cover's rectangles: :func:`cover_rows` over all rows."""
+    """Boolean sum of the cover's rectangles, read from its row codes."""
     bits = cover_rows(c, 0, c.rows)
     bits.flags.writeable = False
     return BoolMatrix(c.rows, c.cols, bits)
-
-
-def _packed_rows(m: BoolMatrix | Cover, row0: int, row1: int) -> np.ndarray:
-    """Packed rows ``row0`` up to ``row1`` of a matrix or of a cover's sum."""
-    if isinstance(m, Cover):
-        return cover_rows(m, row0, row1)
-    return m.bits[row0:row1]
-
-
-def _chunk_rows(cols: int) -> int:
-    """Rows of the blocks in which verifiers build member rows."""
-    return _block_rows(8 * ((cols + 7) // 8))
 
 
 @dataclass(frozen=True)
@@ -357,12 +381,12 @@ def _first_set_bit(diff: np.ndarray, cols: int) -> tuple[int, int]:
 def _first_difference(a: BoolMatrix, c: Cover) -> tuple[int, int] | None:
     """First entry in row-major order where ``a`` and the cover's sum differ.
 
-    The sum is built and compared a row block at a time, and the scan stops
-    at the first block that differs.
+    The sum is read (:func:`_row_reader`) and compared a scan block at a
+    time, and the scan stops at the first block that differs.
     """
-    block = _chunk_rows(a.cols)
+    read, block = _row_reader(c), _scan_rows(a.cols)
     for row0 in range(0, a.rows, block):
-        diff = cover_rows(c, row0, row0 + block)
+        diff = read(row0, row0 + block)
         diff ^= a.bits[row0:row0 + block]
         if diff.any():
             i, j = _first_set_bit(diff, a.cols)
@@ -414,8 +438,9 @@ def _signature_blocks(
     padding entries past the last column have signature 0.  Signatures are
     transposed straight from the packed bits, eight matrices at a time: the
     t-th bytes of eight matrices form an 8x8 bit matrix, and its transpose
-    holds one signature byte per entry.  Each matrix's rows of the block
-    are built when its group of eight is transposed.  The dtype is the
+    holds one signature byte per entry.  Each matrix's rows of the scan
+    block (:func:`_scan_rows`) are read when its group of eight is
+    transposed, from one :func:`_row_reader` per matrix.  The dtype is the
     narrowest holding s bits; past 64 matrices a signature is its bytes
     viewed as one void scalar, so it still compares as one value.
     """
@@ -423,15 +448,15 @@ def _signature_blocks(
     rows, cols = matrices[0].rows, matrices[0].cols
     nbytes = (cols + 7) // 8
     dtype = _signature_dtype(s)
-    block = _chunk_rows(cols)
+    readers, block = [_row_reader(m) for m in matrices], _scan_rows(cols)
     for row0 in range(0, rows, block):
         stop = min(rows, row0 + block)
         size = (stop - row0) * nbytes
         sig = np.zeros((size * 8, dtype.itemsize), dtype=np.uint8)
         for k in range(0, s, 8):
             words = np.zeros((size, 8), dtype=np.uint8)
-            for t, m in enumerate(matrices[k:k + 8]):
-                words[:, t] = _packed_rows(m, row0, stop).ravel()
+            for t, read in enumerate(readers[k:k + 8]):
+                words[:, t] = read(row0, stop).ravel()
             w = words.view("<u8")
             for shift, mask in _TRANSPOSE_8X8:
                 swap = (w ^ (w >> shift)) & mask
@@ -448,49 +473,48 @@ def _signature_int(key: np.generic) -> int:
 def _split_classes(matrices: Sequence[BoolMatrix | Cover]) -> set[int]:
     """:func:`_classes`, split straight from the packed bits.
 
-    A row block starts as one live mask of all its bits.  Matrix t splits
-    every live mask into the bits it has (class bit t set) and the bits it
-    lacks, and empty halves are dropped; after the last matrix each live
-    mask holds the entries of one class.  Padding bits are 0 in every
-    matrix, so they only reach class 0.  A block is about 64 KiB of packed
-    bytes, so the masks stay in cache while they are split, and a mask
-    that is dropped is reused rather than freed, so splitting allocates
-    almost nothing.  The matrices' rows are built a whole number of blocks
-    at a time, about ``_chunk_rows`` rows.
+    A scan block (:func:`_scan_rows`, about 64 KiB of packed bytes) starts
+    as one live mask of all its bits.  Matrix t splits every live mask into
+    the bits it has (class bit t set) and the bits it lacks, and empty
+    halves are dropped; after the last matrix each live mask holds the
+    entries of one class.  Padding bits are 0 in every matrix, so they only
+    reach class 0.  The masks stay in cache while they are split, and a
+    mask that is dropped is reused rather than freed, so splitting
+    allocates almost nothing.  Matrix t's rows of the block are read
+    (:func:`_row_reader`) just before it splits, so one block of one
+    matrix is held at a time.
     """
     rows, nbytes = matrices[0].rows, (matrices[0].cols + 7) // 8
     if not nbytes:
         return set()
-    block = _block_rows(64 * nbytes)
-    chunk = block * max(1, _chunk_rows(matrices[0].cols) // block)
+    readers, block = [_row_reader(m) for m in matrices], _scan_rows(matrices[0].cols)
     classes: set[int] = set()
     spare: list[np.ndarray] = []
-    for chunk0 in range(0, rows, chunk):
-        chunks = [_packed_rows(m, chunk0, chunk0 + chunk) for m in matrices]
-        for row0 in range(0, len(chunks[0]), block):
-            blocks = [c[row0:row0 + block].ravel() for c in chunks]
-            if spare and spare[0].size != blocks[0].size:  # the last, shorter block
-                spare.clear()
-            mask = spare.pop() if spare else np.empty_like(blocks[0])
-            mask.fill(0xFF)
-            live = [(0, mask)]
-            for t, bits in enumerate(blocks):
-                split = []
-                for cls, mask in live:
-                    hit = np.bitwise_and(mask, bits, out=spare.pop() if spare else None)
-                    if not hit.max():  # max, not any: a third of the time
-                        spare.append(hit)
-                        split.append((cls, mask))
-                        continue
-                    split.append((cls | 1 << t, hit))
-                    mask ^= hit
-                    if mask.max():
-                        split.append((cls, mask))
-                    else:
-                        spare.append(mask)
-                live = split
-            classes.update(cls for cls, _ in live)
-            spare.extend(mask for _, mask in live)
+    for row0 in range(0, rows, block):
+        size = (min(rows, row0 + block) - row0) * nbytes
+        if spare and spare[0].size != size:  # the last, shorter block
+            spare.clear()
+        mask = spare.pop() if spare else np.empty(size, dtype=np.uint8)
+        mask.fill(0xFF)
+        live = [(0, mask)]
+        for t, read in enumerate(readers):
+            bits = read(row0, row0 + block).ravel()
+            split = []
+            for cls, mask in live:
+                hit = np.bitwise_and(mask, bits, out=spare.pop() if spare else None)
+                if not hit.max():  # max, not any: a third of the time
+                    spare.append(hit)
+                    split.append((cls, mask))
+                    continue
+                split.append((cls | 1 << t, hit))
+                mask ^= hit
+                if mask.max():
+                    split.append((cls, mask))
+                else:
+                    spare.append(mask)
+            live = split
+        classes.update(cls for cls, _ in live)
+        spare.extend(mask for _, mask in live)
     return classes
 
 
@@ -668,8 +692,9 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
 
     That holds exactly when every member is dominated by ``a`` and no
     1-entry of ``a`` is missed by q or more members.  Both are decided in
-    one pass over the members, a row block at a time: each member's rows
-    of the block are built from its decomposition and XORed with ``a``,
+    one pass over the members, a scan block (:func:`_scan_rows`, about
+    64 KiB of packed bytes) at a time: each member's rows of the block are
+    read from its decomposition (:func:`_row_reader`) and XORed with ``a``,
     which marks the 1-entries it misses and the 0-entries it covers, and q
     saturating bit counters record, per entry, whether more than k members
     have marked it so far.  At the 1-entries that counts misses, so the
@@ -677,8 +702,7 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
     the members' OR, so domination is tested once per block, after the
     members below the least one known to cover a 0, and those are read
     again only when one of them covers a 0 of the block, so each re-read
-    finds a smaller one.  Blocks are half the rows of
-    :func:`_chunk_rows`, so the counters and a member's rows stay small.
+    finds a smaller one.  The counters and a member's rows are a block each.
 
     On failure the witness is the lexicographically first failing q-subset,
     the least of two kinds of candidates: for each entry missed by q or more
@@ -690,10 +714,10 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
         raise DimensionError(f"q={q} outside 1..{s}")
     if fam.dims != (a.rows, a.cols):
         raise DimensionError("family dimensions do not match the target")
-    decomps = fam.decompositions
+    readers = [_row_reader(d) for d in fam.decompositions]
     first_over = s  # smallest member covering a 0 of a
     witness: tuple[int, ...] | None = None
-    block = max(1, _chunk_rows(a.cols) // 2)
+    block = _scan_rows(a.cols)
     for row0 in range(0, a.rows, block):
         row1 = row0 + block
         ones = a.bits[row0:row1]
@@ -701,25 +725,25 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
         missed = [np.zeros_like(ones) for _ in range(q)]
         both = np.empty_like(ones)
 
-        def mark(members: Sequence[Cover]) -> None:
-            for d in members:
-                miss = cover_rows(d, row0, row1)
+        def mark(members: Sequence[Callable[[int, int], np.ndarray]]) -> None:
+            for read in members:
+                miss = read(row0, row1)
                 miss ^= ones
                 for k in range(q - 1, 0, -1):
                     missed[k] |= np.bitwise_and(missed[k - 1], miss, out=both)
                 missed[0] |= miss
 
         head = first_over
-        mark(decomps[:head])
+        mark(readers[:head])
         if np.bitwise_and(missed[0], ~ones, out=both).any():
             zeros = ~ones
             first_over = next(
-                t for t in range(head) if (cover_rows(decomps[t], row0, row1) & zeros).any()
+                t for t in range(head) if (readers[t](row0, row1) & zeros).any()
             )
-        mark(decomps[head:])
+        mark(readers[head:])
         missed[-1] &= ones
         if missed[-1].any():
-            rows = (cover_rows(d, row0, row1) for d in decomps)
+            rows = (read(row0, row1) for read in readers)
             found = _first_missing_subset(missed[-1], rows, q)
             witness = found if witness is None else min(witness, found)
     if first_over < s:

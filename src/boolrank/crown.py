@@ -165,10 +165,21 @@ def _element_cover(held: np.ndarray, ts: Iterable[int], pool: _IntPool) -> Cover
 
 def canonical_family(k: int, n: int) -> SubsetFamily:
     """The first n ceil(k/2)-subsets of [k] in colex order."""
+    return SubsetFamily(k, (k + 1) // 2, _sets(_canonical_held(k, n)))
+
+
+def _canonical_cover(k: int, n: int) -> Cover:
+    """``family_cover(canonical_family(k, n))``, built from the membership
+    array without the tuples."""
+    return _element_cover(_canonical_held(k, n), range(k), _IntPool())
+
+
+def _canonical_held(k: int, n: int) -> np.ndarray:
+    """The membership array of :func:`canonical_family`."""
     ell = (k + 1) // 2
     if n > comb(k, ell):
         raise DimensionError(f"n={n} exceeds C({k},{ell})={comb(k, ell)}")
-    return SubsetFamily(k, ell, _sets(_colex(k, ell, n)))
+    return _colex(k, ell, n)
 
 
 def family_matrix(f: SubsetFamily) -> BoolMatrix:

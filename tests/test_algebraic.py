@@ -330,17 +330,22 @@ class TestMembersBuiltOnUse:
 
     @pytest.fixture
     def rows_read(self, monkeypatch):
-        """Collects the decompositions whose rows are built."""
+        """Collects the decompositions whose rows are read."""
         from boolrank import cover
 
         read = []
-        real = cover.cover_rows
+        real = cover._row_reader
 
-        def recording(c, row0, row1):
-            read.append(c)
-            return real(c, row0, row1)
+        def recording(m):
+            rows = real(m)
 
-        monkeypatch.setattr(cover, "cover_rows", recording)
+            def reading(row0, row1):
+                if isinstance(m, cover.Cover):
+                    read.append(m)
+                return rows(row0, row1)
+            return reading
+
+        monkeypatch.setattr(cover, "_row_reader", recording)
         return read
 
     def test_members_evaluate_only_the_corner(self, monkeypatch):

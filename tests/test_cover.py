@@ -190,6 +190,104 @@ class TestRowBlocks:
             assert got.tolist() == dense[row0:row1].tolist()
 
 
+class TestRowReader:
+    """One reader per matrix or cover, its codes and tables made once."""
+
+    @staticmethod
+    def unpacked(bits, cols):
+        return np.unpackbits(bits, axis=1, bitorder="little", count=cols).tolist()
+
+    # 1 and 40 entries: blocks of one row and tables of two; 2000: g of 2 to 4
+    @pytest.mark.parametrize("block_entries", [1, 40, 2000, 1 << 22])
+    @pytest.mark.parametrize("sizes", [(0, 0), (1, 8), (9, 20)], ids=["0", "1-8", "9-20"])
+    def test_reads_match_dense_sum(self, monkeypatch, block_entries, sizes):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(block_entries + sizes[-1])
+        for _ in range(12):
+            rows, cols = rng.randint(1, 23), rng.randint(1, 30)
+            c = rand_cover(rng, rows, cols, rng.randint(*sizes))
+            dense = dense_sum(c).tolist()
+            read = cover_mod._row_reader(c)
+            for _ in range(6):  # empty ranges and ranges past the end
+                row0 = rng.randrange(rows + 3)
+                row1 = rng.randint(max(0, row0 - 1), rows + 5)
+                got = read(row0, row1)
+                assert got.shape == (len(dense[row0:row1]), (cols + 7) // 8)
+                assert self.unpacked(got, cols) == dense[row0:row1]
+            # a scan of blocks, the last one short unless they divide the rows
+            block = cover_mod._scan_rows(cols)
+            scan = [read(row0, row0 + block) for row0 in range(0, rows, block)]
+            assert self.unpacked(np.concatenate(scan), cols) == dense
+            got = read(0, rows)
+            got[:] = 0xFF  # the caller's array: no later read sees it
+            assert self.unpacked(read(0, rows), cols) == dense
+            assert cover_matrix(c).to_dense().tolist() == dense
+            m = BoolMatrix.from_dense(dense)
+            assert self.unpacked(cover_mod._row_reader(m)(1, rows + 2), cols) == dense[1:]
+
+    @pytest.mark.parametrize("block_entries", [1, 40, 2000, 1 << 22])
+    def test_classes_of_covers(self, monkeypatch, block_entries):
+        # up to 8 covers of up to 20 rectangles split, 11 take the marked table
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(block_entries)
+        for count in (1, 3, 8, 11):
+            rows, cols = rng.randint(1, 23), rng.randint(1, 30)
+            a = rand_matrix(rng, rows, cols)
+            covers = [rand_cover(rng, rows, cols, rng.randint(0, 20)) for _ in range(count)]
+            dense = [a.to_dense(), *map(dense_sum, covers)]
+            want = {sum(int(d[i, j]) << t for t, d in enumerate(dense))
+                    for i in range(rows) for j in range(cols)}
+            got = cover_mod._classes([a, *covers])
+            assert got - {0} == want - {0} and want <= got
+
+    @pytest.mark.parametrize("block_entries", [1, 40, 2000, 1 << 22])
+    def test_q_covering_of_covers(self, monkeypatch, block_entries):
+        # witnesses and counts against every q-subset of the dense sums
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(block_entries)
+        outcomes = {True: 0, False: 0}
+        for _ in range(25):
+            rows, cols, s = rng.randint(1, 23), rng.randint(1, 30), rng.randint(1, 5)
+            covers = [rand_cover(rng, rows, cols, rng.randint(0, 20)) for _ in range(s)]
+            dense = [dense_sum(c) for c in covers]
+            target = np.bitwise_or.reduce(dense[:rng.randint(1, s)])
+            a = BoolMatrix.from_dense(target)
+            fam = MatrixFamily(tuple(covers))
+            for q in range(1, s + 1):
+                want, checked = (True, None), 0
+                for sub in itertools.combinations(range(s), q):
+                    checked += 1
+                    if not np.array_equal(np.bitwise_or.reduce([dense[t] for t in sub]), target):
+                        want = (False, sub)
+                        break
+                res = check_q_covering(a, fam, q)
+                assert (res.ok, res.witness, res.checked) == (*want, checked)
+                outcomes[res.ok] += 1
+        assert min(outcomes.values()) >= 10
+
+    @pytest.mark.parametrize("block_entries", [1, 64, 5000, 1 << 22])
+    @pytest.mark.parametrize("cols", [1, 9, 250, 6859, 70000, 600000])
+    def test_tables_fit_one_block(self, monkeypatch, block_entries, cols):
+        # a group's 2^g-row table fits one scan block, or takes two rows (g
+        # = 1) when a row alone is past a block; g is the largest such, up to 8
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        rng = random.Random(cols)
+        nbytes, block = (cols + 7) // 8, cover_mod._scan_rows(cols)
+        g = min(8, max(1, int(math.log2(block))))
+        size = 2 * g + 1
+        c = Cover(5, cols, tuple(
+            Rectangle((rng.randrange(5),), tuple(sorted(rng.sample(range(cols), min(cols, 3)))))
+            for _ in range(size)
+        ))
+        groups = cover_mod._row_groups(c)
+        assert [len(t) for _, t in groups] == [1 << g, 1 << g, 2]
+        assert all(code.shape == (5,) for code, _ in groups)
+        for _, table in groups:
+            assert table.nbytes <= max(block, 2) * nbytes
+            assert table.nbytes <= max(block_entries // 64, 2 * nbytes)
+        assert len(cover_mod._row_groups(Cover(5, cols, ()))) == 1
+
+
 class TestVerifyCoverOracle:
     """Row-block cover verification against a dense entry-by-entry scan."""
 
@@ -649,9 +747,10 @@ class TestSignatureOracle:
 class TestVerifiersHoldNoMember:
     """Verifiers build member rows a block at a time and drop them.
 
-    With row blocks of 32 rows, verifying 18 members of order 2000 must
-    peak below half of what the members take as whole packed matrices; a
-    verifier that built and held the members would need all of it.
+    With scan blocks of 4 rows (1 KiB), verifying 18 members of order 2000
+    must peak below half of what the members take as whole packed
+    matrices; a verifier that built and held the members would need all of
+    it.
     """
 
     @pytest.fixture
@@ -679,6 +778,23 @@ class TestVerifiersHoldNoMember:
     def test_kron_hypotheses(self, case):
         a, fam, held = case
         assert self.peak(lambda: verify_kron_hypotheses(a, fam, a, fam)) < held / 2
+
+    def test_split_reads_one_block_at_a_time(self):
+        # The asymptotic family at n = 2000, at the default block: beyond the
+        # masks the split needs on the whole members (read as views), the
+        # lazy check may hold one block of member rows, the row codes and
+        # a table of at most a block per member, not rows of every member.
+        from boolrank.algebraic import asymptotic_cover
+
+        fam = asymptotic_cover(2000, q=3, s=5).description.m_family
+        assert [d.size for d in fam.decompositions] == [6] * 5  # one group each
+        a = crown_matrix(2000)
+        members = [cover_matrix(d) for d in fam.decompositions]
+        split = self.peak(lambda: cover_mod._split_classes([a, *members]))
+        lazy = self.peak(lambda: verify_kron_hypotheses(a, fam, a, fam))
+        block = cover_mod._scan_rows(2000) * 250
+        assert block <= 1 << 16
+        assert lazy - split < 8 * block < sum(m.bits.nbytes for m in members) // 2
 
 
 class TestSignatureClasses:
@@ -721,7 +837,7 @@ class TestSignatureClasses:
         want = self.dense_signatures(matrices)
         blocks = list(cover_mod._signature_blocks(matrices))
         assert [row0 for row0, _ in blocks] == list(
-            range(0, 6, boolmat._block_rows(16))
+            range(0, 6, boolmat._block_rows(64 * 2))
         )
         sig = np.concatenate([block for _, block in blocks])
         assert sig.shape == (6, 16)

@@ -116,6 +116,27 @@ class TestFamilies:
     def test_canonical_family_too_large(self):
         with pytest.raises(DimensionError):
             canonical_family(4, 7)
+        with pytest.raises(DimensionError):
+            crown._canonical_cover(4, 7)
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_canonical_cover_is_the_family_cover(self, k):
+        # the same rectangles, in the same order, for prefixes of every size
+        full = comb(k, (k + 1) // 2)
+        for n in sorted({0, 1, min(2, full), full // 2, full}):
+            assert crown._canonical_cover(k, n) == family_cover(canonical_family(k, n))
+
+    def test_cover_canonical_builds_no_subset_family(self, monkeypatch, tmp_path):
+        from boolrank.cli import main
+
+        def refuse(self):
+            raise AssertionError("built a SubsetFamily")
+
+        want = format_cover(family_cover(canonical_family(sigma(300), 300)))
+        monkeypatch.setattr(SubsetFamily, "__post_init__", refuse)
+        out = tmp_path / "c.cov"
+        assert main(["cover", "canonical", "300", "-o", str(out)]) == 0
+        assert out.read_text() == want
 
     @pytest.mark.parametrize("k", range(2, 11))
     def test_family_matrix_is_crown(self, k):

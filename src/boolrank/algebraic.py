@@ -25,7 +25,7 @@ import numpy as np
 
 from .boolmat import _IntPool, require_materializable
 from .cover import KronCoverDescription, MatrixFamily, verify_kron_hypotheses
-from .crown import _colex, _element_cover, _sets, crown_matrix, sigma
+from .crown import CrownTarget, _colex, _element_cover, _sets, sigma
 from .errors import DimensionError, MaterializationLimitError, VerificationError
 
 
@@ -149,7 +149,6 @@ def _members(d: int, p: int, q: int, s: int, n: int) -> MatrixFamily:
     block-1 subset, rewritten through g_i, holds e, by those whose subset
     lacks it; empty rectangles are dropped.
     """
-    require_materializable("family matrix", n * n)
     in_b1 = _colex(2 * d, d, p)
     zp = ZpFunctionFamily(p, q)
     pool = _IntPool()  # one int per index below n, shared by every side
@@ -177,6 +176,7 @@ def algebraic_family(d: int, q: int) -> tuple[AlgebraicCoverParams, MatrixFamily
     if p <= q:
         raise DimensionError(f"largest prime {p} <= C({2*d},{d}) does not exceed q={q}")
     n = p**q
+    require_materializable("family matrix", n * n)
     fam = _members(d, p, q, p - 1, n)
     blocks = tuple(
         tuple(range((j - 1) * 2 * d + 1, j * 2 * d + 1)) for j in range(1, q + 1)
@@ -196,9 +196,9 @@ class AsymptoticParams:
 
     p is the largest prime <= C(2d, d) and ``bound`` = s (2d)^2.
     ``arithmetic_feasible`` requires p > q and p - 1 >= s (enough family
-    members to select from).  Whether the n x n members fit the
-    ``BOOLRANK_MAX_ENTRIES`` limit is decided only when they are built, by
-    :func:`asymptotic_cover`.  ``k`` is the crown rank padded to even.
+    members to select from).  Whether the members' indices fit the
+    ``BOOLRANK_MAX_ENTRIES`` limit is decided by :func:`asymptotic_cover`,
+    before it builds them.  ``k`` is the crown rank padded to even.
     """
 
     n: int
@@ -285,14 +285,19 @@ def asymptotic_cover(
     """Cover crown(n) (x) crown(n) through the every-q family.
 
     Without ``q``/``s`` the strict parameters (q = 2^d, s = 2^(d+1)) are
-    used; they are arithmetically feasible from n = 82 on, so at the
-    default limit they verify for 82 <= n <= 46340.  With explicit ``q``
-    and ``s`` the smallest workable d is chosen.  Either way the first s
-    members are built on the leading n x n corner of the order-p^q family,
-    and the composition hypotheses are verified symmetrically without
-    materializing the product.  When the parameters are infeasible, or the
-    n x n members exceed the ``BOOLRANK_MAX_ENTRIES`` limit, the result
-    carries the parameter report only, with the reason in its message.
+    used; they are arithmetically feasible from n = 82 on.  With explicit
+    ``q`` and ``s`` the smallest workable d is chosen.  Either way the
+    first s members are built on the leading n x n corner of the order-p^q
+    family, and the composition hypotheses are verified symmetrically
+    against crown(n), whose rows are made a scan block at a time
+    (:class:`~boolrank.crown.CrownTarget`), so neither crown(n) nor the
+    product is built.  What is held is the members: their rectangles' sides
+    hold at most s 2d n indices, and above the ``BOOLRANK_MAX_ENTRIES``
+    limit the members are not built.  At the default limit the strict
+    parameters (s 2d = 96) verify for 82 <= n <= 22,369,621, though the
+    check's time grows with the n^2 entries it scans.  When the parameters
+    are infeasible, or the indices are over the limit, the result carries
+    the parameter report only, with the reason in its message.
     """
     if (q is None) != (s is None):
         raise DimensionError("supply both q and s, or neither")
@@ -305,12 +310,13 @@ def asymptotic_cover(
             f"need s = {params.s} (or prime {params.p} <= q = {params.q})",
         )
     try:
-        selected = _members(params.d, params.p, params.q, params.s, n)
+        require_materializable("member indices", params.s * 2 * params.d * n)
     except MaterializationLimitError as err:
         return AsymptoticCoverResult(
             params, None, f"{err}: over the materialization limit; report only"
         )
-    target = crown_matrix(n)
+    selected = _members(params.d, params.p, params.q, params.s, n)
+    target = CrownTarget(n)
     res = verify_kron_hypotheses(target, selected, target, selected)
     if not res:
         raise VerificationError(

@@ -317,7 +317,7 @@ def _ones(m: BoolMatrix) -> list[tuple[int, int]]:
 # text is parsed a line at a time, as :class:`_Lines` takes it from a file
 # or a string, and written a line at a time.
 
-def _universal_newlines(data: bytes) -> bytes:
+def _universal_newlines(data: bytes | bytearray) -> bytes | bytearray:
     """``data`` with CRLF and lone CR turned into LF."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -551,19 +551,36 @@ def format_matrix(m: BoolMatrix) -> str:
     return "".join(matrix_lines(m))
 
 
-def _file_pieces(fh) -> Iterator[bytes]:
-    """The bytes of a binary file, :func:`_text_chars` at a time, with
-    universal newlines.  A CR that ends a piece is carried into the next,
-    which may start with its LF."""
+def _file_pieces(fh, size: int) -> Iterator[bytearray]:
+    """The bytes of a binary file with universal newlines: its first line
+    (at most ``size`` bytes), then ``size`` bytes at a time, so a reader
+    that sizes pieces to whole rows gets pieces that hold whole rows.  Each
+    piece is a new, writable buffer, which the parser may overwrite.  A CR
+    that ends a piece is carried into the next, which may start with its LF."""
     cr = False  # the last piece ended in a CR, held back
-    while piece := fh.read(_text_chars()):
+    piece = bytearray(fh.readline(size))
+    while piece:
         if cr:
-            piece = b"\r" + piece
-        cr = piece.endswith(b"\r")
-        if piece := _universal_newlines(piece[:-1] if cr else piece):
+            piece[:0] = b"\r"
+        if cr := piece.endswith(b"\r"):
+            del piece[-1]
+        if piece := _universal_newlines(piece):
             yield piece
+        del piece  # so it is not held while the next is read
+        piece = bytearray(size)
+        del piece[fh.readinto(piece):]
     if cr:
-        yield b"\n"
+        yield bytearray(b"\n")
+
+
+def _newlines(buf: np.ndarray) -> np.ndarray:
+    """The positions of the LFs in ``buf``, found a 64th of
+    ``_BLOCK_ENTRIES`` bytes at a time, so no mask as large as ``buf`` is
+    made."""
+    step = max(1, _BLOCK_ENTRIES // 64)
+    found = [np.flatnonzero(buf[lo:lo + step] == ord("\n")) + lo
+             for lo in range(0, buf.size, step)]
+    return np.concatenate(found) if found else np.zeros(0, dtype=np.intp)
 
 
 def _line_blocks(pieces: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -578,7 +595,7 @@ def _line_blocks(pieces: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     held: list[np.ndarray] = []  # the start of a line no piece has ended yet
     for piece in pieces:
         buf = np.frombuffer(piece, dtype=np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
+        ends = _newlines(buf)
         if held and ends.size:
             cut = int(ends[0]) + 1
             line = np.concatenate([*held, buf[:cut]])
@@ -588,7 +605,9 @@ def _line_blocks(pieces: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             cut = int(ends[-1]) + 1
             yield buf[:cut], ends
             buf = buf[cut:]
-        held.append(buf.copy())  # so the piece is not held
+        if buf.size:
+            held.append(buf.copy())
+        del piece, buf  # so the piece is not held while the next is read
     last = np.concatenate(held) if held else np.zeros(0, dtype=np.uint8)
     yield last, np.array([last.size])
 
@@ -623,12 +642,14 @@ def _require_rows(blocks: Iterator, seen: int, rows: int) -> None:
 def _packed_grid(buf: np.ndarray, count: int, cols: int) -> np.ndarray | int:
     """The packed bits of ``count`` rows of ``cols`` characters and a
     newline each at the start of ``buf``, or the index of the first row
-    with a character other than 0 and 1."""
+    with a character other than 0 and 1.  A writable ``buf`` is overwritten
+    with the rows' digit values, so no copy of the text is made."""
     # the rows sit at a fixed stride
+    writeable = buf.flags.writeable
     grid = np.lib.stride_tricks.as_strided(
-        buf, shape=(count, cols), strides=(cols + 1, 1), writeable=False
+        buf, shape=(count, cols), strides=(cols + 1, 1), writeable=writeable
     )
-    digits = grid - np.uint8(ord("0"))
+    digits = np.subtract(grid, np.uint8(ord("0")), out=grid if writeable else None)
     bad = np.flatnonzero(digits.max(axis=1, initial=0) > 1)
     if bad.size:
         return int(bad[0])
@@ -652,17 +673,32 @@ def _with_rows(
     return bits
 
 
-def _parse_matrix(pieces: Iterable) -> BoolMatrix:
-    """The matrix of a text given as byte pieces; see :func:`parse_matrix`."""
-    blocks = _line_blocks(pieces)
+def _matrix_blocks(pieces: Iterable) -> tuple[int, int, Iterator[np.ndarray]]:
+    """The header's rows and cols of a matrix text given as byte pieces,
+    and its rows as validated packed blocks, one per block of whole lines
+    (:func:`_line_blocks`); see :func:`parse_matrix`.
+
+    Only the header is parsed here.  A block is checked as a whole before
+    it is yielded, and a bad line raises the ``FormatError`` a line-by-line
+    reader would, a missing row outranking a bad one.  The checks for
+    missing rows and trailing content follow the last block, so the text is
+    valid only once every block is taken.
+    """
+    blocks = _row_blocks(_line_blocks(pieces))
+    rows, cols = next(blocks)
+    return rows, cols, blocks
+
+
+def _row_blocks(blocks: Iterator[tuple[np.ndarray, np.ndarray]]) -> Iterator:
+    """The header's (rows, cols), then the packed rows of each line block."""
     line = 0  # the text line the block starts on; 0 is the header
-    bits, filled = None, 0  # the packed rows, and how many are checked
     for buf, ends in blocks:
         starts = np.concatenate(([0], ends[:-1] + 1))
         lengths = ends - starts
         first = 0
         if not line:
             rows, cols = _matrix_header(buf[:ends[0]].tobytes())
+            yield rows, cols
             first = 1
         # the block's lines first..body-1 are rows; later ones are trailing
         body = max(first, min(ends.size, rows + 1 - line))
@@ -672,9 +708,6 @@ def _parse_matrix(pieces: Iterable) -> BoolMatrix:
             packed = _packed_grid(buf[starts[first]:], regular - first, cols)
             if isinstance(packed, int):
                 regular = first + packed
-            else:
-                bits = _with_rows(bits, filled, packed, rows)
-                filled += len(packed)
         if regular < body:
             # a missing row outranks a bad one
             _require_rows(blocks, line + ends.size, rows)
@@ -688,7 +721,19 @@ def _parse_matrix(pieces: Iterable) -> BoolMatrix:
             )
         line += ends.size
         del buf  # its piece is not held while the next is read
+        if body > first:
+            yield packed
     _require_rows(blocks, line, rows)
+
+
+def _parse_matrix(pieces: Iterable) -> BoolMatrix:
+    """The matrix of a text given as byte pieces: the blocks of
+    :func:`_matrix_blocks`, written into one array."""
+    rows, cols, blocks = _matrix_blocks(pieces)
+    bits, filled = None, 0  # the packed rows, and how many are read
+    for packed in blocks:
+        bits = _with_rows(bits, filled, packed, rows)
+        filled += len(packed)
     if not rows:
         return BoolMatrix.zeros(0, cols)
     bits.flags.writeable = False
@@ -724,4 +769,4 @@ def read_matrix(path: str) -> BoolMatrix:
     """The matrix in the file at ``path``, read a block at a time with
     universal newlines; see :func:`parse_matrix`."""
     with open(path, "rb") as fh:
-        return _parse_matrix(_file_pieces(fh))
+        return _parse_matrix(_file_pieces(fh, _text_chars()))

@@ -8,6 +8,14 @@ BOOLRANK_MAX_ENTRIES environment variable, a non-negative decimal integer;
 it governs the library calls behind every command, and no command takes a
 limit option of its own.
 
+The verifiers (``verify cover``, ``verify kron``, ``verify qcover``) open
+their matrix files as targets read a scan block at a time
+(:class:`~boolrank.cover.MatrixFile`): each scan parses the whole file,
+so a malformed one is invalid input before any verdict, and a verifier
+holds its covers or families and about one block of the matrix.  The
+other commands that read a matrix (``kron``, ``rank``, ``bound``,
+``mu``, ``isolation``, ``spanoid``) hold it whole.
+
 Each command registers once, beside its handler, through :func:`command`.
 Only ``boolmat`` and ``errors`` are imported with this module; a handler
 imports the other modules it uses in its body, so a process loads only
@@ -61,7 +69,8 @@ def command(words: str, help: str, *spec: str) -> Callable[[Handler], Handler]:
 
 
 def _read_two(read: Callable[[str], T], first: str, second: str) -> tuple[T, T]:
-    """``read`` of both paths; a path given twice is read once."""
+    """``read`` of both paths; a path given twice is read once, and a matrix
+    file opened once is one target."""
     x = read(first)
     return x, x if second == first else read(second)
 
@@ -151,7 +160,7 @@ def _cmd_cover_asymptotic(args) -> str:
 @command("verify cover", "check a cover file against a matrix", "matrix", "cover")
 def _cmd_verify_cover(args) -> str:
     from . import cover
-    a = boolmat.read_matrix(args.matrix)
+    a = cover.MatrixFile(args.matrix)
     c = cover.read_cover(args.cover)
     res = cover.verify_cover(a, c)
     if not res:
@@ -162,7 +171,7 @@ def _cmd_verify_cover(args) -> str:
 @command("verify kron", "lazy composition-hypothesis check", "a", "fam_m", "b", "fam_n")
 def _cmd_verify_kron(args) -> str:
     from . import cover
-    a, b = _read_two(boolmat.read_matrix, args.a, args.b)
+    a, b = _read_two(cover.MatrixFile, args.a, args.b)
     m_fam, n_fam = _read_two(cover.read_family, args.fam_m, args.fam_n)
     res = cover.verify_kron_hypotheses(a, m_fam, b, n_fam)
     if not res:
@@ -174,7 +183,7 @@ def _cmd_verify_kron(args) -> str:
 @command("verify qcover", "every q members cover the matrix", "matrix", "family", "q:int")
 def _cmd_verify_qcover(args) -> str:
     from . import cover
-    a = boolmat.read_matrix(args.matrix)
+    a = cover.MatrixFile(args.matrix)
     fam = cover.read_family(args.family)
     res = cover.check_q_covering(a, fam, args.q)
     if not res:

@@ -26,6 +26,11 @@ members whole.  All rows are read through one reader per matrix or cover,
 made once per scan (:func:`_row_reader`): a cover's rectangles are taken in
 groups, each with a uint8 code per row and an OR table no larger than a
 block (:func:`_row_groups`), so a block of its sum is one gather per group.
+A verifier's target is read the same way (:func:`_reading`), and need not
+be held whole: besides a :class:`BoolMatrix` it may be any
+:class:`RowSource`, such as a matrix file parsed a scan block at a time
+(:class:`MatrixFile`) or crown(n) made on demand
+(:class:`~boolrank.crown.CrownTarget`).
 
 Every failed verification reports the first failing entry in row-major
 order (or the lexicographically first failing subset), so tests and CLI
@@ -40,10 +45,11 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -53,11 +59,14 @@ from .boolmat import (
     _decimal_table,
     _format_index_list,
     _index_writer,
+    _file_pieces,
     _IntPool,
     _Lines,
+    _matrix_blocks,
     _parse_block,
     _parse_index_list,
     _read_text,
+    _text_chars,
     kronecker,
     require_materializable,
 )
@@ -96,7 +105,12 @@ class Rectangle:
     def _col_mask(self) -> np.ndarray:
         """Packed bits (little order) of the columns, up to the last one's
         byte; kept, since every row block of a cover reads it."""
-        return _index_mask(np.array(self.col_set, dtype=np.intp))
+        return _index_mask(_index_array(self.col_set))
+
+
+def _index_array(side: Sequence[int]) -> np.ndarray:
+    """A rectangle side as an index array."""
+    return np.fromiter(side, np.intp, len(side))
 
 
 def _index_mask(idx: np.ndarray) -> np.ndarray:
@@ -177,8 +191,7 @@ def _row_groups(c: Cover) -> list[tuple[np.ndarray, np.ndarray]]:
         code = np.zeros(c.rows, dtype=np.uint8)
         table = np.zeros((1 << len(group), nbytes), dtype=np.uint8)
         for r, rect in enumerate(group):
-            rows = rect.row_set
-            code[np.fromiter(rows, np.intp, len(rows))] |= np.uint8(1 << r)
+            code[_index_array(rect.row_set)] |= np.uint8(1 << r)
             mask = rect._col_mask
             table[1 << r:2 << r] = table[:1 << r]
             table[1 << r:2 << r, :mask.size] |= mask
@@ -186,14 +199,34 @@ def _row_groups(c: Cover) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-def _row_reader(m: BoolMatrix | Cover) -> Callable[[int, int], np.ndarray]:
-    """``read(row0, row1)``: packed rows ``row0`` up to ``row1`` of a matrix,
-    or of a cover's Boolean sum, clipped to its rows.
+#: ``read(row0, row1)``: packed rows ``row0`` up to ``row1``, clipped to the rows.
+Reader = Callable[[int, int], np.ndarray]
+
+
+class RowSource(Protocol):
+    """A verifier target that is not held as a :class:`BoolMatrix`: a
+    matrix file (:class:`MatrixFile`) or a matrix made on demand, such as
+    :class:`~boolrank.crown.CrownTarget`.  ``reader()`` gives the reader of
+    one scan, as a context manager; its rows are read-only and valid until
+    its next read.  Like a matrix, it counts its 1-entries."""
+
+    rows: int
+    cols: int
+
+    def reader(self) -> AbstractContextManager[Reader]: ...
+
+    def count_ones(self) -> int: ...
+
+
+def _row_reader(m: BoolMatrix | Cover) -> Reader:
+    """The reader of a matrix, or of a cover's Boolean sum.
 
     A matrix's rows are a view of its bits.  A cover's are a new array, the
     caller's: its groups' codes and tables (:func:`_row_groups`) are made
     once, here, so a read is one gather per group, ``table[code[row0:row1]]``,
-    OR'd over the groups.  Make one reader per scan and drop it after.
+    OR'd over the groups.  Make one reader per scan and drop it after; a
+    scan that may read a :class:`RowSource` target takes its readers from
+    :func:`_reading`.
     """
     if isinstance(m, BoolMatrix):
         bits = m.bits
@@ -206,6 +239,93 @@ def _row_reader(m: BoolMatrix | Cover) -> Callable[[int, int], np.ndarray]:
             rows |= table[code[row0:row1]]
         return rows
     return read
+
+
+@contextmanager
+def _reading(
+    sources: Iterable[BoolMatrix | Cover | RowSource],
+) -> Iterator[list[Reader]]:
+    """One reader per matrix, cover or target, for one scan.
+
+    A matrix or a cover gets its :func:`_row_reader`, and a
+    :class:`RowSource` its own ``reader()``, entered here: a matrix file's
+    is parsed to the end of the file when the scan ends, even a scan that
+    stops early, so a malformed file raises before any verdict, and its
+    file is closed on every path.
+    """
+    with ExitStack() as stack:
+        yield [
+            _row_reader(m) if isinstance(m, (BoolMatrix, Cover))
+            else stack.enter_context(m.reader())
+            for m in sources
+        ]
+
+
+def _forward_reader(blocks: Iterator[np.ndarray], rows: int, cols: int) -> Reader:
+    """The reader of ``rows`` rows given as consecutive packed blocks, for
+    one forward scan: a read may not start before the last one did, and the
+    rows it passes are dropped.  A read that is one whole block is that
+    block, so no row is copied; any other joins the blocks it spans.
+    """
+    held = np.zeros((0, (cols + 7) // 8), dtype=np.uint8)  # rows from start on
+    start = 0
+
+    def read(row0: int, row1: int) -> np.ndarray:
+        nonlocal held, start
+        if row0 < start:
+            raise RuntimeError("a matrix file is read forward only")
+        row1 = min(row1, rows)
+        if row1 <= row0:
+            return held[:0]
+        parts, end = [held[row0 - start:]], start + len(held)
+        while end < row1:
+            block = next(blocks)
+            parts.append(block[max(0, row0 - end):])
+            end += len(block)
+        parts = [part for part in parts if len(part)]
+        held = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        held.flags.writeable = False
+        start = row0
+        return held[:row1 - row0]
+    return read
+
+
+class MatrixFile:
+    """A matrix text file as a verifier target (a :class:`RowSource`).
+
+    Making one reads the header alone.  Each scan reads the file from its
+    start, in pieces of whole scan blocks of text, through the one matrix
+    parser (:func:`~boolrank.boolmat._matrix_blocks`), so the scan holds
+    about one block of the matrix, never all of it.  The scan parses the
+    rest of the file when it ends (:func:`_reading`), so every scan checks
+    the whole file.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.rows, self.cols, _ = _matrix_blocks(_file_pieces(fh, _text_chars()))
+
+    @contextmanager
+    def reader(self) -> Iterator[Reader]:
+        # a scan block's text when it fits two text blocks, so a header
+        # alone never sizes a read
+        size = min(_scan_rows(self.cols) * (self.cols + 1), 2 * _text_chars())
+        with open(self.path, "rb") as fh:
+            rows, cols, blocks = _matrix_blocks(_file_pieces(fh, size))
+            if (rows, cols) != (self.rows, self.cols):
+                raise FormatError("matrix header changed since it was read", line=1)
+            yield _forward_reader(blocks, rows, cols)
+            for _ in blocks:  # the rows the scan did not read are checked too
+                pass
+
+    def count_ones(self) -> int:
+        """The matrix's 1-entries, counted in one scan."""
+        block, count = _scan_rows(self.cols), 0
+        with _reading([self]) as (read,):
+            for row0 in range(0, self.rows, block):
+                count += int(np.bitwise_count(read(row0, row0 + block)).sum())
+        return count
 
 
 def cover_rows(c: Cover, row0: int, row1: int) -> np.ndarray:
@@ -311,16 +431,18 @@ class KronCoverDescription:
         The product of rm and rn has rows ``i * rows_b + i'`` for i in rm and
         i' in rn, and likewise columns, where rows_b x cols_b are n_family's
         dims.  Each is made by :func:`_rectangle_of` from its index arrays,
-        and all take their ints from one pool.
+        and all take their ints from one pool.  Every side is made an array
+        once per t.
         """
         (rb, cb), pool, limit = self.n_family.dims, _IntPool(), max(self.target_dims)
         for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions):
+            sides_n = [(_index_array(r.row_set), _index_array(r.col_set)) for r in dn.rects]
             for rm in dm.rects:
-                row_a = np.array(rm.row_set) * rb
-                col_a = np.array(rm.col_set) * cb
-                for rn in dn.rects:
-                    rows = (row_a[:, None] + np.array(rn.row_set)).ravel()
-                    cols = (col_a[:, None] + np.array(rn.col_set)).ravel()
+                row_a = _index_array(rm.row_set) * rb
+                col_a = _index_array(rm.col_set) * cb
+                for rows_n, cols_n in sides_n:
+                    rows = (row_a[:, None] + rows_n).ravel()
+                    cols = (col_a[:, None] + cols_n).ravel()
                     yield _rectangle_of(rows, cols, pool, limit)
 
     def to_cover(self) -> Cover:
@@ -378,34 +500,39 @@ def _first_set_bit(diff: np.ndarray, cols: int) -> tuple[int, int]:
     return i, j
 
 
-def _first_difference(a: BoolMatrix, c: Cover) -> tuple[int, int] | None:
-    """First entry in row-major order where ``a`` and the cover's sum differ.
+def _first_difference(
+    a: BoolMatrix | RowSource, c: Cover
+) -> tuple[int, int, bool] | None:
+    """First entry (i, j) in row-major order where ``a`` and the cover's sum
+    differ, and whether ``a`` has a 1 there.
 
-    The sum is read (:func:`_row_reader`) and compared a scan block at a
-    time, and the scan stops at the first block that differs.
+    Both are read (:func:`_reading`) and compared a scan block at a time,
+    and the scan stops at the first block that differs.
     """
-    read, block = _row_reader(c), _scan_rows(a.cols)
-    for row0 in range(0, a.rows, block):
-        diff = read(row0, row0 + block)
-        diff ^= a.bits[row0:row0 + block]
-        if diff.any():
-            i, j = _first_set_bit(diff, a.cols)
-            return row0 + i, j
+    block = _scan_rows(a.cols)
+    with _reading([a, c]) as (target, read):
+        for row0 in range(0, a.rows, block):
+            ones = target(row0, row0 + block)
+            diff = read(row0, row0 + block)
+            diff ^= ones
+            if diff.any():
+                i, j = _first_set_bit(diff, a.cols)
+                return row0 + i, j, bool(ones[i, j >> 3] >> (j & 7) & 1)
     return None
 
 
-def verify_cover(a: BoolMatrix, c: Cover) -> VerifyResult:
+def verify_cover(a: BoolMatrix | RowSource, c: Cover) -> VerifyResult:
     """Check that the rectangles are all-ones in ``a`` and cover its support."""
     if (a.rows, a.cols) != (c.rows, c.cols):
         raise DimensionError(
             f"cover is {c.rows}x{c.cols}, target is {a.rows}x{a.cols}"
         )
-    witness = _first_difference(a, c)
-    if witness is None:
+    found = _first_difference(a, c)
+    if found is None:
         return VerifyResult(True)
-    if a.get(*witness):
-        return VerifyResult(False, witness, "uncovered one entry")
-    return VerifyResult(False, witness, "rectangle covers a zero entry")
+    i, j, one = found
+    reason = "uncovered one entry" if one else "rectangle covers a zero entry"
+    return VerifyResult(False, (i, j), reason)
 
 
 # -- lazy hypothesis verification --------------------------------------------
@@ -428,41 +555,41 @@ _TRANSPOSE_8X8 = tuple(
 
 
 def _signature_blocks(
-    matrices: Sequence[BoolMatrix | Cover],
+    matrices: Sequence[BoolMatrix | Cover | RowSource],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (row0, signatures) per row block of the matrices' common shape.
 
-    A matrix may be given as a cover, whose Boolean sum it is.
-    ``signatures`` has shape (block_rows, 8 * packed bytes per row): bit t
-    of an entry's signature marks that matrix t has a 1 there, and the
-    padding entries past the last column have signature 0.  Signatures are
-    transposed straight from the packed bits, eight matrices at a time: the
-    t-th bytes of eight matrices form an 8x8 bit matrix, and its transpose
-    holds one signature byte per entry.  Each matrix's rows of the scan
-    block (:func:`_scan_rows`) are read when its group of eight is
-    transposed, from one :func:`_row_reader` per matrix.  The dtype is the
-    narrowest holding s bits; past 64 matrices a signature is its bytes
+    A matrix may be given as a cover, whose Boolean sum it is, or as a
+    :class:`RowSource`.  ``signatures`` has shape (block_rows, 8 * packed
+    bytes per row): bit t of an entry's signature marks that matrix t has a
+    1 there, and the padding entries past the last column have signature 0.
+    Signatures are transposed straight from the packed bits, eight matrices
+    at a time: the t-th bytes of eight matrices form an 8x8 bit matrix, and
+    its transpose holds one signature byte per entry.  Each matrix's rows of
+    the scan block (:func:`_scan_rows`) are read when its group of eight is
+    transposed, from one reader per matrix (:func:`_reading`).  The dtype
+    is the narrowest holding s bits; past 64 matrices a signature is its bytes
     viewed as one void scalar, so it still compares as one value.
     """
     s = len(matrices)
     rows, cols = matrices[0].rows, matrices[0].cols
     nbytes = (cols + 7) // 8
-    dtype = _signature_dtype(s)
-    readers, block = [_row_reader(m) for m in matrices], _scan_rows(cols)
-    for row0 in range(0, rows, block):
-        stop = min(rows, row0 + block)
-        size = (stop - row0) * nbytes
-        sig = np.zeros((size * 8, dtype.itemsize), dtype=np.uint8)
-        for k in range(0, s, 8):
-            words = np.zeros((size, 8), dtype=np.uint8)
-            for t, read in enumerate(readers[k:k + 8]):
-                words[:, t] = read(row0, stop).ravel()
-            w = words.view("<u8")
-            for shift, mask in _TRANSPOSE_8X8:
-                swap = (w ^ (w >> shift)) & mask
-                w ^= swap ^ (swap << shift)
-            sig[:, k // 8] = words.ravel()
-        yield row0, sig.view(dtype).reshape(stop - row0, 8 * nbytes)
+    dtype, block = _signature_dtype(s), _scan_rows(cols)
+    with _reading(matrices) as readers:
+        for row0 in range(0, rows, block):
+            stop = min(rows, row0 + block)
+            size = (stop - row0) * nbytes
+            sig = np.zeros((size * 8, dtype.itemsize), dtype=np.uint8)
+            for k in range(0, s, 8):
+                words = np.zeros((size, 8), dtype=np.uint8)
+                for t, read in enumerate(readers[k:k + 8]):
+                    words[:, t] = read(row0, stop).ravel()
+                w = words.view("<u8")
+                for shift, mask in _TRANSPOSE_8X8:
+                    swap = (w ^ (w >> shift)) & mask
+                    w ^= swap ^ (swap << shift)
+                sig[:, k // 8] = words.ravel()
+            yield row0, sig.view(dtype).reshape(stop - row0, 8 * nbytes)
 
 
 def _signature_int(key: np.generic) -> int:
@@ -470,7 +597,7 @@ def _signature_int(key: np.generic) -> int:
     return int.from_bytes(key.tobytes(), "little")
 
 
-def _split_classes(matrices: Sequence[BoolMatrix | Cover]) -> set[int]:
+def _split_classes(matrices: Sequence[BoolMatrix | Cover | RowSource]) -> set[int]:
     """:func:`_classes`, split straight from the packed bits.
 
     A scan block (:func:`_scan_rows`, about 64 KiB of packed bytes) starts
@@ -481,47 +608,48 @@ def _split_classes(matrices: Sequence[BoolMatrix | Cover]) -> set[int]:
     reach class 0.  The masks stay in cache while they are split, and a
     mask that is dropped is reused rather than freed, so splitting
     allocates almost nothing.  Matrix t's rows of the block are read
-    (:func:`_row_reader`) just before it splits, so one block of one
-    matrix is held at a time.
+    (:func:`_reading`) just before it splits, so one block of one matrix
+    is held at a time.
     """
     rows, nbytes = matrices[0].rows, (matrices[0].cols + 7) // 8
-    if not nbytes:
-        return set()
-    readers, block = [_row_reader(m) for m in matrices], _scan_rows(matrices[0].cols)
     classes: set[int] = set()
     spare: list[np.ndarray] = []
-    for row0 in range(0, rows, block):
-        size = (min(rows, row0 + block) - row0) * nbytes
-        if spare and spare[0].size != size:  # the last, shorter block
-            spare.clear()
-        mask = spare.pop() if spare else np.empty(size, dtype=np.uint8)
-        mask.fill(0xFF)
-        live = [(0, mask)]
-        for t, read in enumerate(readers):
-            bits = read(row0, row0 + block).ravel()
-            split = []
-            for cls, mask in live:
-                hit = np.bitwise_and(mask, bits, out=spare.pop() if spare else None)
-                if not hit.max():  # max, not any: a third of the time
-                    spare.append(hit)
-                    split.append((cls, mask))
-                    continue
-                split.append((cls | 1 << t, hit))
-                mask ^= hit
-                if mask.max():
-                    split.append((cls, mask))
-                else:
-                    spare.append(mask)
-            live = split
-        classes.update(cls for cls, _ in live)
-        spare.extend(mask for _, mask in live)
+    block = _scan_rows(matrices[0].cols)
+    with _reading(matrices) as readers:
+        # a matrix of no columns has no class, but a file of one is still read
+        for row0 in range(0, rows if nbytes else 0, block):
+            size = (min(rows, row0 + block) - row0) * nbytes
+            if spare and spare[0].size != size:  # the last, shorter block
+                spare.clear()
+            mask = spare.pop() if spare else np.empty(size, dtype=np.uint8)
+            mask.fill(0xFF)
+            live = [(0, mask)]
+            for t, read in enumerate(readers):
+                bits = read(row0, row0 + block).ravel()
+                split = []
+                for cls, mask in live:
+                    hit = np.bitwise_and(mask, bits, out=spare.pop() if spare else None)
+                    if not hit.max():  # max, not any: a third of the time
+                        spare.append(hit)
+                        split.append((cls, mask))
+                        continue
+                    split.append((cls | 1 << t, hit))
+                    mask ^= hit
+                    if mask.max():
+                        split.append((cls, mask))
+                    else:
+                        spare.append(mask)
+                live = split
+            classes.update(cls for cls, _ in live)
+            spare.extend(mask for _, mask in live)
     return classes
 
 
-def _classes(matrices: Sequence[BoolMatrix | Cover]) -> set[int]:
+def _classes(matrices: Sequence[BoolMatrix | Cover | RowSource]) -> set[int]:
     """Distinct classes over all entries: bit t set iff matrix t has a 1 there.
 
-    A matrix may be given as a cover, whose Boolean sum it is.
+    A matrix may be given as a cover, whose Boolean sum it is, or as a
+    :class:`RowSource`, which every scan reads through to its end.
 
     Up to 9 matrices the classes are split from the packed bits.  A split
     costs a pass per live class, so it wins while classes are few, as they
@@ -571,9 +699,9 @@ def _failing_signatures(p: set[int], q: set[int], s: int) -> list[int]:
 
 
 def verify_kron_hypotheses(
-    a: BoolMatrix,
+    a: BoolMatrix | RowSource,
     m_fam: MatrixFamily,
-    b: BoolMatrix,
+    b: BoolMatrix | RowSource,
     n_fam: MatrixFamily,
 ) -> VerifyResult:
     """Verify the composition hypotheses for covering ``a (x) b``.
@@ -592,7 +720,8 @@ def verify_kron_hypotheses(
     ``bool(S & T's members) == T's b-bit``, since that is their sum at the
     entries of class T (:func:`_failing_signatures`).  This is the dense
     check ``boolean_sum(selected n-members) != b``, decided without
-    building a sum.  Q is P when both sides are the same matrix and family.
+    building a sum.  Q is P when both sides are the same matrix and family
+    (the same object, for a :class:`RowSource`), so its scan is not repeated.
     """
     if len(m_fam) != len(n_fam):
         raise DimensionError("families must have equal length")
@@ -605,7 +734,7 @@ def verify_kron_hypotheses(
     if any(bool(cls & 1) != (cls > 1) for cls in p):
         return VerifyResult(
             False,
-            _first_difference(a, _union(m_fam)),
+            _first_difference(a, _union(m_fam))[:2],
             "m-family does not cover the first factor",
         )
 
@@ -687,14 +816,16 @@ def best_triple_pairing(
 
 # -- q-out-of-s covering ------------------------------------------------------
 
-def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckResult:
+def check_q_covering(
+    a: BoolMatrix | RowSource, fam: MatrixFamily, q: int
+) -> SubsetCheckResult:
     """Check that every q-subset of the family sums to ``a``.
 
     That holds exactly when every member is dominated by ``a`` and no
     1-entry of ``a`` is missed by q or more members.  Both are decided in
     one pass over the members, a scan block (:func:`_scan_rows`, about
     64 KiB of packed bytes) at a time: each member's rows of the block are
-    read from its decomposition (:func:`_row_reader`) and XORed with ``a``,
+    read from its decomposition (:func:`_reading`) and XORed with ``a``'s,
     which marks the 1-entries it misses and the 0-entries it covers, and q
     saturating bit counters record, per entry, whether more than k members
     have marked it so far.  At the 1-entries that counts misses, so the
@@ -714,38 +845,38 @@ def check_q_covering(a: BoolMatrix, fam: MatrixFamily, q: int) -> SubsetCheckRes
         raise DimensionError(f"q={q} outside 1..{s}")
     if fam.dims != (a.rows, a.cols):
         raise DimensionError("family dimensions do not match the target")
-    readers = [_row_reader(d) for d in fam.decompositions]
     first_over = s  # smallest member covering a 0 of a
     witness: tuple[int, ...] | None = None
     block = _scan_rows(a.cols)
-    for row0 in range(0, a.rows, block):
-        row1 = row0 + block
-        ones = a.bits[row0:row1]
-        # missed[k]: entries marked by more than k members so far
-        missed = [np.zeros_like(ones) for _ in range(q)]
-        both = np.empty_like(ones)
+    with _reading([a, *fam.decompositions]) as (target, *readers):
+        for row0 in range(0, a.rows, block):
+            row1 = row0 + block
+            ones = target(row0, row1)
+            # missed[k]: entries marked by more than k members so far
+            missed = [np.zeros_like(ones) for _ in range(q)]
+            both = np.empty_like(ones)
 
-        def mark(members: Sequence[Callable[[int, int], np.ndarray]]) -> None:
-            for read in members:
-                miss = read(row0, row1)
-                miss ^= ones
-                for k in range(q - 1, 0, -1):
-                    missed[k] |= np.bitwise_and(missed[k - 1], miss, out=both)
-                missed[0] |= miss
+            def mark(members: Sequence[Reader]) -> None:
+                for read in members:
+                    miss = read(row0, row1)
+                    miss ^= ones
+                    for k in range(q - 1, 0, -1):
+                        missed[k] |= np.bitwise_and(missed[k - 1], miss, out=both)
+                    missed[0] |= miss
 
-        head = first_over
-        mark(readers[:head])
-        if np.bitwise_and(missed[0], ~ones, out=both).any():
-            zeros = ~ones
-            first_over = next(
-                t for t in range(head) if (readers[t](row0, row1) & zeros).any()
-            )
-        mark(readers[head:])
-        missed[-1] &= ones
-        if missed[-1].any():
-            rows = (read(row0, row1) for read in readers)
-            found = _first_missing_subset(missed[-1], rows, q)
-            witness = found if witness is None else min(witness, found)
+            head = first_over
+            mark(readers[:head])
+            if np.bitwise_and(missed[0], ~ones, out=both).any():
+                zeros = ~ones
+                first_over = next(
+                    t for t in range(head) if (readers[t](row0, row1) & zeros).any()
+                )
+            mark(readers[head:])
+            missed[-1] &= ones
+            if missed[-1].any():
+                rows = (read(row0, row1) for read in readers)
+                found = _first_missing_subset(missed[-1], rows, q)
+                witness = found if witness is None else min(witness, found)
     if first_over < s:
         found = tuple(range(q - 1)) + (max(first_over, q - 1),)
         witness = found if witness is None else min(witness, found)

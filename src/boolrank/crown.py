@@ -29,6 +29,7 @@ from its sets to the checked h, and the tuple API (:func:`canonical_family`,
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -49,6 +50,7 @@ from .boolmat import (
 from .cover import (
     Cover,
     MatrixFamily,
+    Reader,
     Rectangle,
     _rectangle_of,
     best_triple_pairing,
@@ -60,15 +62,57 @@ from .errors import DimensionError, FormatError, VerificationError
 
 def crown_matrix(n: int) -> BoolMatrix:
     """The n x n matrix with zero diagonal and ones everywhere else."""
+    return BoolMatrix(n, n, _crown_reader(n)(0, n))
+
+
+def _crown_reader(n: int) -> Reader:
+    """The reader of crown(n) (see :func:`cover._row_reader`).
+
+    It keeps one block of all-ones rows, made at the first read and grown
+    only for a longer read.  Each read sets again the diagonal bits the last
+    one cleared, and clears those of the rows it reads, so a scan makes no
+    new block.  The rows are a read-only view of that block, valid until the
+    next read.
+    """
     if n < 1:
         raise DimensionError("crown matrix needs n >= 1")
-    nbytes = (n + 7) // 8
-    row = np.packbits(np.ones(n, dtype=np.uint8), bitorder="little")
-    bits = np.tile(row, (n, 1))
-    idx = np.arange(n)
-    bits[idx, idx >> 3] &= ~(np.uint8(1) << (idx & 7).astype(np.uint8))
-    bits.flags.writeable = False
-    return BoolMatrix(n, n, bits)
+    one_row = np.packbits(np.ones(n, dtype=np.uint8), bitorder="little")
+    ones = np.zeros((0, one_row.size), dtype=np.uint8)
+    cleared = (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0, dtype=np.uint8),)
+
+    def read(row0: int, row1: int) -> np.ndarray:
+        nonlocal ones, cleared
+        count = max(0, min(row1, n) - row0)
+        if count > len(ones):
+            ones = np.tile(one_row, (count, 1))
+        else:
+            i, byte, bit = cleared
+            ones[i, byte] |= bit
+        i = np.arange(count)
+        j = row0 + i
+        cleared = (i, j >> 3, np.uint8(1) << (j & 7).astype(np.uint8))
+        ones[i, j >> 3] &= ~cleared[2]
+        rows = ones[:count]
+        rows.flags.writeable = False
+        return rows
+    return read
+
+
+class CrownTarget:
+    """crown(n) as a verifier target (a :class:`~boolrank.cover.RowSource`):
+    its rows are made a scan block at a time as they are read, so the
+    n x n matrix is never built."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise DimensionError("crown matrix needs n >= 1")
+        self.rows = self.cols = n
+
+    def reader(self) -> AbstractContextManager[Reader]:
+        return nullcontext(_crown_reader(self.rows))
+
+    def count_ones(self) -> int:
+        return self.rows * (self.rows - 1)
 
 
 def sigma(n: int) -> int:

@@ -246,6 +246,19 @@ class TestAsymptoticCover:
         )
         assert res.description.size <= 3 * 16 < 64  # < sigma(25)^2 = 8^2
 
+    def test_crown_is_never_built(self, monkeypatch):
+        # the check reads crown(2000) a scan block at a time, so no n x n
+        # matrix is made, by crown_matrix or under another name
+        from boolrank import algebraic, crown
+
+        def refuse(n):
+            raise AssertionError(f"built crown({n})")
+
+        monkeypatch.setattr(crown, "crown_matrix", refuse)
+        monkeypatch.setattr(algebraic, "crown_matrix", refuse, raising=False)
+        res = asymptotic_cover(2000, q=3, s=5)
+        assert res.feasible and res.description.size == 5 * 6 * 6
+
     def test_generalized_cover_materializes_and_verifies(self):
         from boolrank.boolmat import kronecker
         from boolrank.cover import verify_cover
@@ -275,15 +288,18 @@ class TestAsymptoticCover:
         assert "materialization limit" in res.message
 
     def test_limit_reads_the_members_at_order_n(self, monkeypatch):
-        # the 20 x 20 members fit a limit of 500 although the order-25
-        # family's matrices (625 entries) do not
-        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "500")
+        # the 3 members of order 20 hold at most 3 * 4 * 20 = 240 indices,
+        # which fit a limit of 240 although the order-25 members' 300 do not
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "240")
         res = asymptotic_cover(20, q=2, s=3)
         assert res.feasible and res.params.p**res.params.q == 25
-        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "399")
+        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "239")
         res = asymptotic_cover(20, q=2, s=3)
         assert res.params.arithmetic_feasible and not res.feasible
-        assert "materialization limit" in res.message
+        assert res.message == (
+            "member indices has 240 entries, limit is 239: "
+            "over the materialization limit; report only"
+        )
 
     @pytest.mark.parametrize("n, q, s", [
         (20, 2, 3), (25, 2, 3), (49, 2, 3), (361, 2, 4), (2066, 3, 5), (6859, 3, 6),

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
 from boolrank.cli import COMMANDS, GROUP_HELP, main
 from boolrank.cover import parse_cover, parse_family, read_cover, write_family
 from boolrank.crown import c4_triple, crown_matrix
+from boolrank.errors import FormatError
 
 
 def run(capsys, *argv):
@@ -106,6 +109,34 @@ class TestCoverCommands:
         assert code == 0 and err == "SIZE 99\n"
         assert peak < path.stat().st_size
 
+    def test_qcover_holds_the_family_and_few_blocks(self, capsys, tmp_path):
+        # The matrix file is read a scan block at a time: beyond what
+        # reading the family takes, verify qcover holds one piece of text
+        # (8 blocks), its counters and member rows (about 8) and the
+        # members' row tables (fewer than 8), never the 1.5 MB packed crown
+        # (23 blocks).
+        from boolrank import algebraic
+
+        n = 3500
+        mat, fam = str(tmp_path / "c.mat"), str(tmp_path / "f.fam")
+        write_matrix(mat, crown_matrix(n))
+        params = algebraic.generalized_params(n, 3, 5)
+        write_family(fam, algebraic._members(params.d, params.p, params.q, params.s, n))
+        block = cover._scan_rows(n) * ((n + 7) // 8)
+        assert 60_000 < block <= 1 << 16
+        tracemalloc.start()
+        try:
+            held = cover.read_family(fam)
+            family = tracemalloc.get_traced_memory()[1]
+            del held
+            tracemalloc.reset_peak()
+            code, out, _ = run(capsys, "verify", "qcover", mat, fam, "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "VERIFIED qcover q=3 subsets=10 exhaustive=yes\n")
+        assert peak < family + 24 * block
+
     def test_c4_c5_commands(self, capsys):
         code, out, _ = run(capsys, "cover", "c4")
         assert code == 0 and parse_family(out).ranks() == (2, 2, 2)
@@ -141,11 +172,12 @@ class TestCoverCommands:
         assert "materialization limit" in err
 
     @pytest.mark.parametrize("limit, expect", [
-        ("500", "PARAMS d=2 q=2 p=5 n=20 k=6 s=3 bound=48 feasible=yes\nSIZE 48 VERIFIED\n"),
-        ("399", "PARAMS d=2 q=2 p=5 n=20 k=6 s=3 bound=48 feasible=no\n"),
+        ("240", "PARAMS d=2 q=2 p=5 n=20 k=6 s=3 bound=48 feasible=yes\nSIZE 48 VERIFIED\n"),
+        ("239", "PARAMS d=2 q=2 p=5 n=20 k=6 s=3 bound=48 feasible=no\n"),
     ], ids=["fits", "over"])
     def test_asymptotic_limit_reads_order_n(self, capsys, monkeypatch, limit, expect):
-        # 20^2 = 400 entries per member, below the order-25 family's 625
+        # the members hold at most s 2d n = 240 indices, below the 300 of
+        # the order-25 members
         monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", limit)
         code, out, _ = run(capsys, "cover", "asymptotic", "20", "--q", "2", "--s", "3")
         assert (code, out) == (0, expect)
@@ -338,12 +370,12 @@ class TestPathGivenTwice:
     """A path given twice is read once; a copy under another name is read
     again, and the output is the same."""
 
-    READERS = ((boolmat, "read_matrix"), (cover, "read_family"),
+    READERS = ((boolmat, "read_matrix"), (cover, "MatrixFile"), (cover, "read_family"),
                (spanoid, "read_spanoid"), (spanoid, "read_index_sets"))
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """The paths passed to the four readers, in call order."""
+        """The paths passed to the five readers, in call order."""
         log = []
         for module, name in self.READERS:
             def reading(path, real=getattr(module, name)):
@@ -497,6 +529,71 @@ def commands_where(keep):
 class TestExitCodeContract:
     """Exit codes of every registered command: a new command joins each test
     whose condition its argument spec meets."""
+
+    # A verifier parses its whole matrix file before any verdict, so a
+    # defect past the first scan block is invalid input even when the
+    # empty cover or family already differs from the crown in that block.
+    CROWN_ROWS = 1200  # three scan blocks
+    MATRIX_DEFECTS = {
+        "bad-last-row": lambda rows: "\n".join([*rows[:-1], rows[-1][:-1] + "2"]) + "\n",
+        "trailing-content": lambda rows: "\n".join([*rows, "xyz"]) + "\n",
+        "missing-row": lambda rows: "\n".join(rows[:-1]),
+    }
+    VERIFIERS = {
+        "cover": ["cover", "{mat}", "{cov}"],
+        "qcover": ["qcover", "{mat}", "{fam}", "1"],
+        "kron": ["kron", "{mat}", "{fam}", "{mat}", "{fam}"],
+    }
+
+    @pytest.fixture
+    def defective(self, tmp_path, request):
+        """The paths of a crown file with a defect, an empty cover and an
+        empty family, and the error the whole-file parser gives the file."""
+        n = self.CROWN_ROWS
+        assert cover._scan_rows(n) * 2 < n
+        rows = ["1" * i + "0" + "1" * (n - 1 - i) for i in range(n)]
+        paths = {name: str(tmp_path / name) for name in ("mat", "cov", "fam")}
+        Path(paths["mat"]).write_text(f"{n} {n}\n" + self.MATRIX_DEFECTS[request.param](rows))
+        Path(paths["cov"]).write_text(f"COVER {n} {n} 0\n")
+        Path(paths["fam"]).write_text(f"FAMILY {n} {n} 1\nCOVER {n} {n} 0\n")
+        with pytest.raises(FormatError) as exc:
+            read_matrix(paths["mat"])
+        return paths, f"invalid input: {exc.value}\n"
+
+    @pytest.mark.parametrize("defective", sorted(MATRIX_DEFECTS), indirect=True)
+    @pytest.mark.parametrize("verifier", sorted(VERIFIERS))
+    def test_matrix_defect_past_first_block_exit_2(self, capsys, defective, verifier):
+        paths, err = defective
+        argv = ["verify", *(a.format(**paths) for a in self.VERIFIERS[verifier])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(capsys, *argv) == (2, "", err)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        # and under python -O, which strips asserts, with every ResourceWarning shown
+        src = str(Path(boolrank.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-W", "always::ResourceWarning", "-m", "boolrank", *argv],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+    # The header is read when the file is opened, the cover or family next,
+    # and the rows only in the verifier's scan: a bad header is named before
+    # a bad cover, and a bad cover before a bad row.
+    @pytest.mark.parametrize("verifier", sorted(VERIFIERS))
+    def test_bad_cover_outranks_bad_matrix_row(self, capsys, tmp_path, verifier):
+        paths = {name: str(tmp_path / name) for name in ("mat", "cov", "fam")}
+        Path(paths["mat"]).write_text("2 2\n01\n12\n")
+        Path(paths["cov"]).write_text("COVER 2 2 1\nR 0 C x\n")
+        Path(paths["fam"]).write_text("FAMILY 2 2 1\nCOVER 2 2 1\nR 0 C x\n")
+        argv = ["verify", *(a.format(**paths) for a in self.VERIFIERS[verifier])]
+        bad_cover = f"invalid input: line {2 if verifier == 'cover' else 3}: bad index list 'x'\n"
+        assert run(capsys, *argv) == (2, "", bad_cover)
+        Path(paths["mat"]).write_text("2 x\n01\n10\n")
+        bad_header = "invalid input: line 1: header must hold two decimal integers\n"
+        assert run(capsys, *argv) == (2, "", bad_header)
 
     # valid values of the int positionals of the writers
     SAMPLE = {"n": "7", "m": "7", "k": "5", "r": "1", "d": "2", "q": "2"}

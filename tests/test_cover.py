@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boolrank import boolmat
-from boolrank.boolmat import BoolMatrix, boolean_sum, dominated_by, kronecker
+from boolrank.boolmat import BoolMatrix, boolean_sum, dominated_by, format_matrix, kronecker
 from boolrank import cover as cover_mod
 from boolrank.cover import (
     Cover,
     KronCoverDescription,
     MatrixFamily,
+    MatrixFile,
     Rectangle,
     best_triple_pairing,
     check_half_covering,
@@ -32,7 +34,7 @@ from boolrank.cover import (
     verify_cover,
     verify_kron_hypotheses,
 )
-from boolrank.crown import c4_triple, crown_matrix
+from boolrank.crown import CrownTarget, c4_triple, crown_matrix
 from boolrank.errors import (
     DimensionError,
     FormatError,
@@ -317,6 +319,90 @@ class TestVerifyCoverOracle:
                 assert (res.ok, res.witness, res.reason) == (False, (i, j), reason)
             reasons[res.reason] += 1
         assert min(reasons.values()) >= 10
+
+
+class TestTargets:
+    """A matrix file and crown(n), read a scan block at a time, decide as
+    the packed matrix does: the same verdict, witness, reason and count,
+    with rows split across text pieces and scan blocks."""
+
+    @staticmethod
+    def mutated(rng, a: BoolMatrix, how: str) -> Cover:
+        """The rows of ``a`` as rectangles, less one or with one more."""
+        rects = list(row_decomposition(a).rects)
+        if how == "drop" and rects:  # some 1 may be uncovered
+            del rects[rng.randrange(len(rects))]
+        if how == "add":  # it may cover a 0
+            extra = rand_cover(rng, a.rows, a.cols, 1).rects[0]
+            rects.insert(rng.randrange(len(rects) + 1), extra)
+        return Cover(a.rows, a.cols, tuple(rects))
+
+    # 1: blocks of one row read from pieces of two characters; 320: blocks
+    # of up to 5 rows, whole for a LF file of up to 8 columns
+    @given(
+        block_entries=st.sampled_from([1, 64, 320, 1 << 22]),
+        crown=st.booleans(),
+        crlf=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        hows=st.lists(st.sampled_from(["exact", "drop", "add"]), min_size=5, max_size=5),
+    )
+    def test_same_results(self, tmp_path_factory, block_entries, crown, crlf, seed, hows):
+        rng = random.Random(seed)
+        if crown:
+            n = rng.randint(1, 30)
+            a = crown_matrix(n)
+        else:
+            a = rand_matrix(rng, rng.randint(1, 12), rng.randint(1, 20), 0.7)
+        path = tmp_path_factory.mktemp("target") / "a.mat"
+        text = format_matrix(a)
+        path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+        c = self.mutated(rng, a, hows[0])
+        s = rng.randint(1, 3)
+        fam = MatrixFamily(tuple(self.mutated(rng, a, how) for how in hows[1:1 + s]))
+        other = MatrixFamily(tuple(self.mutated(rng, a, how) for how in hows[-s:]))
+        with mock.patch.object(boolmat, "_BLOCK_ENTRIES", block_entries):
+            want = (
+                verify_cover(a, c),
+                [check_q_covering(a, fam, q) for q in range(1, s + 1)],
+                verify_kron_hypotheses(a, fam, a, fam),
+                verify_kron_hypotheses(a, fam, a, other),
+            )
+            makers = [lambda: MatrixFile(str(path))]
+            if crown:
+                makers.append(lambda: CrownTarget(n))
+            for make in makers:
+                t, u = make(), make()
+                assert t.count_ones() == a.count_ones()
+                got = (
+                    verify_cover(t, c),
+                    [check_q_covering(t, fam, q) for q in range(1, s + 1)],
+                    verify_kron_hypotheses(t, fam, t, fam),
+                    verify_kron_hypotheses(t, fam, u, other),
+                )
+                assert got == want
+
+    @pytest.mark.parametrize("block_entries", [1, 64, 1 << 22])
+    def test_crown_reads_match_the_matrix(self, monkeypatch, block_entries):
+        # a scan of blocks, then reads of other lengths, past the end too
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", block_entries)
+        for n in (1, 7, 8, 9, 70):
+            bits = crown_matrix(n).bits
+            with CrownTarget(n).reader() as read:
+                block = cover_mod._scan_rows(n)
+                scan = [read(row0, row0 + block).copy() for row0 in range(0, n, block)]
+                assert np.array_equal(np.concatenate(scan), bits)
+                for row0, row1 in ((0, n), (n - 1, n + 3), (2, 5), (n, n + 1)):
+                    got = read(row0, row1)
+                    assert not got.flags.writeable
+                    assert np.array_equal(got, bits[row0:row1])
+
+    def test_file_reads_go_forward(self, tmp_path):
+        path = tmp_path / "c.mat"
+        path.write_text(format_matrix(crown_matrix(5)))
+        with MatrixFile(str(path)).reader() as read:
+            assert np.array_equal(read(1, 3), crown_matrix(5).bits[1:3])
+            with pytest.raises(RuntimeError, match="forward only"):
+                read(0, 1)
 
 
 class TestKronHypotheses:

@@ -12,11 +12,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "boolmat": (
-        "BoolMatrix", "EntryIndex4", "boolean_product", "boolean_sum",
-        "dominated_by", "is_rank_one", "kronecker", "project_factors",
-        "read_matrix", "write_matrix",
-    ),
+    "boolmat": ("BoolMatrix", "boolean_sum", "kronecker", "read_matrix", "write_matrix"),
     "bounds": (
         "IsolationResult", "KronLowerBound", "MuResult", "RankCertificate",
         "exact_boolean_rank", "isolation_number", "kron_lower_bound",
@@ -24,17 +20,14 @@ _EXPORTS = {
     ),
     "cover": (
         "Cover", "MatrixFamily", "Rectangle", "SubsetCheckResult",
-        "VerifyResult", "best_triple_pairing", "check_half_covering",
-        "check_q_covering", "compose_kron_cover", "cover_matrix",
-        "extract_families", "read_cover", "read_family", "verify_cover",
-        "verify_kron_hypotheses", "write_cover", "write_family",
+        "VerifyResult", "best_triple_pairing", "check_q_covering",
+        "compose_kron_cover", "cover_matrix", "read_cover", "read_family",
+        "verify_cover", "verify_kron_hypotheses", "write_cover", "write_family",
     ),
     "crown": (
-        "FamilyBijection", "SubsetFamily", "build_g", "build_h", "c4_triple",
-        "c5_triple", "canonical_family", "coverable_triple", "crown_matrix",
-        "family_cover", "family_matrix", "gap_cover", "gap_families",
-        "intersection_rectangle", "is_L_intersection_shifting",
-        "is_L_preserving", "sigma", "triple_cover",
+        "c4_triple", "c5_triple", "coverable_triple", "crown_matrix", "gap_cover",
+        "gap_families", "is_L_intersection_shifting", "is_L_preserving", "sigma",
+        "triple_cover",
     ),
     "algebraic": (
         "AlgebraicCoverParams", "AsymptoticCoverResult", "AsymptoticParams",

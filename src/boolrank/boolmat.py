@@ -1,9 +1,9 @@
 """Dense 0/1 matrices over the Boolean semiring.
 
-Rows are bit-packed into numpy uint8 arrays (little bit order), so OR, AND,
-domination and equality run word-parallel; padding bits past the last
-column are kept zero, which makes byte-level comparisons exact.  Matrices
-are immutable after construction and safe to share across threads.
+Rows are bit-packed into numpy uint8 arrays (little bit order), so OR, AND
+and equality run word-parallel; padding bits past the last column are kept
+zero, which makes byte-level comparisons exact.  Matrices are immutable
+after construction and safe to share across threads.
 
 Dense results above the materialization limit are refused: the
 ``BOOLRANK_MAX_ENTRIES`` environment variable (default ``2^31`` entries) is
@@ -27,7 +27,7 @@ per index.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import stat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -167,34 +167,6 @@ class BoolMatrix:
         return f"BoolMatrix({self.rows}x{self.cols}, {self.count_ones()} ones)"
 
 
-@dataclass(frozen=True)
-class EntryIndex4:
-    """Four-index coordinate of an entry of a Kronecker product.
-
-    Bijects with the flat position: row ``ia * rows_b + ib``, column
-    ``ja * cols_b + jb``.
-    """
-
-    ia: int
-    ja: int
-    ib: int
-    jb: int
-
-    def flat(self, rows_b: int, cols_b: int) -> tuple[int, int]:
-        return self.ia * rows_b + self.ib, self.ja * cols_b + self.jb
-
-    @classmethod
-    def from_flat(cls, row: int, col: int, rows_b: int, cols_b: int) -> EntryIndex4:
-        return cls(row // rows_b, col // cols_b, row % rows_b, col % cols_b)
-
-
-def _require_same_dims(a: BoolMatrix, b: BoolMatrix) -> None:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise DimensionError(
-            f"dimension mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-        )
-
-
 def boolean_sum(ms: Iterable[BoolMatrix]) -> BoolMatrix:
     """Entrywise OR of equally-sized matrices."""
     ms = list(ms)
@@ -203,21 +175,13 @@ def boolean_sum(ms: Iterable[BoolMatrix]) -> BoolMatrix:
     first = ms[0]
     acc = first.bits.copy()
     for m in ms[1:]:
-        _require_same_dims(first, m)
+        if (m.rows, m.cols) != (first.rows, first.cols):
+            raise DimensionError(
+                f"dimension mismatch: {first.rows}x{first.cols} vs {m.rows}x{m.cols}"
+            )
         np.bitwise_or(acc, m.bits, out=acc)
     acc.flags.writeable = False
     return BoolMatrix(first.rows, first.cols, acc)
-
-
-def boolean_product(u: BoolMatrix, v: BoolMatrix) -> BoolMatrix:
-    """Matrix product over the Boolean semiring: OR of ANDs."""
-    if u.cols != v.rows:
-        raise DimensionError(
-            f"product dimension mismatch: {u.rows}x{u.cols} times {v.rows}x{v.cols}"
-        )
-    ud = u.to_dense().astype(np.int64)
-    vd = v.to_dense().astype(np.int64)
-    return BoolMatrix.from_dense((ud @ vd > 0).astype(np.uint8))
 
 
 def kronecker(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
@@ -242,47 +206,6 @@ def kronecker(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
         )
     bits.flags.writeable = False
     return BoolMatrix(a.rows * b.rows, cols, bits)
-
-
-def dominated_by(m: BoolMatrix, a: BoolMatrix) -> bool:
-    """True iff every 1 of ``m`` is a 1 of ``a`` (written m <= a)."""
-    _require_same_dims(m, a)
-    return not (m.bits & ~a.bits).any()
-
-
-def is_rank_one(m: BoolMatrix) -> bool:
-    """True iff ``m`` is nonzero and its support is a full rectangle.
-
-    Equivalently the support equals (nonzero rows) x (nonzero columns).
-    """
-    if m.rows == 0 or m.cols == 0 or m.is_zero():
-        return False
-    col_mask = np.bitwise_or.reduce(m.bits, axis=0)
-    nonzero = m.bits.any(axis=1)
-    return bool(np.array_equal(m.bits[nonzero], np.tile(col_mask, (nonzero.sum(), 1))))
-
-
-def project_factors(
-    m: BoolMatrix, dims_a: tuple[int, int], dims_b: tuple[int, int]
-) -> tuple[BoolMatrix, BoolMatrix]:
-    """Split a rank-1 submatrix of a Kronecker product into its two factors.
-
-    For ``m`` of Boolean rank 1 living in the index space of A (x) B, returns
-    (M_A, M_B) where M_A marks the (ia, ja) blocks touched by ``m`` and M_B
-    the (ib, jb) offsets; both are rank 1 and m <= M_A (x) M_B.
-    """
-    ra, ca = dims_a
-    rb, cb = dims_b
-    if m.rows != ra * rb or m.cols != ca * cb:
-        raise DimensionError(
-            f"matrix is {m.rows}x{m.cols}, expected {ra * rb}x{ca * cb}"
-        )
-    if not is_rank_one(m):
-        raise ValueError("project_factors requires a matrix of Boolean rank 1")
-    d = m.to_dense().reshape(ra, rb, ca, cb)
-    m_a = d.any(axis=(1, 3)).astype(np.uint8)
-    m_b = d.any(axis=(0, 2)).astype(np.uint8)
-    return BoolMatrix.from_dense(m_a), BoolMatrix.from_dense(m_b)
 
 
 def _row_ints(m: BoolMatrix) -> list[int]:
@@ -554,9 +477,13 @@ def format_matrix(m: BoolMatrix) -> str:
 def _file_pieces(fh, size: int) -> Iterator[bytearray]:
     """The bytes of a binary file with universal newlines: its first line
     (at most ``size`` bytes), then ``size`` bytes at a time, so a reader
-    that sizes pieces to whole rows gets pieces that hold whole rows.  Each
+    that sizes pieces to whole rows gets pieces that hold whole rows.  A
+    piece of a regular file is no larger than what is left of it, but at
+    least a byte, so a small file never sizes a buffer and a file that grows
+    is still read to its end; a pipe's pieces are ``size`` bytes.  Each
     piece is a new, writable buffer, which the parser may overwrite.  A CR
     that ends a piece is carried into the next, which may start with its LF."""
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     cr = False  # the last piece ended in a CR, held back
     piece = bytearray(fh.readline(size))
     while piece:
@@ -567,7 +494,8 @@ def _file_pieces(fh, size: int) -> Iterator[bytearray]:
         if piece := _universal_newlines(piece):
             yield piece
         del piece  # so it is not held while the next is read
-        piece = bytearray(size)
+        left = os.fstat(fh.fileno()).st_size - fh.tell() if regular else size
+        piece = bytearray(max(1, min(size, left)))
         del piece[fh.readinto(piece):]
     if cr:
         yield bytearray(b"\n")

@@ -67,7 +67,6 @@ from .boolmat import (
     _parse_index_list,
     _read_text,
     _text_chars,
-    kronecker,
     require_materializable,
 )
 from .errors import (
@@ -328,16 +327,9 @@ class MatrixFile:
         return count
 
 
-def cover_rows(c: Cover, row0: int, row1: int) -> np.ndarray:
-    """Packed rows ``row0`` up to ``row1`` of the cover's Boolean sum, the
-    caller's array; a scan that reads many ranges makes one
-    :func:`_row_reader` instead."""
-    return _row_reader(c)(row0, row1)
-
-
 def cover_matrix(c: Cover) -> BoolMatrix:
     """Boolean sum of the cover's rectangles, read from its row codes."""
-    bits = cover_rows(c, 0, c.rows)
+    bits = _row_reader(c)(0, c.rows)
     bits.flags.writeable = False
     return BoolMatrix(c.rows, c.cols, bits)
 
@@ -914,81 +906,6 @@ def _lex_rank(subset: tuple[int, ...], s: int) -> int:
         rank += sum(math.comb(s - 1 - j, q - 1 - i) for j in range(prev + 1, c))
         prev = c
     return rank
-
-
-def check_half_covering(a: BoolMatrix, fam: MatrixFamily) -> SubsetCheckResult:
-    """Check that every ceil(s/2)-subset of the family covers ``a``."""
-    return check_q_covering(a, fam, (len(fam) + 1) // 2)
-
-
-# -- family extraction --------------------------------------------------------
-
-def _all_ones_on(m: BoolMatrix, r: Rectangle) -> bool:
-    mask = r._col_mask
-    return not (mask & ~m.bits[list(r.row_set), :mask.size]).any()
-
-
-def extract_families(
-    a: BoolMatrix, b: BoolMatrix, c: Cover
-) -> tuple[MatrixFamily, MatrixFamily]:
-    """Project a cover of ``a (x) b`` into two rank-1 families.
-
-    Each rectangle P_t splits by index arithmetic into factors (M_t, N_t)
-    with P_t <= M_t (x) N_t (the same split the four-index projection
-    produces).  Each family holds those one-rectangle decompositions, and
-    its members are derived from them.  The returned families always
-    satisfy the composition hypotheses when the input is a valid cover;
-    this is re-verified and a :class:`VerificationError` raised otherwise.
-
-    The per-rectangle all-ones checks and the extracted-family hypotheses
-    prove the cover when every rectangle is the exact product of its
-    factors' index sets, since the rectangles' union then equals the sum of
-    the M_t (x) N_t.  Otherwise, or when the cover is empty, a union falling
-    short of the product's support would go unseen, so the cover is also
-    verified against the materialized product, and a
-    :class:`MaterializationLimitError` is raised when that is above the
-    ``BOOLRANK_MAX_ENTRIES`` limit.
-    """
-    rb, cb = b.rows, b.cols
-    if c.rows != a.rows * rb or c.cols != a.cols * cb:
-        raise DimensionError("cover dimensions do not match the product")
-
-    decomps_a, decomps_b = [], []
-    exact = bool(c.rects)  # nonempty, each rectangle rows_a x rows_b by cols_a x cols_b
-    for rect in c.rects:
-        rect_a = Rectangle(
-            tuple(sorted({r // rb for r in rect.row_set})),
-            tuple(sorted({x // cb for x in rect.col_set})),
-        )
-        rect_b = Rectangle(
-            tuple(sorted({r % rb for r in rect.row_set})),
-            tuple(sorted({x % cb for x in rect.col_set})),
-        )
-        if not _all_ones_on(a, rect_a) or not _all_ones_on(b, rect_b):
-            raise VerificationError(
-                "input cover invalid: a rectangle covers a zero entry",
-                witness=rect,
-            )
-        exact = exact and rect.area == rect_a.area * rect_b.area
-        decomps_a.append(Cover(a.rows, a.cols, (rect_a,)))
-        decomps_b.append(Cover(b.rows, b.cols, (rect_b,)))
-    if not exact:
-        res = verify_cover(kronecker(a, b), c)
-        if not res:
-            raise VerificationError(
-                f"input cover invalid at entry {res.witness}: {res.reason}",
-                witness=res.witness,
-            )
-
-    m_fam = MatrixFamily(tuple(decomps_a))
-    n_fam = MatrixFamily(tuple(decomps_b))
-    res = verify_kron_hypotheses(a, m_fam, b, n_fam)
-    if not res:
-        raise VerificationError(
-            f"input cover invalid (hypotheses fail at {res.witness}): {res.reason}",
-            witness=res.witness,
-        )
-    return m_fam, n_fam
 
 
 # -- text formats -------------------------------------------------------------

@@ -10,8 +10,8 @@ second cover sharing its first rectangles with the original, which is how
 the coverable triples behind the sub-multiplicativity gaps are built: an
 [r]-preserving, [r]-intersection-shifting bijection gives three matrices of
 ranks (r, k-r, k-r) of which every two cover the crown.  Only r = 1 is
-built, from the {1}-preserving bijection of :func:`build_h`; a level checks
-it once, in linear time, by the lemma of :func:`_checked_h`.  The
+built, from the {1}-preserving bijection h of :func:`_h_held`; a level
+checks it once, in linear time, by the lemma of :func:`_checked_h`.  The
 exhaustive checks :func:`is_L_preserving` and
 :func:`is_L_intersection_shifting` are kept as oracles for tests.
 
@@ -23,30 +23,18 @@ colexicographic order throughout, so partial families are prefixes and all
 constructions are deterministic.  A family is built as its membership
 array, one bool row per set, each row unranked from its colex index by the
 combinatorial number system (:func:`_colex`); a σ-level stays in that form
-from its sets to the checked h, and the tuple API (:func:`canonical_family`,
-:func:`build_g`, :func:`build_h`) is a view of those arrays.
+from its sets to the checked h.
 """
 
 from __future__ import annotations
 
 from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolmat import (
-    BoolMatrix,
-    _block_rows,
-    _format_block,
-    _format_index_list,
-    _IntPool,
-    _Lines,
-    _parse_block,
-    _parse_index_list,
-    require_materializable,
-)
+from .boolmat import BoolMatrix, _block_rows, _IntPool, require_materializable
 from .cover import (
     Cover,
     MatrixFamily,
@@ -55,9 +43,8 @@ from .cover import (
     _rectangle_of,
     best_triple_pairing,
     compose_kron_cover,
-    cover_matrix,
 )
-from .errors import DimensionError, FormatError, VerificationError
+from .errors import DimensionError, VerificationError
 
 
 def crown_matrix(n: int) -> BoolMatrix:
@@ -151,31 +138,6 @@ def _sets(held: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, (np.nonzero(held)[1] + 1).reshape(len(held), size).tolist()))
 
 
-@dataclass(frozen=True)
-class SubsetFamily:
-    """An ordered collection of distinct ell-subsets of [k], 1-based."""
-
-    k: int
-    ell: int
-    sets: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for s in self.sets:
-            if len(s) != self.ell:
-                raise ValueError(f"set {s} does not have size {self.ell}")
-            if any(b <= a for a, b in zip(s, s[1:])):
-                raise ValueError(f"set {s} must be sorted strictly increasing")
-            if s and (s[0] < 1 or s[-1] > self.k):
-                raise ValueError(f"set {s} has elements outside [1..{self.k}]")
-            if s in seen:
-                raise ValueError(f"duplicate set {s}")
-            seen.add(s)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
 def _held(sets: Sequence[Sequence[int]], k: int) -> np.ndarray:
     """The len(sets) x k membership array of 1-based sets: [i, e-1] iff e in sets[i]."""
     held = np.zeros((len(sets), k), dtype=bool)
@@ -207,88 +169,35 @@ def _element_cover(held: np.ndarray, ts: Iterable[int], pool: _IntPool) -> Cover
     return Cover(n, n, tuple(rects))
 
 
-def canonical_family(k: int, n: int) -> SubsetFamily:
-    """The first n ceil(k/2)-subsets of [k] in colex order."""
-    return SubsetFamily(k, (k + 1) // 2, _sets(_canonical_held(k, n)))
-
-
 def _canonical_cover(k: int, n: int) -> Cover:
-    """``family_cover(canonical_family(k, n))``, built from the membership
-    array without the tuples."""
+    """The element rectangles of the first n ceil(k/2)-subsets of [k] in
+    colex order (:func:`_canonical_held`): a cover of crown(n)."""
     return _element_cover(_canonical_held(k, n), range(k), _IntPool())
 
 
 def _canonical_held(k: int, n: int) -> np.ndarray:
-    """The membership array of :func:`canonical_family`."""
+    """The membership array of the first n ceil(k/2)-subsets of [k] in
+    colex order."""
     ell = (k + 1) // 2
     if n > comb(k, ell):
         raise DimensionError(f"n={n} exceeds C({k},{ell})={comb(k, ell)}")
     return _colex(k, ell, n)
 
 
-def family_matrix(f: SubsetFamily) -> BoolMatrix:
-    """The intersection matrix B_F: entry (i, j) = 1 iff F_i meets [k] \\ F_j.
-
-    It is the sum of the family's element rectangles.  For distinct subsets
-    of size ceil(k/2) it equals the crown matrix.
-    """
-    return cover_matrix(family_cover(f))
-
-
-def intersection_rectangle(f: SubsetFamily, t: int) -> Rectangle:
-    """The rank-1 matrix P_F(t): rows whose set holds t, columns whose set lacks t."""
-    if not 1 <= t <= f.k:
-        raise DimensionError(f"element {t} outside [1..{f.k}]")
-    rects = _element_cover(_held(f.sets, f.k), (t - 1,), _IntPool()).rects
-    if not rects:
-        raise ValueError(f"element {t} yields an empty rectangle in this family")
-    return rects[0]
-
-
-def family_cover(f: SubsetFamily) -> Cover:
-    """Cover of B_F by the element rectangles P_F(1..k), skipping empty ones."""
-    return _element_cover(_held(f.sets, f.k), range(f.k), _IntPool())
-
-
 # -- bijections ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyBijection:
-    """A bijection of a subset family onto itself, stored positionally."""
-
-    domain: SubsetFamily
-    images: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.images) != len(self.domain.sets):
-            raise ValueError("images must pair with domain sets")
-        if set(self.images) != set(self.domain.sets):
-            raise ValueError("images are not a permutation of the domain")
-
-
-def build_g(k: int) -> FamilyBijection:
-    """A bijection g on the (ell-1)-subsets of [k-1] with F and g(F) disjoint.
+def _g(held: np.ndarray) -> np.ndarray:
+    """A bijection g on the (ell-1)-subsets F of [k-1] with F and g(F)
+    disjoint, on each row of their membership array.
 
     Odd k: plain complement within [k-1].  Even k: [k-1] has 2*ell - 1
-    elements, and the Greene-Kleitman bracket rule lifts F to an ell-set.
-    Reading 1..k-1 in order, each element absent from F opens a bracket and
-    each present one closes the latest open bracket; with x the first
-    absent element left unmatched, F -> F + {x} is a bijection onto the
-    ell-subsets, and g(F) = [k-1] - (F + {x}).  Any bijection with F and
-    g(F) disjoint serves :func:`build_h`; this one is built without search,
-    by :func:`_g`, and returned as tuples.
-    """
-    if k < 2:
-        raise DimensionError("build_g needs k >= 2")
-    ell = (k + 1) // 2
-    held = _colex(k - 1, ell - 1, comb(k - 1, ell - 1))
-    return FamilyBijection(SubsetFamily(k - 1, ell - 1, _sets(held)), _sets(_g(held)))
-
-
-def _g(held: np.ndarray) -> np.ndarray:
-    """g of :func:`build_g` on each row of a membership array of
-    (ell-1)-subsets of [k-1]: the complement, less x when k is even (an odd
-    number of columns).
+    elements (an odd number of columns), and the Greene-Kleitman bracket
+    rule lifts F to an ell-set.  Reading 1..k-1 in order, each element
+    absent from F opens a bracket and each present one closes the latest
+    open bracket; with x the first absent element left unmatched, F -> F +
+    {x} is a bijection onto the ell-subsets, and g(F) = [k-1] - (F + {x}).
+    Any bijection with F and g(F) disjoint serves :func:`_h_held`; this one
+    is built without search.
 
     x is the first absent column whose bracket no later present one
     closes: with a running count of +1 per absent column and -1 per
@@ -303,30 +212,17 @@ def _g(held: np.ndarray) -> np.ndarray:
     return images
 
 
-def build_h(k: int, i: int) -> FamilyBijection:
-    """An {i}-preserving, {i}-intersection-shifting bijection of all
-    ceil(k/2)-subsets of [k].
-
-    Sets containing i map to g(F - {i}) + {i} with g from :func:`build_g`
-    relabelled onto [k] - {i}; other sets are fixed.  The counting argument
-    behind the shifting property needs k >= 5.  For i = 1, h meets the
-    hypotheses of the lemma in :func:`_checked_h`, which checks them once
-    per level.  The tuples are a view of :func:`_h_held`'s arrays.
-    """
-    if k < 5:
-        raise DimensionError("build_h needs k >= 5")
-    if not 1 <= i <= k:
-        raise DimensionError(f"element {i} outside [1..{k}]")
-    sets, images = _h_held(k, i)
-    return FamilyBijection(SubsetFamily(k, (k + 1) // 2, _sets(sets)), _sets(images))
-
-
 def _h_held(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     """The membership arrays of all ceil(k/2)-subsets of [k], in colex
-    order, and of their images under :func:`build_h` (k, i).
+    order, and of their images under an {i}-preserving, {i}-intersection
+    shifting bijection h.
 
-    The rows holding i take :func:`_g` on the other columns, kept in order,
-    which is g's relabelling onto [k] - {i}.
+    Sets holding i map to g(F - {i}) + {i}, with g of :func:`_g` relabelled
+    onto [k] - {i}: the rows holding i take :func:`_g` on the other
+    columns, kept in order.  Other sets are fixed.  The counting argument
+    behind the shifting property needs k >= 5.  For i = 1, h meets the
+    hypotheses of the lemma in :func:`_checked_h`, which checks them once
+    per level.
     """
     ell = (k + 1) // 2
     sets = _colex(k, ell, comb(k, ell))
@@ -336,29 +232,31 @@ def _h_held(k: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return sets, images
 
 
-def is_L_preserving(h: FamilyBijection, L: Sequence[int]) -> bool:
-    """Exhaustive check: every set meets L exactly as its image does.
+def is_L_preserving(sets: np.ndarray, images: np.ndarray, L: Sequence[int]) -> bool:
+    """Exhaustive check of a bijection given as the membership arrays of
+    its sets and of their images, row by row, as :func:`_h_held` returns
+    them: every set meets the 1-based L exactly as its image does.
 
-    An oracle for tests; the triples check :func:`build_h` by the lemma of
+    An oracle for tests; the triples check h by the lemma of
     :func:`_checked_h` instead.
     """
-    l_set = set(L)
-    return all(
-        set(s) & l_set == set(img) & l_set for s, img in zip(h.domain.sets, h.images)
-    )
+    cols = [e - 1 for e in set(L)]
+    return bool(np.array_equal(sets[:, cols], images[:, cols]))
 
 
-def is_L_intersection_shifting(h: FamilyBijection, L: Sequence[int]) -> bool:
-    """Exhaustive check over all pairs (D, E) of the shifting property.
+def is_L_intersection_shifting(
+    sets: np.ndarray, images: np.ndarray, L: Sequence[int]
+) -> bool:
+    """Exhaustive check over all pairs (D, E) of the shifting property, for
+    a bijection given as :func:`is_L_preserving` takes it.
 
     Whenever D meets the complement of E only inside L (and does meet it),
     the image pair must intersect outside L.  An O(N^2) oracle for tests;
-    the triples check :func:`build_h` by the lemma of :func:`_checked_h`.
+    the triples check h by the lemma of :func:`_checked_h`.
     """
-    full = (1 << h.domain.k) - 1
+    full = (1 << sets.shape[1]) - 1
     l_mask = sum(1 << (e - 1) for e in set(L))
-    d_masks = _masks(_held(h.domain.sets, h.domain.k))
-    h_masks = _masks(_held(h.images, h.domain.k))
+    d_masks, h_masks = _masks(sets), _masks(images)
     comp = full & ~d_masks
     comp_h = full & ~h_masks
     n = len(d_masks)
@@ -517,22 +415,3 @@ def gap_cover(n: int, m: int) -> Cover:
     m_fam, n_fam = gap_families(n, m)
     return compose_kron_cover(m_fam, n_fam)
 
-
-# -- text format ----------------------------------------------------------------
-
-def format_subset_family(f: SubsetFamily) -> str:
-    return _format_block(
-        "FAMILY-SETS", (f.k, f.ell, len(f)), map(_format_index_list, f.sets)
-    )
-
-
-def _subset(line: str, lineno: int) -> tuple[int, ...]:
-    return tuple(_parse_index_list(line.strip(), lineno).tolist())
-
-
-def parse_subset_family(text: str) -> SubsetFamily:
-    (k, ell, _), sets = _parse_block(_Lines(text), "FAMILY-SETS", "k ell n", _subset)
-    try:
-        return SubsetFamily(k, ell, tuple(sets))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from boolrank.algebraic import algebraic_family
 from boolrank.cover import Cover, MatrixFamily, Rectangle, cover_matrix
-from boolrank.crown import _held, crown_matrix
+from boolrank.crown import crown_matrix
 from boolrank.errors import DimensionError
 
 # The environment variable is the only materialization limit, so a value
@@ -81,12 +81,6 @@ def bracket_g(k, s):
     if k % 2 == 0:
         absent.remove(opened[0])
     return tuple(absent)
-
-
-def level_arrays(h):
-    """A bijection of 1-based sets as the (sets, images) membership arrays
-    that ``crown._h_held`` returns."""
-    return _held(h.domain.sets, h.domain.k), _held(h.images, h.domain.k)
 
 
 # property tests draw the same examples on every run

@@ -20,16 +20,16 @@ from boolrank.cover import (
     Cover,
     MatrixFamily,
     Rectangle,
-    check_half_covering,
     check_q_covering,
     compose_kron_cover,
-    extract_families,
     verify_cover,
     verify_kron_hypotheses,
 )
 from boolrank.crown import (
-    build_g,
-    build_h,
+    _colex,
+    _g,
+    _h_held,
+    _masks,
     c4_triple,
     c5_triple,
     crown_matrix,
@@ -95,7 +95,7 @@ def test_criterion_04_c5_special_cover():
     fam = c5_triple()
     ok = all(
         fam.members[i] == BoolMatrix.from_dense(printed[i]) for i in range(3)
-    ) and bool(check_half_covering(crown_matrix(5), fam))
+    ) and bool(check_q_covering(crown_matrix(5), fam, (len(fam) + 1) // 2))
     _report(4, "the order-5 crown triple is bit-exact and pairwise covering", ok, t0)
 
 
@@ -105,7 +105,7 @@ def test_criterion_05_gap_covers():
     ok = True
     for k, n in zip(range(5, 11), ns):
         fam = triple_cover(k, 1)
-        ok = ok and bool(check_half_covering(crown_matrix(n), fam))
+        ok = ok and bool(check_q_covering(crown_matrix(n), fam, (len(fam) + 1) // 2))
     for n in ns:
         for m in ns:
             cov = gap_cover(n, m)
@@ -125,14 +125,16 @@ def test_criterion_06_bijection_properties():
     t0 = time.time()
     ok = True
     for k in range(2, 13):
-        g = build_g(k)
-        ok = ok and set(g.images) == set(g.domain.sets)
-        ok = ok and all(not set(s) & set(i) for s, i in zip(g.domain.sets, g.images))
+        ell = (k + 1) // 2
+        sets = _colex(k - 1, ell - 1, comb(k - 1, ell - 1))
+        images = _g(sets)
+        ok = ok and np.array_equal(np.sort(_masks(images)), _masks(sets))
+        ok = ok and not (sets & images).any()
     for k in range(5, 11):
         for i in range(1, k + 1):
-            h = build_h(k, i)
-            ok = ok and is_L_preserving(h, [i])
-            ok = ok and is_L_intersection_shifting(h, [i])
+            sets, images = _h_held(k, i)
+            ok = ok and is_L_preserving(sets, images, [i])
+            ok = ok and is_L_intersection_shifting(sets, images, [i])
     _report(6, "g bijective/disjoint for k <= 12; h preserving/shifting for k in 5..10", ok, t0)
 
 
@@ -175,7 +177,7 @@ def test_criterion_09_asymptotic_gap_witness(family_3_3, crown_6859):
     t0 = time.time()
     _, fam = family_3_3
     selected = MatrixFamily(fam.decompositions[:6])
-    half = check_half_covering(crown_6859, selected)
+    half = check_q_covering(crown_6859, selected, (len(selected) + 1) // 2)
     hyp = verify_kron_hypotheses(crown_6859, selected, crown_6859, selected)
     size = sum(d.size * d.size for d in selected.decompositions)
     # the strict parameters: d = 2 lacks members (p - 1 = 4 < s = 8); d = 3
@@ -264,8 +266,11 @@ def test_criterion_11_composition_soundness():
         else:
             if a.is_zero() or b.is_zero():
                 continue
-            base = _row_rect_family(kronecker(a, b), [list(range(ra * rb))])
-            m_fam, n_fam = extract_families(a, b, base.decompositions[0])
+            # the row rectangles of a (x) b, each split into its factors':
+            # product row i is a-row i // rb times b-row i % rb
+            rows = [i for i in range(ra * rb) if a.bits[i // rb].any() and b.bits[i % rb].any()]
+            m_fam = _row_rect_family(a, [[i // rb] for i in rows])
+            n_fam = _row_rect_family(b, [[i % rb] for i in rows])
         trials += 1
         lazy = verify_kron_hypotheses(a, m_fam, b, n_fam)
         cov = compose_kron_cover(m_fam, n_fam)

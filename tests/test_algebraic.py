@@ -16,9 +16,10 @@ from boolrank.algebraic import (
     generalized_params,
     largest_prime_leq,
 )
-from boolrank.boolmat import dominated_by
-from boolrank.cover import MatrixFamily, check_q_covering
-from boolrank.crown import crown_matrix, family_matrix, SubsetFamily
+from boolrank import crown
+from boolrank.boolmat import _IntPool, boolean_sum
+from boolrank.cover import MatrixFamily, check_q_covering, cover_matrix
+from boolrank.crown import crown_matrix
 from boolrank.errors import DimensionError, MaterializationLimitError
 from conftest import restrict_family
 
@@ -161,7 +162,7 @@ class TestAlgebraicFamily:
         params, fam = algebraic_family(2, 2)
         c = crown_matrix(params.n)
         for m in fam.members:
-            assert dominated_by(m, c)
+            assert boolean_sum([m, c]) == c
 
     def test_d2_q2_every_pair_covers(self):
         params, fam = algebraic_family(2, 2)
@@ -183,8 +184,12 @@ class TestAlgebraicFamily:
             sets.append(
                 tuple(sorted(params.block_subsets[0][z1] + params.block_subsets[1][z2]))
             )
-        fam = SubsetFamily(params.k, 2 * params.d // 2 * params.q, tuple(sets))
-        assert family_matrix(fam) == crown_matrix(params.n)
+        # distinct sets of one size
+        assert len(set(sets)) == params.n
+        assert {len(s) for s in sets} == {2 * params.d // 2 * params.q}
+        held = crown._held(sets, params.k)
+        c = crown._element_cover(held, range(params.k), _IntPool())
+        assert cover_matrix(c) == crown_matrix(params.n)
 
     def test_h_i_permutes_the_family(self):
         params, _ = algebraic_family(2, 2)

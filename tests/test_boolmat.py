@@ -12,23 +12,18 @@ from hypothesis.extra.numpy import arrays
 from boolrank import boolmat
 from boolrank.boolmat import (
     BoolMatrix,
-    EntryIndex4,
-    boolean_product,
     boolean_sum,
-    dominated_by,
     format_matrix,
-    is_rank_one,
     kronecker,
     matrix_lines,
     parse_matrix,
-    project_factors,
     read_matrix,
 )
 from boolrank.cli import main
 from boolrank.cover import Cover, Rectangle, cover_matrix
-from boolrank.crown import canonical_family, crown_matrix, family_matrix
+from boolrank import crown
+from boolrank.crown import crown_matrix
 from boolrank.errors import DimensionError, FormatError, MaterializationLimitError
-from conftest import rect_matrix
 from test_formats import mutate, rngs
 
 # the two rank-2 matrices whose sum is the order-4 crown
@@ -118,41 +113,6 @@ class TestBooleanSum:
             boolean_sum([BoolMatrix.ones(2, 2), BoolMatrix.ones(2, 3)])
 
 
-class TestBooleanProduct:
-    def test_identity(self):
-        rng = random.Random(3)
-        m = rand_matrix(rng, 4, 4)
-        assert boolean_product(BoolMatrix.identity(4), m) == m
-
-    def test_rank_one_outer(self):
-        col = BoolMatrix.ones(3, 1)
-        row = BoolMatrix.ones(1, 5)
-        assert boolean_product(col, row) == BoolMatrix.ones(3, 5)
-
-    def test_crown4_factorization(self):
-        # U rows hold 2-subsets of [4], V columns their complements; the
-        # oracle below is the direct entrywise OR-of-ANDs definition.
-        subsets = [(1, 2), (1, 3), (2, 3), (1, 4)]
-        u = BoolMatrix.from_dense(
-            [[1 if t in s else 0 for t in range(1, 5)] for s in subsets]
-        )
-        v = BoolMatrix.from_dense(
-            [[0 if t in s else 1 for s in subsets] for t in range(1, 5)]
-        )
-        got = boolean_product(u, v)
-        ud, vd = u.to_dense(), v.to_dense()
-        expect = np.zeros((4, 4), dtype=np.uint8)
-        for i in range(4):
-            for j in range(4):
-                expect[i, j] = int(any(ud[i, t] and vd[t, j] for t in range(4)))
-        assert got == BoolMatrix.from_dense(expect)
-        assert got == crown_matrix(4)
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            boolean_product(BoolMatrix.ones(2, 3), BoolMatrix.ones(2, 3))
-
-
 class TestKronecker:
     def test_c2_c2(self):
         c2 = crown_matrix(2)
@@ -163,9 +123,7 @@ class TestKronecker:
             for ja in range(2):
                 for ib in range(2):
                     for jb in range(2):
-                        e = EntryIndex4(ia, ja, ib, jb)
-                        r, c = e.flat(2, 2)
-                        expect[r, c] = c2.get(ia, ja) & c2.get(ib, jb)
+                        expect[ia * 2 + ib, ja * 2 + jb] = c2.get(ia, ja) & c2.get(ib, jb)
         assert got == BoolMatrix.from_dense(expect)
         assert got.count_ones() == 4
 
@@ -184,9 +142,8 @@ class TestKronecker:
             k = kronecker(a, b)
             for r in range(k.rows):
                 for c in range(k.cols):
-                    e = EntryIndex4.from_flat(r, c, b.rows, b.cols)
-                    assert k.get(r, c) == (a.get(e.ia, e.ja) & b.get(e.ib, e.jb))
-                    assert e.flat(b.rows, b.cols) == (r, c)
+                    (ia, ib), (ja, jb) = divmod(r, b.rows), divmod(c, b.cols)
+                    assert k.get(r, c) == (a.get(ia, ja) & b.get(ib, jb))
 
     def test_materialization_limit(self, monkeypatch):
         a = BoolMatrix.ones(100, 100)
@@ -207,85 +164,6 @@ class TestKronecker:
             b = rng.integers(0, 2, size=shape_b, dtype=np.uint8)
             got = kronecker(BoolMatrix.from_dense(a), BoolMatrix.from_dense(b))
             assert got == BoolMatrix.from_dense(np.kron(a, b)), (shape_a, shape_b)
-
-
-class TestRankOne:
-    def test_basics(self):
-        assert is_rank_one(BoolMatrix.ones(3, 3))
-        assert not is_rank_one(BoolMatrix.identity(2))
-        assert not is_rank_one(BoolMatrix.zeros(3, 3))
-
-    def test_partial_rectangle(self):
-        m = BoolMatrix.from_dense([[0, 1, 1], [0, 0, 0], [0, 1, 1]])
-        assert is_rank_one(m)
-        m2 = BoolMatrix.from_dense([[0, 1, 1], [0, 0, 1], [0, 1, 1]])
-        assert not is_rank_one(m2)
-
-
-class TestDominatedBy:
-    def test_basics(self):
-        c3 = crown_matrix(3)
-        assert dominated_by(BoolMatrix.zeros(3, 3), c3)
-        assert dominated_by(c3, c3)
-        assert not dominated_by(BoolMatrix.identity(3), c3)
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            dominated_by(BoolMatrix.ones(2, 2), BoolMatrix.ones(3, 3))
-
-
-class TestProjectFactors:
-    def test_single_entry(self):
-        m = np.zeros((6, 4), dtype=np.uint8)
-        # A is 3x2 with 2x2 blocks; block (ia, ja) = (1, 0), offset (ib, jb) = (0, 1)
-        m[1 * 2 + 0, 0 * 2 + 1] = 1
-        ma, mb = project_factors(BoolMatrix.from_dense(m), (3, 2), (2, 2))
-        assert ma == BoolMatrix.from_dense([[0, 0], [1, 0], [0, 0]])
-        assert mb == BoolMatrix.from_dense([[0, 1], [0, 0]])
-
-    def test_block_rectangle(self):
-        dense = np.zeros((4, 4), dtype=np.uint8)
-        dense[2:4, 0:2] = 1  # an all-ones block inside block (1, 0)
-        ma, mb = project_factors(BoolMatrix.from_dense(dense), (2, 2), (2, 2))
-        assert ma == BoolMatrix.from_dense([[0, 0], [1, 0]])
-        assert mb == BoolMatrix.ones(2, 2)
-
-    def test_all_rank_one_submatrices_of_c2_kron_c2(self):
-        from boolrank.bounds import maximal_rectangles
-
-        c2 = crown_matrix(2)
-        prod = kronecker(c2, c2)
-        for rect in maximal_rectangles(prod):
-            m = rect_matrix(rect, 4, 4)
-            ma, mb = project_factors(m, (2, 2), (2, 2))
-            assert is_rank_one(ma) and is_rank_one(mb)
-            assert dominated_by(ma, c2) and dominated_by(mb, c2)
-            assert dominated_by(m, kronecker(ma, mb))
-
-    def test_random_property(self):
-        from boolrank.bounds import maximal_rectangles
-
-        rng = random.Random(6)
-        for _ in range(15):
-            a = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            b = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            if a.is_zero() or b.is_zero():
-                continue
-            prod = kronecker(a, b)
-            if prod.is_zero():
-                continue
-            for rect in maximal_rectangles(prod):
-                m = rect_matrix(rect, prod.rows, prod.cols)
-                ma, mb = project_factors(m, (a.rows, a.cols), (b.rows, b.cols))
-                assert is_rank_one(ma) and is_rank_one(mb)
-                assert dominated_by(ma, a) and dominated_by(mb, b)
-                assert dominated_by(m, kronecker(ma, mb))
-
-    def test_rejects_non_rank_one(self):
-        with pytest.raises(ValueError):
-            project_factors(BoolMatrix.identity(4), (2, 2), (2, 2))
-        with pytest.raises(DimensionError):
-            project_factors(BoolMatrix.ones(4, 4), (3, 2), (2, 2))
 
 
 class TestImmutability:
@@ -311,7 +189,7 @@ class TestImmutability:
         ),
         "crown_matrix": lambda: crown_matrix(11),
         "kronecker": lambda: kronecker(crown_matrix(3), crown_matrix(4)),
-        "family_matrix": lambda: family_matrix(canonical_family(5, 10)),
+        "family_matrix": lambda: cover_matrix(crown._canonical_cover(5, 10)),
     }
 
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
@@ -607,3 +485,19 @@ class TestMatrixTextBlocks:
         back, peak = self.traced_peak(lambda: read_matrix(str(path)))
         assert back == m
         assert peak < m.bits.nbytes + 1.5e6
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_small_file_sizes_no_text_block(self, tmp_path, newline):
+        # a piece of a file is no larger than what is left of it: 13 KB and
+        # 17 KB measured, where a whole text block for each piece made
+        # 531 KB and a scan block of text 272 KB
+        from boolrank.cover import MatrixFile
+
+        path = tmp_path / "c3.mat"
+        path.write_bytes(format_matrix(crown_matrix(3)).replace("\n", newline).encode())
+        back, peak = self.traced_peak(lambda: read_matrix(str(path)))
+        assert back == crown_matrix(3)
+        assert peak < 64 * 1024
+        ones, peak = self.traced_peak(lambda: MatrixFile(str(path)).count_ones())
+        assert ones == 6
+        assert peak < 64 * 1024

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boolrank import boolmat
-from boolrank.boolmat import BoolMatrix, boolean_sum, dominated_by, format_matrix, kronecker
+from boolrank.boolmat import BoolMatrix, boolean_sum, format_matrix, kronecker
 from boolrank import cover as cover_mod
 from boolrank.cover import (
     Cover,
@@ -19,12 +19,9 @@ from boolrank.cover import (
     MatrixFile,
     Rectangle,
     best_triple_pairing,
-    check_half_covering,
     check_q_covering,
     compose_kron_cover,
     cover_matrix,
-    cover_rows,
-    extract_families,
     format_cover,
     format_family,
     kron_cover_lines,
@@ -35,12 +32,7 @@ from boolrank.cover import (
     verify_kron_hypotheses,
 )
 from boolrank.crown import CrownTarget, c4_triple, crown_matrix
-from boolrank.errors import (
-    DimensionError,
-    FormatError,
-    MaterializationLimitError,
-    VerificationError,
-)
+from boolrank.errors import DimensionError, FormatError, VerificationError
 from conftest import rect_matrix, restrict_family
 
 
@@ -112,9 +104,7 @@ class TestRectangleAndCover:
             Rectangle((1, 0), (0,))
         r = Rectangle((0, 2), (1,))
         assert r.area == 2
-        from boolrank.boolmat import is_rank_one
-
-        assert is_rank_one(rect_matrix(r, 3, 2))
+        assert rect_matrix(r, 3, 2).to_dense().tolist() == [[0, 1], [0, 0], [0, 1]]
 
     def test_cover_range_check(self):
         with pytest.raises(DimensionError):
@@ -187,7 +177,7 @@ class TestRowBlocks:
             assert cover_matrix(c).to_dense().tolist() == dense.tolist()
             row0 = rng.randrange(rows)
             row1 = rng.randint(row0, rows + 3)
-            got = np.unpackbits(cover_rows(c, row0, row1), axis=1,
+            got = np.unpackbits(cover_mod._row_reader(c)(row0, row1), axis=1,
                                 bitorder="little", count=cols)
             assert got.tolist() == dense[row0:row1].tolist()
 
@@ -552,19 +542,19 @@ class TestCompose:
 class TestSubsetChecks:
     def test_coverable_triple_pairs(self):
         c4 = crown_matrix(4)
-        res = check_half_covering(c4, c4_triple())
+        res = check_q_covering(c4, c4_triple(), 2)
         assert res and res.checked == 3
 
     def test_duplicate_pair(self):
         a = crown_matrix(3)
         fam = with_row_decompositions([a, a])
-        assert check_half_covering(a, fam)
+        assert check_q_covering(a, fam, 1)
 
     def test_disjoint_supports_fail(self):
         a = crown_matrix(2)
         m1 = BoolMatrix.from_dense([[0, 1], [0, 0]])
         m2 = BoolMatrix.from_dense([[0, 0], [1, 0]])
-        res = check_half_covering(a, with_row_decompositions([m1, m2]))
+        res = check_q_covering(a, with_row_decompositions([m1, m2]), 1)
         assert not res and res.witness == (0,)
 
     def test_q_equals_s(self):
@@ -679,7 +669,7 @@ class TestQCoveringOracle:
             if rng.random() < 0.25:
                 members[rng.randrange(s)] = rand_matrix(rng, a.rows, a.cols)
             fam = with_row_decompositions(members)
-            over += any(not dominated_by(m, a) for m in members)
+            over += any(boolean_sum([m, a]) != a for m in members)
             for q in range(1, s + 1):
                 res = check_q_covering(a, fam, q)
                 assert (res.ok, res.witness, res.checked) == brute_q_covering(a, fam, q)
@@ -934,104 +924,6 @@ class TestSignatureClasses:
         assert classes - {0} == set(want.ravel().tolist()) - {0}
 
 
-class TestExtractFamilies:
-    def test_product_cover_extraction_round_trip(self):
-        c4 = crown_matrix(4)
-        cov = compose_kron_cover(c4_triple(), c4_triple())
-        m_fam, n_fam = extract_families(c4, c4, cov)
-        assert len(m_fam) == cov.size and len(n_fam) == cov.size
-        assert all(r == 1 for r in m_fam.ranks() + n_fam.ranks())
-        assert verify_kron_hypotheses(c4, m_fam, c4, n_fam)
-
-    def test_single_rectangle_of_all_ones(self):
-        a = BoolMatrix.ones(2, 3)
-        b = BoolMatrix.ones(3, 2)
-        cov = Cover(6, 6, (Rectangle(tuple(range(6)), tuple(range(6))),))
-        m_fam, n_fam = extract_families(a, b, cov)
-        assert m_fam.members[0] == a and n_fam.members[0] == b
-
-    def test_c2_c2_single_entry_cover(self):
-        c2 = crown_matrix(2)
-        prod = kronecker(c2, c2)
-        dense = prod.to_dense()
-        rects = tuple(
-            Rectangle((i,), (int(j),))
-            for i in range(4)
-            for j in np.nonzero(dense[i])[0]
-        )
-        assert len(rects) == 4
-        m_fam, n_fam = extract_families(c2, c2, Cover(4, 4, rects))
-        assert all(m.count_ones() == 1 for m in m_fam.members)
-        assert all(n.count_ones() == 1 for n in n_fam.members)
-
-    def test_product_rectangles_build_no_product(self, monkeypatch):
-        # the factor checks and the hypotheses decide a cover of exact
-        # product rectangles, so the product is never materialized
-        c4 = crown_matrix(4)
-        cov = compose_kron_cover(c4_triple(), c4_triple())
-        eager = extract_families(c4, c4, cov)
-
-        def refuse(a, b):
-            raise AssertionError("the product was materialized")
-
-        monkeypatch.setattr(cover_mod, "kronecker", refuse)
-        assert extract_families(c4, c4, cov) == eager
-
-    def test_empty_cover_of_nonzero_product_rejected(self):
-        c2 = crown_matrix(2)
-        with pytest.raises(VerificationError, match="uncovered one entry"):
-            extract_families(c2, c2, Cover(4, 4, ()))
-
-    def test_invalid_cover_rejected(self):
-        c2 = crown_matrix(2)
-        bad = Cover(4, 4, (Rectangle((0,), (0,)),))
-        with pytest.raises(VerificationError):
-            extract_families(c2, c2, bad)
-
-    def test_product_rectangles_extract_above_limit(self, monkeypatch):
-        # every rectangle is rows_a x rows_b by cols_a x cols_b, so the
-        # hypotheses prove the cover without materializing the product
-        c4 = crown_matrix(4)
-        cov = compose_kron_cover(c4_triple(), c4_triple())
-        eager = extract_families(c4, c4, cov)
-        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "1")
-        assert extract_families(c4, c4, cov) == eager
-        c2 = crown_matrix(2)
-        single = Cover(4, 4, tuple(Rectangle((i,), (3 - i,)) for i in range(4)))
-        m_fam, n_fam = extract_families(c2, c2, single)
-        assert verify_kron_hypotheses(c2, m_fam, c2, n_fam)
-
-    def test_non_product_rectangles_refused_above_limit(self, monkeypatch):
-        # rows {0, 3} of J2 (x) J2 project onto all of J2 on both sides, so
-        # the hypotheses hold although rows 1 and 2 are never covered
-        j2 = BoolMatrix.ones(2, 2)
-        short = Cover(4, 4, (Rectangle((0, 3), (0, 1, 2, 3)),))
-        with pytest.raises(VerificationError):
-            extract_families(j2, j2, short)
-        with monkeypatch.context() as m, pytest.raises(MaterializationLimitError):
-            m.setenv("BOOLRANK_MAX_ENTRIES", "15")
-            extract_families(j2, j2, short)
-        # a valid cover of the same kind cannot be told apart, so it is
-        # refused too
-        valid = Cover(
-            4, 4, (Rectangle((0, 3), (0, 1, 2, 3)), Rectangle((1, 2), (0, 1, 2, 3)))
-        )
-        extract_families(j2, j2, valid)
-        monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", "15")
-        with pytest.raises(MaterializationLimitError):
-            extract_families(j2, j2, valid)
-
-    def test_matches_project_factors(self):
-        from boolrank.boolmat import project_factors
-
-        c4 = crown_matrix(4)
-        cov = compose_kron_cover(c4_triple(), c4_triple())
-        m_fam, n_fam = extract_families(c4, c4, cov)
-        for rect, m, n in zip(cov.rects, m_fam.members, n_fam.members):
-            ma, mb = project_factors(rect_matrix(rect, 16, 16), (4, 4), (4, 4))
-            assert ma == m and mb == n
-
-
 class TestBestPairing:
     def test_minimizes_and_is_deterministic(self):
         from boolrank.crown import c5_triple, triple_cover
@@ -1065,8 +957,8 @@ class TestHalfCoveringComposition:
         c25 = crown_matrix(25)
         cases.append((c25, alg, c25, alg))
         for a, m_fam, b, n_fam in cases:
-            assert check_half_covering(a, m_fam)
-            assert check_half_covering(b, n_fam)
+            assert check_q_covering(a, m_fam, (len(m_fam) + 1) // 2)
+            assert check_q_covering(b, n_fam, (len(n_fam) + 1) // 2)
             assert verify_kron_hypotheses(a, m_fam, b, n_fam)
 
 

@@ -13,11 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolrank import boolmat, crown
-from boolrank.boolmat import BoolMatrix, _IntPool, dominated_by, kronecker
+from boolrank.boolmat import BoolMatrix, _IntPool, boolean_sum, kronecker
 from boolrank.cover import (
+    Cover,
     KronCoverDescription,
+    Rectangle,
     best_triple_pairing,
-    check_half_covering,
+    check_q_covering,
     compose_kron_cover,
     compose_kron_description,
     cover_matrix,
@@ -27,40 +29,38 @@ from boolrank.cover import (
     verify_kron_hypotheses,
 )
 from boolrank.crown import (
-    FamilyBijection,
-    SubsetFamily,
-    build_g,
-    build_h,
     c4_triple,
     c5_triple,
-    canonical_family,
     coverable_triple,
     crown_matrix,
-    family_cover,
-    family_matrix,
-    format_subset_family,
     gap_cover,
     gap_families,
-    intersection_rectangle,
     is_L_intersection_shifting,
     is_L_preserving,
-    parse_subset_family,
     sigma,
     triple_cover,
 )
-from boolrank.errors import (
-    DimensionError,
-    FormatError,
-    MaterializationLimitError,
-    VerificationError,
-)
-from conftest import bracket_g, colex_subsets, level_arrays, restrict_family
+from boolrank.errors import DimensionError, MaterializationLimitError, VerificationError
+from conftest import bracket_g, colex_subsets, restrict_family
 
 C5_PRINTED = {
     "A1": [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 1], [0, 0, 0, 0, 0]],
     "A2": [[0, 1, 0, 1, 0], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 0, 1, 0, 0], [1, 1, 1, 1, 0]],
     "A3": [[0, 1, 1, 0, 1], [1, 0, 0, 1, 1], [1, 0, 0, 1, 1], [0, 1, 1, 0, 1], [1, 1, 1, 1, 0]],
 }
+
+
+def element_cover(k, n):
+    """Reference: the element rectangles of the first n colex
+    ceil(k/2)-subsets of [k], from their definition, empty ones dropped."""
+    sets = list(islice(colex_subsets(range(1, k + 1), (k + 1) // 2), n))
+    rects = []
+    for t in range(1, k + 1):
+        rows = tuple(i for i, s in enumerate(sets) if t in s)
+        cols = tuple(j for j, s in enumerate(sets) if t not in s)
+        if rows and cols:
+            rects.append(Rectangle(rows, cols))
+    return Cover(n, n, tuple(rects))
 
 
 class TestCrownAndSigma:
@@ -93,9 +93,9 @@ class TestFamilies:
         ]
 
     def test_canonical_family_examples(self):
-        assert canonical_family(4, 6).sets == tuple(colex_subsets(range(1, 5), 2))
-        assert len(canonical_family(5, 10)) == 10
-        assert canonical_family(4, 4).sets == ((1, 2), (1, 3), (2, 3), (1, 4))
+        assert crown._sets(crown._canonical_held(4, 6)) == tuple(colex_subsets(range(1, 5), 2))
+        assert crown._canonical_held(5, 10).shape == (10, 5)
+        assert crown._sets(crown._canonical_held(4, 4)) == ((1, 2), (1, 3), (2, 3), (1, 4))
 
     @pytest.mark.parametrize("k", range(15))
     def test_colex_matches_reference(self, k):
@@ -111,11 +111,11 @@ class TestFamilies:
     def test_canonical_family_of_a_wide_level(self):
         # C(100, 50) overflows int64; the rank tables are clamped at n
         first = tuple(islice(colex_subsets(range(1, 101), 50), 5))
-        assert canonical_family(100, 5) == SubsetFamily(100, 50, first)
+        assert crown._sets(crown._canonical_held(100, 5)) == first
 
     def test_canonical_family_too_large(self):
         with pytest.raises(DimensionError):
-            canonical_family(4, 7)
+            crown._canonical_held(4, 7)
         with pytest.raises(DimensionError):
             crown._canonical_cover(4, 7)
 
@@ -124,16 +124,18 @@ class TestFamilies:
         # the same rectangles, in the same order, for prefixes of every size
         full = comb(k, (k + 1) // 2)
         for n in sorted({0, 1, min(2, full), full // 2, full}):
-            assert crown._canonical_cover(k, n) == family_cover(canonical_family(k, n))
+            assert crown._canonical_cover(k, n) == element_cover(k, n)
 
     def test_cover_canonical_builds_no_subset_family(self, monkeypatch, tmp_path):
+        # the text is the reference cover's, and _sets, crown's one tuple
+        # view of a membership array, is never called on the way
         from boolrank.cli import main
 
-        def refuse(self):
-            raise AssertionError("built a SubsetFamily")
+        def refuse(held):
+            raise AssertionError("built a family of tuples")
 
-        want = format_cover(family_cover(canonical_family(sigma(300), 300)))
-        monkeypatch.setattr(SubsetFamily, "__post_init__", refuse)
+        want = format_cover(element_cover(sigma(300), 300))
+        monkeypatch.setattr(crown, "_sets", refuse)
         out = tmp_path / "c.cov"
         assert main(["cover", "canonical", "300", "-o", str(out)]) == 0
         assert out.read_text() == want
@@ -141,25 +143,23 @@ class TestFamilies:
     @pytest.mark.parametrize("k", range(2, 11))
     def test_family_matrix_is_crown(self, k):
         n = comb(k, (k + 1) // 2)
-        assert family_matrix(canonical_family(k, n)) == crown_matrix(n)
+        assert cover_matrix(crown._canonical_cover(k, n)) == crown_matrix(n)
 
     def test_family_matrix_partial_prefix(self):
         for k, n in [(5, 7), (6, 11), (7, 20)]:
-            assert family_matrix(canonical_family(k, n)) == crown_matrix(n)
+            assert cover_matrix(crown._canonical_cover(k, n)) == crown_matrix(n)
 
     def test_family_matrix_arbitrary_distinct_subsets(self):
         # any ordered collection of distinct half-size subsets realizes the
         # crown, not only colex prefixes
-        import random
-
         rng = random.Random(9)
         for k in (4, 5, 6, 8):
             full = list(colex_subsets(range(1, k + 1), (k + 1) // 2))
             for _ in range(5):
                 n = rng.randint(2, len(full))
-                sets = tuple(rng.sample(full, n))
-                fam = SubsetFamily(k, (k + 1) // 2, sets)
-                assert family_matrix(fam) == crown_matrix(n)
+                held = crown._held(rng.sample(full, n), k)
+                c = crown._element_cover(held, range(k), _IntPool())
+                assert cover_matrix(c) == crown_matrix(n)
 
     @given(st.data())
     def test_family_matrix_is_its_definition(self, data):
@@ -171,7 +171,8 @@ class TestFamilies:
         sets = data.draw(st.permutations(pool), label="order")
         sets = sets[:data.draw(st.integers(1, len(pool)), label="n")]
         dense = [[bool(set(a) - set(b)) for b in sets] for a in sets]
-        assert family_matrix(SubsetFamily(k, ell, tuple(sets))).to_dense().tolist() == dense
+        c = crown._element_cover(crown._held(sets, k), range(k), _IntPool())
+        assert cover_matrix(c).to_dense().tolist() == dense
 
     @given(st.data())
     def test_element_rectangles_sum_to_intersections(self, data):
@@ -186,38 +187,28 @@ class TestFamilies:
         assert cover_matrix(c).to_dense().tolist() == dense
 
     def test_intersection_rectangle_full_k4(self):
-        fam = canonical_family(4, 6)
-        p1 = intersection_rectangle(fam, 1)
+        (p1,) = crown._element_cover(crown._canonical_held(4, 6), (0,), _IntPool()).rects
         assert len(p1.row_set) == 3 and len(p1.col_set) == 3
         assert p1.row_set == (0, 1, 3)  # sets containing 1
         assert p1.col_set == (2, 4, 5)  # sets not containing 1
 
-    def test_intersection_rectangle_errors(self):
-        fam = canonical_family(4, 6)
-        with pytest.raises(DimensionError):
-            intersection_rectangle(fam, 5)
-        partial = SubsetFamily(4, 2, ((1, 2),))
-        with pytest.raises(ValueError):
-            intersection_rectangle(partial, 3)  # 3 is in no set
-
     @pytest.mark.parametrize("k,n", [(3, 3), (4, 6), (4, 4), (5, 10), (5, 7), (6, 20), (7, 35)])
     def test_element_rectangles_cover(self, k, n):
-        fam = canonical_family(k, n)
-        assert verify_cover(crown_matrix(n), family_cover(fam))
+        assert verify_cover(crown_matrix(n), crown._canonical_cover(k, n))
 
 
 class TestBijections:
     def test_g_odd_is_complement(self):
-        g = build_g(5)
-        for s, img in zip(g.domain.sets, g.images):
-            assert img == tuple(sorted(set(range(1, 5)) - set(s)))
+        held = crown._colex(4, 2, 6)
+        assert np.array_equal(crown._g(held), ~held)
 
     @pytest.mark.parametrize("k", range(2, 17))
     def test_g_bijective_and_disjoint(self, k):
-        g = build_g(k)
-        assert set(g.images) == set(g.domain.sets)
-        for s, img in zip(g.domain.sets, g.images):
-            assert not set(s) & set(img)
+        ell = (k + 1) // 2
+        held = crown._colex(k - 1, ell - 1, comb(k - 1, ell - 1))
+        images = crown._g(held)
+        assert sorted(crown._masks(images)) == sorted(crown._masks(held))
+        assert not (held & images).any()
 
     @pytest.mark.parametrize("k", range(2, 19))
     def test_g_matches_bracket_loop(self, k):
@@ -231,25 +222,24 @@ class TestBijections:
     def test_row_blocks_do_not_change_results(self, monkeypatch):
         # the shifting check walks boolmat's row blocks: 2 rows each here,
         # so 35 rows end on a partial block
-        fam = canonical_family(7, 35)
-        h = build_h(7, 1)
+        sets, images = crown._h_held(7, 1)
         monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 70)
         assert boolmat._block_rows(35) == 2
-        assert family_matrix(fam) == crown_matrix(35)
-        assert is_L_intersection_shifting(h, [1])
-        assert not is_L_intersection_shifting(FamilyBijection(fam, fam.sets), [1])
+        assert cover_matrix(crown._canonical_cover(7, 35)) == crown_matrix(35)
+        assert is_L_intersection_shifting(sets, images, [1])
+        assert not is_L_intersection_shifting(sets, sets, [1])
 
     def test_h_hand_example(self):
-        h = build_h(5, 1)
-        image = dict(zip(h.domain.sets, h.images))
+        sets, images = crown._h_held(5, 1)
+        image = dict(zip(crown._sets(sets), crown._sets(images)))
         assert image[(1, 2, 3)] == (1, 4, 5)
         assert image[(2, 3, 4)] == (2, 3, 4)
 
     def test_h_shifting_hand_instance(self):
         # D = {1,2,3}, E = {2,3,5}: D meets the complement of E exactly at 1,
         # and the image pair must intersect off 1
-        h = build_h(5, 1)
-        image = dict(zip(h.domain.sets, h.images))
+        sets, images = crown._h_held(5, 1)
+        image = dict(zip(crown._sets(sets), crown._sets(images)))
         d, e = (1, 2, 3), (2, 3, 5)
         comp_e = set(range(1, 6)) - set(e)
         assert set(d) & comp_e == {1}
@@ -259,20 +249,21 @@ class TestBijections:
     @pytest.mark.parametrize("k", range(5, 11))
     def test_h_properties_all_i(self, k):
         for i in range(1, k + 1):
-            h = build_h(k, i)
-            assert is_L_preserving(h, [i])
-            assert is_L_intersection_shifting(h, [i])
+            sets, images = crown._h_held(k, i)
+            assert is_L_preserving(sets, images, [i])
+            assert is_L_intersection_shifting(sets, images, [i])
 
     def test_h_requires_k5(self):
+        # level 4's h is not shifting, so no triple is built from it
+        assert not is_L_intersection_shifting(*crown._h_held(4, 1), [1])
         with pytest.raises(DimensionError):
-            build_h(4, 1)
+            triple_cover(4)
 
     def test_identity_preserving_but_not_shifting(self):
-        fam = canonical_family(5, 10)
-        ident = FamilyBijection(fam, fam.sets)
-        assert is_L_preserving(ident, [1])
-        assert is_L_preserving(ident, [2, 3])
-        assert not is_L_intersection_shifting(ident, [1])
+        held = crown._canonical_held(5, 10)
+        assert is_L_preserving(held, held, [1])
+        assert is_L_preserving(held, held, [2, 3])
+        assert not is_L_intersection_shifting(held, held, [1])
 
 
 class TestTriples:
@@ -281,11 +272,11 @@ class TestTriples:
         n = comb(k, (k + 1) // 2)
         fam = triple_cover(k, 1)
         assert fam.ranks() == (1, k - 1, k - 1)
-        assert check_half_covering(crown_matrix(n), fam)
+        assert check_q_covering(crown_matrix(n), fam, 2)
 
     def test_triple_restriction_keeps_covering(self):
         fam = restrict_family(triple_cover(5, 1), 8)
-        assert check_half_covering(crown_matrix(8), fam)
+        assert check_q_covering(crown_matrix(8), fam, 2)
 
     @pytest.mark.parametrize("k", range(5, 13))
     def test_coverable_triple_is_level_prefix(self, k):
@@ -301,10 +292,6 @@ class TestTriples:
     def test_bad_bijection_is_refused(self, monkeypatch):
         # the identity is {1}-preserving but not {1}-intersection shifting;
         # whole levels and prefixes both check the bijection they are given
-        def identity(k, i):
-            fam = canonical_family(k, comb(k, (k + 1) // 2))
-            return level_arrays(FamilyBijection(fam, fam.sets))
-
         monkeypatch.setattr(crown, "_h_held", identity)
         with pytest.raises(VerificationError):
             triple_cover(7)
@@ -320,8 +307,8 @@ class TestTriples:
         def refuse(*args):
             raise AssertionError("a level was built as tuples")
 
-        monkeypatch.setattr(crown, "SubsetFamily", refuse)
-        monkeypatch.setattr(crown, "FamilyBijection", refuse)
+        # _sets is crown's one tuple view of a membership array
+        monkeypatch.setattr(crown, "_sets", refuse)
         assert [build() for build in builds] == expected
 
     @pytest.mark.parametrize("r", [0, 2, 3])
@@ -334,14 +321,14 @@ class TestTriples:
         for member, key in zip(fam.members, ("A1", "A2", "A3")):
             assert member == BoolMatrix.from_dense(C5_PRINTED[key])
         assert fam.ranks() == (2, 2, 3)
-        assert check_half_covering(crown_matrix(5), fam)
+        assert check_q_covering(crown_matrix(5), fam, 2)
 
     def test_c4_triple_valid(self):
         fam = c4_triple()
         assert fam.ranks() == (2, 2, 2)
-        assert check_half_covering(crown_matrix(4), fam)
+        assert check_q_covering(crown_matrix(4), fam, 2)
         for m in fam.members:
-            assert dominated_by(m, crown_matrix(4))
+            assert boolean_sum([m, crown_matrix(4)]) == crown_matrix(4)
 
     def test_c4_triple_found_by_exhaustive_search(self):
         # oracle: search all unions of <= 2 disjoint-index rectangles below
@@ -397,36 +384,44 @@ class TestTriples:
 
 
 def lemma_accepts(monkeypatch, h):
-    """Whether the level check of the triples accepts ``h`` as the level's
-    bijection, given to it as ``_h_held(k, 1)``'s arrays."""
+    """Whether the level check of the triples accepts the bijection ``h``,
+    given to it as the (sets, images) membership arrays of ``_h_held(k, 1)``."""
     with monkeypatch.context() as patch:
-        patch.setattr(crown, "_h_held", lambda k, i: level_arrays(h))
+        patch.setattr(crown, "_h_held", lambda k, i: h)
         try:
-            crown._checked_h(h.domain.k)
+            crown._checked_h(h[0].shape[1])
         except VerificationError:
             return False
     return True
 
 
 def full_level(k):
-    return canonical_family(k, comb(k, (k + 1) // 2))
+    return crown._canonical_held(k, comb(k, (k + 1) // 2))
+
+
+def identity(k, i=1):
+    """The identity bijection of level k, as ``_h_held`` returns h."""
+    held = full_level(k)
+    return held, held.copy()
 
 
 def conjugate(h, perm):
     """perm h perm^-1, for a relabelling ``perm`` of [k] given as a dict."""
-    def relabel(s):
-        return tuple(sorted(perm[e] for e in s))
-
-    image = {relabel(d): relabel(img) for d, img in zip(h.domain.sets, h.images)}
-    return FamilyBijection(h.domain, tuple(image[s] for s in h.domain.sets))
+    sets, images = h
+    cols = [perm[e] - 1 for e in range(1, sets.shape[1] + 1)]
+    moved_sets, moved_images = np.empty_like(sets), np.empty_like(images)
+    moved_sets[:, cols], moved_images[:, cols] = sets, images
+    # the set s is moved from the set perm^-1(s), whose moved image is s's
+    row = {mask: r for r, mask in enumerate(crown._masks(moved_sets).tolist())}
+    return sets, moved_images[[row[mask] for mask in crown._masks(sets).tolist()]]
 
 
 def random_shift(k, rng):
     """A random bijection meeting the lemma's hypotheses: the sets holding 1
     are matched, by augmenting paths in a random order, to sets holding 1
     disjoint from them off 1; the other sets are fixed."""
-    fam = full_level(k)
-    ones = [s for s in fam.sets if s[0] == 1]
+    sets = crown._sets(full_level(k))
+    ones = [s for s in sets if s[0] == 1]
     source = {}  # image -> the set mapped to it
 
     def augment(d, seen):
@@ -443,7 +438,7 @@ def random_shift(k, rng):
     for d in rng.sample(ones, len(ones)):
         assert augment(d, set())
     image = {d: e for e, d in source.items()}
-    return FamilyBijection(fam, tuple(image.get(s, s) for s in fam.sets))
+    return full_level(k), crown._held([image.get(s, s) for s in sets], k)
 
 
 def not_onto(k, i, real=crown._h_held):
@@ -461,9 +456,9 @@ def not_onto(k, i, real=crown._h_held):
 
 def swapped(h, i, j):
     """h with the images of its i-th and j-th sets exchanged."""
-    images = list(h.images)
-    images[i], images[j] = images[j], images[i]
-    return FamilyBijection(h.domain, tuple(images))
+    sets, images = h[0], h[1].copy()
+    images[[i, j]] = images[[j, i]]
+    return sets, images
 
 
 class TestLemmaCheck:
@@ -472,38 +467,39 @@ class TestLemmaCheck:
 
     @pytest.mark.parametrize("k", range(5, 14))
     def test_build_h_passes_both(self, k):
-        h = build_h(k, 1)
+        h = crown._h_held(k, 1)
         sets, images = crown._checked_h(k)
+        assert np.array_equal(sets, h[0]) and np.array_equal(images, h[1])
         assert sets.shape == images.shape == (comb(k, (k + 1) // 2), k)
-        assert (sets.sum(axis=1) == h.domain.ell).all()
-        assert (images.sum(axis=1) == h.domain.ell).all()
-        assert is_L_preserving(h, [1])
-        assert is_L_intersection_shifting(h, [1])
+        assert (sets.sum(axis=1) == (k + 1) // 2).all()
+        assert (images.sum(axis=1) == (k + 1) // 2).all()
+        assert is_L_preserving(sets, images, [1])
+        assert is_L_intersection_shifting(sets, images, [1])
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8, 9, 10])
     def test_conjugates_pass_both(self, monkeypatch, k):
         rng = random.Random(k)
-        h = build_h(k, 1)
+        h = crown._h_held(k, 1)
         for _ in range(3):
             rest = list(range(2, k + 1))
             perm = {1: 1, **dict(zip(rest, rng.sample(rest, len(rest))))}
             hc = conjugate(h, perm)
             assert lemma_accepts(monkeypatch, hc)
-            assert is_L_preserving(hc, [1])
-            assert is_L_intersection_shifting(hc, [1])
+            assert is_L_preserving(*hc, [1])
+            assert is_L_intersection_shifting(*hc, [1])
 
     def test_conjugate_builds_a_covering_triple(self, monkeypatch):
-        h = conjugate(build_h(8, 1), {1: 1, 2: 5, 3: 8, 4: 2, 5: 7, 6: 3, 7: 6, 8: 4})
-        assert h != build_h(8, 1)
-        monkeypatch.setattr(crown, "_h_held", lambda k, i: level_arrays(h))
+        h = conjugate(crown._h_held(8, 1), {1: 1, 2: 5, 3: 8, 4: 2, 5: 7, 6: 3, 7: 6, 8: 4})
+        assert not np.array_equal(h[1], crown._h_held(8, 1)[1])
+        monkeypatch.setattr(crown, "_h_held", lambda k, i: h)
         fam = triple_cover(8)
         assert fam.ranks() == (1, 7, 7)
-        assert check_half_covering(crown_matrix(70), fam)
+        assert check_q_covering(crown_matrix(70), fam, 2)
 
     @pytest.mark.parametrize("k", [6, 7, 8])
     def test_rejects_moving_a_set_without_1(self, monkeypatch, k):
-        h = build_h(k, 1)
-        free = [i for i, s in enumerate(h.domain.sets) if 1 not in s]
+        h = crown._h_held(k, 1)
+        free = np.flatnonzero(~h[0][:, 0])
         assert lemma_accepts(monkeypatch, h)
         assert not lemma_accepts(monkeypatch, swapped(h, free[0], free[-1]))
 
@@ -511,22 +507,21 @@ class TestLemmaCheck:
     def test_rejects_losing_element_1(self, monkeypatch, k):
         # a bijection that takes a set holding 1 to one without 1 must move
         # a set without 1
-        h = build_h(k, 1)
-        bad = swapped(h, 0, h.domain.sets.index(tuple(range(2, h.domain.ell + 2))))
-        assert 1 in h.domain.sets[0] and 1 not in bad.images[0]
-        assert not is_L_preserving(bad, [1])
+        h = crown._h_held(k, 1)
+        bad = swapped(h, 0, crown._sets(h[0]).index(tuple(range(2, (k + 1) // 2 + 2))))
+        assert h[0][0, 0] and not bad[1][0, 0]
+        assert not is_L_preserving(*bad, [1])
         assert not lemma_accepts(monkeypatch, bad)
 
     @pytest.mark.parametrize("k", [6, 8])
     def test_rejects_an_image_meeting_its_set(self, monkeypatch, k):
-        h = build_h(k, 1)
-        ones = [i for i, s in enumerate(h.domain.sets) if 1 in s]
+        sets, images = h = crown._h_held(k, 1)
+        ones = np.flatnonzero(sets[:, 0])
         i, j = next(
-            (i, j) for i in ones for j in ones
-            if set(h.images[j]) & set(h.domain.sets[i]) - {1}
+            (i, j) for i in ones for j in ones if (images[j, 1:] & sets[i, 1:]).any()
         )
         bad = swapped(h, i, j)
-        assert dict(zip(bad.domain.sets, bad.images))[h.domain.sets[i]] == h.images[j]
+        assert np.array_equal(bad[1][i], images[j])
         assert not lemma_accepts(monkeypatch, bad)
 
     @pytest.mark.parametrize("k", [6, 8])
@@ -553,24 +548,22 @@ class TestLemmaCheck:
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_rejects_the_identity(self, monkeypatch, k):
-        fam = full_level(k)
-        assert not lemma_accepts(monkeypatch, FamilyBijection(fam, fam.sets))
+        assert not lemma_accepts(monkeypatch, identity(k))
 
     def test_rejects_pairs(self, monkeypatch):
         # {1, a} -> {1, a + 1 mod [2..5]} on the 2-subsets of [5] meets every
         # other hypothesis, and is not shifting: ell - 1 = 1 leaves no room
-        fam = SubsetFamily(5, 2, tuple(colex_subsets(range(1, 6), 2)))
-        h = FamilyBijection(fam, tuple(
-            (1, s[1] % 4 + 2) if s[0] == 1 else s for s in fam.sets
-        ))
-        assert is_L_preserving(h, [1])
-        assert not is_L_intersection_shifting(h, [1])
+        sets = tuple(colex_subsets(range(1, 6), 2))
+        images = [(1, s[1] % 4 + 2) if s[0] == 1 else s for s in sets]
+        h = crown._held(sets, 5), crown._held(images, 5)
+        assert is_L_preserving(*h, [1])
+        assert not is_L_intersection_shifting(*h, [1])
         assert not lemma_accepts(monkeypatch, h)
 
     def test_rejects_level_4(self):
         # level 4's h meets the count; ell - 1 = 1 leaves it no room to shift
-        h = FamilyBijection(full_level(4), crown._sets(crown._h_held(4, 1)[1]))
-        assert is_L_preserving(h, [1]) and not is_L_intersection_shifting(h, [1])
+        h = crown._h_held(4, 1)
+        assert is_L_preserving(*h, [1]) and not is_L_intersection_shifting(*h, [1])
         with pytest.raises(VerificationError, match="shifting"):
             crown._checked_h(4)
 
@@ -582,12 +575,12 @@ class TestLemmaCheck:
         for sample in range(12):
             h = random_shift(k, rng)
             for _ in range(sample % 3):
-                h = swapped(h, *rng.sample(range(len(h.images)), 2))
+                h = swapped(h, *rng.sample(range(len(h[1])), 2))
             accepted = lemma_accepts(monkeypatch, h)
             verdicts.add(accepted)
             if accepted:
-                assert is_L_preserving(h, [1])
-                assert is_L_intersection_shifting(h, [1])
+                assert is_L_preserving(*h, [1])
+                assert is_L_intersection_shifting(*h, [1])
         assert verdicts == {True, False}
 
     def test_refusal_survives_python_O(self):
@@ -597,8 +590,7 @@ class TestLemmaCheck:
             "from boolrank import crown\n"
             "from boolrank.errors import VerificationError\n"
             "def identity(k, i):\n"
-            "    fam = crown.canonical_family(k, comb(k, (k + 1) // 2))\n"
-            "    held = crown._held(fam.sets, k)\n"
+            "    held = crown._canonical_held(k, comb(k, (k + 1) // 2))\n"
             "    return held, held.copy()\n"
             f"{inspect.getsource(not_onto)}"
             "for k, level in ((7, identity), (6, not_onto), (8, not_onto)):\n"
@@ -665,10 +657,6 @@ class TestGapCovers:
         )
 
     def test_shared_level_checks_its_bijection(self, monkeypatch):
-        def identity(k, i):
-            fam = canonical_family(k, comb(k, (k + 1) // 2))
-            return level_arrays(FamilyBijection(fam, fam.sets))
-
         monkeypatch.setattr(crown, "_h_held", identity)
         with pytest.raises(VerificationError):
             gap_families(30, 30)
@@ -712,33 +700,3 @@ class TestGapCovers:
         for n, m in [(7, 7), (7, 8), (8, 9), (10, 12)]:
             assert gap_cover(n, m).size < sigma(n) * sigma(m)
 
-
-class TestSubsetFamilyFormat:
-    def test_round_trip(self):
-        fam = canonical_family(5, 7)
-        assert parse_subset_family(format_subset_family(fam)) == fam
-
-    def test_exact_text(self):
-        fam = SubsetFamily(3, 2, ((1, 2), (1, 3)))
-        assert format_subset_family(fam) == "FAMILY-SETS 3 2 2\n1,2\n1,3\n"
-
-    def test_errors(self):
-        with pytest.raises(FormatError):
-            parse_subset_family("WRONG 1 2 3\n")
-        with pytest.raises(FormatError):
-            parse_subset_family("FAMILY-SETS 3 2 2\n1,2\n")
-        with pytest.raises(FormatError):
-            parse_subset_family("FAMILY-SETS 3 2 1\n2,1\n")
-
-    @pytest.mark.parametrize(
-        "header",
-        ["FAMILY-SETS -3 2 1", "FAMILY-SETS 3 -2 1", "FAMILY-SETS 3 2 -1", "FAMILY-SETS 3 2 +1"],
-    )
-    def test_header_fields_are_non_negative_decimals(self, header):
-        with pytest.raises(FormatError, match="line 1: .*non-negative decimal"):
-            parse_subset_family(header + "\n1,2\n")
-
-    @pytest.mark.parametrize("line", ["+1,2", "1,2_0", "1, 2", "1,\u0662", " ,1"])
-    def test_index_grammar(self, line):
-        with pytest.raises(FormatError, match="line 2: bad index list"):
-            parse_subset_family(f"FAMILY-SETS 3 2 1\n{line}\n")

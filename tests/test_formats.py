@@ -33,7 +33,6 @@ from boolrank.cover import (
     write_cover,
     write_family,
 )
-from boolrank.crown import SubsetFamily, format_subset_family, parse_subset_family
 from boolrank.errors import DimensionError, FormatError
 from boolrank.spanoid import (
     RuleSpanoid,
@@ -72,16 +71,6 @@ def families(draw):
     rows, cols = draw(dims), draw(dims)
     members = draw(st.lists(rect_sides, min_size=1, max_size=3))
     return MatrixFamily(tuple(cover_of(rows, cols, sides) for sides in members))
-
-
-@st.composite
-def subset_families(draw):
-    k = draw(st.integers(0, 10))
-    ell = draw(st.integers(0, k))
-    # each set is the ell elements of [k] with the smallest keys
-    keys = draw(st.lists(st.lists(st.integers(0, 99), min_size=10, max_size=10), max_size=6))
-    sets = (tuple(sorted(sorted(range(1, k + 1), key=lambda e: w[e - 1])[:ell])) for w in keys)
-    return SubsetFamily(k, ell, tuple(dict.fromkeys(sets)))
 
 
 @st.composite
@@ -153,10 +142,6 @@ class TestFormats:
     @given(families(), rngs)
     def test_family(self, fam, rng):
         assert_round_trip(parse_family, format_family(fam), fam, rng)
-
-    @given(subset_families(), rngs)
-    def test_subset_family(self, f, rng):
-        assert_round_trip(parse_subset_family, format_subset_family(f), f, rng)
 
     @given(rule_spanoids(), rngs)
     def test_rule_spanoid(self, s, rng):

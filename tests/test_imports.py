@@ -72,6 +72,22 @@ def test_unknown_name_is_attribute_error():
     assert not hasattr(boolrank, "no_such_name")
 
 
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in {
+        "boolmat": "EntryIndex4 boolean_product dominated_by is_rank_one project_factors",
+        "cover": "check_half_covering cover_rows extract_families",
+        "crown": "FamilyBijection SubsetFamily build_g build_h canonical_family "
+                 "family_cover family_matrix intersection_rectangle "
+                 "format_subset_family parse_subset_family",
+    }.items() for name in names.split()
+])
+def test_retired_name_is_attribute_error(module, name):
+    # names no command reached, removed from the library
+    with pytest.raises(AttributeError, match=name):
+        getattr(boolrank, name)
+    assert not hasattr(import_module(f"boolrank.{module}"), name)
+
+
 class TestCommandModules:
     """The boolrank modules each command's process holds when it exits."""
 

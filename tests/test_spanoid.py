@@ -1,11 +1,12 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from boolrank.boolmat import BoolMatrix, kronecker
+from boolrank.boolmat import BoolMatrix, boolean_sum, kronecker
 from boolrank.bounds import exact_boolean_rank
 from boolrank.crown import crown_matrix
 from boolrank.errors import BudgetExceededError, DimensionError, FormatError
@@ -112,14 +113,15 @@ class TestMatrixSpanoidUniverse:
         assert len(singles) == m.count_ones()
 
     def test_universe_elements_are_rank_one_dominated(self):
-        from boolrank.boolmat import dominated_by, is_rank_one
-
         m = crown_matrix(3)
         s = MatrixSpanoid(m)
         for i in range(len(s)):
             e = s.element_matrix(i)
-            assert is_rank_one(e)
-            assert dominated_by(e, m)
+            # ones exactly on its nonzero rows by its nonzero columns
+            dense = e.to_dense()
+            rows, cols = dense.any(axis=1), dense.any(axis=0)
+            assert rows.any() and np.array_equal(dense, np.outer(rows, cols))
+            assert boolean_sum([e, m]) == m
 
     def test_cap(self):
         with pytest.raises(BudgetExceededError):

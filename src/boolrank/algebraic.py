@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boolmat import _IntPool, require_materializable
+from .boolmat import require_materializable
 from .cover import KronCoverDescription, MatrixFamily, verify_kron_hypotheses
 from .crown import CrownTarget, _colex, _element_cover, _sets, sigma
 from .errors import DimensionError, MaterializationLimitError, VerificationError
@@ -151,9 +151,8 @@ def _members(d: int, p: int, q: int, s: int, n: int) -> MatrixFamily:
     """
     in_b1 = _colex(2 * d, d, p)
     zp = ZpFunctionFamily(p, q)
-    pool = _IntPool()  # one int per index below n, shared by every side
     return MatrixFamily(tuple(
-        _element_cover(in_b1[zp.evaluate(i, n)], range(2 * d), pool)
+        _element_cover(in_b1[zp.evaluate(i, n)], range(2 * d))
         for i in range(1, s + 1)
     ))
 

@@ -17,11 +17,10 @@ line reader with its block header/body/trailing-line checks and the
 index-list parser and formatter.  No text is held whole: matrix text is
 read and written a block of characters at a time, and every other format
 a line at a time, so text in memory is bounded by a block or a line, not
-by the file.  Index lists read or built together share one Python int per
-distinct index (:class:`_IntPool`), and are written from one decimal
-string per distinct index whenever such a table holds no more entries
-than the lists hold indices; a list of tuples then costs about a pointer
-per index.
+by the file.  Index lists are parsed into int64 arrays, which
+:class:`~boolrank.cover.Rectangle` narrows to the dtype its sides are held
+in, and are written from one decimal string per distinct index whenever
+such a table holds no more entries than the lists hold indices.
 """
 
 from __future__ import annotations
@@ -265,14 +264,12 @@ class _Lines:
 
     ``source`` is the text itself or its lines, such as an open text file.
     Each line keeps its newline, which every parser strips as whitespace.
-    ``lineno`` is the number of the last line taken, and ``chars`` counts
-    the characters taken so far.
+    ``lineno`` is the number of the last line taken.
     """
 
     def __init__(self, source: str | Iterable[str]):
         self._lines = iter(_str_lines(source) if isinstance(source, str) else source)
         self.lineno = 0
-        self.chars = 0
 
     def __iter__(self) -> Iterator[str]:
         """The lines not taken yet."""
@@ -283,7 +280,6 @@ class _Lines:
         line = next(self._lines, None)
         if line is not None:
             self.lineno += 1
-            self.chars += len(line)
         return line
 
     def header(self, tag: str, fields: str) -> list[int]:
@@ -382,10 +378,10 @@ def _format_index_list(idx: Iterable[int]) -> str:
     return ",".join([str(i) for i in idx])
 
 
-def _table_size(sides: Iterable[Sequence[int]]) -> int:
+def _table_size(sides: Iterable[np.ndarray]) -> int:
     """Entries of a table of every value up to the largest index of the
-    sorted, nonempty ``sides``, or 0 when the sides hold fewer indices than
-    that: a huge index in a short list never sizes a table."""
+    sorted, nonempty index arrays ``sides``, or 0 when the sides hold fewer
+    indices than that: a huge index in a short list never sizes a table."""
     count, hi = 0, -1
     for side in sides:
         count += len(side)
@@ -398,34 +394,10 @@ def _decimal_table(size: int) -> list[str]:
     return [str(i) for i in range(size)]
 
 
-class _IntPool:
-    """One int object per index value, shared by the index lists given to it.
-
-    The pool holds every value below its size.  It grows to take in the
-    largest index of a list while that index is below the caller's limit,
-    such as the characters of text read so far, so a huge index in a short
-    text never sizes it; the indices of other lists get ints of their own.
-    """
-
-    def __init__(self):
-        self._ints = np.zeros(0, dtype=object)
-
-    def tuple(self, idx: np.ndarray, limit: int) -> tuple[int, ...]:
-        """``idx`` as a tuple of pooled ints, growing the pool to at most ``limit``."""
-        size = len(self._ints)
-        top = int(idx.max()) + 1 if idx.size else 0
-        if top > size:
-            if top > limit:
-                return tuple(idx.tolist())
-            grown = np.arange(size, min(limit, max(top, 2 * size))).astype(object)
-            self._ints = np.concatenate((self._ints, grown))
-        return tuple(self._ints[idx].tolist())
-
-
-def _index_writer(sides: Iterable[Sequence[int]]) -> Callable[[Sequence[int]], str]:
-    """A formatter of index lists that takes one decimal string per value
-    from a table shared by ``sides``, when :func:`_table_size` allows one;
-    otherwise :func:`_format_index_list`."""
+def _index_writer(sides: Iterable[np.ndarray]) -> Callable[[list[int]], str]:
+    """A formatter of lists of ints that takes one decimal string per value
+    from a table shared by the index arrays ``sides``, when
+    :func:`_table_size` allows one; otherwise :func:`_format_index_list`."""
     size = _table_size(sides)
     if not size:
         return _format_index_list
@@ -491,9 +463,12 @@ def _file_pieces(fh, size: int) -> Iterator[bytearray]:
             piece[:0] = b"\r"
         if cr := piece.endswith(b"\r"):
             del piece[-1]
-        if piece := _universal_newlines(piece):
-            yield piece
-        del piece  # so it is not held while the next is read
+        # handed on through a list, so this frame holds no reference to the
+        # piece while it is parsed and used, nor while the next is read
+        out = [_universal_newlines(piece)]
+        del piece
+        if out[0]:
+            yield out.pop()
         left = os.fstat(fh.fileno()).st_size - fh.tell() if regular else size
         piece = bytearray(max(1, min(size, left)))
         del piece[fh.readinto(piece):]
@@ -529,13 +504,15 @@ def _line_blocks(pieces: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             line = np.concatenate([*held, buf[:cut]])
             yield line, np.array([line.size - 1])
             buf, ends, held = buf[cut:], ends[1:] - cut, []
-        if ends.size:
-            cut = int(ends[-1]) + 1
-            yield buf[:cut], ends
-            buf = buf[cut:]
-        if buf.size:
-            held.append(buf.copy())
-        del piece, buf  # so the piece is not held while the next is read
+        cut = int(ends[-1]) + 1 if ends.size else 0
+        if cut < buf.size:
+            held.append(buf[cut:].copy())
+        # the block is handed on through a list, so that while the scan uses
+        # what is parsed from it, no reference to its piece is left here
+        block = [buf[:cut]] if ends.size else []
+        del piece, buf
+        if block:
+            yield block.pop(), ends
     last = np.concatenate(held) if held else np.zeros(0, dtype=np.uint8)
     yield last, np.array([last.size])
 

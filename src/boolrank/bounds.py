@@ -126,9 +126,9 @@ def exact_boolean_rank(
     words = -(-len(entries) // 64)
     masks = []
     for r in rects:
-        m = 0
-        for i in r.row_set:
-            for j in r.col_set:
+        m, cols = 0, r.cols.tolist()
+        for i in r.rows.tolist():
+            for j in cols:
                 m |= 1 << bit_of[(i, j)]
         masks.append(m)
     # A set of entries is a list of `words` uint64 words, word w holding

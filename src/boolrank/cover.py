@@ -36,9 +36,14 @@ Every failed verification reports the first failing entry in row-major
 order (or the lexicographically first failing subset), so tests and CLI
 output are deterministic.
 
-Rectangle sides are tuples of ints, shared one int per distinct index
-across a cover or family read or built at once, and written from one
-decimal string per distinct index (see :mod:`boolrank.boolmat`).
+Rectangle sides are read-only numpy index arrays, each of the narrowest
+dtype of uint16, uint32 and int64 that holds its last (largest) index
+(:func:`_side`), so an index below 65536 costs 2 bytes.  Arithmetic on a
+side widens it to int64 first.  :attr:`Rectangle.row_set` and
+:attr:`Rectangle.col_set` are tuple views of the sides, made on each
+access, for callers that want Python ints; the writers take ``tolist()``
+once per side instead, and write from one decimal string per distinct
+index (see :mod:`boolrank.boolmat`).
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from .boolmat import (
     _format_index_list,
     _index_writer,
     _file_pieces,
-    _IntPool,
     _Lines,
     _matrix_blocks,
     _parse_block,
@@ -76,70 +80,84 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """A rank-1 cover element: (row index set) x (column index set).
+def _side(name: str, idx: Sequence[int] | np.ndarray) -> np.ndarray:
+    """A rectangle side as a narrow read-only index array (see the module
+    docstring).
 
-    Each side is nonempty, sorted, distinct and 0-based.  The constructor
-    checks that on the tuples; the cover readers, the crown builders and
-    the product covers check their index arrays instead, in
-    :func:`_rectangle_of`, which makes the same rectangle.
+    ``idx`` is any sequence of ints or an index array, which is copied.  A
+    side that is empty, or not sorted, distinct and 0-based, raises
+    ``ValueError``.  An array is checked by array compares, which never wrap
+    in a narrow dtype, and any other sequence element by element, which is
+    faster for the short tuples the bounds make.
+    """
+    if not len(idx):
+        raise ValueError(f"rectangle {name} must be nonempty")
+    if isinstance(idx, np.ndarray):
+        ordered = not (idx[1:] <= idx[:-1]).any()
+    else:
+        ordered = all(map(operator.lt, idx, idx[1:]))
+    if idx[0] < 0 or not ordered:
+        raise ValueError(f"rectangle {name} must be sorted distinct >= 0")
+    top = int(idx[-1])
+    side = np.array(idx, np.uint16 if top < 1 << 16 else np.uint32 if top < 1 << 32 else np.int64)
+    side.flags.writeable = False
+    return side
+
+
+@dataclass(frozen=True, eq=False)
+class Rectangle:
+    """A rank-1 cover element: (row indices) x (column indices).
+
+    Each side is nonempty, sorted, distinct and 0-based; the constructor
+    takes any two index sequences or arrays, checks them, and keeps each as
+    a narrow read-only array (:func:`_side`).  Equality and hash are those
+    of the sides' values, whatever their dtypes, and the hash is that of
+    the pair of tuple views.
     """
 
-    row_set: tuple[int, ...]
-    col_set: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
 
     def __post_init__(self):
-        for name, idx in (("row_set", self.row_set), ("col_set", self.col_set)):
-            if not idx:
-                raise ValueError(f"rectangle {name} must be nonempty")
-            if not all(map(operator.lt, idx, idx[1:])) or idx[0] < 0:
-                raise ValueError(f"rectangle {name} must be sorted distinct >= 0")
+        object.__setattr__(self, "rows", _side("row_set", self.rows))
+        object.__setattr__(self, "cols", _side("col_set", self.cols))
+
+    @property
+    def row_set(self) -> tuple[int, ...]:
+        """The rows as a tuple of ints, made on each access."""
+        return tuple(self.rows.tolist())
+
+    @property
+    def col_set(self) -> tuple[int, ...]:
+        """The columns as a tuple of ints, made on each access."""
+        return tuple(self.cols.tolist())
 
     @property
     def area(self) -> int:
-        return len(self.row_set) * len(self.col_set)
+        return self.rows.size * self.cols.size
 
     @cached_property
     def _col_mask(self) -> np.ndarray:
         """Packed bits (little order) of the columns, up to the last one's
         byte; kept, since every row block of a cover reads it."""
-        return _index_mask(_index_array(self.col_set))
+        return _index_mask(self.cols)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Rectangle):
+            return NotImplemented
+        return self is other or (
+            np.array_equal(self.rows, other.rows) and np.array_equal(self.cols, other.cols)
+        )
 
-def _index_array(side: Sequence[int]) -> np.ndarray:
-    """A rectangle side as an index array."""
-    return np.fromiter(side, np.intp, len(side))
+    def __hash__(self) -> int:
+        return hash((self.row_set, self.col_set))
 
 
 def _index_mask(idx: np.ndarray) -> np.ndarray:
     """Packed bits (little order) of sorted indices, up to the last one's byte."""
-    ind = np.zeros(idx[-1] + 1, dtype=np.uint8)
+    ind = np.zeros(int(idx[-1]) + 1, dtype=np.uint8)  # int: a narrow dtype would wrap
     ind[idx] = 1
     return np.packbits(ind, bitorder="little")
-
-
-def _rectangle_of(
-    rows: np.ndarray, cols: np.ndarray, pool: _IntPool, limit: int
-) -> Rectangle:
-    """``Rectangle`` of two index arrays, checked on the arrays.
-
-    It raises the constructor's ``ValueError`` for a side that is empty or
-    not sorted, distinct and 0-based, and takes its sides from ``pool``,
-    grown to at most ``limit``.  A column mask no larger than the column
-    array is kept at once, so it is never made back from the tuple.
-    """
-    for name, idx in (("row_set", rows), ("col_set", cols)):
-        if not idx.size:
-            raise ValueError(f"rectangle {name} must be nonempty")
-        if idx[0] < 0 or (idx.size > 1 and np.diff(idx).min() <= 0):
-            raise ValueError(f"rectangle {name} must be sorted distinct >= 0")
-    rect = object.__new__(Rectangle)
-    fields = vars(rect)
-    fields.update(row_set=pool.tuple(rows, limit), col_set=pool.tuple(cols, limit))
-    if cols[-1] < 8 * cols.nbytes:
-        fields["_col_mask"] = _index_mask(cols)
-    return rect
 
 
 @dataclass(frozen=True)
@@ -152,7 +170,7 @@ class Cover:
 
     def __post_init__(self):
         for r in self.rects:
-            if r.row_set[-1] >= self.rows or r.col_set[-1] >= self.cols:
+            if int(r.rows[-1]) >= self.rows or int(r.cols[-1]) >= self.cols:
                 raise DimensionError(
                     f"rectangle index out of range for {self.rows}x{self.cols}"
                 )
@@ -190,7 +208,7 @@ def _row_groups(c: Cover) -> list[tuple[np.ndarray, np.ndarray]]:
         code = np.zeros(c.rows, dtype=np.uint8)
         table = np.zeros((1 << len(group), nbytes), dtype=np.uint8)
         for r, rect in enumerate(group):
-            code[_index_array(rect.row_set)] |= np.uint8(1 << r)
+            code[rect.rows] |= np.uint8(1 << r)
             mask = rect._col_mask
             table[1 << r:2 << r] = table[:1 << r]
             table[1 << r:2 << r, :mask.size] |= mask
@@ -422,20 +440,17 @@ class KronCoverDescription:
 
         The product of rm and rn has rows ``i * rows_b + i'`` for i in rm and
         i' in rn, and likewise columns, where rows_b x cols_b are n_family's
-        dims.  Each is made by :func:`_rectangle_of` from its index arrays,
-        and all take their ints from one pool.  Every side is made an array
-        once per t.
+        dims.  The m-side is widened to int64 before it is scaled, and the
+        n-side's narrow dtype promotes to int64 in the sum, so no product
+        index wraps.
         """
-        (rb, cb), pool, limit = self.n_family.dims, _IntPool(), max(self.target_dims)
+        rb, cb = self.n_family.dims
         for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions):
-            sides_n = [(_index_array(r.row_set), _index_array(r.col_set)) for r in dn.rects]
             for rm in dm.rects:
-                row_a = _index_array(rm.row_set) * rb
-                col_a = _index_array(rm.col_set) * cb
-                for rows_n, cols_n in sides_n:
-                    rows = (row_a[:, None] + rows_n).ravel()
-                    cols = (col_a[:, None] + cols_n).ravel()
-                    yield _rectangle_of(rows, cols, pool, limit)
+                row_a = rm.rows.astype(np.int64)[:, None] * rb
+                col_a = rm.cols.astype(np.int64)[:, None] * cb
+                for rn in dn.rects:
+                    yield Rectangle((row_a + rn.rows).ravel(), (col_a + rn.cols).ravel())
 
     def to_cover(self) -> Cover:
         """The rectangles themselves, refused (``MaterializationLimitError``)
@@ -915,23 +930,24 @@ def _rect_line(rows: str, cols: str) -> str:
     return f"R {rows} C {cols}\n"
 
 
-def _sides(covers: Iterable[Cover]) -> Iterator[tuple[int, ...]]:
+def _sides(covers: Iterable[Cover]) -> Iterator[np.ndarray]:
     """The row side and then the column side of every rectangle, in order."""
-    return (side for c in covers for r in c.rects for side in (r.row_set, r.col_set))
+    return (side for c in covers for r in c.rects for side in (r.rows, r.cols))
 
 
 def _side_lengths(c: Cover) -> tuple[int, int]:
     """The summed row-side and column-side lengths of a cover's rectangles."""
-    return sum(len(r.row_set) for r in c.rects), sum(len(r.col_set) for r in c.rects)
+    return sum(r.rows.size for r in c.rects), sum(r.cols.size for r in c.rects)
 
 
 def _format_rectangle(
-    r: Rectangle, write: Callable[[Sequence[int]], str] = _format_index_list
+    r: Rectangle, write: Callable[[list[int]], str] = _format_index_list
 ) -> str:
-    return _rect_line(write(r.row_set), write(r.col_set))
+    """A cover body line; ``write`` gets each side as a list of ints."""
+    return _rect_line(write(r.rows.tolist()), write(r.cols.tolist()))
 
 
-def _cover_lines(c: Cover, write: Callable[[Sequence[int]], str]) -> Iterator[str]:
+def _cover_lines(c: Cover, write: Callable[[list[int]], str]) -> Iterator[str]:
     yield f"COVER {c.rows} {c.cols} {c.size}\n"
     for r in c.rects:
         yield _format_rectangle(r, write)
@@ -949,8 +965,8 @@ def format_cover(c: Cover) -> str:
 def _runs(
     digits: list[str],
     width: int,
-    outer: Sequence[tuple[int, ...]],
-    inner: Sequence[tuple[int, ...]],
+    outer: Sequence[list[int]],
+    inner: Sequence[list[int]],
 ) -> list[dict[int, str]]:
     """Per inner side, the text of ``i * width + j`` over its j, keyed by i.
 
@@ -973,55 +989,43 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
     rectangle, so it is built once per n-side rectangle and row i, from one
     table of the decimal strings below max(rows, cols) of the product, and
     each line only joins runs.  Columns likewise.  No product rectangle and
-    no int per product index is made.
+    no int per product index is made; each factor side is made a list of
+    ints once per t, so i * width + j is Python arithmetic and never wraps.
     """
     rows, cols = d.target_dims
     rb, cb = d.n_family.dims
     digits = _decimal_table(max(rows, cols))
     yield f"COVER {rows} {cols} {d.size}\n"
     for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
-        row_runs = _runs(
-            digits, rb, [r.row_set for r in dm.rects], [r.row_set for r in dn.rects]
-        )
-        col_runs = _runs(
-            digits, cb, [r.col_set for r in dm.rects], [r.col_set for r in dn.rects]
-        )
-        for rm in dm.rects:
+        rows_m = [r.rows.tolist() for r in dm.rects]
+        cols_m = [r.cols.tolist() for r in dm.rects]
+        row_runs = _runs(digits, rb, rows_m, [r.rows.tolist() for r in dn.rects])
+        col_runs = _runs(digits, cb, cols_m, [r.cols.tolist() for r in dn.rects])
+        for side_rows, side_cols in zip(rows_m, cols_m):
             for row_run, col_run in zip(row_runs, col_runs):
-                row_text = ",".join([row_run[i] for i in rm.row_set])
-                col_text = ",".join([col_run[j] for j in rm.col_set])
+                row_text = ",".join([row_run[i] for i in side_rows])
+                col_text = ",".join([col_run[j] for j in side_cols])
                 yield _rect_line(row_text, col_text)
 
 
-def _rectangle_parser(lines: _Lines) -> Callable[[str, int], Rectangle]:
-    """A parser of the cover body lines taken from ``lines``.
-
-    Both index lists are read before either side's order is checked, on
-    the arrays (:func:`_rectangle_of`); each side then becomes a tuple
-    sharing the ints of one :class:`~boolrank.boolmat._IntPool` with every
-    other side of the text.
-    """
-    pool = _IntPool()
-
-    def parse(line: str, lineno: int) -> Rectangle:
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "R" or parts[2] != "C":
-            raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
-        rows = _parse_index_list(parts[1], lineno)
-        cols = _parse_index_list(parts[3], lineno)
-        try:
-            return _rectangle_of(rows, cols, pool, lines.chars)
-        except ValueError:
-            raise FormatError(
-                "indices must be sorted, distinct, 0-based", line=lineno
-            ) from None
-    return parse
+def _parse_rectangle(line: str, lineno: int) -> Rectangle:
+    """A cover body line.  Both index lists are read before either side's
+    order is checked, on the arrays, by the constructor."""
+    parts = line.split()
+    if len(parts) != 4 or parts[0] != "R" or parts[2] != "C":
+        raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
+    rows = _parse_index_list(parts[1], lineno)
+    cols = _parse_index_list(parts[3], lineno)
+    try:
+        return Rectangle(rows, cols)
+    except ValueError:
+        raise FormatError(
+            "indices must be sorted, distinct, 0-based", line=lineno
+        ) from None
 
 
 def _parse_cover(lines: _Lines) -> Cover:
-    (rows, cols, _), rects = _parse_block(
-        lines, "COVER", "rows cols s", _rectangle_parser(lines)
-    )
+    (rows, cols, _), rects = _parse_block(lines, "COVER", "rows cols s", _parse_rectangle)
     return Cover(rows, cols, tuple(rects))
 
 
@@ -1045,7 +1049,6 @@ def format_family(fam: MatrixFamily) -> str:
 
 def _parse_family(lines: _Lines) -> MatrixFamily:
     rows, cols, s = lines.header("FAMILY", "rows cols s")
-    parse = _rectangle_parser(lines)
     members = []
     for _ in range(s):
         at = lines.lineno + 1
@@ -1053,7 +1056,7 @@ def _parse_family(lines: _Lines) -> MatrixFamily:
         if head[:2] != [rows, cols]:
             lines.skip("COVER", head[-1], head[-1])  # a missing line outranks this
             raise FormatError("member cover dimensions mismatch family header", line=at)
-        members.append(lines.body("COVER", head[-1], parse))
+        members.append(lines.body("COVER", head[-1], _parse_rectangle))
     lines.end("FAMILY")
     # the covers check their rectangles only once the whole text is read
     return MatrixFamily(tuple(Cover(rows, cols, tuple(rects)) for rects in members))

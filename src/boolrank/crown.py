@@ -34,13 +34,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix, _block_rows, _IntPool, require_materializable
+from .boolmat import BoolMatrix, _block_rows, require_materializable
 from .cover import (
     Cover,
     MatrixFamily,
     Reader,
     Rectangle,
-    _rectangle_of,
     best_triple_pairing,
     compose_kron_cover,
 )
@@ -156,23 +155,23 @@ def _masks(held: np.ndarray) -> np.ndarray:
     return packed.view("<i8")[:, 0]
 
 
-def _element_cover(held: np.ndarray, ts: Iterable[int], pool: _IntPool) -> Cover:
+def _element_cover(held: np.ndarray, ts: Iterable[int]) -> Cover:
     """The element rectangles of the 0-based columns ``ts`` of a membership
     array, empty ones dropped: element t gives the rows that hold it by the
-    rows that lack it.  Their sides take their ints from ``pool``."""
+    rows that lack it."""
     n = len(held)
     rects = []
     for t in ts:
         rows, cols = np.flatnonzero(held[:, t]), np.flatnonzero(~held[:, t])
         if rows.size and cols.size:
-            rects.append(_rectangle_of(rows, cols, pool, n))
+            rects.append(Rectangle(rows, cols))
     return Cover(n, n, tuple(rects))
 
 
 def _canonical_cover(k: int, n: int) -> Cover:
     """The element rectangles of the first n ceil(k/2)-subsets of [k] in
     colex order (:func:`_canonical_held`): a cover of crown(n)."""
-    return _element_cover(_canonical_held(k, n), range(k), _IntPool())
+    return _element_cover(_canonical_held(k, n), range(k))
 
 
 def _canonical_held(k: int, n: int) -> np.ndarray:
@@ -337,11 +336,10 @@ def _triple_prefix(level: tuple[np.ndarray, np.ndarray], n: int) -> MatrixFamily
     """
     sets, images = level[0][:n], level[1][:n]
     k = sets.shape[1]
-    pool = _IntPool()
     return MatrixFamily((
-        _element_cover(sets, range(1), pool),
-        _element_cover(sets, range(1, k), pool),
-        _element_cover(images, range(1, k), pool),
+        _element_cover(sets, range(1)),
+        _element_cover(sets, range(1, k)),
+        _element_cover(images, range(1, k)),
     ))
 
 
@@ -353,9 +351,8 @@ def c5_triple() -> MatrixFamily:
     {3,4} and {5,6,7}.  Every two members cover the crown.
     """
     held = _held(((1, 4, 5, 7), (1, 3, 6, 7), (2, 4, 6, 7), (2, 3, 5, 7), (3, 4, 5, 6)), 7)
-    pool = _IntPool()
     return MatrixFamily(tuple(
-        _element_cover(held, ts, pool) for ts in (range(0, 2), range(2, 4), range(4, 7))
+        _element_cover(held, ts) for ts in (range(0, 2), range(2, 4), range(4, 7))
     ))
 
 

@@ -17,7 +17,7 @@ from boolrank.algebraic import (
     largest_prime_leq,
 )
 from boolrank import crown
-from boolrank.boolmat import _IntPool, boolean_sum
+from boolrank.boolmat import boolean_sum
 from boolrank.cover import MatrixFamily, check_q_covering, cover_matrix
 from boolrank.crown import crown_matrix
 from boolrank.errors import DimensionError, MaterializationLimitError
@@ -188,7 +188,7 @@ class TestAlgebraicFamily:
         assert len(set(sets)) == params.n
         assert {len(s) for s in sets} == {2 * params.d // 2 * params.q}
         held = crown._held(sets, params.k)
-        c = crown._element_cover(held, range(params.k), _IntPool())
+        c = crown._element_cover(held, range(params.k))
         assert cover_matrix(c) == crown_matrix(params.n)
 
     def test_h_i_permutes_the_family(self):

@@ -192,6 +192,18 @@ class TestVerifyKronAndQcover:
         code, out, _ = run(capsys, "verify", "kron", mat, fam, mat, fam)
         assert code == 0 and out == "VERIFIED kron-hypotheses size=12\n"
 
+    def test_verify_kron_with_two_files_of_one_family(self, capsys, tmp_path):
+        # two family objects with equal rectangles compare equal, whatever
+        # their sides' dtypes, so the verdict is the one of a path given twice
+        mat = str(tmp_path / "c4.mat")
+        fam, copy = tmp_path / "c4.fam", tmp_path / "copy.fam"
+        write_matrix(mat, crown_matrix(4))
+        assert run(capsys, "cover", "c4", "-o", str(fam))[0] == 0
+        copy.write_text(fam.read_text())
+        twice = run(capsys, "verify", "kron", mat, str(fam), mat, str(fam))
+        assert twice == (0, "VERIFIED kron-hypotheses size=12\n", "")
+        assert run(capsys, "verify", "kron", mat, str(fam), mat, str(copy)) == twice
+
     def test_verify_qcover(self, capsys, tmp_path):
         mat = str(tmp_path / "c25.mat")
         fam = str(tmp_path / "alg.fam")

@@ -31,7 +31,7 @@ from boolrank.cover import (
     verify_cover,
     verify_kron_hypotheses,
 )
-from boolrank.crown import CrownTarget, c4_triple, crown_matrix
+from boolrank.crown import CrownTarget, c4_triple, coverable_triple, crown_matrix
 from boolrank.errors import DimensionError, FormatError, VerificationError
 from conftest import rect_matrix, restrict_family
 
@@ -385,6 +385,54 @@ class TestTargets:
                     got = read(row0, row1)
                     assert not got.flags.writeable
                     assert np.array_equal(got, bits[row0:row1])
+
+    @pytest.fixture
+    def crown_3000_file(self, tmp_path):
+        """A file of crown(3000) and the text piece size its scans read."""
+        path = tmp_path / "c3000.mat"
+        boolmat.write_matrix(str(path), crown_matrix(3000))
+        piece = min(cover_mod._scan_rows(3000) * 3001, 2 * boolmat._text_chars())
+        return str(path), piece
+
+    def test_scan_holds_no_text_piece_with_its_block(self, crown_3000_file):
+        # the piece a block was parsed from is dropped before the block is
+        # used: 80 KB held beyond the reader after a read, not 602 KB
+        path, piece = crown_3000_file
+        assert piece > 500_000
+        tracemalloc.start()
+        try:
+            with MatrixFile(path).reader() as read:
+                base = tracemalloc.get_traced_memory()[0]
+                rows = read(0, cover_mod._scan_rows(3000))
+                held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rows, crown_matrix(3000).bits[:len(rows)])
+        assert held < piece / 2
+
+    def test_qcover_scan_peaks_below_a_held_piece(self, crown_3000_file, monkeypatch):
+        # a verify qcover scan of the file against the same scan with each
+        # piece held while the scan uses its block: 1.05 MB against 1.16 MB
+        path, piece = crown_3000_file
+        fam = coverable_triple(3000)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                assert check_q_covering(MatrixFile(path), fam, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def held_pieces(fh, size):
+            for held in pieces(fh, size):
+                yield held  # this frame holds the piece while it is used
+                del held  # but not while the next is read
+
+        lean = peak()
+        pieces = cover_mod._file_pieces
+        monkeypatch.setattr(cover_mod, "_file_pieces", held_pieces)
+        assert lean < peak() - piece / 8
 
     def test_file_reads_go_forward(self, tmp_path):
         path = tmp_path / "c.mat"

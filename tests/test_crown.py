@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boolrank import boolmat, crown
-from boolrank.boolmat import BoolMatrix, _IntPool, boolean_sum, kronecker
+from boolrank.boolmat import BoolMatrix, boolean_sum, kronecker
 from boolrank.cover import (
     Cover,
     KronCoverDescription,
@@ -158,7 +158,7 @@ class TestFamilies:
             for _ in range(5):
                 n = rng.randint(2, len(full))
                 held = crown._held(rng.sample(full, n), k)
-                c = crown._element_cover(held, range(k), _IntPool())
+                c = crown._element_cover(held, range(k))
                 assert cover_matrix(c) == crown_matrix(n)
 
     @given(st.data())
@@ -171,7 +171,7 @@ class TestFamilies:
         sets = data.draw(st.permutations(pool), label="order")
         sets = sets[:data.draw(st.integers(1, len(pool)), label="n")]
         dense = [[bool(set(a) - set(b)) for b in sets] for a in sets]
-        c = crown._element_cover(crown._held(sets, k), range(k), _IntPool())
+        c = crown._element_cover(crown._held(sets, k), range(k))
         assert cover_matrix(c).to_dense().tolist() == dense
 
     @given(st.data())
@@ -182,12 +182,12 @@ class TestFamilies:
             st.lists(st.frozensets(st.integers(1, k)), min_size=1, max_size=12), label="sets"
         )
         held = crown._held([sorted(s) for s in sets], k)
-        c = crown._element_cover(held, range(k), _IntPool())
+        c = crown._element_cover(held, range(k))
         dense = [[bool(a - b) for b in sets] for a in sets]
         assert cover_matrix(c).to_dense().tolist() == dense
 
     def test_intersection_rectangle_full_k4(self):
-        (p1,) = crown._element_cover(crown._canonical_held(4, 6), (0,), _IntPool()).rects
+        (p1,) = crown._element_cover(crown._canonical_held(4, 6), (0,)).rects
         assert len(p1.row_set) == 3 and len(p1.col_set) == 3
         assert p1.row_set == (0, 1, 3)  # sets containing 1
         assert p1.col_set == (2, 4, 5)  # sets not containing 1

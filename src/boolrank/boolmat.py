@@ -234,10 +234,11 @@ def _ones(m: BoolMatrix) -> list[tuple[int, int]]:
 #
 # Apart from the matrix format, every format is made of blocks: a
 # "TAG n1 n2 ..." header of non-negative decimal fields, whose last field
-# counts the body lines that follow.  Only blank lines may follow the last
-# block.  Lines end at "\n"; files are read with universal newlines.  Block
-# text is parsed a line at a time, as :class:`_Lines` takes it from a file
-# or a string, and written a line at a time.
+# counts the body lines that follow; the matrix's "rows cols" header follows
+# the same field rule.  Only blank lines may follow the last block.  Lines
+# end at "\n"; files are read with universal newlines.  Block text is parsed
+# a line at a time, as :class:`_Lines` takes it from a file or a
+# ``StringIO``, and written a line at a time.
 
 def _universal_newlines(data: bytes | bytearray) -> bytes | bytearray:
     """``data`` with CRLF and lone CR turned into LF."""
@@ -250,25 +251,17 @@ def _is_decimal(field: str) -> bool:
     return field.isascii() and field.isdigit()
 
 
-def _str_lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, split on "\\n" only, each with its newline."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 class _Lines:
     """The lines of a block-format text, taken one at a time.
 
-    ``source`` is the text itself or its lines, such as an open text file.
-    Each line keeps its newline, which every parser strips as whitespace.
-    ``lineno`` is the number of the last line taken.
+    ``source`` holds the lines, such as an open text file or a
+    ``StringIO(text, newline="\\n")``.  Each line keeps its newline, which
+    every parser strips as whitespace.  ``lineno`` is the number of the last
+    line taken.
     """
 
-    def __init__(self, source: str | Iterable[str]):
-        self._lines = iter(_str_lines(source) if isinstance(source, str) else source)
+    def __init__(self, source: Iterable[str]):
+        self._lines = iter(source)
         self.lineno = 0
 
     def __iter__(self) -> Iterator[str]:
@@ -349,11 +342,6 @@ def _read_text(path: str, parse: Callable[[_Lines], T]) -> T:
     universal newlines, a line at a time."""
     with open(path, encoding="utf-8") as fh:
         return parse(_Lines(fh))
-
-
-def _format_block(tag: str, fields: Sequence[int], body: Iterable[str]) -> str:
-    """A ``tag`` header and its body lines, each line ending in a newline."""
-    return "\n".join([" ".join(map(str, (tag, *fields))), *body]) + "\n"
 
 
 def _parse_index_list(token: str, lineno: int) -> np.ndarray:
@@ -523,13 +511,9 @@ def _matrix_header(header: bytes) -> tuple[int, int]:
     head = header.split()
     if len(head) != 2:
         raise FormatError("header must be 'rows cols'", line=1)
-    try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError("header must hold two decimal integers", line=1) from None
-    if rows < 0 or cols < 0:
-        raise FormatError("dimensions must be non-negative", line=1)
-    return rows, cols
+    if not all(map(_is_decimal, head)):
+        raise FormatError("header fields must be non-negative decimal integers", line=1)
+    return int(head[0]), int(head[1])
 
 
 def _require_rows(blocks: Iterator, seen: int, rows: int) -> None:

@@ -28,18 +28,22 @@ from .cover import Cover, Rectangle, format_cover, verify_cover
 from .crown import crown_matrix, sigma
 from .errors import BudgetExceededError, DimensionError, VerificationError
 
-DEFAULT_RECTANGLE_CAP = 200_000
-DEFAULT_NODE_BUDGET = 20_000_000
+#: The search budgets, read on every call: closed column sets that
+#: :func:`maximal_rectangles` may make, and nodes that the rank and
+#: isolation searches may visit.  Past either the search raises
+#: :class:`BudgetExceededError`, or :func:`isolation_number` returns what it
+#: found, marked inexact.
+RECTANGLE_CAP = 200_000
+NODE_BUDGET = 20_000_000
 
 
-def maximal_rectangles(
-    a: BoolMatrix, cap: int = DEFAULT_RECTANGLE_CAP
-) -> list[Rectangle]:
+def maximal_rectangles(a: BoolMatrix) -> list[Rectangle]:
     """All maximal all-ones rectangles of ``a``.
 
     Closes the set of row supports under pairwise intersection (every
     maximal rectangle's column set is an intersection of row supports) and
     maps each closed column set to the full set of rows containing it.
+    More than :data:`RECTANGLE_CAP` closed sets raise.
     """
     row_masks = _row_ints(a)
     base = sorted({m for m in row_masks if m})
@@ -53,9 +57,9 @@ def maximal_rectangles(
                 if z and z not in closed:
                     closed.add(z)
                     fresh.append(z)
-        if len(closed) > cap:
+        if len(closed) > RECTANGLE_CAP:
             raise BudgetExceededError(
-                f"more than {cap} closed column sets while enumerating rectangles"
+                f"more than {RECTANGLE_CAP} closed column sets while enumerating rectangles"
             )
         frontier = fresh
     rects = []
@@ -84,12 +88,7 @@ class RankCertificate:
     exact: bool
 
 
-def exact_boolean_rank(
-    a: BoolMatrix,
-    limit: int | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    rectangle_cap: int = DEFAULT_RECTANGLE_CAP,
-) -> RankCertificate:
+def exact_boolean_rank(a: BoolMatrix, limit: int | None = None) -> RankCertificate:
     """Exact minimum rectangle cover by iterative-deepening branch and bound.
 
     Each bound is searched depth first, branching on the first uncovered
@@ -97,8 +96,8 @@ def exact_boolean_rank(
     together: it drops a child whose residual lies inside an earlier one's,
     and prunes a child whose uncovered entries need more rectangles of the
     largest residual than the bound leaves.  Children are still counted as
-    nodes one at a time, in order, so ``node_budget`` counts every node the
-    search reaches.
+    nodes one at a time, in order, so :data:`NODE_BUDGET` counts every node
+    the search reaches.
 
     With ``limit`` the search may stop early: it either determines the exact
     value or proves no cover smaller than ``limit`` exists ("\\u2265 limit"
@@ -114,7 +113,7 @@ def exact_boolean_rank(
         empty = Cover(a.rows, a.cols, ())
         return RankCertificate(0, empty, 0, "search", True)
 
-    rects = maximal_rectangles(a, rectangle_cap)
+    rects = maximal_rectangles(a)
     ordering = sorted(
         range(len(rects)),
         key=lambda t: (-rects[t].area, rects[t].row_set, rects[t].col_set),
@@ -171,9 +170,9 @@ def exact_boolean_rank(
     def count(more: int) -> None:
         nonlocal nodes
         nodes += more
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             raise BudgetExceededError(
-                f"rank search exceeded {node_budget} nodes; proved rank >= {bound};"
+                f"rank search exceeded {NODE_BUDGET} nodes; proved rank >= {bound};"
                 f" greedy cover has {ub} rectangles"
             )
 
@@ -266,11 +265,10 @@ class IsolationResult:
     exact: bool
 
 
-def isolation_number(
-    a: BoolMatrix, node_budget: int = DEFAULT_NODE_BUDGET
-) -> IsolationResult:
+def isolation_number(a: BoolMatrix) -> IsolationResult:
     """Maximum set of 1-entries, pairwise in distinct rows and columns, no
-    two inside an all-ones 2x2 submatrix (maximum-clique search)."""
+    two inside an all-ones 2x2 submatrix (maximum-clique search), or the
+    largest found within :data:`NODE_BUDGET` nodes."""
     dense = a.to_dense()
     verts = _ones(a)
     nv = len(verts)
@@ -295,7 +293,7 @@ def isolation_number(
     def expand(cur: list[int], cand: int) -> None:
         nonlocal best, nodes, exact
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             exact = False
             raise _StopSearch
         if len(cur) + cand.bit_count() <= len(best):
@@ -332,7 +330,7 @@ class MuResult:
     via: str
 
 
-def mu(a: BoolMatrix, rectangle_cap: int = DEFAULT_RECTANGLE_CAP) -> MuResult:
+def mu(a: BoolMatrix) -> MuResult:
     """Number of ones divided by the largest all-ones rectangle area.
 
     Crown matrices take the closed form n(n-1) / (ceil(n/2) * floor(n/2));
@@ -347,7 +345,7 @@ def mu(a: BoolMatrix, rectangle_cap: int = DEFAULT_RECTANGLE_CAP) -> MuResult:
         witness = Rectangle(tuple(range(h)), tuple(range(h, n)))
         area = h * (n - h)
         return MuResult(Fraction(n * (n - 1), area), ones, area, witness, "crown-closed-form")
-    rects = maximal_rectangles(a, rectangle_cap)
+    rects = maximal_rectangles(a)
     witness = min(rects, key=lambda r: (-r.area, r.row_set, r.col_set))
     return MuResult(
         Fraction(ones, witness.area), ones, witness.area, witness, "enumeration"

@@ -48,8 +48,8 @@ index (see :mod:`boolrank.boolmat`).
 
 from __future__ import annotations
 
+import io
 import math
-import operator
 from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,22 +84,18 @@ def _side(name: str, idx: Sequence[int] | np.ndarray) -> np.ndarray:
     """A rectangle side as a narrow read-only index array (see the module
     docstring).
 
-    ``idx`` is any sequence of ints or an index array, which is copied.  A
-    side that is empty, or not sorted, distinct and 0-based, raises
-    ``ValueError``.  An array is checked by array compares, which never wrap
-    in a narrow dtype, and any other sequence element by element, which is
-    faster for the short tuples the bounds make.
+    ``idx`` is any sequence of ints or an index array, which is copied into
+    an int64 array and checked by array compares; an int at or past 2^63
+    raises ``OverflowError``.  A side that is empty, or not sorted, distinct
+    and 0-based, raises ``ValueError``.
     """
-    if not len(idx):
+    idx = np.asarray(idx, dtype=np.int64)
+    if not idx.size:
         raise ValueError(f"rectangle {name} must be nonempty")
-    if isinstance(idx, np.ndarray):
-        ordered = not (idx[1:] <= idx[:-1]).any()
-    else:
-        ordered = all(map(operator.lt, idx, idx[1:]))
-    if idx[0] < 0 or not ordered:
+    if idx[0] < 0 or (idx[1:] <= idx[:-1]).any():
         raise ValueError(f"rectangle {name} must be sorted distinct >= 0")
     top = int(idx[-1])
-    side = np.array(idx, np.uint16 if top < 1 << 16 else np.uint32 if top < 1 << 32 else np.int64)
+    side = idx.astype(np.uint16 if top < 1 << 16 else np.uint32 if top < 1 << 32 else np.int64)
     side.flags.writeable = False
     return side
 
@@ -1030,7 +1026,7 @@ def _parse_cover(lines: _Lines) -> Cover:
 
 
 def parse_cover(text: str) -> Cover:
-    return _parse_cover(_Lines(text))
+    return _parse_cover(_Lines(io.StringIO(text, newline="\n")))
 
 
 def family_lines(fam: MatrixFamily) -> Iterator[str]:
@@ -1064,7 +1060,7 @@ def _parse_family(lines: _Lines) -> MatrixFamily:
 
 def parse_family(text: str) -> MatrixFamily:
     """A FAMILY header, then one COVER block per member."""
-    return _parse_family(_Lines(text))
+    return _parse_family(_Lines(io.StringIO(text, newline="\n")))
 
 
 def write_cover(path: str, c: Cover) -> None:

@@ -10,11 +10,12 @@ the matrices' Kronecker product.
 
 Rank search is brute force over subsets in lexicographic order and is
 capped (subset size, universe size); these propositions are only checkable
-at tiny scale.
+at tiny scale.  The caps are the module constants below, read on every call.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -25,7 +26,6 @@ import numpy as np
 from .boolmat import (
     BoolMatrix,
     _bit_indices,
-    _format_block,
     _format_index_list,
     _Lines,
     _parse_block,
@@ -39,7 +39,7 @@ from .errors import BudgetExceededError, DimensionError, FormatError
 MATRIX_UNIVERSE_CAP = 10_000
 PRODUCT_UNIVERSE_CAP = 100
 RANK_SIZE_CAP = 6
-DEFAULT_SUBSET_BUDGET = 10**7
+SUBSET_BUDGET = 10**7
 
 
 class Spanoid:
@@ -105,7 +105,7 @@ class MatrixSpanoid(Spanoid):
     in particular contains every single-1 matrix on the support.
     """
 
-    def __init__(self, matrix: BoolMatrix, cap: int = MATRIX_UNIVERSE_CAP):
+    def __init__(self, matrix: BoolMatrix):
         self.matrix = matrix
         r, c = matrix.rows, matrix.cols
         row_bits = _row_ints(matrix)
@@ -122,9 +122,9 @@ class MatrixSpanoid(Spanoid):
             for colmask in range(1, allowed + 1):
                 if colmask & ~allowed:
                     continue
-                if len(elems) >= cap:
+                if len(elems) >= MATRIX_UNIVERSE_CAP:
                     raise BudgetExceededError(
-                        f"matrix spanoid universe exceeds cap {cap}"
+                        f"matrix spanoid universe exceeds cap {MATRIX_UNIVERSE_CAP}"
                     )
                 elems.append((rowmask, colmask))
                 masks.append(sum(colmask << (i * c) for i in rows))
@@ -218,18 +218,14 @@ class RankResult:
     witness: tuple[int, ...]
 
 
-def spanoid_rank(
-    s: Spanoid,
-    max_size: int = RANK_SIZE_CAP,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> RankResult:
+def spanoid_rank(s: Spanoid) -> RankResult:
     """Smallest spanning set by subset search in lexicographic order.
 
-    Searches sizes 0, 1, ... up to ``max_size`` and raises when the caps or
-    the subset budget are exhausted before an answer is proven.  A rule
-    spanoid element that no rule infers from other elements is in every
-    spanning set, so when there are more such elements than ``max_size``
-    the search is refused before it starts.
+    Searches sizes 0, 1, ... up to :data:`RANK_SIZE_CAP` and raises when
+    the caps or :data:`SUBSET_BUDGET` are exhausted before an answer is
+    proven.  A rule spanoid element that no rule infers from other elements
+    is in every spanning set, so when there are more such elements than the
+    size cap the search is refused before it starts.
     """
     n = len(s.universe)
     if isinstance(s, ProductSpanoid) and n > PRODUCT_UNIVERSE_CAP:
@@ -238,22 +234,22 @@ def spanoid_rank(
         )
     if isinstance(s, RuleSpanoid):
         forced = n - len({i for req, i in s.rules if i not in req})
-        if forced > max_size:
+        if forced > RANK_SIZE_CAP:
             raise BudgetExceededError(
                 f"{forced} elements are inferred by no rule, so no spanning set "
-                f"has size <= {max_size}"
+                f"has size <= {RANK_SIZE_CAP}"
             )
     examined = 0
-    for size in range(0, min(n, max_size) + 1):
+    for size in range(0, min(n, RANK_SIZE_CAP) + 1):
         for cand in combinations(range(n), size):
             examined += 1
-            if examined > subset_budget:
+            if examined > SUBSET_BUDGET:
                 raise BudgetExceededError(
-                    f"rank search exceeded {subset_budget} subsets"
+                    f"rank search exceeded {SUBSET_BUDGET} subsets"
                 )
             if s.spans_all(cand):
                 return RankResult(size, cand)
-    raise BudgetExceededError(f"no spanning set of size <= {max_size} found")
+    raise BudgetExceededError(f"no spanning set of size <= {RANK_SIZE_CAP} found")
 
 
 @dataclass(frozen=True)
@@ -312,8 +308,9 @@ def check_product_bound(
 # -- text formats ---------------------------------------------------------------
 
 def format_rule_spanoid(s: RuleSpanoid) -> str:
-    rules = (f"S: {_format_index_list(sorted(req))} -> {tgt}" for req, tgt in s.rules)
-    return _format_block("SPANOID", (len(s.universe), len(s.rules)), rules)
+    return f"SPANOID {len(s.universe)} {len(s.rules)}\n" + "".join(
+        [f"S: {_format_index_list(sorted(req))} -> {tgt}\n" for req, tgt in s.rules]
+    )
 
 
 def _rule(line: str, lineno: int) -> tuple[frozenset[int], int]:
@@ -333,7 +330,7 @@ def _parse_spanoid(lines: _Lines) -> RuleSpanoid:
 
 
 def parse_spanoid(text: str) -> RuleSpanoid:
-    return _parse_spanoid(_Lines(text))
+    return _parse_spanoid(_Lines(io.StringIO(text, newline="\n")))
 
 
 def _rules_or_matrix_file(lines: _Lines) -> RuleSpanoid | str:
@@ -370,7 +367,7 @@ def _index_set(line: str, lineno: int) -> frozenset[int]:
 def parse_index_sets(text: str) -> list[frozenset[int]]:
     """SETS format: 'SETS s' then s lines of comma-separated indices
     (an empty line is the empty set)."""
-    return _parse_block(_Lines(text), "SETS", "s", _index_set)[1]
+    return _parse_block(_Lines(io.StringIO(text, newline="\n")), "SETS", "s", _index_set)[1]
 
 
 def read_index_sets(path: str) -> list[frozenset[int]]:

@@ -54,12 +54,9 @@ def reference_parse_matrix(data):
         return 1, "missing header"
     if len(head) != 2:
         return 1, "header must be 'rows cols'"
-    try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError:
-        return 1, "header must hold two decimal integers"
-    if rows < 0 or cols < 0:
-        return 1, "dimensions must be non-negative"
+    if not all(field.isdigit() for field in head):  # ASCII digits, as bytes
+        return 1, "header fields must be non-negative decimal integers"
+    rows, cols = int(head[0]), int(head[1])
     if len(lines) <= rows:
         return len(lines), f"expected {rows} row lines"
     for i, line in enumerate(lines[1:rows + 1]):
@@ -248,8 +245,11 @@ class TestMatrixFormat:
         "trailing after blank": ("2 2\n01\n10\n\n \n", 5, "trailing content"),
         "crlf string": ("2 2\r\n01\r\n10\r\n", 2, "row must be exactly 2"),
         "empty": ("", 1, "missing header"),
-        "bad header": ("2 x\n", 1, "two decimal integers"),
-        "negative": ("-1 2\n", 1, "non-negative"),
+        "bad header": ("2 x\n", 1, "non-negative decimal integers"),
+        "negative": ("-1 2\n", 1, "non-negative decimal integers"),
+        "plus sign": ("+2 2\n01\n10\n", 1, "non-negative decimal integers"),
+        "underscore": ("2 0_2\n01\n10\n", 1, "non-negative decimal integers"),
+        "negative zero": ("-0 2\n", 1, "non-negative decimal integers"),
         "three fields": ("1 2 3\n01\n", 1, "'rows cols'"),
         "huge header": ("2 99999999999999999999\n0\n", 2, "row must be exactly"),
     }

@@ -1,15 +1,20 @@
+import inspect
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boolrank import boolmat
+import boolrank
+from boolrank import boolmat, spanoid
 from boolrank.boolmat import BoolMatrix, _ones, kronecker
 from boolrank.bounds import (
+    IsolationResult,
     RankCertificate,
     exact_boolean_rank,
     format_rank_certificate,
@@ -116,12 +121,19 @@ def reference_exact_boolean_rank(a, limit=None):
 
 
 def assert_matches_reference(m, limit=None):
-    """Same certificate as the reference, and the same smallest node budget."""
+    """Same certificate as the reference, and the same smallest node budget.
+
+    The budget is patched with ``mock.patch.object``, since hypothesis tests
+    call this and cannot take the ``monkeypatch`` fixture."""
     cert, nodes = reference_exact_boolean_rank(m, limit)
-    assert exact_boolean_rank(m, limit, node_budget=nodes) == cert
+    with mock.patch.object(bounds, "NODE_BUDGET", nodes):
+        assert exact_boolean_rank(m, limit) == cert
     if nodes:
-        with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} nodes"):
-            exact_boolean_rank(m, limit, node_budget=nodes - 1)
+        with (
+            mock.patch.object(bounds, "NODE_BUDGET", nodes - 1),
+            pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} nodes"),
+        ):
+            exact_boolean_rank(m, limit)
 
 
 def permuted_crown(n, seed):
@@ -230,18 +242,20 @@ class TestExactRank:
         with pytest.raises(VerificationError, match="forced"):
             exact_boolean_rank(crown_matrix(4))
 
-    def test_budget_exceeded_raises(self):
+    def test_budget_exceeded_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "NODE_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
-            exact_boolean_rank(crown_matrix(8), node_budget=10)
+            exact_boolean_rank(crown_matrix(8))
 
-    def test_budget_message_says_what_was_proved(self):
+    def test_budget_message_says_what_was_proved(self, monkeypatch):
         # the area bound gives ceil(56 / 16) = 4, the bound being searched
+        monkeypatch.setattr(bounds, "NODE_BUDGET", 10)
         with pytest.raises(
             BudgetExceededError,
             match=r"^rank search exceeded 10 nodes; proved rank >= 4; "
             r"greedy cover has 6 rectangles$",
         ):
-            exact_boolean_rank(crown_matrix(8), node_budget=10)
+            exact_boolean_rank(crown_matrix(8))
 
     def test_negative_limit_refused(self):
         with pytest.raises(DimensionError, match="non-negative"):
@@ -331,9 +345,10 @@ class TestIsolation:
                     assert i != i2 and j != j2
                     assert not (dense[i, j2] and dense[i2, j])
 
-    def test_out_of_budget_is_a_lower_bound(self):
-        res = isolation_number(crown_matrix(6), node_budget=3)
-        assert not res.exact
+    def test_out_of_budget_is_a_lower_bound(self, monkeypatch):
+        monkeypatch.setattr(bounds, "NODE_BUDGET", 3)
+        res = isolation_number(crown_matrix(6))
+        assert res == IsolationResult(2, ((0, 1), (1, 0)), False)
         assert 0 < res.value == len(res.witness) < 3
         dense = crown_matrix(6).to_dense()
         for (i, j), (i2, j2) in combinations(res.witness, 2):
@@ -440,15 +455,35 @@ class TestKronLowerBound:
 class TestRectangleCap:
     """More closed column sets than the cap raise, through every caller."""
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
         m = BoolMatrix.identity(3)  # a non-crown with 3 closed column sets
-        assert len(maximal_rectangles(m, cap=3)) == 3
-        with pytest.raises(BudgetExceededError, match="more than 2 closed"):
-            maximal_rectangles(m, cap=2)
-        with pytest.raises(BudgetExceededError, match="more than 2 closed"):
-            exact_boolean_rank(m, rectangle_cap=2)
-        with pytest.raises(BudgetExceededError, match="more than 2 closed"):
-            mu(m, rectangle_cap=2)
+        monkeypatch.setattr(bounds, "RECTANGLE_CAP", 3)
+        assert len(maximal_rectangles(m)) == 3
+        monkeypatch.setattr(bounds, "RECTANGLE_CAP", 2)
+        for search in (maximal_rectangles, exact_boolean_rank, mu):
+            with pytest.raises(
+                BudgetExceededError,
+                match="^more than 2 closed column sets while enumerating rectangles$",
+            ):
+                search(m)
+
+
+class TestBudgetsAreConstants:
+    """Every search budget is a module constant, read on every call, so no
+    public function or class takes one.  The tests of each search patch its
+    constant low."""
+
+    def test_no_public_name_takes_a_budget(self):
+        public = [getattr(boolrank, name) for names in boolrank._EXPORTS.values()
+                  for name in names]
+        public += [value for module in (bounds, spanoid) for name, value in vars(module).items()
+                   if not name.startswith("_") and inspect.isfunction(value)
+                   and value.__module__ == module.__name__]
+        assert len(public) > 40
+        budget = re.compile(r"cap|max_size|.*_budget|.*_cap")
+        for value in public:
+            params = inspect.signature(value).parameters
+            assert not [p for p in params if budget.fullmatch(p)], value
 
 
 class TestIsCrown:

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -290,9 +289,7 @@ class TestIsolationBudget:
 
     @pytest.fixture
     def c6(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            bounds, "isolation_number", partial(bounds.isolation_number, node_budget=3)
-        )
+        monkeypatch.setattr(bounds, "NODE_BUDGET", 3)
         mat = str(tmp_path / "c6.mat")
         write_matrix(mat, crown_matrix(6))
         return mat
@@ -308,9 +305,7 @@ class TestIsolationBudget:
 
 class TestRankBudget:
     def test_rank_exact_exit_3_says_what_was_proved(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            bounds, "exact_boolean_rank", partial(bounds.exact_boolean_rank, node_budget=10)
-        )
+        monkeypatch.setattr(bounds, "NODE_BUDGET", 10)
         mat = str(tmp_path / "c8.mat")
         write_matrix(mat, crown_matrix(8))
         code, out, err = run(capsys, "rank", "exact", mat)
@@ -604,8 +599,29 @@ class TestExitCodeContract:
         bad_cover = f"invalid input: line {2 if verifier == 'cover' else 3}: bad index list 'x'\n"
         assert run(capsys, *argv) == (2, "", bad_cover)
         Path(paths["mat"]).write_text("2 x\n01\n10\n")
-        bad_header = "invalid input: line 1: header must hold two decimal integers\n"
+        bad_header = (
+            "invalid input: line 1: header fields must be non-negative decimal integers\n"
+        )
         assert run(capsys, *argv) == (2, "", bad_header)
+
+    # A matrix header follows the field rule of every other header (ASCII
+    # digits only), whichever command reads the matrix.
+    MATRIX_READERS = [
+        ["rank", "exact", "{mat}"], ["isolation", "{mat}"], ["mu", "{mat}"],
+        ["bound", "lower", "{mat}", "{mat}"], ["kron", "{mat}", "{mat}"],
+        ["spanoid", "rank", "{spn}"], *(["verify", *argv] for argv in VERIFIERS.values()),
+    ]
+
+    @pytest.mark.parametrize("header", ["+2 2", "2 0_2", "-0 2"])
+    @pytest.mark.parametrize("argv", MATRIX_READERS, ids=" ".join)
+    def test_signed_matrix_header_exit_2(self, capsys, tmp_path, argv, header):
+        paths = {name: str(tmp_path / name) for name in ("mat", "cov", "fam", "spn")}
+        Path(paths["mat"]).write_text(f"{header}\n01\n10\n")
+        Path(paths["cov"]).write_text("COVER 2 2 0\n")
+        Path(paths["fam"]).write_text("FAMILY 2 2 1\nCOVER 2 2 0\n")
+        Path(paths["spn"]).write_text("MATSPANOID mat\n")
+        err = "invalid input: line 1: header fields must be non-negative decimal integers\n"
+        assert run(capsys, *(a.format(**paths) for a in argv)) == (2, "", err)
 
     # valid values of the int positionals of the writers
     SAMPLE = {"n": "7", "m": "7", "k": "5", "r": "1", "d": "2", "q": "2"}

@@ -158,6 +158,57 @@ class TestFormats:
         assert_round_trip(parse_index_sets, format_index_sets(sets), sets, rng)
 
 
+def spanoid_rules(text):
+    s = parse_spanoid(text)
+    return s.universe, s.rules
+
+
+class TestSplitOnNewlineOnly:
+    """The string parsers split text on "\\n" only.  Each character below
+    ends a line for ``str.splitlines`` but is whitespace inside one, so text
+    that holds it at every line end and before every space gives the same
+    value, or the same error on the same line."""
+
+    BREAKS = ["\r", "\x85", "\u2028", "\x0b", "\x0c", "\x1c"]
+
+    # valid text, a bad body line, a missing line, and trailing content
+    TEXTS = {
+        "cover": (parse_cover, [
+            "COVER 5 5 2\nR 0 C 1\nR 2,3 C 3\n\n",
+            "COVER 5 5 2\nR 0 C 1\nR 2 C x\n",
+            "COVER 5 5 3\nR 0 C 1\nR 2 C 3\n",
+            "COVER 5 5 1\nR 0 C 1\n\nR 0 C 0\n",
+        ]),
+        "family": (parse_family, [
+            "FAMILY 5 5 2\nCOVER 5 5 1\nR 0 C 1\nCOVER 5 5 0\n",
+            "FAMILY 5 5 2\nCOVER 5 5 1\nR 0 C 1\nCOVER 5 4 0\n",
+            "FAMILY 5 5 2\nCOVER 5 5 1\nR 0 C 1\n",
+            "FAMILY 5 5 1\nCOVER 5 5 0\n\nx\n",
+        ]),
+        "spanoid": (spanoid_rules, [
+            "SPANOID 3 2\nS: 0,1 -> 2\nS:  -> 0\n",
+            "SPANOID 3 2\nS: 0,1 -> 2\nS: 0 -> x\n",
+            "SPANOID 3 2\nS: 0,1 -> 2\n",
+            "SPANOID 3 1\nS: 0,1 -> 2\nS: 0 -> 1\n",
+        ]),
+        "sets": (parse_index_sets, [
+            "SETS 3\n0,4\n\n7\n",
+            "SETS 3\n0,4\n\n7,\n",
+            "SETS 3\n0,4\n",
+            "SETS 1\n0\n\n1\n",
+        ]),
+    }
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=ascii)
+    @pytest.mark.parametrize("fmt", sorted(TEXTS))
+    def test_other_breaks_stay_in_their_line(self, fmt, brk):
+        parse, texts = self.TEXTS[fmt]
+        for text in texts:
+            moved = text.replace(" ", brk + " ").replace("\n", brk + "\n")
+            assert outcome(parse, moved) == outcome(parse, text)
+            assert len(moved.splitlines()) > len(text.splitlines())
+
+
 def oracle_cover_text(c):
     """The cover format, written with one ``str`` per index."""
     lines = [f"COVER {c.rows} {c.cols} {c.size}"] + [
@@ -296,6 +347,12 @@ class TestRectangleSides:
             Rectangle(tuple(rows), tuple(cols))
         with pytest.raises(ValueError, match=message):
             Rectangle(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+
+    def test_index_past_int64_overflows(self):
+        assert Rectangle((0, 2**63 - 1), (0,)).rows.dtype == np.int64
+        for rows, cols in [((0, 2**63), (0,)), ((0,), (2**63,))]:
+            with pytest.raises(OverflowError):
+                Rectangle(rows, cols)
 
     @given(nonempty_raws, nonempty_raws)
     def test_arrays_make_the_same_rectangle(self, raw_rows, raw_cols):

@@ -1,11 +1,13 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from boolrank import spanoid
 from boolrank.boolmat import BoolMatrix, boolean_sum, kronecker
 from boolrank.bounds import exact_boolean_rank
 from boolrank.crown import crown_matrix
@@ -123,9 +125,10 @@ class TestMatrixSpanoidUniverse:
             assert rows.any() and np.array_equal(dense, np.outer(rows, cols))
             assert boolean_sum([e, m]) == m
 
-    def test_cap(self):
-        with pytest.raises(BudgetExceededError):
-            MatrixSpanoid(BoolMatrix.ones(4, 4), cap=10)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(spanoid, "MATRIX_UNIVERSE_CAP", 10)
+        with pytest.raises(BudgetExceededError, match="^matrix spanoid universe exceeds cap 10$"):
+            MatrixSpanoid(BoolMatrix.ones(4, 4))
 
 
 class TestRank:
@@ -145,9 +148,20 @@ class TestRank:
         res = spanoid_rank(s)
         assert s.spans_all(res.witness)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            spanoid_rank(MatrixSpanoid(crown_matrix(3)), subset_budget=1)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(spanoid, "SUBSET_BUDGET", 1)
+        with pytest.raises(BudgetExceededError, match="^rank search exceeded 1 subsets$"):
+            spanoid_rank(MatrixSpanoid(crown_matrix(3)))
+
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(spanoid, "RANK_SIZE_CAP", 2)
+        with pytest.raises(BudgetExceededError, match="^no spanning set of size <= 2 found$"):
+            spanoid_rank(MatrixSpanoid(crown_matrix(3)))
+        with pytest.raises(
+            BudgetExceededError,
+            match="^3 elements are inferred by no rule, so no spanning set has size <= 2$",
+        ):
+            spanoid_rank(RuleSpanoid(3, []))
 
     @given(small_spanoids(), st.integers(0, 4))
     def test_answers_match_plain_search(self, s, max_size):
@@ -159,11 +173,13 @@ class TestRank:
              for cand in combinations(range(n), size) if s.spans_all(cand)),
             None,
         )
-        if expected is None:
-            with pytest.raises(BudgetExceededError):
-                spanoid_rank(s, max_size)
-        else:
-            assert spanoid_rank(s, max_size) == expected
+        # patched in place: hypothesis tests cannot take ``monkeypatch``
+        with mock.patch.object(spanoid, "RANK_SIZE_CAP", max_size):
+            if expected is None:
+                with pytest.raises(BudgetExceededError):
+                    spanoid_rank(s)
+            else:
+                assert spanoid_rank(s) == expected
 
 
 class TestProduct:
@@ -217,6 +233,14 @@ class TestProduct:
         big = ProductSpanoid(s, s)
         with pytest.raises(BudgetExceededError):
             spanoid_rank(big)
+
+    def test_universe_cap_is_read_per_call(self, monkeypatch):
+        c2 = MatrixSpanoid(crown_matrix(2))
+        monkeypatch.setattr(spanoid, "PRODUCT_UNIVERSE_CAP", 3)
+        with pytest.raises(BudgetExceededError, match="^product universe 4 exceeds cap 3$"):
+            spanoid_rank(ProductSpanoid(c2, c2))
+        monkeypatch.setattr(spanoid, "PRODUCT_UNIVERSE_CAP", 4)
+        assert spanoid_rank(ProductSpanoid(c2, c2)).value == 4
 
     def test_universe_allocates_nothing(self):
         import tracemalloc
@@ -301,7 +325,8 @@ class TestPropositionSmall:
             s = MatrixSpanoid(m)
             assert spanoid_rank(s).value == exact_boolean_rank(m).value
 
-    def test_rank_equals_boolean_rank_all_shapes_up_to_9_entries(self):
+    def test_rank_equals_boolean_rank_all_shapes_up_to_9_entries(self, monkeypatch):
+        monkeypatch.setattr(spanoid, "RANK_SIZE_CAP", 9)
         shapes = [
             (r, c) for r in range(1, 10) for c in range(1, 10) if r * c <= 9
         ]
@@ -314,7 +339,7 @@ class TestPropositionSmall:
                 s = MatrixSpanoid(m)
                 if len(s) > 50:
                     continue
-                assert spanoid_rank(s, max_size=9).value == exact_boolean_rank(m).value
+                assert spanoid_rank(s).value == exact_boolean_rank(m).value
 
 
 class TestFormats:

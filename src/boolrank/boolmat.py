@@ -17,7 +17,11 @@ line reader with its block header/body/trailing-line checks and the
 index-list parser and formatter.  No text is held whole: matrix text is
 read and written a block of characters at a time, and every other format
 a line at a time, so text in memory is bounded by a block or a line, not
-by the file.  Index lists are parsed into int64 arrays, which
+by the file.  Matrix text is written from a reader of packed rows
+(:data:`Reader`, :func:`reader_lines`): a matrix's bits, crown(n) made on
+demand, or :func:`_kron_reader`, which holds two factors and makes their
+product's rows from them, so no writer holds the matrix it writes.  Index
+lists are parsed into int64 arrays, which
 :class:`~boolrank.cover.Rectangle` narrows to the dtype its sides are held
 in, and are written from one decimal string per distinct index whenever
 such a table holds no more entries than the lists hold indices.
@@ -40,6 +44,9 @@ DEFAULT_MAX_ENTRIES = 2**31
 _ENV_MAX_ENTRIES = "BOOLRANK_MAX_ENTRIES"
 
 T = TypeVar("T")
+
+#: ``read(row0, row1)``: packed rows ``row0`` up to ``row1``, clipped to the rows.
+Reader = Callable[[int, int], np.ndarray]
 
 #: Entries handled at once by every block loop: the product rows of a
 #: Kronecker block and the crown's pairwise set tests.  Matrix text is read,
@@ -188,23 +195,57 @@ def kronecker(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
 
     Raises :class:`MaterializationLimitError` for results above the
     ``BOOLRANK_MAX_ENTRIES`` limit, so that callers fall back to lazy
-    verification.  The result is packed a block of ``a``'s rows at a time,
-    so no dense copy of it is built.
+    verification.  The result is read from :func:`_kron_reader` a block of
+    ``_BLOCK_ENTRIES`` entries at a time, so no dense copy of it is built.
     """
     require_materializable("kronecker result", a.rows * b.rows * a.cols * b.cols)
-    cols = a.cols * b.cols
-    bits = np.empty((a.rows * b.rows, (cols + 7) // 8), dtype=np.uint8)
-    dense_b = b.to_dense()
-    block = _block_rows(b.rows * cols)
-    for row0 in range(0, a.rows, block):
-        dense_a = np.unpackbits(
-            a.bits[row0:row0 + block], axis=1, bitorder="little", count=a.cols
-        )
-        bits[row0 * b.rows:(row0 + block) * b.rows] = np.packbits(
-            np.kron(dense_a, dense_b), axis=1, bitorder="little"
-        )
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    read = _kron_reader(a, b)
+    bits = np.empty((rows, (cols + 7) // 8), dtype=np.uint8)
+    block = _block_rows(cols)
+    for row0 in range(0, rows, block):
+        bits[row0:row0 + block] = read(row0, row0 + block)
     bits.flags.writeable = False
-    return BoolMatrix(a.rows * b.rows, cols, bits)
+    return BoolMatrix(rows, cols, bits)
+
+
+def _bits_reader(m: BoolMatrix) -> Reader:
+    """The reader of a matrix: its rows are views of its bits."""
+    bits = m.bits
+    return lambda row0, row1: bits[row0:row1]
+
+
+def _kron_reader(a: BoolMatrix, b: BoolMatrix) -> Reader:
+    """The reader of ``a (x) b``, which holds the factors and not the product.
+
+    Row ``x * b.rows + y`` is the outer product of row x of ``a`` and row y
+    of ``b``.  A read unpacks the rows of ``a`` it spans, takes each of its
+    rows' outer product with its row of ``b``, kept dense, and packs them, so
+    it makes the dense rows it returns and no more, wherever it starts or
+    ends in a block of ``b.rows`` rows.  The dense rows are written into one
+    buffer, kept and grown only for a longer read, so a scan does not
+    allocate them again; each read's packed rows are a new array.
+    """
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    dense_b = b.to_dense()
+    dense = np.empty((0, a.cols, b.cols), dtype=np.uint8)
+
+    def read(row0: int, row1: int) -> np.ndarray:
+        nonlocal dense
+        r = np.arange(row0, max(row0, min(row1, rows)))
+        if not r.size:
+            return np.zeros((0, (cols + 7) // 8), dtype=np.uint8)
+        if r.size > len(dense):
+            dense = np.empty((r.size, a.cols, b.cols), dtype=np.uint8)
+        x, y = np.divmod(r, b.rows)
+        dense_a = np.unpackbits(
+            a.bits[x[0]:x[-1] + 1], axis=1, bitorder="little", count=a.cols
+        )
+        outer = np.bitwise_and(
+            dense_a[x - x[0], :, None], dense_b[y, None, :], out=dense[:r.size]
+        )
+        return np.packbits(outer.reshape(r.size, cols), axis=1, bitorder="little")
+    return read
 
 
 def _row_ints(m: BoolMatrix) -> list[int]:
@@ -415,18 +456,23 @@ def _grid_text(bits: np.ndarray, cols: int) -> str:
     return str(grid, "ascii")
 
 
-def matrix_lines(m: BoolMatrix) -> Iterator[str]:
+def reader_lines(rows: int, cols: int, read: Reader) -> Iterator[str]:
     """Matrix text format: ``rows cols`` then one 0/1 line per row.
 
     Yields the header line, then the text of each row block of about
     :func:`_text_chars` characters (at least one row), filled from the
-    packed bits.  Only the block being written is held.
+    packed rows ``read`` gives.  Only the block being written is held, so a
+    reader that makes its rows on demand writes a matrix that is never held.
     """
-    rows, cols = m.rows, m.cols
     yield f"{rows} {cols}\n"
     block = max(1, _text_chars() // (cols + 1))
     for row0 in range(0, rows, block):
-        yield _grid_text(m.bits[row0:row0 + block], cols)
+        yield _grid_text(read(row0, row0 + block), cols)
+
+
+def matrix_lines(m: BoolMatrix) -> Iterator[str]:
+    """The lines of :func:`reader_lines` of a matrix's bits."""
+    return reader_lines(m.rows, m.cols, _bits_reader(m))
 
 
 def format_matrix(m: BoolMatrix) -> str:

@@ -14,7 +14,10 @@ their matrix files as targets read a scan block at a time
 so a malformed one is invalid input before any verdict, and a verifier
 holds its covers or families and about one block of the matrix.  The
 other commands that read a matrix (``kron``, ``rank``, ``bound``,
-``mu``, ``isolation``, ``spanoid``) hold it whole.
+``mu``, ``isolation``, ``spanoid``) hold it whole.  The writers hold no
+product they write: ``crown`` and ``kron`` write their matrix a text block
+at a time from a reader of its rows (``kron`` holds its two factors, not
+their product), and ``cover gap`` writes its cover from the two families.
 
 Each command registers once, beside its handler, through :func:`command`.
 Only ``boolmat`` and ``errors`` are imported with this module; a handler
@@ -92,13 +95,15 @@ def _cmd_crown(args) -> Iterator[str]:
     from . import crown
     if args.n > 0:  # a bad n is invalid input, whatever its square
         boolmat.require_materializable("crown matrix", args.n * args.n)
-    return boolmat.matrix_lines(crown.crown_matrix(args.n))
+    return boolmat.reader_lines(args.n, args.n, crown._crown_reader(args.n))
 
 
 @command("kron", "materialize a Kronecker product", "a", "b", "-o")
 def _cmd_kron(args) -> Iterator[str]:
     a, b = _read_two(boolmat.read_matrix, args.a, args.b)
-    return boolmat.matrix_lines(boolmat.kronecker(a, b))
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    boolmat.require_materializable("kronecker result", rows * cols)
+    return boolmat.reader_lines(rows, cols, boolmat._kron_reader(a, b))
 
 
 @command("cover canonical", "sigma(n)-rectangle cover of the crown", "n:int", "-o")

@@ -54,14 +54,16 @@ from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .boolmat import (
     BoolMatrix,
+    Reader,
+    _bits_reader,
     _block_rows,
-    _decimal_table,
     _format_index_list,
     _index_writer,
     _file_pieces,
@@ -92,7 +94,7 @@ def _side(name: str, idx: Sequence[int] | np.ndarray) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     if not idx.size:
         raise ValueError(f"rectangle {name} must be nonempty")
-    if idx[0] < 0 or (idx[1:] <= idx[:-1]).any():
+    if idx[0] < 0 or np.count_nonzero(idx[1:] <= idx[:-1]):
         raise ValueError(f"rectangle {name} must be sorted distinct >= 0")
     top = int(idx[-1])
     side = idx.astype(np.uint16 if top < 1 << 16 else np.uint32 if top < 1 << 32 else np.int64)
@@ -212,10 +214,6 @@ def _row_groups(c: Cover) -> list[tuple[np.ndarray, np.ndarray]]:
     return groups
 
 
-#: ``read(row0, row1)``: packed rows ``row0`` up to ``row1``, clipped to the rows.
-Reader = Callable[[int, int], np.ndarray]
-
-
 class RowSource(Protocol):
     """A verifier target that is not held as a :class:`BoolMatrix`: a
     matrix file (:class:`MatrixFile`) or a matrix made on demand, such as
@@ -242,8 +240,7 @@ def _row_reader(m: BoolMatrix | Cover) -> Reader:
     :func:`_reading`.
     """
     if isinstance(m, BoolMatrix):
-        bits = m.bits
-        return lambda row0, row1: bits[row0:row1]
+        return _bits_reader(m)
     (first_code, first_table), *rest = _row_groups(m)
 
     def read(row0: int, row1: int) -> np.ndarray:
@@ -958,21 +955,36 @@ def format_cover(c: Cover) -> str:
     return "".join(cover_lines(c))
 
 
-def _runs(
-    digits: list[str],
-    width: int,
-    outer: Sequence[list[int]],
-    inner: Sequence[list[int]],
-) -> list[dict[int, str]]:
-    """Per inner side, the text of ``i * width + j`` over its j, keyed by i.
+def _picker(side: list[int]) -> Callable[[list[str]], Sequence[str]]:
+    """``lambda seq: [seq[j] for j in side]`` for a nonempty side, made in C
+    (``itemgetter`` gives a lone item, not a tuple, for one index, so one
+    index is taken as a slice)."""
+    if len(side) == 1:
+        return itemgetter(slice(side[0], side[0] + 1))
+    return itemgetter(*side)
 
-    Every i of an outer side is a key.
+
+def _runs(
+    pairs: Sequence[tuple[int, Sequence[list[int]], Sequence[list[int]]]],
+) -> list[list[dict[int, str]]]:
+    """Per (width, outer sides, inner sides) and per inner side, the text
+    of ``i * width + j`` over its j, keyed by each i of the outer sides.
+
+    The decimal strings of an i's block of a width, ``i * width`` up to
+    ``(i + 1) * width``, are made once for every pair of that width, and
+    dropped before the next i's.
     """
-    runs: list[dict[int, str]] = [{} for _ in inner]
+    outer = [set().union(*sides) for _, sides, _ in pairs]
+    pickers = [list(map(_picker, inner)) for _, _, inner in pairs]
+    runs = [[{} for _ in inner] for _, _, inner in pairs]
     for i in set().union(*outer):
-        block = digits[i * width:(i + 1) * width]
-        for run, side in zip(runs, inner):
-            run[i] = ",".join([block[j] for j in side])
+        blocks: dict[int, list[str]] = {}
+        for (width, _, _), keys, pair_pickers, pair_runs in zip(pairs, outer, pickers, runs):
+            if i in keys:
+                if width not in blocks:
+                    blocks[width] = [str(v) for v in range(i * width, (i + 1) * width)]
+                for run, pick in zip(pair_runs, pair_pickers):
+                    run[i] = ",".join(pick(blocks[width]))
     return runs
 
 
@@ -982,21 +994,24 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
     A product rectangle's row list is, for each row i of its m-side
     rectangle in turn, the run ``i * rows_b + j`` over the rows j of its
     n-side rectangle.  A run's text does not depend on the m-side
-    rectangle, so it is built once per n-side rectangle and row i, from one
-    table of the decimal strings below max(rows, cols) of the product, and
-    each line only joins runs.  Columns likewise.  No product rectangle and
-    no int per product index is made; each factor side is made a list of
-    ints once per t, so i * width + j is Python arithmetic and never wraps.
+    rectangle, so it is built once per t, n-side rectangle and row i, from
+    the decimal strings of row i's block of the product (:func:`_runs`),
+    and each line only joins runs.  Columns likewise; when the n-family is
+    square, as a crown's is, one block of strings serves both.  No product
+    rectangle, no int per product index and no table of the product's
+    indices is made; each factor side is made a list of ints once per t, so
+    i * width + j is Python arithmetic and never wraps.
     """
     rows, cols = d.target_dims
     rb, cb = d.n_family.dims
-    digits = _decimal_table(max(rows, cols))
     yield f"COVER {rows} {cols} {d.size}\n"
     for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
         rows_m = [r.rows.tolist() for r in dm.rects]
         cols_m = [r.cols.tolist() for r in dm.rects]
-        row_runs = _runs(digits, rb, rows_m, [r.rows.tolist() for r in dn.rects])
-        col_runs = _runs(digits, cb, cols_m, [r.cols.tolist() for r in dn.rects])
+        row_runs, col_runs = _runs([
+            (rb, rows_m, [r.rows.tolist() for r in dn.rects]),
+            (cb, cols_m, [r.cols.tolist() for r in dn.rects]),
+        ])
         for side_rows, side_cols in zip(rows_m, cols_m):
             for row_run, col_run in zip(row_runs, col_runs):
                 row_text = ",".join([row_run[i] for i in side_rows])

@@ -24,26 +24,25 @@ constructions are deterministic.  A family is built as its membership
 array, one bool row per set, each row unranked from its colex index by the
 combinatorial number system (:func:`_colex`); a σ-level stays in that form
 from its sets to the checked h.
+
+Covers and families come from :mod:`.cover`, which the functions that
+build them import, so a process that only computes sigma(n) or writes
+crown(n) does not load it.
 """
 
 from __future__ import annotations
 
 from contextlib import AbstractContextManager, nullcontext
 from math import comb
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .boolmat import BoolMatrix, _block_rows, require_materializable
-from .cover import (
-    Cover,
-    MatrixFamily,
-    Reader,
-    Rectangle,
-    best_triple_pairing,
-    compose_kron_cover,
-)
+from .boolmat import BoolMatrix, Reader, _block_rows, require_materializable
 from .errors import DimensionError, VerificationError
+
+if TYPE_CHECKING:
+    from .cover import Cover, MatrixFamily
 
 
 def crown_matrix(n: int) -> BoolMatrix:
@@ -159,6 +158,7 @@ def _element_cover(held: np.ndarray, ts: Iterable[int]) -> Cover:
     """The element rectangles of the 0-based columns ``ts`` of a membership
     array, empty ones dropped: element t gives the rows that hold it by the
     rows that lack it."""
+    from .cover import Cover, Rectangle
     n = len(held)
     rects = []
     for t in ts:
@@ -334,6 +334,7 @@ def _triple_prefix(level: tuple[np.ndarray, np.ndarray], n: int) -> MatrixFamily
     Its properties hold for every pair of sets, so every two members cover
     the order-n crown.
     """
+    from .cover import MatrixFamily
     sets, images = level[0][:n], level[1][:n]
     k = sets.shape[1]
     return MatrixFamily((
@@ -350,6 +351,7 @@ def c5_triple() -> MatrixFamily:
     {3,4,5,6} of [7]; the members group the element rectangles at {1,2},
     {3,4} and {5,6,7}.  Every two members cover the crown.
     """
+    from .cover import MatrixFamily
     held = _held(((1, 4, 5, 7), (1, 3, 6, 7), (2, 4, 6, 7), (2, 3, 5, 7), (3, 4, 5, 6)), 7)
     return MatrixFamily(tuple(
         _element_cover(held, ts) for ts in (range(0, 2), range(2, 4), range(4, 7))
@@ -363,6 +365,7 @@ def c4_triple() -> MatrixFamily:
     ({0,1}|{2,3}, {0,3}|{1,2}, {0,2}|{1,3}); found once by exhaustive search
     over rank-<=2 matrices below the crown and frozen here.
     """
+    from .cover import Cover, MatrixFamily, Rectangle
     splits = (
         ((0, 1), (2, 3)),
         ((0, 3), (1, 2)),
@@ -398,6 +401,7 @@ def gap_families(n: int, m: int) -> tuple[MatrixFamily, MatrixFamily]:
     """
     if n == 5 and m == 5:
         raise DimensionError("no gap construction is known for two order-5 crowns")
+    from .cover import best_triple_pairing
     if n >= 7 and m >= 7 and sigma(n) == sigma(m):
         level = _checked_h(sigma(n))
         m_fam, n_fam = _triple_prefix(level, n), _triple_prefix(level, m)
@@ -409,6 +413,7 @@ def gap_families(n: int, m: int) -> tuple[MatrixFamily, MatrixFamily]:
 
 def gap_cover(n: int, m: int) -> Cover:
     """An explicit cover of crown(n) (x) crown(m) beating the rank product."""
+    from .cover import compose_kron_cover
     m_fam, n_fam = gap_families(n, m)
     return compose_kron_cover(m_fam, n_fam)
 

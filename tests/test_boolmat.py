@@ -1,11 +1,13 @@
 import hashlib
 import random
 import tracemalloc
+from contextlib import redirect_stdout
+from io import StringIO
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -501,3 +503,102 @@ class TestMatrixTextBlocks:
         ones, peak = self.traced_peak(lambda: MatrixFile(str(path)).count_ones())
         assert ones == 6
         assert peak < 64 * 1024
+
+
+class TestStreamedWriters:
+    """``crown`` and ``kron`` write their text from readers of its rows
+    (``crown._crown_reader`` and ``boolmat._kron_reader``), a text block at
+    a time, so neither holds the matrix it writes."""
+
+    @staticmethod
+    def printed(argv):
+        out = StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        return out.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(0, 5), st.integers(0, 11)),
+               elements=st.integers(0, 1)),
+        arrays(np.uint8, st.tuples(st.integers(0, 5), st.integers(0, 11)),
+               elements=st.integers(0, 1)),
+        st.sampled_from([8, 8 * 9, 8 * 40, boolmat._BLOCK_ENTRIES]),
+    )
+    def test_kron_text_matches_numpy(self, tmp_path_factory, a, b, block_entries):
+        # factors with no rows or columns, widths not a multiple of 8, and
+        # text blocks of one row up to whole products
+        root = tmp_path_factory.getbasetemp()
+        for name, dense in (("a.mat", a), ("b.mat", b)):
+            boolmat.write_matrix(str(root / name), BoolMatrix.from_dense(dense))
+        expected = format_matrix(BoolMatrix.from_dense(np.kron(a, b)))
+        with mock.patch.object(boolmat, "_BLOCK_ENTRIES", block_entries):
+            assert self.printed(["kron", str(root / "a.mat"), str(root / "b.mat")]) == expected
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((3, 5), (3, 4)), ((4, 2), (5, 7)),
+                                                  ((2, 3), (7, 1))])
+    def test_kron_blocks_end_inside_a_factor_block(self, shape_a, shape_b, monkeypatch):
+        # two rows a text block, which splits every block of b's rows
+        rng = np.random.default_rng(sum(shape_a + shape_b))
+        a = rng.integers(0, 2, size=shape_a, dtype=np.uint8)
+        b = rng.integers(0, 2, size=shape_b, dtype=np.uint8)
+        cols = shape_a[1] * shape_b[1]
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 8 * (2 * cols + 2))
+        assert boolmat._text_chars() // (cols + 1) == 2 and shape_b[0] % 2
+        read = boolmat._kron_reader(BoolMatrix.from_dense(a), BoolMatrix.from_dense(b))
+        text = "".join(boolmat.reader_lines(len(a) * len(b), cols, read))
+        assert text == format_matrix(BoolMatrix.from_dense(np.kron(a, b)))
+        assert kronecker(BoolMatrix.from_dense(a), BoolMatrix.from_dense(b)) == (
+            BoolMatrix.from_dense(np.kron(a, b))
+        )
+
+    def test_kron_reader_reads_any_span(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 2, size=(4, 3), dtype=np.uint8)
+        b = rng.integers(0, 2, size=(3, 5), dtype=np.uint8)
+        packed = BoolMatrix.from_dense(np.kron(a, b)).bits
+        read = boolmat._kron_reader(BoolMatrix.from_dense(a), BoolMatrix.from_dense(b))
+        for row0 in range(14):
+            for row1 in range(row0, 15):
+                assert np.array_equal(read(row0, row1), packed[row0:row1]), (row0, row1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 70), st.sampled_from([8, 8 * 9, 8 * 40, boolmat._BLOCK_ENTRIES]))
+    def test_crown_text_matches_crown_matrix(self, n, block_entries):
+        dense = np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8)
+        expected = format_matrix(BoolMatrix.from_dense(dense))
+        with mock.patch.object(boolmat, "_BLOCK_ENTRIES", block_entries):
+            assert format_matrix(crown_matrix(n)) == expected
+            assert self.printed(["crown", str(n)]) == expected
+
+    @pytest.mark.parametrize("argv", [["crown", "0"], ["crown", "-3"]])
+    def test_bad_crown_writes_nothing(self, argv, tmp_path, capsys):
+        path = tmp_path / "c.mat"
+        assert main(argv + ["-o", str(path)]) == 2
+        assert not path.exists()
+
+    # With text blocks of 8 KiB, the reader's rows are a few KiB; a writer
+    # that holds its matrix holds all 1.1 MB of packed bits.
+    SMALL_BLOCKS = 1 << 16
+
+    def test_crown_writer_holds_no_matrix(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", self.SMALL_BLOCKS)
+        path = tmp_path / "c3000.mat"
+        _, peak = TestMatrixTextBlocks.traced_peak(
+            lambda: main(["crown", "3000", "-o", str(path)])
+        )
+        packed = crown_matrix(3000).bits.nbytes
+        assert peak < packed / 2
+        assert read_matrix(str(path)) == crown_matrix(3000)
+
+    def test_kron_writer_holds_no_product(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", self.SMALL_BLOCKS)
+        a, b, path = tmp_path / "c60.mat", tmp_path / "c50.mat", tmp_path / "k.mat"
+        boolmat.write_matrix(str(a), crown_matrix(60))
+        boolmat.write_matrix(str(b), crown_matrix(50))
+        _, peak = TestMatrixTextBlocks.traced_peak(
+            lambda: main(["kron", str(a), str(b), "-o", str(path)])
+        )
+        product = kronecker(crown_matrix(60), crown_matrix(50))
+        assert peak < product.bits.nbytes / 2
+        assert read_matrix(str(path)) == product

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, islice
 from math import comb
 from pathlib import Path
@@ -667,6 +668,19 @@ class TestGapCovers:
         next(lines)
         count = sum(len(side.split(",")) for line in lines for side in line.split()[1::2])
         assert KronCoverDescription(*gap_families(n, m)).indices == count
+
+    def test_streamed_text_holds_no_table_of_the_product(self):
+        # 4.4 MiB measured: the runs of one t and the lines; a table of the
+        # product's 63504 decimal strings took the peak to 8.1 MiB
+        description = compose_kron_description(*gap_families(252, 252))
+        tracemalloc.start()
+        try:
+            for _ in kron_cover_lines(description):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_product_cover_is_gated_on_its_indices(self, monkeypatch):
         # gap_cover(7, 7)'s text holds 608 indices

@@ -448,7 +448,7 @@ class TestNarrowSides:
         assert rect != ((1, 5), (0,))
         assert Cover(6, 1, (rect,)) == Cover(6, 1, (other,))
 
-    # each example writes from a table of 66049 to 160000 decimal strings
+    # each example writes indices of products of 66049 to 160000 rows
     @settings(max_examples=30)
     @given(
         st.integers(257, 400), st.integers(1, 20), st.integers(257, 400), st.integers(1, 20),

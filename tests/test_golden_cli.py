@@ -28,6 +28,7 @@ BUILT_INPUTS = {
     "c5.mat": ["crown", "5"],
     "c7.mat": ["crown", "7"],
     "c25.mat": ["crown", "25"],
+    "c40.mat": ["crown", "40"],
     "c7.cov": ["cover", "canonical", "7"],
     "t4.fam": ["cover", "c4"],
     "t5.fam": ["cover", "c5"],
@@ -143,6 +144,17 @@ WRITTEN = {
     "crown": (
         ["crown", "7"],
         "3d84f4bc640cb83a4abc98fc59c6b35d2a095e7ba550e0e1b8638dccd5dc099d",
+    ),
+    # text of five blocks: 2251500 characters, 349 rows a block
+    "crown-1500": (
+        ["crown", "1500"],
+        "33d9d28633780b748eb04001d50529d02a02e764acba4225394b3aab0b2e6d97",
+    ),
+    # the 1600 x 1600 product in five text blocks of 327 rows, each ending
+    # inside a 40-row block of the second factor
+    "kron-c40": (
+        ["kron", "c40.mat", "c40.mat"],
+        "e85a8bc253e6b76261a357cab46c0699f39beab7d86ea02a3e4ee2c96eeecf0b",
     ),
     "cover-canonical": (
         ["cover", "canonical", "7"],

@@ -103,6 +103,10 @@ class TestCommandModules:
         ("verify qcover c4.mat t4.fam 2", "boolmat cli cover errors"),
         ("spanoid rank sp.txt", "boolmat cli errors spanoid"),
         ("kron c4.mat c4.mat", "boolmat cli errors"),
+        # crown builds covers in the functions that need them, so neither
+        # of these loads cover
+        ("sigma 5", "boolmat cli crown errors"),
+        ("crown 5", "boolmat cli crown errors"),
     ])
     def test_command_loads_only_its_modules(self, inputs, argv, modules):
         proc = python("-c", RUN_CLI, *argv.split(), cwd=inputs)

@@ -12,12 +12,11 @@ takes a limit of its own.  :func:`require_materializable` is the one place
 that turns the limit into a :class:`MaterializationLimitError`; callers
 working above it verify covers lazily instead (see :mod:`boolrank.cover`).
 
-This module also holds the text layer that every file format shares: the
-line reader with its block header/body/trailing-line checks and the
-index-list parser and formatter.  No text is held whole: matrix text is
-read and written a block of characters at a time, and every other format
-a line at a time, so text in memory is bounded by a block or a line, not
-by the file.  Matrix text is written from a reader of packed rows
+This module also holds the text layer that every file format shares, in
+bytes both ways: the line reader with its block header/body/trailing-line
+checks, and the index-list parser and formatter.  No text is held whole:
+matrix text is read and written a block at a time, and every other format
+a line at a time.  Matrix text is written from a reader of packed rows
 (:data:`Reader`, :func:`reader_lines`): a matrix's bits, crown(n) made on
 demand, or :func:`_kron_reader`, which holds two factors and makes their
 product's rows from them, so no writer holds the matrix it writes.  Index
@@ -29,6 +28,7 @@ such a table holds no more entries than the lists hold indices.
 
 from __future__ import annotations
 
+import io
 import os
 import stat
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -273,43 +273,53 @@ def _ones(m: BoolMatrix) -> list[tuple[int, int]]:
 
 # -- text formats -------------------------------------------------------------
 #
-# Apart from the matrix format, every format is made of blocks: a
-# "TAG n1 n2 ..." header of non-negative decimal fields, whose last field
-# counts the body lines that follow; the matrix's "rows cols" header follows
-# the same field rule.  Only blank lines may follow the last block.  Lines
-# end at "\n"; files are read with universal newlines.  Block text is parsed
-# a line at a time, as :class:`_Lines` takes it from a file or a
-# ``StringIO``, and written a line at a time.
+# Every format is ASCII bytes, and no text is decoded to str.  Apart from
+# the matrix format, every format is made of blocks: a "TAG n1 n2 ..."
+# header of non-negative decimal fields, whose last field counts the body
+# lines that follow; the matrix's "rows cols" header follows the same field
+# rule.  Only blank lines may follow the last block.  Fields are split by
+# ``bytes.split()``, on ASCII whitespace only.  Lines end at "\n"; in files
+# a CRLF or a lone CR ends a line too (:func:`_file_pieces`).
 
-def _universal_newlines(data: bytes | bytearray) -> bytes | bytearray:
-    """``data`` with CRLF and lone CR turned into LF."""
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data
-
-
-def _is_decimal(field: str) -> bool:
+def _is_decimal(field: str | bytes) -> bool:
     return field.isascii() and field.isdigit()
 
 
+def _text_pieces(text: str | bytes, size: int) -> Iterator[memoryview]:
+    """In-memory text as views of ``size`` bytes; a str is encoded once, as
+    UTF-8 with "?" for a lone surrogate."""
+    view = memoryview(text.encode("utf-8", "replace") if isinstance(text, str) else text)
+    return (view[lo:lo + size] for lo in range(0, len(view), size))
+
+
+def _split_lines(pieces: Iterable) -> Iterator[bytes]:
+    """The lines of a text given as byte pieces, without their LFs; an LF
+    that ends the text starts no line."""
+    held: list[bytes] = []  # the start of a line no piece has ended yet
+    for piece in pieces:
+        lines = bytes(piece).split(b"\n")
+        if len(lines) > 1:
+            lines[0] = b"".join([*held, lines[0]])
+            held = []
+        held.append(lines.pop())
+        yield from lines
+    if any(held):
+        yield b"".join(held)
+
+
 class _Lines:
-    """The lines of a block-format text, taken one at a time.
+    """The lines of a block-format text, as bytes without their LFs, taken
+    one at a time; ``lineno`` is the number of the last line taken."""
 
-    ``source`` holds the lines, such as an open text file or a
-    ``StringIO(text, newline="\\n")``.  Each line keeps its newline, which
-    every parser strips as whitespace.  ``lineno`` is the number of the last
-    line taken.
-    """
-
-    def __init__(self, source: Iterable[str]):
-        self._lines = iter(source)
+    def __init__(self, lines: Iterable[bytes]):
+        self._lines = iter(lines)
         self.lineno = 0
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[bytes]:
         """The lines not taken yet."""
         return self._lines
 
-    def take(self) -> str | None:
+    def take(self) -> bytes | None:
         """The next line, or None at the end of the text."""
         line = next(self._lines, None)
         if line is not None:
@@ -319,8 +329,8 @@ class _Lines:
     def header(self, tag: str, fields: str) -> list[int]:
         """The fields of the ``tag`` header on the next line."""
         lineno = self.lineno + 1
-        head = (self.take() or "").split()
-        if len(head) != 1 + len(fields.split()) or head[0] != tag:
+        head = (self.take() or b"").split()
+        if len(head) != 1 + len(fields.split()) or head[0] != tag.encode():
             raise FormatError(f"expected '{tag} {fields}'", line=lineno)
         if not all(map(_is_decimal, head[1:])):
             raise FormatError(
@@ -328,7 +338,7 @@ class _Lines:
             )
         return [int(f) for f in head[1:]]
 
-    def _body_line(self, tag: str, size: int) -> str:
+    def _body_line(self, tag: str, size: int) -> bytes:
         line = self.take()
         if line is None:
             raise FormatError(
@@ -342,7 +352,7 @@ class _Lines:
         for _ in range(count):
             self._body_line(tag, size)
 
-    def body(self, tag: str, size: int, parse: Callable[[str, int], T]) -> list[T]:
+    def body(self, tag: str, size: int, parse: Callable[[bytes, int], T]) -> list[T]:
         """``parse(line, lineno)`` of each line of a ``size``-line ``tag``
         body.  A missing line outranks a bad one, so when ``parse`` raises,
         the rest of the body is taken before the error is passed on."""
@@ -364,47 +374,53 @@ class _Lines:
 
 
 def _parse_block(
-    lines: _Lines, tag: str, fields: str, parse: Callable[[str, int], T]
+    lines: _Lines, tag: str, fields: str, parse: Callable[[bytes, int], T]
 ) -> tuple[list[int], list[T]]:
     """Header fields and parsed body lines of a text holding one ``tag``
     block.  Missing and trailing lines outrank a bad body line."""
     head = lines.header(tag, fields)
     try:
-        body = lines.body(tag, head[-1], parse)
-    except FormatError:
+        return head, lines.body(tag, head[-1], parse)
+    finally:
         lines.end(tag)
-        raise
-    lines.end(tag)
-    return head, body
+
+
+def _parse_text(text: str | bytes, parse: Callable[[_Lines], T]) -> T:
+    """``parse`` of the lines of in-memory text, split on "\\n" only."""
+    return parse(_Lines(_split_lines(_text_pieces(text, io.DEFAULT_BUFFER_SIZE))))
 
 
 def _read_text(path: str, parse: Callable[[_Lines], T]) -> T:
-    """``parse`` of the lines of the file at ``path``, read as UTF-8 with
-    universal newlines, a line at a time."""
-    with open(path, encoding="utf-8") as fh:
-        return parse(_Lines(fh))
+    """``parse`` of the lines of the file at ``path``, read a piece at a time."""
+    with open(path, "rb") as fh:
+        return parse(_Lines(_split_lines(_file_pieces(fh, io.DEFAULT_BUFFER_SIZE))))
 
 
-def _parse_index_list(token: str, lineno: int) -> np.ndarray:
-    """Comma-separated decimal indices, in any order; "" is the empty list."""
+def _parse_index_list(token: bytes, lineno: int) -> np.ndarray:
+    """Comma-separated decimal indices, in any order; b"" is the empty list.
+    The whole token is checked before it is parsed: only digits and commas,
+    no comma at either end or beside another, and no run of 19 digits, so
+    every index fits an int64."""
     if not token:
         return np.zeros(0, dtype=np.int64)
-    raw = np.frombuffer(token.encode("ascii", "replace"), dtype=np.uint8)
-    commas = np.flatnonzero(raw == ord(","))
-    widths = np.diff(np.concatenate(([-1], commas, [raw.size]))) - 1
-    # at most 18 digits, so every index fits an int64
-    if (
-        ((raw - np.uint8(ord("0")) > 9) & (raw != ord(","))).any()
-        or widths.min() < 1
-        or widths.max() > 18
-    ):
-        raise FormatError(f"bad index list {token!r}", line=lineno)
+    raw = np.frombuffer(token, dtype=np.uint8)
+    digit = raw - np.uint8(ord("0")) <= 9
+    comma = raw == ord(",")
+    run = digit  # then run[i]: the 2, 4, 8, 16 and 19 bytes from i are digits
+    for step in (1, 2, 4, 8, 3):
+        run = run[:-step] & run[step:]
+    if (not (digit | comma).all() or comma[0] or comma[-1]
+            or (comma[:-1] & comma[1:]).any() or run.any()):
+        shown = token.decode("utf-8", "replace")
+        raise FormatError(
+            f"bad index list {shown[:40]!r}{'...' * (len(shown) > 40)}", line=lineno
+        )
     return np.fromstring(token, dtype=np.int64, sep=",")
 
 
-def _format_index_list(idx: Iterable[int]) -> str:
-    # a list comprehension joins faster than map(str, ...) or a generator
-    return ",".join([str(i) for i in idx])
+def _index_bytes(idx: Iterable[int]) -> bytes:
+    """The index-list text of ints, one decimal string per index."""
+    return b",".join([b"%d" % i for i in idx])
 
 
 def _table_size(sides: Iterable[np.ndarray]) -> int:
@@ -418,20 +434,15 @@ def _table_size(sides: Iterable[np.ndarray]) -> int:
     return hi + 1 if hi < count else 0
 
 
-def _decimal_table(size: int) -> list[str]:
-    """The decimal strings of 0 up to ``size`` - 1."""
-    return [str(i) for i in range(size)]
-
-
-def _index_writer(sides: Iterable[np.ndarray]) -> Callable[[list[int]], str]:
+def _index_writer(sides: Iterable[np.ndarray]) -> Callable[[list[int]], bytes]:
     """A formatter of lists of ints that takes one decimal string per value
     from a table shared by the index arrays ``sides``, when
-    :func:`_table_size` allows one; otherwise :func:`_format_index_list`."""
+    :func:`_table_size` allows one; otherwise :func:`_index_bytes`."""
     size = _table_size(sides)
     if not size:
-        return _format_index_list
-    table = _decimal_table(size)
-    return lambda idx: ",".join([table[i] for i in idx])
+        return _index_bytes
+    table = [b"%d" % i for i in range(size)]
+    return lambda idx: b",".join([table[i] for i in idx])
 
 
 def _block_rows(cols: int) -> int:
@@ -446,68 +457,59 @@ def _text_chars() -> int:
     return max(1, _BLOCK_ENTRIES // 8)
 
 
-def _grid_text(bits: np.ndarray, cols: int) -> str:
-    """The text of packed rows: a ``(rows, cols + 1)`` grid of each row's
-    digits and its newline."""
-    grid = np.empty((len(bits), cols + 1), dtype=np.uint8)
-    grid[:, cols] = ord("\n")
-    np.add(np.unpackbits(bits, axis=1, bitorder="little", count=cols), ord("0"),
-           out=grid[:, :cols])
-    return str(grid, "ascii")
-
-
-def reader_lines(rows: int, cols: int, read: Reader) -> Iterator[str]:
+def reader_lines(rows: int, cols: int, read: Reader) -> Iterator[bytes | np.ndarray]:
     """Matrix text format: ``rows cols`` then one 0/1 line per row.
 
-    Yields the header line, then the text of each row block of about
-    :func:`_text_chars` characters (at least one row), filled from the
-    packed rows ``read`` gives.  Only the block being written is held, so a
-    reader that makes its rows on demand writes a matrix that is never held.
+    Yields the header line, then each row block of about :func:`_text_chars`
+    bytes (at least one row) as a view of one reused grid of digits and
+    newlines, filled from the packed rows ``read`` gives: write each block
+    before taking the next, as ``writelines`` does.  So a reader that makes
+    its rows on demand writes a matrix that is never held.
     """
-    yield f"{rows} {cols}\n"
+    yield b"%d %d\n" % (rows, cols)
     block = max(1, _text_chars() // (cols + 1))
+    grid = np.empty((min(block, rows), cols + 1), dtype=np.uint8)
+    grid[:, cols] = ord("\n")
     for row0 in range(0, rows, block):
-        yield _grid_text(read(row0, row0 + block), cols)
+        bits = read(row0, row0 + block)
+        np.add(np.unpackbits(bits, axis=1, bitorder="little", count=cols), ord("0"),
+               out=grid[:len(bits), :cols])
+        yield grid[:len(bits)]
 
 
-def matrix_lines(m: BoolMatrix) -> Iterator[str]:
-    """The lines of :func:`reader_lines` of a matrix's bits."""
+def matrix_lines(m: BoolMatrix) -> Iterator[bytes | np.ndarray]:
+    """The blocks of :func:`reader_lines` of a matrix's bits."""
     return reader_lines(m.rows, m.cols, _bits_reader(m))
 
 
 def format_matrix(m: BoolMatrix) -> str:
     """The text of :func:`matrix_lines` as one string."""
-    return "".join(matrix_lines(m))
+    return b"".join(map(bytes, matrix_lines(m))).decode("ascii")
 
 
 def _file_pieces(fh, size: int) -> Iterator[bytearray]:
-    """The bytes of a binary file with universal newlines: its first line
-    (at most ``size`` bytes), then ``size`` bytes at a time, so a reader
-    that sizes pieces to whole rows gets pieces that hold whole rows.  A
-    piece of a regular file is no larger than what is left of it, but at
-    least a byte, so a small file never sizes a buffer and a file that grows
-    is still read to its end; a pipe's pieces are ``size`` bytes.  Each
-    piece is a new, writable buffer, which the parser may overwrite.  A CR
-    that ends a piece is carried into the next, which may start with its LF."""
+    """The bytes of a binary file in new, writable pieces that the parser
+    may overwrite, with each CRLF and lone CR made an LF (the one place CRs
+    are handled): its first line (at most ``size`` bytes), then ``size``
+    bytes at a time and a CR's LF, so pieces sized to whole rows hold whole
+    rows.  A regular file's piece is no larger than what is left of it, but
+    at least a byte, so a small file never sizes a buffer and a growing file
+    is read to its end; a pipe's pieces are ``size`` bytes."""
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    cr = False  # the last piece ended in a CR, held back
     piece = bytearray(fh.readline(size))
     while piece:
-        if cr:
-            piece[:0] = b"\r"
-        if cr := piece.endswith(b"\r"):
-            del piece[-1]
+        while piece.endswith(b"\r") and (more := fh.read(1)):
+            piece += more  # so no CRLF is split between pieces
+        if b"\r" in piece:
+            piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         # handed on through a list, so this frame holds no reference to the
         # piece while it is parsed and used, nor while the next is read
-        out = [_universal_newlines(piece)]
+        out = [piece]
         del piece
-        if out[0]:
-            yield out.pop()
+        yield out.pop()
         left = os.fstat(fh.fileno()).st_size - fh.tell() if regular else size
         piece = bytearray(max(1, min(size, left)))
         del piece[fh.readinto(piece):]
-    if cr:
-        yield bytearray(b"\n")
 
 
 def _newlines(buf: np.ndarray) -> np.ndarray:
@@ -678,30 +680,22 @@ def _parse_matrix(pieces: Iterable) -> BoolMatrix:
 def parse_matrix(text: str | bytes) -> BoolMatrix:
     """Inverse of :func:`format_matrix`; lines are split on ``\\n`` only.
 
-    ``text`` may also be bytes.  It is parsed :func:`_text_chars`
-    characters at a time by the parser :func:`read_matrix` uses: bytes as
-    views, and a str as ASCII with "?" for anything else, so no non-ASCII
-    character passes as 0/1.  Each block's rows are checked as one byte
+    ``text`` may be a str or bytes (see :func:`_text_pieces`).  It is
+    parsed :func:`_text_chars` bytes at a time by the parser
+    :func:`read_matrix` uses.  Each block's rows are checked as one byte
     grid and packed into one array, which grows with the rows read, and
     every error names the line a line-by-line reader would.
     """
-    step = _text_chars()
-    if isinstance(text, str):
-        pieces = (text[lo:lo + step].encode("ascii", "replace")
-                  for lo in range(0, len(text), step))
-    else:
-        view = memoryview(text)
-        pieces = (view[lo:lo + step] for lo in range(0, len(view), step))
-    return _parse_matrix(pieces)
+    return _parse_matrix(_text_pieces(text, _text_chars()))
 
 
 def write_matrix(path: str, m: BoolMatrix) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(matrix_lines(m))
 
 
 def read_matrix(path: str) -> BoolMatrix:
-    """The matrix in the file at ``path``, read a block at a time with
-    universal newlines; see :func:`parse_matrix`."""
+    """The matrix in the file at ``path``, read a block at a time
+    (:func:`_file_pieces`); see :func:`parse_matrix`."""
     with open(path, "rb") as fh:
         return _parse_matrix(_file_pieces(fh, _text_chars()))

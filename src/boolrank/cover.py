@@ -48,7 +48,6 @@ index (see :mod:`boolrank.boolmat`).
 
 from __future__ import annotations
 
-import io
 import math
 from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
@@ -64,13 +63,14 @@ from .boolmat import (
     Reader,
     _bits_reader,
     _block_rows,
-    _format_index_list,
-    _index_writer,
     _file_pieces,
+    _index_bytes,
+    _index_writer,
     _Lines,
     _matrix_blocks,
     _parse_block,
     _parse_index_list,
+    _parse_text,
     _read_text,
     _text_chars,
     require_materializable,
@@ -761,25 +761,10 @@ def verify_kron_hypotheses(
 
 
 def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
-    """Build the product cover out of two families with decompositions.
-
-    The families must satisfy the composition hypotheses for the matrices
-    they cover (the Boolean sums of the families); rectangles are emitted
-    as all products of the t-th decompositions, t-major.
-    """
-    return compose_kron_description(m_fam, n_fam).to_cover()
-
-
-def compose_kron_description(
-    m_fam: MatrixFamily, n_fam: MatrixFamily
-) -> KronCoverDescription:
-    """The product cover of :func:`compose_kron_cover`, in factored form.
-
-    The composition hypotheses are checked for the matrices the families
-    cover (their Boolean sums); a :class:`VerificationError` is raised
-    when they fail.
-    """
-    description = KronCoverDescription(m_fam, n_fam)
+    """The product cover of two families: all products of their t-th
+    decompositions, t-major.  The composition hypotheses are checked for the
+    matrices the families cover (their Boolean sums), and a
+    :class:`VerificationError` is raised when they fail."""
     a = cover_matrix(_union(m_fam))
     b = cover_matrix(_union(n_fam))
     res = verify_kron_hypotheses(a, m_fam, b, n_fam)
@@ -788,7 +773,7 @@ def compose_kron_description(
             f"composition hypotheses fail at entry {res.witness}: {res.reason}",
             witness=res.witness,
         )
-    return description
+    return KronCoverDescription(m_fam, n_fam).to_cover()
 
 
 def best_triple_pairing(
@@ -918,9 +903,9 @@ def _lex_rank(subset: tuple[int, ...], s: int) -> int:
 
 # -- text formats -------------------------------------------------------------
 
-def _rect_line(rows: str, cols: str) -> str:
+def _rect_line(rows: bytes, cols: bytes) -> bytes:
     """A cover body line, with its newline, from the text of its two index lists."""
-    return f"R {rows} C {cols}\n"
+    return b"R %s C %s\n" % (rows, cols)
 
 
 def _sides(covers: Iterable[Cover]) -> Iterator[np.ndarray]:
@@ -934,28 +919,28 @@ def _side_lengths(c: Cover) -> tuple[int, int]:
 
 
 def _format_rectangle(
-    r: Rectangle, write: Callable[[list[int]], str] = _format_index_list
-) -> str:
+    r: Rectangle, write: Callable[[list[int]], bytes] = _index_bytes
+) -> bytes:
     """A cover body line; ``write`` gets each side as a list of ints."""
     return _rect_line(write(r.rows.tolist()), write(r.cols.tolist()))
 
 
-def _cover_lines(c: Cover, write: Callable[[list[int]], str]) -> Iterator[str]:
-    yield f"COVER {c.rows} {c.cols} {c.size}\n"
+def _cover_lines(c: Cover, write: Callable[[list[int]], bytes]) -> Iterator[bytes]:
+    yield b"COVER %d %d %d\n" % (c.rows, c.cols, c.size)
     for r in c.rects:
         yield _format_rectangle(r, write)
 
 
-def cover_lines(c: Cover) -> Iterator[str]:
-    """The lines of :func:`format_cover`, one at a time."""
+def cover_lines(c: Cover) -> Iterator[bytes]:
+    """The lines of :func:`format_cover`, one at a time, as bytes."""
     return _cover_lines(c, _index_writer(_sides([c])))
 
 
 def format_cover(c: Cover) -> str:
-    return "".join(cover_lines(c))
+    return b"".join(cover_lines(c)).decode("ascii")
 
 
-def _picker(side: list[int]) -> Callable[[list[str]], Sequence[str]]:
+def _picker(side: list[int]) -> Callable[[list[bytes]], Sequence[bytes]]:
     """``lambda seq: [seq[j] for j in side]`` for a nonempty side, made in C
     (``itemgetter`` gives a lone item, not a tuple, for one index, so one
     index is taken as a slice)."""
@@ -966,7 +951,7 @@ def _picker(side: list[int]) -> Callable[[list[str]], Sequence[str]]:
 
 def _runs(
     pairs: Sequence[tuple[int, Sequence[list[int]], Sequence[list[int]]]],
-) -> list[list[dict[int, str]]]:
+) -> list[list[dict[int, bytes]]]:
     """Per (width, outer sides, inner sides) and per inner side, the text
     of ``i * width + j`` over its j, keyed by each i of the outer sides.
 
@@ -978,17 +963,17 @@ def _runs(
     pickers = [list(map(_picker, inner)) for _, _, inner in pairs]
     runs = [[{} for _ in inner] for _, _, inner in pairs]
     for i in set().union(*outer):
-        blocks: dict[int, list[str]] = {}
+        blocks: dict[int, list[bytes]] = {}
         for (width, _, _), keys, pair_pickers, pair_runs in zip(pairs, outer, pickers, runs):
             if i in keys:
                 if width not in blocks:
-                    blocks[width] = [str(v) for v in range(i * width, (i + 1) * width)]
+                    blocks[width] = [b"%d" % v for v in range(i * width, (i + 1) * width)]
                 for run, pick in zip(pair_runs, pair_pickers):
-                    run[i] = ",".join(pick(blocks[width]))
+                    run[i] = b",".join(pick(blocks[width]))
     return runs
 
 
-def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
+def kron_cover_lines(d: KronCoverDescription) -> Iterator[bytes]:
     """The lines of ``format_cover(d.to_cover())``, built from the factors.
 
     A product rectangle's row list is, for each row i of its m-side
@@ -1004,7 +989,7 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
     """
     rows, cols = d.target_dims
     rb, cb = d.n_family.dims
-    yield f"COVER {rows} {cols} {d.size}\n"
+    yield b"COVER %d %d %d\n" % (rows, cols, d.size)
     for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
         rows_m = [r.rows.tolist() for r in dm.rects]
         cols_m = [r.cols.tolist() for r in dm.rects]
@@ -1014,16 +999,16 @@ def kron_cover_lines(d: KronCoverDescription) -> Iterator[str]:
         ])
         for side_rows, side_cols in zip(rows_m, cols_m):
             for row_run, col_run in zip(row_runs, col_runs):
-                row_text = ",".join([row_run[i] for i in side_rows])
-                col_text = ",".join([col_run[j] for j in side_cols])
+                row_text = b",".join([row_run[i] for i in side_rows])
+                col_text = b",".join([col_run[j] for j in side_cols])
                 yield _rect_line(row_text, col_text)
 
 
-def _parse_rectangle(line: str, lineno: int) -> Rectangle:
+def _parse_rectangle(line: bytes, lineno: int) -> Rectangle:
     """A cover body line.  Both index lists are read before either side's
     order is checked, on the arrays, by the constructor."""
     parts = line.split()
-    if len(parts) != 4 or parts[0] != "R" or parts[2] != "C":
+    if len(parts) != 4 or parts[0] != b"R" or parts[2] != b"C":
         raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
     rows = _parse_index_list(parts[1], lineno)
     cols = _parse_index_list(parts[3], lineno)
@@ -1040,14 +1025,14 @@ def _parse_cover(lines: _Lines) -> Cover:
     return Cover(rows, cols, tuple(rects))
 
 
-def parse_cover(text: str) -> Cover:
-    return _parse_cover(_Lines(io.StringIO(text, newline="\n")))
+def parse_cover(text: str | bytes) -> Cover:
+    return _parse_text(text, _parse_cover)
 
 
-def family_lines(fam: MatrixFamily) -> Iterator[str]:
-    """The lines of :func:`format_family`, one at a time."""
+def family_lines(fam: MatrixFamily) -> Iterator[bytes]:
+    """The lines of :func:`format_family`, one at a time, as bytes."""
     write = _index_writer(_sides(fam.decompositions))
-    yield f"FAMILY {fam.dims[0]} {fam.dims[1]} {len(fam)}\n"
+    yield b"FAMILY %d %d %d\n" % (*fam.dims, len(fam))
     for c in fam.decompositions:
         yield from _cover_lines(c, write)
 
@@ -1055,7 +1040,7 @@ def family_lines(fam: MatrixFamily) -> Iterator[str]:
 def format_family(fam: MatrixFamily) -> str:
     """A FAMILY header, then one COVER block per member, all written from
     one table of decimal strings."""
-    return "".join(family_lines(fam))
+    return b"".join(family_lines(fam)).decode("ascii")
 
 
 def _parse_family(lines: _Lines) -> MatrixFamily:
@@ -1073,13 +1058,13 @@ def _parse_family(lines: _Lines) -> MatrixFamily:
     return MatrixFamily(tuple(Cover(rows, cols, tuple(rects)) for rects in members))
 
 
-def parse_family(text: str) -> MatrixFamily:
+def parse_family(text: str | bytes) -> MatrixFamily:
     """A FAMILY header, then one COVER block per member."""
-    return _parse_family(_Lines(io.StringIO(text, newline="\n")))
+    return _parse_text(text, _parse_family)
 
 
 def write_cover(path: str, c: Cover) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(cover_lines(c))
 
 
@@ -1088,7 +1073,7 @@ def read_cover(path: str) -> Cover:
 
 
 def write_family(path: str, fam: MatrixFamily) -> None:
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(family_lines(fam))
 
 

@@ -15,7 +15,6 @@ at tiny scale.  The caps are the module constants below, read on every call.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -26,10 +25,10 @@ import numpy as np
 from .boolmat import (
     BoolMatrix,
     _bit_indices,
-    _format_index_list,
     _Lines,
     _parse_block,
     _parse_index_list,
+    _parse_text,
     _read_text,
     _row_ints,
     read_matrix,
@@ -309,13 +308,13 @@ def check_product_bound(
 
 def format_rule_spanoid(s: RuleSpanoid) -> str:
     return f"SPANOID {len(s.universe)} {len(s.rules)}\n" + "".join(
-        [f"S: {_format_index_list(sorted(req))} -> {tgt}\n" for req, tgt in s.rules]
+        [f"S: {','.join(map(str, sorted(req)))} -> {tgt}\n" for req, tgt in s.rules]
     )
 
 
-def _rule(line: str, lineno: int) -> tuple[frozenset[int], int]:
-    left, arrow, right = line.partition("->")
-    if not left.startswith("S:") or not arrow:
+def _rule(line: bytes, lineno: int) -> tuple[frozenset[int], int]:
+    left, arrow, right = line.partition(b"->")
+    if not left.startswith(b"S:") or not arrow:
         raise FormatError("expected 'S: i1,...,ik -> j'", line=lineno)
     target = _parse_index_list(right.strip(), lineno)
     if target.size != 1:
@@ -329,25 +328,29 @@ def _parse_spanoid(lines: _Lines) -> RuleSpanoid:
     return RuleSpanoid(u, rules)
 
 
-def parse_spanoid(text: str) -> RuleSpanoid:
-    return _parse_spanoid(_Lines(io.StringIO(text, newline="\n")))
+def parse_spanoid(text: str | bytes) -> RuleSpanoid:
+    return _parse_text(text, _parse_spanoid)
 
 
 def _rules_or_matrix_file(lines: _Lines) -> RuleSpanoid | str:
     """The spanoid of a SPANOID text, or the matrix file that a one-line
-    MATSPANOID text names."""
+    MATSPANOID text names, in UTF-8."""
     taken = []  # up to the first line that is not blank
     while (line := lines.take()) is not None:
         taken.append(line)
         if line.strip():
             break
     parts = taken[-1].split(None, 1) if taken else []
-    if parts[:1] != ["MATSPANOID"]:
+    if parts[:1] != [b"MATSPANOID"]:
         return _parse_spanoid(_Lines(chain(taken, lines)))
     if len(parts) != 2:
         raise FormatError("expected 'MATSPANOID <matrix-file>'", line=lines.lineno)
+    try:
+        path = parts[1].strip().decode()
+    except UnicodeDecodeError:
+        raise FormatError("the matrix file name must be UTF-8", line=lines.lineno) from None
     lines.end("MATSPANOID")
-    return parts[1].strip()
+    return path
 
 
 def read_spanoid(path: str) -> Spanoid:
@@ -360,15 +363,19 @@ def read_spanoid(path: str) -> Spanoid:
     return MatrixSpanoid(read_matrix(os.path.join(base, found)))
 
 
-def _index_set(line: str, lineno: int) -> frozenset[int]:
+def _index_set(line: bytes, lineno: int) -> frozenset[int]:
     return frozenset(_parse_index_list(line.strip(), lineno).tolist())
 
 
-def parse_index_sets(text: str) -> list[frozenset[int]]:
+def _parse_index_sets(lines: _Lines) -> list[frozenset[int]]:
+    return _parse_block(lines, "SETS", "s", _index_set)[1]
+
+
+def parse_index_sets(text: str | bytes) -> list[frozenset[int]]:
     """SETS format: 'SETS s' then s lines of comma-separated indices
     (an empty line is the empty set)."""
-    return _parse_block(_Lines(io.StringIO(text, newline="\n")), "SETS", "s", _index_set)[1]
+    return _parse_text(text, _parse_index_sets)
 
 
 def read_index_sets(path: str) -> list[frozenset[int]]:
-    return _read_text(path, lambda lines: _parse_block(lines, "SETS", "s", _index_set)[1])
+    return _read_text(path, _parse_index_sets)

@@ -325,9 +325,12 @@ class TestMatrixFormat:
         # 64 entries make 8-character text blocks: two 3-column rows a block
         monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 64)
         m = crown_matrix(3)
-        assert list(matrix_lines(m)) == ["3 3\n", "011\n101\n", "110\n"]
+        # each block is bytes-like, and valid until the next is taken
+        assert list(map(bytes, matrix_lines(m))) == [b"3 3\n", b"011\n101\n", b"110\n"]
         m = BoolMatrix.zeros(5, 3)
-        assert list(matrix_lines(m)) == ["5 3\n", "000\n000\n", "000\n000\n", "000\n"]
+        assert list(map(bytes, matrix_lines(m))) == [
+            b"5 3\n", b"000\n000\n", b"000\n000\n", b"000\n"
+        ]
 
     @given(
         arrays(np.uint8, st.tuples(st.integers(0, 6), st.integers(0, 12)),
@@ -546,8 +549,8 @@ class TestStreamedWriters:
         monkeypatch.setattr(boolmat, "_BLOCK_ENTRIES", 8 * (2 * cols + 2))
         assert boolmat._text_chars() // (cols + 1) == 2 and shape_b[0] % 2
         read = boolmat._kron_reader(BoolMatrix.from_dense(a), BoolMatrix.from_dense(b))
-        text = "".join(boolmat.reader_lines(len(a) * len(b), cols, read))
-        assert text == format_matrix(BoolMatrix.from_dense(np.kron(a, b)))
+        text = b"".join(map(bytes, boolmat.reader_lines(len(a) * len(b), cols, read)))
+        assert text.decode() == format_matrix(BoolMatrix.from_dense(np.kron(a, b)))
         assert kronecker(BoolMatrix.from_dense(a), BoolMatrix.from_dense(b)) == (
             BoolMatrix.from_dense(np.kron(a, b))
         )

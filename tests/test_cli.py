@@ -1,11 +1,15 @@
 import gc
 import hashlib
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -14,15 +18,31 @@ import boolrank
 from boolrank import boolmat, bounds, cover, spanoid
 from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
 from boolrank.cli import COMMANDS, GROUP_HELP, main
-from boolrank.cover import parse_cover, parse_family, read_cover, write_family
+from boolrank.cover import (
+    Cover,
+    MatrixFamily,
+    Rectangle,
+    parse_cover,
+    parse_family,
+    read_cover,
+    write_family,
+)
 from boolrank.crown import c4_triple, crown_matrix
 from boolrank.errors import FormatError
+from test_golden_cli import PRINTED, WRITTEN, inputs  # noqa: F401 (a fixture)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env():
+    """The environment of a child process that imports this boolrank."""
+    src = str(Path(boolrank.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestBasics:
@@ -94,6 +114,27 @@ class TestCoverCommands:
         path = tmp_path / "g.cov"
         code, out, err = run(capsys, "cover", "gap", "5", "5", "-o", str(path))
         assert code == 2 and out == "" and "invalid input" in err
+        assert not path.exists()
+
+    def test_gap_checks_the_crowns_it_claims(self, capsys, tmp_path, monkeypatch):
+        # families that drop row 0 from every rectangle still compose
+        # against their own unions; against crown(7) they fail
+        from boolrank import crown
+
+        families = crown.gap_families
+
+        def dropped(n, m):
+            return tuple(MatrixFamily(tuple(
+                Cover(c.rows, c.cols, tuple(
+                    Rectangle(r.rows[r.rows > 0], r.cols) for r in c.rects if r.rows[-1] > 0
+                )) for c in fam.decompositions
+            )) for fam in families(n, m))
+
+        monkeypatch.setattr(crown, "gap_families", dropped)
+        path = tmp_path / "g.cov"
+        code, out, err = run(capsys, "cover", "gap", "7", "7", "-o", str(path))
+        assert (code, err) == (1, "")
+        assert out == "FAILED entry=(0,1) reason=m-family does not cover the first factor\n"
         assert not path.exists()
 
     def test_gap_peak_memory_below_file_size(self, capsys, tmp_path):
@@ -479,6 +520,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "invalid input: limit 0 proves no lower bound" in err
 
+    def test_bad_index_list_is_shown_cut(self, capsys, tmp_path):
+        # one x after 200,000 indices: the message shows 40 characters
+        mat, cov = tmp_path / "c.mat", tmp_path / "x.cov"
+        mat.write_text("1 1\n1\n")
+        cov.write_text("COVER 1 1 1\nR 0 C " + ",".join(map(str, range(200_000))) + ",x\n")
+        code, out, err = run(capsys, "verify", "cover", str(mat), str(cov))
+        assert (code, out) == (2, "")
+        assert err == "invalid input: line 2: bad index list '0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16'...\n"
+        assert len(err.encode()) < 200
+
     def test_bad_format_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.mat"
         bad.write_text("not a matrix\n")
@@ -514,12 +565,9 @@ class TestOptimizedInterpreter:
     def test_negative_controls_fail(self, tmp_path, argv, line):
         for name, text in self.INPUTS.items():
             (tmp_path / name).write_text(text)
-        src = str(Path(boolrank.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "boolrank", "verify", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (1, line + "\n")
 
@@ -578,11 +626,9 @@ class TestExitCodeContract:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
         # and under python -O, which strips asserts, with every ResourceWarning shown
-        src = str(Path(boolrank.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-O", "-W", "always::ResourceWarning", "-m", "boolrank", *argv],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
@@ -750,3 +796,71 @@ class TestHelpText:
                 main([*argv, "--help"])
             assert exc.value.code == 0
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+class TestBytesOutput:
+    """Every command writes bytes: the same bytes to stdout, however it is
+    captured, as to ``-o``, and no comparison or conversion that mixes
+    bytes and str on the way."""
+
+    # each -o command, at a size whose matrix text spans several blocks
+    WRITERS = {
+        "crown": ["crown", "1500"],
+        "kron": ["kron", "c40.mat", "c40.mat"],
+        "cover canonical": ["cover", "canonical", "7"],
+        "cover triple": ["cover", "triple", "9", "1"],
+        "cover c4": ["cover", "c4"],
+        "cover c5": ["cover", "c5"],
+        "cover gap": ["cover", "gap", "12", "7"],
+        "cover algebraic": ["cover", "algebraic", "2", "2"],
+    }
+
+    def test_writers_are_every_command_with_output(self):
+        assert sorted(self.WRITERS) == sorted(commands_where(lambda spec: "-o" in spec))
+
+    @pytest.mark.parametrize("words", list(WRITERS))
+    def test_stdout_and_output_file_agree(self, capsys, inputs, tmp_path, words):
+        argv = [str(inputs / a) if a.endswith(".mat") else a for a in self.WRITERS[words]]
+        path = tmp_path / "out"
+        assert main([*argv, "-o", str(path)]) == 0
+        written = path.read_bytes()
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == written
+        with redirect_stdout(StringIO()) as out:  # a stdout with no binary buffer
+            assert main(argv) == 0
+        assert out.getvalue().encode() == written
+        proc = subprocess.run(
+            [sys.executable, "-m", "boolrank", *argv], env=subprocess_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, written)
+
+    def test_every_command_under_bb(self, inputs):
+        # one golden case of each command, run in one process with and
+        # without -bb, which makes a bytes/str comparison or str(bytes) raise
+        cases = {**{label: (argv, rc) for label, (argv, rc, _) in PRINTED.items()},
+                 **{label: (argv, 0) for label, (argv, _) in WRITTEN.items()}}
+        chosen = {}
+        for argv, rc in cases.values():
+            words = next(w for w in COMMANDS if argv[:len(w.split())] == w.split())
+            chosen.setdefault(words, (argv, rc))
+        assert sorted(chosen) == sorted(COMMANDS)
+        script = (
+            "import json, sys\n"
+            "from boolrank.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = main(argv)\n"
+            "    sys.stdout.flush()\n"
+            "    sys.stdout.buffer.write(b'EXIT %d\\n' % code)\n"
+        )
+        argvs = json.dumps([argv for argv, _ in chosen.values()])
+        plain, strict = (
+            subprocess.run([sys.executable, *flags, "-c", script, argvs], cwd=inputs,
+                           env=subprocess_env(), capture_output=True, timeout=300)
+            for flags in ([], ["-bb"])
+        )
+        assert strict.returncode == 0, strict.stderr.decode()
+        assert strict.stdout == plain.stdout
+        codes = [int(c) for c in re.findall(rb"^EXIT (\d)$", strict.stdout, re.MULTILINE)]
+        assert codes == [rc for _, rc in chosen.values()]

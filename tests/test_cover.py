@@ -1063,7 +1063,7 @@ class TestFormats:
         MatrixFamily((Cover(11, 11, (Rectangle((10,), (3,)),)),)),
     ))
     def test_kron_cover_lines_match_format_cover(self, d):
-        assert "".join(kron_cover_lines(d)) == format_cover(d.to_cover())
+        assert b"".join(kron_cover_lines(d)).decode() == format_cover(d.to_cover())
 
     def test_family_round_trip(self):
         fam = c4_triple()

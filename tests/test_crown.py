@@ -22,7 +22,6 @@ from boolrank.cover import (
     best_triple_pairing,
     check_q_covering,
     compose_kron_cover,
-    compose_kron_description,
     cover_matrix,
     format_cover,
     kron_cover_lines,
@@ -634,8 +633,8 @@ class TestGapCovers:
         "n,m", [(4, 4), (4, 5), (5, 4), (4, 10), (7, 7), (7, 12), (12, 7), (20, 35)]
     )
     def test_streamed_text_matches_format_cover(self, n, m):
-        description = compose_kron_description(*gap_families(n, m))
-        assert "".join(kron_cover_lines(description)) == format_cover(gap_cover(n, m))
+        description = KronCoverDescription(*gap_families(n, m))
+        assert b"".join(kron_cover_lines(description)).decode() == format_cover(gap_cover(n, m))
 
     @pytest.mark.parametrize("n,m,builds", [(12, 20, 1), (30, 30, 1), (20, 35, 2), (35, 7, 2)])
     def test_shared_level_builds_h_once(self, monkeypatch, n, m, builds):
@@ -664,15 +663,15 @@ class TestGapCovers:
 
     @pytest.mark.parametrize("n,m", [(4, 5), (7, 7), (7, 12), (20, 35)])
     def test_indices_count_the_text(self, n, m):
-        lines = kron_cover_lines(compose_kron_description(*gap_families(n, m)))
+        lines = kron_cover_lines(KronCoverDescription(*gap_families(n, m)))
         next(lines)
-        count = sum(len(side.split(",")) for line in lines for side in line.split()[1::2])
+        count = sum(len(side.split(b",")) for line in lines for side in line.split()[1::2])
         assert KronCoverDescription(*gap_families(n, m)).indices == count
 
     def test_streamed_text_holds_no_table_of_the_product(self):
         # 4.4 MiB measured: the runs of one t and the lines; a table of the
         # product's 63504 decimal strings took the peak to 8.1 MiB
-        description = compose_kron_description(*gap_families(252, 252))
+        description = KronCoverDescription(*gap_families(252, 252))
         tracemalloc.start()
         try:
             for _ in kron_cover_lines(description):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolrank import boolmat
-from boolrank.boolmat import _parse_index_list, _table_size
+from boolrank.boolmat import _parse_index_list, _table_size, parse_matrix
 from boolrank.cover import (
     Cover,
     KronCoverDescription,
@@ -165,9 +165,11 @@ def spanoid_rules(text):
 
 class TestSplitOnNewlineOnly:
     """The string parsers split text on "\\n" only.  Each character below
-    ends a line for ``str.splitlines`` but is whitespace inside one, so text
-    that holds it at every line end and before every space gives the same
-    value, or the same error on the same line."""
+    ends a line for ``str.splitlines``.  The ASCII whitespace among them is
+    whitespace inside a line, so text that holds it at every line end and
+    before every space gives the same value, or the same error on the same
+    line.  The others are refused (:class:`TestSeparators`), and on line 1,
+    which holds the first of them: none ends a line."""
 
     BREAKS = ["\r", "\x85", "\u2028", "\x0b", "\x0c", "\x1c"]
 
@@ -205,8 +207,125 @@ class TestSplitOnNewlineOnly:
         parse, texts = self.TEXTS[fmt]
         for text in texts:
             moved = text.replace(" ", brk + " ").replace("\n", brk + "\n")
-            assert outcome(parse, moved) == outcome(parse, text)
             assert len(moved.splitlines()) > len(text.splitlines())
+            if brk.encode().isspace():  # ASCII whitespace, as bytes.split() takes it
+                assert outcome(parse, moved) == outcome(parse, text)
+            else:
+                assert outcome(parse, moved)[:2] == (FormatError, 1)
+
+
+def matrix_rows(text):
+    m = parse_matrix(text)
+    return m.rows, m.cols, m.bits.tobytes()
+
+
+# every format, with "{0}" where a header field may be followed by a
+# separator and "{1}" where a body line's field may
+SEPARATED = {
+    "matrix": (matrix_rows, "2 2{0}\n01\n10\n"),
+    "cover": (parse_cover, "COVER 2 2 1{0}\nR 0{1} C 1\n"),
+    "family": (parse_family, "FAMILY 2 2 1{0}\nCOVER 2{0} 2 1\nR 0 C{1} 1\n"),
+    "spanoid": (spanoid_rules, "SPANOID 2 1{0}\nS: 0{1} -> 1\n"),
+    "sets": (parse_index_sets, "SETS 1{0}\n0,1{1}\n"),
+}
+
+
+class TestSeparators:
+    """Fields are separated by ASCII whitespace only, in every format, as
+    ``bytes.split()`` splits them: any other separator, such as one that
+    ``str.split()`` would take, is a ``FormatError`` on its own line,
+    whether the text is a str or its UTF-8 bytes."""
+
+    ACCEPTED = ["\t", "\x0b", "\x0c", "\r"]
+    REFUSED = ["\x1c", "\x85", "\xa0", "\u2028"]
+
+    @pytest.mark.parametrize("sep", ACCEPTED, ids=ascii)
+    @pytest.mark.parametrize("fmt", sorted(SEPARATED))
+    def test_ascii_whitespace_separates(self, fmt, sep):
+        parse, text = SEPARATED[fmt]
+        plain = parse(text.format("", ""))
+        for source in (text.format(sep, sep), text.format(sep, sep).encode()):
+            assert parse(source) == plain
+
+    @pytest.mark.parametrize("sep", REFUSED, ids=ascii)
+    @pytest.mark.parametrize("fmt", sorted(SEPARATED))
+    def test_other_separators_are_refused(self, fmt, sep):
+        parse, text = SEPARATED[fmt]
+        for at in ("{0}", "{1}"):
+            if at not in text:
+                continue
+            placed = text.replace(at, sep).format("", "")
+            line = placed[:placed.index(sep)].count("\n") + 1
+            for source in (placed, placed.encode()):
+                with pytest.raises(FormatError) as exc:
+                    parse(source)
+                assert exc.value.line == line
+
+    @pytest.mark.parametrize("fmt", sorted(SEPARATED))
+    def test_undecodable_bytes_are_refused(self, fmt, tmp_path):
+        # a byte that is not UTF-8 is a FormatError on its line, read from
+        # bytes or from a file, where text once failed to decode
+        parse, text = SEPARATED[fmt]
+        placed = text.replace("{0}", "\xff").format("", "").encode("latin-1")
+        path = tmp_path / "f.txt"
+        path.write_bytes(placed)
+        read = {"matrix": boolmat.read_matrix, "cover": read_cover, "family": read_family,
+                "spanoid": read_spanoid, "sets": read_index_sets}[fmt]
+        for call in (lambda: parse(placed), lambda: read(str(path))):
+            with pytest.raises(FormatError) as exc:
+                call()
+            assert exc.value.line == 1
+
+
+def reference_index_list(token):
+    """The index-list rule field by field: 1 to 18 ASCII digits each."""
+    fields = token.split(b",")
+    if not all(f.isascii() and f.isdigit() and len(f) <= 18 for f in fields):
+        raise FormatError("bad index list", line=1)
+    return [int(f) for f in fields]
+
+
+class TestIndexListTokenizer:
+    """``_parse_index_list`` checks a whole token at once; it agrees with a
+    field-by-field reader on every token, and shows at most 40 characters
+    of a bad one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.text("0123456789", min_size=0, max_size=21) | st.sampled_from(["x", "+1", "1\xa0", "-"]),
+        min_size=1, max_size=6,
+    ).map(",".join).map(str.encode))
+    def test_matches_fields(self, token):
+        try:
+            expected = reference_index_list(token) if token else []
+        except FormatError:
+            with pytest.raises(FormatError, match="bad index list"):
+                _parse_index_list(token, 1)
+        else:
+            assert _parse_index_list(token, 1).tolist() == expected
+
+    @pytest.mark.parametrize("width", [17, 18, 19, 20, 37])
+    @pytest.mark.parametrize("at", ["alone", "first", "middle", "last"])
+    def test_widths(self, width, at):
+        field = b"0" * (width - 1) + b"7"
+        token = {"alone": field, "first": field + b",1,2", "middle": b"1," + field + b",2",
+                 "last": b"1,2," + field}[at]
+        if width <= 18:
+            assert 7 in _parse_index_list(token, 1).tolist()
+        else:
+            with pytest.raises(FormatError, match="bad index list"):
+                _parse_index_list(token, 1)
+
+    @pytest.mark.parametrize("token, shown", [
+        (b"x" * 40, "'" + "x" * 40 + "'"),
+        (b"x" * 41, "'" + "x" * 40 + "'..."),
+        (b"1," * 30 + b"x", "'" + "1," * 20 + "'..."),
+        ("\u00e9".encode() * 40, "'" + "\u00e9" * 40 + "'"),
+    ])
+    def test_shows_40_characters(self, token, shown):
+        with pytest.raises(FormatError) as exc:
+            _parse_index_list(token, 3)
+        assert str(exc.value) == f"line 3: bad index list {shown}"
 
 
 def oracle_cover_text(c):
@@ -471,7 +590,7 @@ class TestNarrowSides:
         text = oracle_cover_text(oracle)
         assert tuple(d.iter_rectangles()) == oracle.rects
         assert format_cover(d.to_cover()) == text
-        assert "".join(kron_cover_lines(d)) == text
+        assert b"".join(kron_cover_lines(d)) == text.encode()
 
 
 # -- streamed readers against a whole-text reader -------------------------------
@@ -518,7 +637,7 @@ def reference_rects(body, first):
             raise FormatError("expected 'R i1,i2,... C j1,j2,...'", line=lineno)
         # both lists are read before either side's order is checked; the
         # whole-text reader checked the rows' order before reading columns
-        sides = [_parse_index_list(parts[k], lineno) for k in (1, 3)]
+        sides = [_parse_index_list(parts[k].encode(), lineno) for k in (1, 3)]
         if any((np.diff(side) <= 0).any() for side in sides):
             raise FormatError("indices must be sorted, distinct, 0-based", line=lineno)
         rects.append(Rectangle(*(tuple(side.tolist()) for side in sides)))
@@ -562,13 +681,10 @@ def outcome(parse, source):
 
 
 def chunked(chars):
-    """Open text files that decode ``chars`` bytes at a time, so lines and
-    CRLF pairs fall across the reader's pieces."""
-    def opener(*args, **kwargs):
-        fh = open(*args, **kwargs)
-        fh._CHUNK_SIZE = chars
-        return fh
-    return mock.patch.object(boolmat, "open", opener, create=True)
+    """Read files ``chars`` bytes at a time, so lines and CRLF pairs fall
+    across the reader's pieces."""
+    pieces = boolmat._file_pieces
+    return mock.patch.object(boolmat, "_file_pieces", lambda fh, size: pieces(fh, chars))
 
 
 def normalized(text):
@@ -651,10 +767,10 @@ class TestStreamedReaders:
             cover_of(5, 6, [([1, 2], [3]), ([4], [0, 5])]), cover_of(5, 6, []),
         ))
         lines = list(family_lines(fam))
-        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
-        assert "".join(lines) == format_family(fam) == oracle_family_text(fam)
+        assert all(line.endswith(b"\n") and line.count(b"\n") == 1 for line in lines)
+        assert b"".join(lines).decode() == format_family(fam) == oracle_family_text(fam)
         c = fam.decompositions[0]
-        assert list(cover_lines(c)) == ["COVER 5 6 2\n", "R 1,2 C 3\n", "R 4 C 0,5\n"]
+        assert list(cover_lines(c)) == [b"COVER 5 6 2\n", b"R 1,2 C 3\n", b"R 4 C 0,5\n"]
 
     def test_family_read_peak(self, tmp_path):
         # beyond the family, the reader holds about a line: the file's text

@@ -390,6 +390,17 @@ class TestFormats:
         s = read_spanoid(str(tmp_path / "sp.txt"))
         assert isinstance(s, MatrixSpanoid) and s.matrix == crown_matrix(2)
 
+    def test_matspanoid_path_is_utf8(self, tmp_path):
+        from boolrank.boolmat import write_matrix
+        from boolrank.spanoid import read_spanoid
+
+        write_matrix(str(tmp_path / "\u043c c2.mat"), crown_matrix(2))
+        (tmp_path / "sp.txt").write_bytes("\nMATSPANOID \u043c c2.mat\r\n".encode())
+        assert read_spanoid(str(tmp_path / "sp.txt")).matrix == crown_matrix(2)
+        (tmp_path / "sp.txt").write_bytes(b"\nMATSPANOID \xff.mat\n")
+        with pytest.raises(FormatError, match="line 2: the matrix file name must be UTF-8"):
+            read_spanoid(str(tmp_path / "sp.txt"))
+
     def test_sets_format(self):
         sets = parse_index_sets("SETS 3\n0,1\n\n2\n")
         assert sets == [frozenset({0, 1}), frozenset(), frozenset({2})]

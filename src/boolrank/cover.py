@@ -41,9 +41,9 @@ dtype of uint16, uint32 and int64 that holds its last (largest) index
 (:func:`_side`), so an index below 65536 costs 2 bytes.  Arithmetic on a
 side widens it to int64 first.  :attr:`Rectangle.row_set` and
 :attr:`Rectangle.col_set` are tuple views of the sides, made on each
-access, for callers that want Python ints; the writers take ``tolist()``
-once per side instead, and write from one decimal string per distinct
-index (see :mod:`boolrank.boolmat`).
+access, for callers that want Python ints; the writers gather each
+side's text from tables of digits instead, with no Python object per
+index (see :func:`boolrank.boolmat._index_writer`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -64,7 +63,6 @@ from .boolmat import (
     _bits_reader,
     _block_rows,
     _file_pieces,
-    _index_bytes,
     _index_writer,
     _Lines,
     _matrix_blocks,
@@ -72,6 +70,7 @@ from .boolmat import (
     _parse_index_list,
     _parse_text,
     _read_text,
+    _table_size,
     _text_chars,
     require_materializable,
 )
@@ -597,19 +596,46 @@ def _signature_int(key: np.generic) -> int:
     return int.from_bytes(key.tobytes(), "little")
 
 
+def _split_block(bits: list[np.ndarray], spare: list[np.ndarray], classes: set[int]) -> None:
+    """Add to ``classes`` those of one block's entries, given the block's
+    packed bits ``bits`` of every matrix, split depth first (see
+    :func:`_split_classes`); every mask ends in ``spare``."""
+    mask = spare.pop() if spare else np.empty(bits[0].size, dtype=np.uint8)
+    mask.fill(0xFF)
+    stack = [(0, 0, mask)]  # (next matrix, class so far, its mask)
+    while stack:
+        t, cls, mask = stack.pop()
+        if t == len(bits):
+            classes.add(cls)
+            spare.append(mask)
+            continue
+        hit = np.bitwise_and(mask, bits[t], out=spare.pop() if spare else None)
+        if not hit.max():  # max, not any: a third of the time
+            spare.append(hit)
+            stack.append((t + 1, cls, mask))
+            continue
+        mask ^= hit
+        if mask.max():
+            stack.append((t + 1, cls, mask))
+        else:
+            spare.append(mask)
+        stack.append((t + 1, cls | 1 << t, hit))
+
+
 def _split_classes(matrices: Sequence[BoolMatrix | Cover | RowSource]) -> set[int]:
     """:func:`_classes`, split straight from the packed bits.
 
-    A scan block (:func:`_scan_rows`, about 64 KiB of packed bytes) starts
-    as one live mask of all its bits.  Matrix t splits every live mask into
-    the bits it has (class bit t set) and the bits it lacks, and empty
-    halves are dropped; after the last matrix each live mask holds the
-    entries of one class.  Padding bits are 0 in every matrix, so they only
-    reach class 0.  The masks stay in cache while they are split, and a
-    mask that is dropped is reused rather than freed, so splitting
-    allocates almost nothing.  Matrix t's rows of the block are read
-    (:func:`_reading`) just before it splits, so one block of one matrix
-    is held at a time.
+    The rows of a scan block (:func:`_scan_rows`, about 64 KiB of packed
+    bytes) are read from every matrix (:func:`_reading`), and the block
+    starts as one mask of all its bits.  Matrix t splits a mask into the
+    bits it has (class bit t set) and the bits it lacks, and empty halves
+    are dropped; a mask split by the last matrix holds the entries of one
+    class.  The split is depth first: each mask is carried down to the last
+    matrix before its sibling is taken, so at most one mask per matrix
+    waits on the stack, and a block holds about s masks besides its s
+    blocks of rows, however many classes it has.  Padding bits are 0 in
+    every matrix, so they only reach class 0.  A mask that is dropped is
+    reused rather than freed, so splitting allocates almost nothing.
     """
     rows, nbytes = matrices[0].rows, (matrices[0].cols + 7) // 8
     classes: set[int] = set()
@@ -618,30 +644,9 @@ def _split_classes(matrices: Sequence[BoolMatrix | Cover | RowSource]) -> set[in
     with _reading(matrices) as readers:
         # a matrix of no columns has no class, but a file of one is still read
         for row0 in range(0, rows if nbytes else 0, block):
-            size = (min(rows, row0 + block) - row0) * nbytes
-            if spare and spare[0].size != size:  # the last, shorter block
-                spare.clear()
-            mask = spare.pop() if spare else np.empty(size, dtype=np.uint8)
-            mask.fill(0xFF)
-            live = [(0, mask)]
-            for t, read in enumerate(readers):
-                bits = read(row0, row0 + block).ravel()
-                split = []
-                for cls, mask in live:
-                    hit = np.bitwise_and(mask, bits, out=spare.pop() if spare else None)
-                    if not hit.max():  # max, not any: a third of the time
-                        spare.append(hit)
-                        split.append((cls, mask))
-                        continue
-                    split.append((cls | 1 << t, hit))
-                    mask ^= hit
-                    if mask.max():
-                        split.append((cls, mask))
-                    else:
-                        spare.append(mask)
-                live = split
-            classes.update(cls for cls, _ in live)
-            spare.extend(mask for _, mask in live)
+            if spare and spare[0].size != (min(rows, row0 + block) - row0) * nbytes:
+                spare.clear()  # the last, shorter block
+            _split_block([read(row0, row0 + block).ravel() for read in readers], spare, classes)
     return classes
 
 
@@ -654,7 +659,7 @@ def _classes(matrices: Sequence[BoolMatrix | Cover | RowSource]) -> set[int]:
     Up to 9 matrices the classes are split from the packed bits.  A split
     costs a pass per live class, so it wins while classes are few, as they
     are for families that cover a matrix, but with every class present it
-    takes 3 to 4 times as long as a scan at 8 or 9 matrices and doubles
+    takes 1.5 to 2 times as long as a scan at 8 or 9 matrices and doubles
     with each further one.  Past 9 the entries' signatures are marked in a
     table of all 2^s of them, at most 1 MiB, or hashed past 20 matrices.
     """
@@ -903,9 +908,10 @@ def _lex_rank(subset: tuple[int, ...], s: int) -> int:
 
 # -- text formats -------------------------------------------------------------
 
-def _rect_line(rows: bytes, cols: bytes) -> bytes:
-    """A cover body line, with its newline, from the text of its two index lists."""
-    return b"R %s C %s\n" % (rows, cols)
+def _rect_line(rows: list, cols: list) -> bytes:
+    """A cover body line, with its newline, from the texts of its two index
+    lists, each a list of buffers (see :func:`~boolrank.boolmat._index_writer`)."""
+    return b"".join([b"R ", *rows, b" C ", *cols, b"\n"])
 
 
 def _sides(covers: Iterable[Cover]) -> Iterator[np.ndarray]:
@@ -919,13 +925,13 @@ def _side_lengths(c: Cover) -> tuple[int, int]:
 
 
 def _format_rectangle(
-    r: Rectangle, write: Callable[[list[int]], bytes] = _index_bytes
+    r: Rectangle, write: Callable[[np.ndarray], list] = _index_writer(0)
 ) -> bytes:
-    """A cover body line; ``write`` gets each side as a list of ints."""
-    return _rect_line(write(r.rows.tolist()), write(r.cols.tolist()))
+    """A cover body line; ``write`` gets each side as an index array."""
+    return _rect_line(write(r.rows), write(r.cols))
 
 
-def _cover_lines(c: Cover, write: Callable[[list[int]], bytes]) -> Iterator[bytes]:
+def _cover_lines(c: Cover, write: Callable[[np.ndarray], list]) -> Iterator[bytes]:
     yield b"COVER %d %d %d\n" % (c.rows, c.cols, c.size)
     for r in c.rects:
         yield _format_rectangle(r, write)
@@ -933,75 +939,38 @@ def _cover_lines(c: Cover, write: Callable[[list[int]], bytes]) -> Iterator[byte
 
 def cover_lines(c: Cover) -> Iterator[bytes]:
     """The lines of :func:`format_cover`, one at a time, as bytes."""
-    return _cover_lines(c, _index_writer(_sides([c])))
+    return _cover_lines(c, _index_writer(_table_size(_sides([c]))))
 
 
 def format_cover(c: Cover) -> str:
     return b"".join(cover_lines(c)).decode("ascii")
 
 
-def _picker(side: list[int]) -> Callable[[list[bytes]], Sequence[bytes]]:
-    """``lambda seq: [seq[j] for j in side]`` for a nonempty side, made in C
-    (``itemgetter`` gives a lone item, not a tuple, for one index, so one
-    index is taken as a slice)."""
-    if len(side) == 1:
-        return itemgetter(slice(side[0], side[0] + 1))
-    return itemgetter(*side)
-
-
-def _runs(
-    pairs: Sequence[tuple[int, Sequence[list[int]], Sequence[list[int]]]],
-) -> list[list[dict[int, bytes]]]:
-    """Per (width, outer sides, inner sides) and per inner side, the text
-    of ``i * width + j`` over its j, keyed by each i of the outer sides.
-
-    The decimal strings of an i's block of a width, ``i * width`` up to
-    ``(i + 1) * width``, are made once for every pair of that width, and
-    dropped before the next i's.
-    """
-    outer = [set().union(*sides) for _, sides, _ in pairs]
-    pickers = [list(map(_picker, inner)) for _, _, inner in pairs]
-    runs = [[{} for _ in inner] for _, _, inner in pairs]
-    for i in set().union(*outer):
-        blocks: dict[int, list[bytes]] = {}
-        for (width, _, _), keys, pair_pickers, pair_runs in zip(pairs, outer, pickers, runs):
-            if i in keys:
-                if width not in blocks:
-                    blocks[width] = [b"%d" % v for v in range(i * width, (i + 1) * width)]
-                for run, pick in zip(pair_runs, pair_pickers):
-                    run[i] = b",".join(pick(blocks[width]))
-    return runs
-
-
 def kron_cover_lines(d: KronCoverDescription) -> Iterator[bytes]:
     """The lines of ``format_cover(d.to_cover())``, built from the factors.
 
-    A product rectangle's row list is, for each row i of its m-side
-    rectangle in turn, the run ``i * rows_b + j`` over the rows j of its
-    n-side rectangle.  A run's text does not depend on the m-side
-    rectangle, so it is built once per t, n-side rectangle and row i, from
-    the decimal strings of row i's block of the product (:func:`_runs`),
-    and each line only joins runs.  Columns likewise; when the n-family is
-    square, as a crown's is, one block of strings serves both.  No product
-    rectangle, no int per product index and no table of the product's
-    indices is made; each factor side is made a list of ints once per t, so
-    i * width + j is Python arithmetic and never wraps.
+    A product rectangle's row list is ``i * rows_b + j`` over the rows i of
+    its m-side rectangle and, for each i in turn, the rows j of its n-side
+    rectangle, so it is sorted.  Each line's row and column values are made
+    as one array, int32 where the product's indices fit, and written from
+    one set of digit tables of the product's indices (see
+    :func:`~boolrank.boolmat._index_writer`), which is made when it has no
+    more entries than the text has indices.  No product rectangle and no
+    int per product index is made.
     """
     rows, cols = d.target_dims
     rb, cb = d.n_family.dims
+    size = max(rows, cols)
+    dtype = np.int32 if size < 1 << 31 else np.int64
+    write = _index_writer(size if size <= d.indices else 0)
     yield b"COVER %d %d %d\n" % (rows, cols, d.size)
     for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
-        rows_m = [r.rows.tolist() for r in dm.rects]
-        cols_m = [r.cols.tolist() for r in dm.rects]
-        row_runs, col_runs = _runs([
-            (rb, rows_m, [r.rows.tolist() for r in dn.rects]),
-            (cb, cols_m, [r.cols.tolist() for r in dn.rects]),
-        ])
-        for side_rows, side_cols in zip(rows_m, cols_m):
-            for row_run, col_run in zip(row_runs, col_runs):
-                row_text = b",".join([row_run[i] for i in side_rows])
-                col_text = b",".join([col_run[j] for j in side_cols])
-                yield _rect_line(row_text, col_text)
+        for rm in dm.rects:
+            row_a = rm.rows.astype(dtype)[:, None] * rb
+            col_a = rm.cols.astype(dtype)[:, None] * cb
+            for rn in dn.rects:
+                yield _rect_line(write((row_a + rn.rows).ravel()),
+                                 write((col_a + rn.cols).ravel()))
 
 
 def _parse_rectangle(line: bytes, lineno: int) -> Rectangle:
@@ -1031,7 +1000,7 @@ def parse_cover(text: str | bytes) -> Cover:
 
 def family_lines(fam: MatrixFamily) -> Iterator[bytes]:
     """The lines of :func:`format_family`, one at a time, as bytes."""
-    write = _index_writer(_sides(fam.decompositions))
+    write = _index_writer(_table_size(_sides(fam.decompositions)))
     yield b"FAMILY %d %d %d\n" % (*fam.dims, len(fam))
     for c in fam.decompositions:
         yield from _cover_lines(c, write)
@@ -1039,7 +1008,7 @@ def family_lines(fam: MatrixFamily) -> Iterator[bytes]:
 
 def format_family(fam: MatrixFamily) -> str:
     """A FAMILY header, then one COVER block per member, all written from
-    one table of decimal strings."""
+    one set of digit tables."""
     return b"".join(family_lines(fam)).decode("ascii")
 
 

@@ -23,6 +23,7 @@ from boolrank.cover import (
     check_q_covering,
     compose_kron_cover,
     cover_matrix,
+    family_lines,
     format_cover,
     kron_cover_lines,
     verify_cover,
@@ -668,18 +669,28 @@ class TestGapCovers:
         count = sum(len(side.split(b",")) for line in lines for side in line.split()[1::2])
         assert KronCoverDescription(*gap_families(n, m)).indices == count
 
-    def test_streamed_text_holds_no_table_of_the_product(self):
-        # 4.4 MiB measured: the runs of one t and the lines; a table of the
-        # product's 63504 decimal strings took the peak to 8.1 MiB
-        description = KronCoverDescription(*gap_families(252, 252))
+    @staticmethod
+    def written_peak(lines):
         tracemalloc.start()
         try:
-            for _ in kron_cover_lines(description):
+            for _ in lines:
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+
+    def test_streamed_text_holds_no_table_of_the_product(self):
+        # 0.95 MiB measured: the digit tables of the product's 63504 indices
+        # (0.35 MiB) and a line; the decimal strings of each t's runs took
+        # 4.4 MiB, and a table of one string per product index 8.1 MiB
+        description = KronCoverDescription(*gap_families(252, 252))
+        assert self.written_peak(kron_cover_lines(description)) < 2 * 2**20
+
+    def test_family_text_holds_no_string_per_index(self):
+        # 1.14 MiB measured: the digit tables of 48620 indices (0.28 MiB)
+        # and a line; a table of one decimal string per index took 5.6 MiB
+        fam = triple_cover(18, 1)
+        assert self.written_peak(family_lines(fam)) < 2 * 2**20
 
     def test_product_cover_is_gated_on_its_indices(self, monkeypatch):
         # gap_cover(7, 7)'s text holds 608 indices

@@ -11,11 +11,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolrank import boolmat
-from boolrank.boolmat import _parse_index_list, _table_size, parse_matrix
+from boolrank.boolmat import (
+    _index_bytes,
+    _index_writer,
+    _parse_index_list,
+    _table_size,
+    parse_matrix,
+)
 from boolrank.cover import (
     Cover,
     KronCoverDescription,
@@ -386,9 +392,39 @@ def traced(call):
     return out, held, peak
 
 
+# 0, and each value beside a power of ten up to 10^5
+DIGIT_EDGES = sorted({0, *(10**k + e for k in range(1, 6) for e in (-1, 0, 1))})
+writer_values = st.lists(st.sampled_from(DIGIT_EDGES) | st.integers(0, 10**5 + 1),
+                         min_size=1, max_size=80)
+side_dtypes = st.sampled_from([np.uint16, np.uint32, np.int64])
+
+
 class TestSharedIndexTables:
-    """Certificates hold narrow index arrays and are written from one
-    decimal string per distinct index."""
+    """Certificates hold narrow index arrays and are written by gathering
+    each index's text from digit tables."""
+
+    # short sides are gathered too when no side counts as short
+    @given(side_dtypes, writer_values, st.integers(0, 3),
+           st.sampled_from([1, boolmat._SHORT_SIDE]))
+    @example(np.uint16, [0], 0, 1)
+    @example(np.uint32, [9], 0, 1)
+    @example(np.int64, [10**5], 1, 1)
+    def test_digit_writer_matches_index_bytes(self, dtype, values, spare, short):
+        values = sorted({min(v, np.iinfo(dtype).max) for v in values})
+        side = np.array(values, dtype=dtype)
+        # a table of exactly the values up to the last, or a few past it
+        write = _index_writer(values[-1] + 1 + spare)
+        with mock.patch.object(boolmat, "_SHORT_SIDE", short):
+            assert b"".join(write(side)) == _index_bytes(values)
+
+    # a few small indices and one far past the count of indices
+    @given(side_dtypes, st.lists(st.integers(0, 99), max_size=5),
+           st.integers(10**6, 10**15))
+    def test_sparse_side_takes_the_fallback(self, dtype, small, far):
+        values = sorted(set(small)) + [min(far, np.iinfo(dtype).max)]
+        side = np.array(values, dtype=dtype)
+        assert _table_size([side]) == 0
+        assert b"".join(_index_writer(_table_size([side]))(side)) == _index_bytes(values)
 
     @given(st.sampled_from([0, 10**6, 10**15]).flatmap(writer_families))
     def test_writers_match_per_index_str(self, case):

@@ -178,6 +178,11 @@ WRITTEN = {
         ["cover", "triple", "9", "1"],
         "1f4b2d8eebdb82f6554a43fd13b174aac4bf537cefef3b95fae4a4de429131d3",
     ),
+    # a whole level of 3432 sets, whose indices run from one digit to four
+    "cover-triple-14": (
+        ["cover", "triple", "14", "1"],
+        "abe852416f32813751ac16d8f8114cd1654a18447cca21859fb7d98944184733",
+    ),
     # the largest levels built in tests: 12870 and 24310 sets
     "cover-triple-16": (
         ["cover", "triple", "16", "1"],
@@ -213,6 +218,11 @@ WRITTEN = {
     "cover-gap-253-7": (
         ["cover", "gap", "253", "7"],
         "c12793d87fda9bacda291a942d8b8c2c9e7655e35a17fbdfe6a2fa6892305678",
+    ),
+    # 10100 product rows: each line's indices cross from four digits to five
+    "cover-gap-101-100": (
+        ["cover", "gap", "101", "100"],
+        "1ce09dfa10429867f9b2e19fa4a2d01ef46379999db5e96c58b813fc191cf3ac",
     ),
     "cover-c4": (
         ["cover", "c4"],

@@ -26,7 +26,7 @@ import numpy as np
 from .boolmat import require_materializable
 from .cover import KronCoverDescription, MatrixFamily, verify_kron_hypotheses
 from .crown import CrownTarget, _colex, _element_cover, _sets, sigma
-from .errors import DimensionError, MaterializationLimitError, VerificationError
+from .errors import DimensionError, MaterializationLimitError
 
 
 def largest_prime_leq(m: int) -> int:
@@ -316,12 +316,7 @@ def asymptotic_cover(
         )
     selected = _members(params.d, params.p, params.q, params.s, n)
     target = CrownTarget(n)
-    res = verify_kron_hypotheses(target, selected, target, selected)
-    if not res:
-        raise VerificationError(
-            f"composition hypotheses fail at {res.witness}: {res.reason}",
-            witness=res.witness,
-        )
+    verify_kron_hypotheses(target, selected, target, selected).require()
     description = KronCoverDescription(selected, selected)
     return AsymptoticCoverResult(
         params, description, f"verified composed cover of size {description.size}"

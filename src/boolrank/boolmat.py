@@ -23,8 +23,10 @@ product's rows from them, so no writer holds the matrix it writes.  Index
 lists are parsed into int64 arrays, which
 :class:`~boolrank.cover.Rectangle` narrows to the dtype its sides are held
 in, and are written by gathering each run of indices of one digit count
-from a table of their texts (:func:`_index_writer`), whenever the tables
-hold no more entries than the lists hold indices.
+from a table of their texts (:func:`_index_writer`).  The tables hold the
+values below the larger of the matrix's two dimensions, and are made only
+when that is at most the number of indices the text holds, so a huge
+dimension with few indices never sizes a table.
 """
 
 from __future__ import annotations
@@ -425,17 +427,6 @@ def _index_bytes(idx: Iterable[int]) -> bytes:
     return b",".join([b"%d" % i for i in idx])
 
 
-def _table_size(sides: Iterable[np.ndarray]) -> int:
-    """Entries of a table of every value up to the largest index of the
-    sorted, nonempty index arrays ``sides``, or 0 when the sides hold fewer
-    indices than that: a huge index in a short list never sizes a table."""
-    count, hi = 0, -1
-    for side in sides:
-        count += len(side)
-        hi = max(hi, int(side[-1]))
-    return hi + 1 if hi < count else 0
-
-
 #: Sides shorter than this are written one ``str`` per index: the numpy
 #: calls of a gather cost about 6 us a side, while formatting costs about
 #: 0.15 us an index.
@@ -459,11 +450,14 @@ def _digit_tables(size: int) -> list[np.ndarray]:
     return tables
 
 
-def _index_writer(size: int) -> Callable[[np.ndarray], list]:
-    """A formatter of sorted index arrays below ``size``, from
-    :func:`_digit_tables`, when ``size`` is not 0; otherwise
-    :func:`_index_bytes`.  It gives a side's text as a list of buffers, for
-    the caller to join into its line, so the text is copied once.
+def _index_writer(size: int, count: int) -> Callable[[np.ndarray], list]:
+    """A formatter of sorted index arrays below ``size``, for a text of
+    ``count`` indices: from :func:`_digit_tables` when ``0 < size <= count``,
+    so no table has more entries than the text has indices, and otherwise
+    by :func:`_index_bytes`.  Every writer passes the larger of its
+    matrix's dimensions as ``size``.  It gives a side's text as a list of
+    buffers, for the caller to join into its line, so the text is copied
+    once.
 
     A sorted side splits into one contiguous run per digit count, and each
     run's texts are gathered from its table by one ``np.take`` along the
@@ -471,7 +465,7 @@ def _index_writer(size: int) -> Callable[[np.ndarray], list]:
     final comma as a view.  A side of fewer than :data:`_SHORT_SIDE`
     indices is written by :func:`_index_bytes`, which costs less there.
     """
-    tables = _digit_tables(size) if size else []
+    tables = _digit_tables(size) if 0 < size <= count else []
     bounds = [10**d for d in range(1, len(tables))]  # 10, 100, ...: where tables[d] starts
 
     def write(side: np.ndarray) -> list:

@@ -27,7 +27,8 @@ the code of the command it runs.
 A handler takes the parsed arguments and returns the bytes it certifies,
 whole or as blocks, each written before the next is taken; it fails by
 raising, before it returns.  A verifier that rejects its input raises
-``VerificationError`` with the witness text.  :func:`main` alone writes,
+``VerificationError`` with the witness text; the cover checks raise it
+through :meth:`~boolrank.cover.VerifyResult.require`.  :func:`main` alone writes,
 only bytes, to ``-o`` or to stdout's binary buffer, and alone maps
 exceptions to exit codes.
 """
@@ -138,9 +139,7 @@ def _cmd_cover_gap(args) -> Iterator[bytes]:
     # the text is refused before its hypotheses are checked or -o is opened
     boolmat.require_materializable("gap cover text", description.indices)
     a, b = _read_two(crown.CrownTarget, args.n, args.m)  # one target when n == m
-    res = cover.verify_kron_hypotheses(a, m_fam, b, n_fam)
-    if not res:
-        raise VerificationError(f"entry={_entry_str(res.witness)} reason={res.reason}")
+    cover.verify_kron_hypotheses(a, m_fam, b, n_fam).require()
     print(f"SIZE {description.size}", file=sys.stderr)
     return cover.kron_cover_lines(description)
 
@@ -169,9 +168,7 @@ def _cmd_verify_cover(args) -> bytes:
     from . import cover
     a = cover.MatrixFile(args.matrix)
     c = cover.read_cover(args.cover)
-    res = cover.verify_cover(a, c)
-    if not res:
-        raise VerificationError(f"entry={_entry_str(res.witness)} reason={res.reason}")
+    cover.verify_cover(a, c).require()
     return b"VERIFIED cover size=%d\n" % c.size
 
 
@@ -180,9 +177,7 @@ def _cmd_verify_kron(args) -> bytes:
     from . import cover
     a, b = _read_two(cover.MatrixFile, args.a, args.b)
     m_fam, n_fam = _read_two(cover.read_family, args.fam_m, args.fam_n)
-    res = cover.verify_kron_hypotheses(a, m_fam, b, n_fam)
-    if not res:
-        raise VerificationError(f"entry={_entry_str(res.witness)} reason={res.reason}")
+    cover.verify_kron_hypotheses(a, m_fam, b, n_fam).require()
     size = cover.KronCoverDescription(m_fam, n_fam).size
     return b"VERIFIED kron-hypotheses size=%d\n" % size
 
@@ -228,9 +223,11 @@ def _cmd_isolation(args) -> bytes:
 @command("mu", "density lower-bound ratio", "matrix")
 def _cmd_mu(args) -> bytes:
     from . import bounds, cover
-    res = bounds.mu(boolmat.read_matrix(args.matrix))
+    a = boolmat.read_matrix(args.matrix)
+    res = bounds.mu(a)
     head = f"MU value={res.value} ones={res.ones} maxrect={res.max_rectangle_area} "
-    return head.encode() + cover._format_rectangle(res.witness)
+    _, line = cover.cover_lines(cover.Cover(a.rows, a.cols, (res.witness,)))
+    return head.encode() + line
 
 
 def _rank_text(sp: Spanoid) -> bytes:

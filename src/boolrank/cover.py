@@ -34,7 +34,14 @@ be held whole: besides a :class:`BoolMatrix` it may be any
 
 Every failed verification reports the first failing entry in row-major
 order (or the lexicographically first failing subset), so tests and CLI
-output are deterministic.
+output are deterministic.  A cover check that must hold raises through
+:meth:`VerifyResult.require`, so its failure has one text,
+``entry=(i,j) reason=...``, in the library and the CLI alike.
+
+A composed cover's rectangles are made from the factors in one place
+(:meth:`KronCoverDescription._product_sides`), as index arrays that
+:meth:`~KronCoverDescription.iter_rectangles` wraps in rectangles and
+:func:`kron_cover_lines` writes.
 
 Rectangle sides are read-only numpy index arrays, each of the narrowest
 dtype of uint16, uint32 and int64 that holds its last (largest) index
@@ -43,7 +50,9 @@ side widens it to int64 first.  :attr:`Rectangle.row_set` and
 :attr:`Rectangle.col_set` are tuple views of the sides, made on each
 access, for callers that want Python ints; the writers gather each
 side's text from tables of digits instead, with no Python object per
-index (see :func:`boolrank.boolmat._index_writer`).
+index.  Each writer passes its matrix's larger dimension and its text's
+index count to :func:`boolrank.boolmat._index_writer`, which makes the
+tables only when the first is at most the second.
 """
 
 from __future__ import annotations
@@ -51,8 +60,8 @@ from __future__ import annotations
 import math
 from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations
+from functools import cached_property, partial
+from itertools import permutations, starmap
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -70,7 +79,6 @@ from .boolmat import (
     _parse_index_list,
     _parse_text,
     _read_text,
-    _table_size,
     _text_chars,
     require_materializable,
 )
@@ -427,22 +435,28 @@ class KronCoverDescription:
         (ra, ca), (rb, cb) = self.m_family.dims, self.n_family.dims
         return ra * rb, ca * cb
 
-    def iter_rectangles(self) -> Iterator[Rectangle]:
-        """All products of the t-th decompositions' rectangles, t-major.
+    def _product_sides(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The (rows, cols) of each product of the t-th decompositions'
+        rectangles, t-major, as sorted index arrays.
 
-        The product of rm and rn has rows ``i * rows_b + i'`` for i in rm and
-        i' in rn, and likewise columns, where rows_b x cols_b are n_family's
-        dims.  The m-side is widened to int64 before it is scaled, and the
-        n-side's narrow dtype promotes to int64 in the sum, so no product
-        index wraps.
+        The product of rm and rn has rows ``i * rows_b + i'`` for i in rm
+        and, for each i in turn, i' in rn, and likewise columns, where
+        rows_b x cols_b are n_family's dims.  The m-side is widened before it
+        is scaled, to int32 where the product's indices fit and to int64
+        otherwise, so no product index wraps.
         """
         rb, cb = self.n_family.dims
+        dtype = np.int32 if max(self.target_dims) < 1 << 31 else np.int64
         for dm, dn in zip(self.m_family.decompositions, self.n_family.decompositions):
             for rm in dm.rects:
-                row_a = rm.rows.astype(np.int64)[:, None] * rb
-                col_a = rm.cols.astype(np.int64)[:, None] * cb
+                row_a = rm.rows.astype(dtype)[:, None] * rb
+                col_a = rm.cols.astype(dtype)[:, None] * cb
                 for rn in dn.rects:
-                    yield Rectangle((row_a + rn.rows).ravel(), (col_a + rn.cols).ravel())
+                    yield (row_a + rn.rows).ravel(), (col_a + rn.cols).ravel()
+
+    def iter_rectangles(self) -> Iterator[Rectangle]:
+        """All products of the t-th decompositions' rectangles, t-major."""
+        return starmap(Rectangle, self._product_sides())
 
     def to_cover(self) -> Cover:
         """The rectangles themselves, refused (``MaterializationLimitError``)
@@ -467,6 +481,13 @@ class VerifyResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def require(self) -> None:
+        """Raise :class:`VerificationError` with the witness if the check
+        failed: the one failure text of every cover check."""
+        if not self.ok:
+            i, j = self.witness
+            raise VerificationError(f"entry=({i},{j}) reason={self.reason}", witness=self.witness)
 
 
 @dataclass(frozen=True)
@@ -500,7 +521,7 @@ def _first_set_bit(diff: np.ndarray, cols: int) -> tuple[int, int]:
 
 
 def _first_difference(
-    a: BoolMatrix | RowSource, c: Cover
+    a: BoolMatrix | Cover | RowSource, c: Cover
 ) -> tuple[int, int, bool] | None:
     """First entry (i, j) in row-major order where ``a`` and the cover's sum
     differ, and whether ``a`` has a 1 there.
@@ -704,9 +725,9 @@ def _failing_signatures(p: set[int], q: set[int], s: int) -> list[int]:
 
 
 def verify_kron_hypotheses(
-    a: BoolMatrix | RowSource,
+    a: BoolMatrix | Cover | RowSource,
     m_fam: MatrixFamily,
-    b: BoolMatrix | RowSource,
+    b: BoolMatrix | Cover | RowSource,
     n_fam: MatrixFamily,
 ) -> VerifyResult:
     """Verify the composition hypotheses for covering ``a (x) b``.
@@ -714,7 +735,8 @@ def verify_kron_hypotheses(
     True iff ``m_fam`` covers ``a`` and, for every (i, j) with a[i, j] = 1,
     the members of ``n_fam`` positionally matching the m-members that cover
     (i, j) form a cover of ``b``.  This certifies the composed cover of the
-    product without materializing it.
+    product without materializing it.  A factor may be given as a cover,
+    whose Boolean sum it is.
 
     Both sides are reduced to their classes (:func:`_classes`): P of
     ``a`` and the m-members, Q of ``b`` and the n-members, where bit 0
@@ -768,16 +790,12 @@ def verify_kron_hypotheses(
 def compose_kron_cover(m_fam: MatrixFamily, n_fam: MatrixFamily) -> Cover:
     """The product cover of two families: all products of their t-th
     decompositions, t-major.  The composition hypotheses are checked for the
-    matrices the families cover (their Boolean sums), and a
-    :class:`VerificationError` is raised when they fail."""
-    a = cover_matrix(_union(m_fam))
-    b = cover_matrix(_union(n_fam))
-    res = verify_kron_hypotheses(a, m_fam, b, n_fam)
-    if not res:
-        raise VerificationError(
-            f"composition hypotheses fail at entry {res.witness}: {res.reason}",
-            witness=res.witness,
-        )
+    matrices the families cover, their unions' sums, and a
+    :class:`VerificationError` is raised when they fail
+    (:meth:`VerifyResult.require`).  A caller that claims a cover of given
+    factors checks the families against them instead, as
+    :func:`~boolrank.crown.gap_cover` does."""
+    verify_kron_hypotheses(_union(m_fam), m_fam, _union(n_fam), n_fam).require()
     return KronCoverDescription(m_fam, n_fam).to_cover()
 
 
@@ -908,15 +926,10 @@ def _lex_rank(subset: tuple[int, ...], s: int) -> int:
 
 # -- text formats -------------------------------------------------------------
 
-def _rect_line(rows: list, cols: list) -> bytes:
-    """A cover body line, with its newline, from the texts of its two index
-    lists, each a list of buffers (see :func:`~boolrank.boolmat._index_writer`)."""
-    return b"".join([b"R ", *rows, b" C ", *cols, b"\n"])
-
-
-def _sides(covers: Iterable[Cover]) -> Iterator[np.ndarray]:
-    """The row side and then the column side of every rectangle, in order."""
-    return (side for c in covers for r in c.rects for side in (r.rows, r.cols))
+def _rect_line(write: Callable[[np.ndarray], list], rows: np.ndarray, cols: np.ndarray) -> bytes:
+    """A cover body line, with its newline, of two sorted index arrays, each
+    written by ``write`` (see :func:`~boolrank.boolmat._index_writer`)."""
+    return b"".join([b"R ", *write(rows), b" C ", *write(cols), b"\n"])
 
 
 def _side_lengths(c: Cover) -> tuple[int, int]:
@@ -924,22 +937,15 @@ def _side_lengths(c: Cover) -> tuple[int, int]:
     return sum(r.rows.size for r in c.rects), sum(r.cols.size for r in c.rects)
 
 
-def _format_rectangle(
-    r: Rectangle, write: Callable[[np.ndarray], list] = _index_writer(0)
-) -> bytes:
-    """A cover body line; ``write`` gets each side as an index array."""
-    return _rect_line(write(r.rows), write(r.cols))
-
-
 def _cover_lines(c: Cover, write: Callable[[np.ndarray], list]) -> Iterator[bytes]:
     yield b"COVER %d %d %d\n" % (c.rows, c.cols, c.size)
     for r in c.rects:
-        yield _format_rectangle(r, write)
+        yield _rect_line(write, r.rows, r.cols)
 
 
 def cover_lines(c: Cover) -> Iterator[bytes]:
     """The lines of :func:`format_cover`, one at a time, as bytes."""
-    return _cover_lines(c, _index_writer(_table_size(_sides([c]))))
+    return _cover_lines(c, _index_writer(max(c.rows, c.cols), sum(_side_lengths(c))))
 
 
 def format_cover(c: Cover) -> str:
@@ -949,28 +955,18 @@ def format_cover(c: Cover) -> str:
 def kron_cover_lines(d: KronCoverDescription) -> Iterator[bytes]:
     """The lines of ``format_cover(d.to_cover())``, built from the factors.
 
-    A product rectangle's row list is ``i * rows_b + j`` over the rows i of
-    its m-side rectangle and, for each i in turn, the rows j of its n-side
-    rectangle, so it is sorted.  Each line's row and column values are made
-    as one array, int32 where the product's indices fit, and written from
-    one set of digit tables of the product's indices (see
-    :func:`~boolrank.boolmat._index_writer`), which is made when it has no
-    more entries than the text has indices.  No product rectangle and no
-    int per product index is made.
+    Each line's row and column values are the arrays of
+    :meth:`KronCoverDescription._product_sides`, written by one index writer
+    for the product's dimensions and its :attr:`~KronCoverDescription.indices`
+    (see :func:`~boolrank.boolmat._index_writer`).  No product rectangle and
+    no int per product index is made.
     """
     rows, cols = d.target_dims
-    rb, cb = d.n_family.dims
-    size = max(rows, cols)
-    dtype = np.int32 if size < 1 << 31 else np.int64
-    write = _index_writer(size if size <= d.indices else 0)
+    write = _index_writer(max(rows, cols), d.indices)
     yield b"COVER %d %d %d\n" % (rows, cols, d.size)
-    for dm, dn in zip(d.m_family.decompositions, d.n_family.decompositions):
-        for rm in dm.rects:
-            row_a = rm.rows.astype(dtype)[:, None] * rb
-            col_a = rm.cols.astype(dtype)[:, None] * cb
-            for rn in dn.rects:
-                yield _rect_line(write((row_a + rn.rows).ravel()),
-                                 write((col_a + rn.cols).ravel()))
+    # starmap drops each line's sides before the line is yielded, so one
+    # line's sides are held at a time
+    yield from starmap(partial(_rect_line, write), d._product_sides())
 
 
 def _parse_rectangle(line: bytes, lineno: int) -> Rectangle:
@@ -1000,7 +996,8 @@ def parse_cover(text: str | bytes) -> Cover:
 
 def family_lines(fam: MatrixFamily) -> Iterator[bytes]:
     """The lines of :func:`format_family`, one at a time, as bytes."""
-    write = _index_writer(_table_size(_sides(fam.decompositions)))
+    count = sum(sum(_side_lengths(c)) for c in fam.decompositions)
+    write = _index_writer(max(fam.dims), count)
     yield b"FAMILY %d %d %d\n" % (*fam.dims, len(fam))
     for c in fam.decompositions:
         yield from _cover_lines(c, write)

@@ -412,8 +412,15 @@ def gap_families(n: int, m: int) -> tuple[MatrixFamily, MatrixFamily]:
 
 
 def gap_cover(n: int, m: int) -> Cover:
-    """An explicit cover of crown(n) (x) crown(m) beating the rank product."""
-    from .cover import compose_kron_cover
+    """An explicit cover of crown(n) (x) crown(m) beating the rank product.
+
+    The families are checked against the crowns they claim to cover, one
+    target when n == m, and a :class:`VerificationError` with the first
+    failing entry is raised when they do not meet the composition
+    hypotheses."""
+    from .cover import KronCoverDescription, verify_kron_hypotheses
     m_fam, n_fam = gap_families(n, m)
-    return compose_kron_cover(m_fam, n_fam)
+    a = CrownTarget(n)
+    verify_kron_hypotheses(a, m_fam, a if m == n else CrownTarget(m), n_fam).require()
+    return KronCoverDescription(m_fam, n_fam).to_cover()
 

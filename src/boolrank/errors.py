@@ -3,7 +3,8 @@
 The CLI maps these onto its exit codes: format and parameter problems are
 "invalid input" (exit 2), materialization and search budgets are "budget
 exceeded" (exit 3).  A library verifier returns a falsy result carrying a
-witness; the CLI turns it into a ``VerificationError`` (exit 1).
+witness; a cover check's ``require()`` turns it into a
+``VerificationError``, which the CLI prints as its witness (exit 1).
 """
 
 

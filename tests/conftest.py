@@ -32,6 +32,17 @@ def rect_matrix(r: Rectangle, rows: int, cols: int):
     return cover_matrix(Cover(rows, cols, (r,)))
 
 
+def drop_row_0(fam: MatrixFamily) -> MatrixFamily:
+    """``fam`` with row 0 taken out of every rectangle, and the rectangles
+    it empties dropped: the family still composes against its own union,
+    but no longer covers row 0 of the matrix it was built for."""
+    return MatrixFamily(tuple(
+        Cover(c.rows, c.cols, tuple(
+            Rectangle(r.rows[r.rows > 0], r.cols) for r in c.rects if r.rows[-1] > 0
+        )) for c in fam.decompositions
+    ))
+
+
 def restrict_family(fam: MatrixFamily, n: int) -> MatrixFamily:
     """Reference: a family over a crown cut to its leading n x n corner.
 

@@ -19,9 +19,6 @@ from boolrank import boolmat, bounds, cover, spanoid
 from boolrank.boolmat import parse_matrix, read_matrix, write_matrix
 from boolrank.cli import COMMANDS, GROUP_HELP, main
 from boolrank.cover import (
-    Cover,
-    MatrixFamily,
-    Rectangle,
     parse_cover,
     parse_family,
     read_cover,
@@ -29,6 +26,7 @@ from boolrank.cover import (
 )
 from boolrank.crown import c4_triple, crown_matrix
 from boolrank.errors import FormatError
+from conftest import drop_row_0
 from test_golden_cli import PRINTED, WRITTEN, inputs  # noqa: F401 (a fixture)
 
 
@@ -122,15 +120,8 @@ class TestCoverCommands:
         from boolrank import crown
 
         families = crown.gap_families
-
-        def dropped(n, m):
-            return tuple(MatrixFamily(tuple(
-                Cover(c.rows, c.cols, tuple(
-                    Rectangle(r.rows[r.rows > 0], r.cols) for r in c.rects if r.rows[-1] > 0
-                )) for c in fam.decompositions
-            )) for fam in families(n, m))
-
-        monkeypatch.setattr(crown, "gap_families", dropped)
+        monkeypatch.setattr(crown, "gap_families",
+                            lambda n, m: tuple(map(drop_row_0, families(n, m))))
         path = tmp_path / "g.cov"
         code, out, err = run(capsys, "cover", "gap", "7", "7", "-o", str(path))
         assert (code, err) == (1, "")
@@ -221,6 +212,17 @@ class TestCoverCommands:
         monkeypatch.setenv("BOOLRANK_MAX_ENTRIES", limit)
         code, out, _ = run(capsys, "cover", "asymptotic", "20", "--q", "2", "--s", "3")
         assert (code, out) == (0, expect)
+
+    def test_asymptotic_member_missing_row_0_fails(self, capsys, monkeypatch):
+        # members are checked against crown(n), with the one failure text
+        # of every cover check
+        from boolrank import algebraic
+
+        members = algebraic._members
+        monkeypatch.setattr(algebraic, "_members", lambda *a: drop_row_0(members(*a)))
+        code, out, err = run(capsys, "cover", "asymptotic", "100", "--q", "2", "--s", "3")
+        assert (code, err) == (1, "")
+        assert out == "FAILED entry=(0,1) reason=m-family does not cover the first factor\n"
 
 
 class TestVerifyKronAndQcover:

@@ -605,7 +605,11 @@ class TestCompose:
         pair = MatrixFamily(fam.decompositions[:2])
         with pytest.raises(VerificationError) as err:
             compose_kron_cover(pair, pair)
-        assert err.value.witness is not None
+        # the witness and text of the check on the pair's Boolean sum
+        union = boolean_sum(pair.members)
+        res = verify_kron_hypotheses(union, pair, union, pair)
+        assert err.value.witness == res.witness
+        assert str(err.value) == "entry=(%d,%d) reason=%s" % (*res.witness, res.reason)
 
     def test_member_product_sum_identity(self):
         # whenever the hypotheses hold, sum of member products equals the product

@@ -42,7 +42,7 @@ from boolrank.crown import (
     triple_cover,
 )
 from boolrank.errors import DimensionError, MaterializationLimitError, VerificationError
-from conftest import bracket_g, colex_subsets, restrict_family
+from conftest import bracket_g, colex_subsets, drop_row_0, restrict_family
 
 C5_PRINTED = {
     "A1": [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1], [1, 1, 0, 0, 1], [0, 0, 0, 0, 0]],
@@ -656,6 +656,16 @@ class TestGapCovers:
         assert (m_fam, n_fam) == (
             coverable_triple(n), best_triple_pairing(m_fam, coverable_triple(m))[0]
         )
+
+    def test_gap_cover_checks_the_crowns_it_claims(self, monkeypatch):
+        # the broken triples compose against their own unions
+        broken = tuple(map(drop_row_0, gap_families(7, 7)))
+        assert compose_kron_cover(*broken).size == 24
+        monkeypatch.setattr(crown, "gap_families", lambda n, m: broken)
+        with pytest.raises(VerificationError) as err:
+            gap_cover(7, 7)
+        assert err.value.witness == (0, 1)
+        assert str(err.value) == "entry=(0,1) reason=m-family does not cover the first factor"
 
     def test_shared_level_checks_its_bijection(self, monkeypatch):
         monkeypatch.setattr(crown, "_h_held", identity)

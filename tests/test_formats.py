@@ -19,7 +19,6 @@ from boolrank.boolmat import (
     _index_bytes,
     _index_writer,
     _parse_index_list,
-    _table_size,
     parse_matrix,
 )
 from boolrank.cover import (
@@ -28,7 +27,6 @@ from boolrank.cover import (
     MatrixFamily,
     Rectangle,
     _row_groups,
-    _sides,
     cover_lines,
     family_lines,
     format_cover,
@@ -367,9 +365,9 @@ def oracle_family_text(fam):
 def writer_families(draw, far):
     """(far, family) of order n whose members each hold the full n x n
     rectangle, so their indices outnumber the values below n and the
-    writers share one table.  With ``far``, that rectangle also has column
-    ``far``, above every index count, and the writers fall back to one
-    ``str`` per index."""
+    writers share one table.  With ``far``, the family has ``far + 1``
+    columns, above every index count, and that rectangle also has column
+    ``far``, so the writers fall back to one ``str`` per index."""
     n = draw(st.integers(1, 12))
     full = Rectangle(tuple(range(n)), (*range(n), far) if far else tuple(range(n)))
     cols = far + 1 if far else n
@@ -399,9 +397,20 @@ writer_values = st.lists(st.sampled_from(DIGIT_EDGES) | st.integers(0, 10**5 + 1
 side_dtypes = st.sampled_from([np.uint16, np.uint32, np.int64])
 
 
+def sides(fam):
+    """The row side and then the column side of every rectangle, in order."""
+    return [side for c in fam.decompositions for r in c.rects for side in (r.rows, r.cols)]
+
+
+def table_spy():
+    """``boolmat._digit_tables``, patched to record its calls."""
+    return mock.patch.object(boolmat, "_digit_tables", wraps=boolmat._digit_tables)
+
+
 class TestSharedIndexTables:
     """Certificates hold narrow index arrays and are written by gathering
-    each index's text from digit tables."""
+    each index's text from digit tables of the values below the larger
+    dimension, made only when the text has at least that many indices."""
 
     # short sides are gathered too when no side counts as short
     @given(side_dtypes, writer_values, st.integers(0, 3),
@@ -413,7 +422,10 @@ class TestSharedIndexTables:
         values = sorted({min(v, np.iinfo(dtype).max) for v in values})
         side = np.array(values, dtype=dtype)
         # a table of exactly the values up to the last, or a few past it
-        write = _index_writer(values[-1] + 1 + spare)
+        size = values[-1] + 1 + spare
+        with table_spy() as tables:
+            write = _index_writer(size, size)
+        assert tables.call_count == 1
         with mock.patch.object(boolmat, "_SHORT_SIDE", short):
             assert b"".join(write(side)) == _index_bytes(values)
 
@@ -423,16 +435,26 @@ class TestSharedIndexTables:
     def test_sparse_side_takes_the_fallback(self, dtype, small, far):
         values = sorted(set(small)) + [min(far, np.iinfo(dtype).max)]
         side = np.array(values, dtype=dtype)
-        assert _table_size([side]) == 0
-        assert b"".join(_index_writer(_table_size([side]))(side)) == _index_bytes(values)
+        with table_spy() as tables:
+            assert b"".join(_index_writer(values[-1] + 1, side.size)(side)) == _index_bytes(values)
+        tables.assert_not_called()
+
+    @pytest.mark.parametrize("size", [0, 1, 64])
+    def test_table_only_up_to_the_index_count(self, size):
+        for count, made in ((size - 1, False), (size, size > 0)):
+            with table_spy() as tables:
+                _index_writer(size, count)
+            assert tables.called == made
 
     @given(st.sampled_from([0, 10**6, 10**15]).flatmap(writer_families))
     def test_writers_match_per_index_str(self, case):
         far, fam = case
-        assert bool(_table_size(_sides(fam.decompositions))) == (not far)
-        assert format_family(fam) == oracle_family_text(fam)
-        for c in fam.decompositions:
-            assert format_cover(c) == oracle_cover_text(c)
+        with table_spy() as tables:
+            assert format_family(fam) == oracle_family_text(fam)
+            for c in fam.decompositions:
+                assert format_cover(c) == oracle_cover_text(c)
+        # one table per text: the family's, then each member's
+        assert tables.call_count == (0 if far else 1 + len(fam))
         assert parse_family(format_family(fam)) == fam
 
     def test_family_holds_under_4_bytes_per_index(self):
@@ -446,14 +468,14 @@ class TestSharedIndexTables:
             Cover(n, n, tuple(Rectangle(side(), side()) for _ in range(6)))
             for _ in range(8)
         ))
-        indices = sum(len(s) for s in _sides(fam.decompositions))
+        indices = sum(len(s) for s in sides(fam))
         assert indices >= 100_000
         text = format_family(fam)
         back, held, _ = traced(lambda: parse_family(text))
         assert back == fam
         # every index is below 65536, so each side is a uint16 array
         assert held < 4 * indices
-        assert {s.dtype for s in _sides(back.decompositions)} == {np.dtype(np.uint16)}
+        assert {s.dtype for s in sides(back)} == {np.dtype(np.uint16)}
 
     def test_huge_index_sizes_no_table(self):
         text = "COVER 1000000000 1000000000 1\nR 999999999 C 0\n"
